@@ -1,47 +1,32 @@
 """Brute-force full-state enumeration kernels.
 
 This is the package's hot numeric loop: filtering all 2^m full states of
-a curve against the per-piece bad-arc constraint. The default build uses
-a numba-compiled kernel; setting SKEINLAB_NO_NUMBA=1 (or a missing numba)
-selects a chunked pure-numpy path computing the same thing.
-benchmarks/bench_states.py compares the two.
+a curve against the per-piece bad-arc constraint, in chunked numpy. Only
+the brute-force reference route in curves imports this module, so numpy
+loads only when a curve is enumerated that way.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .curves import BRUTE_FORCE_MAX_POINTS
 
 _CHUNK = 1 << 18
 
-USE_NUMBA = os.environ.get("SKEINLAB_NO_NUMBA", "") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _masks_numba(n_points, pa, pb):  # pragma: no cover - compiled
-        total = np.int64(1) << n_points
-        out = np.empty(total, np.int64)
-        cnt = 0
-        for mask in range(total):
-            ok = True
-            for t in range(pa.shape[0]):
-                if (mask >> pa[t]) & 1 == 1 and (mask >> pb[t]) & 1 == 0:
-                    ok = False
-                    break
-            if ok:
-                out[cnt] = mask
-                cnt += 1
-        return out[:cnt]
+# There is no compiled kernel; the constant stays because benchmark
+# workers report it in their environment line.
+USE_NUMBA = False
 
 
-def _masks_numpy(n_points, pa, pb):
+def admissible_masks(n_points: int, pieces_a, pieces_b):
+    """All bitmasks (bit=1 means state +) passing every piece constraint."""
+    pa = np.asarray(pieces_a, dtype=np.int64)
+    pb = np.asarray(pieces_b, dtype=np.int64)
+    if n_points > BRUTE_FORCE_MAX_POINTS:
+        raise ValueError(
+            f"brute-force enumeration capped at {BRUTE_FORCE_MAX_POINTS} points"
+        )
     total = 1 << n_points
     parts = []
     for start in range(0, total, _CHUNK):
@@ -51,18 +36,7 @@ def _masks_numpy(n_points, pa, pb):
             bad = (((masks >> pa[t]) & 1) == 1) & (((masks >> pb[t]) & 1) == 0)
             ok &= ~bad
         parts.append(masks[ok])
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def admissible_masks(n_points: int, pieces_a, pieces_b):
-    """All bitmasks (bit=1 means state +) passing every piece constraint."""
-    pa = np.asarray(pieces_a, dtype=np.int64)
-    pb = np.asarray(pieces_b, dtype=np.int64)
-    if n_points > 25:
-        raise ValueError("brute-force enumeration capped at 25 points")
-    if USE_NUMBA:
-        return _masks_numba(np.int64(n_points), pa, pb)
-    return _masks_numpy(n_points, pa, pb)
+    return np.concatenate(parts)
 
 
 def support_from_masks(masks, point_edge, n_edges):

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .curves import (
@@ -36,7 +35,6 @@ from .repvar import (
     orbit_closure,
     rep_dimension,
 )
-from .selftest import run_all
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star
 
 
@@ -242,6 +240,8 @@ def cmd_detect(args):
         requests = _load_json_arg(args.batch)
         threads = int(os.environ.get("SKEINLAB_THREADS", "1"))
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_run_one_detect, requests))
         else:
@@ -268,6 +268,9 @@ def cmd_detect(args):
 
 
 def cmd_selftest(args):
+    # selftest pulls in sympy (via poisson); no other command needs it
+    from .selftest import run_all
+
     results = run_all()
     for r in results:
         _log(("PASS" if r["passed"] else "FAIL") + " - " + r["criterion"] + " - " + r["detail"])

@@ -7,18 +7,22 @@ the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 
 Two enumeration routes are kept deliberately independent: a cycle-walk DP
 (default) and the 2^m brute-force kernel in _kernels (reference and
-certificate re-verification path).
+certificate re-verification path). _kernels, and with it numpy, is
+imported only when the brute-force route runs.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import gcd
 
-from . import _kernels, intlinalg
+from . import intlinalg
 from .surface import Triangulation, build_sigma_g_star
 
 DEFAULT_STATE_CAP = 24
+# largest curve the 2^m brute-force kernel will enumerate
+BRUTE_FORCE_MAX_POINTS = 25
 
 
 class StateCapExceeded(RuntimeError):
@@ -315,6 +319,8 @@ def enumerate_admissible_states_bruteforce(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
 ) -> TraceSupport:
     """Reference route: filter all 2^m full states with the array kernel."""
+    from . import _kernels
+
     geo = curve.geometry()
     if geo.n_points > cap:
         raise StateCapExceeded(
@@ -441,12 +447,17 @@ class TorusCurveTable:
 
 
 _table = None
+_table_lock = threading.Lock()
 
 
 def torus_table() -> TorusCurveTable:
+    """The shared Delta_1 table; batch threads must all get the same one,
+    since curves from different tables live on different triangulations."""
     global _table
     if _table is None:
-        _table = TorusCurveTable()
+        with _table_lock:
+            if _table is None:
+                _table = TorusCurveTable()
     return _table
 
 

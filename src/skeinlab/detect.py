@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import intlinalg
 from .curves import (
+    BRUTE_FORCE_MAX_POINTS,
     DEFAULT_STATE_CAP,
     NormalCurve,
     StateCapExceeded,
@@ -159,9 +160,11 @@ def detect_support(req: DetectionRequest) -> Certificate:
     if alpha.coords == beta.coords:
         base.reasons.append("isotopic-curves")
         return base
+    # a witness must be re-verified by brute force, so the cap stops there
+    cap = min(req.state_cap, BRUTE_FORCE_MAX_POINTS)
     try:
-        sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
-        sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
+        sup_a = enumerate_admissible_states(alpha, cap=cap)
+        sup_b = enumerate_admissible_states(beta, cap=cap)
     except StateCapExceeded:
         base.reasons.append("cap-exceeded")
         return base
@@ -183,17 +186,19 @@ def detect_support(req: DetectionRequest) -> Certificate:
             for v in side.get(coset, {"kvecs": []})["kvecs"]
         ],
     }
-    _reverify_witness(alpha, beta, coset, witness, projector, req.state_cap)
+    _reverify_witness(alpha, beta, coset, witness, projector)
     base.verdict = "certified-nontrivial"
     base.witness = witness
     return base
 
 
-def _reverify_witness(alpha, beta, coset, witness, projector, cap):
+def _reverify_witness(alpha, beta, coset, witness, projector):
     """Recompute both fibers of the witness coset with the independent
     brute-force enumerator before emitting a certificate."""
     for curve, claimed in ((alpha, witness["fiberAlpha"]), (beta, witness["fiberBeta"])):
-        sup = enumerate_admissible_states_bruteforce(curve, cap=max(cap, 25))
+        sup = enumerate_admissible_states_bruteforce(
+            curve, cap=BRUTE_FORCE_MAX_POINTS
+        )
         states = 0
         for kvec, count in sup.fibers.items():
             if projector.project(kvec) == coset:

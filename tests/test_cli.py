@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 
@@ -210,6 +214,39 @@ def test_detect_batch_thread_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("SKEINLAB_THREADS", "4")
     parallel = run_cli("detect", "--batch", str(f))[1]
     assert serial == parallel
+
+
+def test_detect_batch_cap_above_bruteforce_limit():
+    # the walk DP accepts the 30-point image curve, but a witness could not
+    # be re-verified by brute force, so the request must stop at the cap
+    batch = [
+        {"curve": "5,3", "phi": {"matrix": [[1, 1], [0, 1]]}, "N": 11, "cap": 30},
+        {"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]]}, "N": 5},
+    ]
+    code, out, _ = run_cli("detect", "--batch", json.dumps(batch))
+    assert code == 0
+    certs = json.loads(out)["certificates"]
+    assert certs[0]["verdict"] == "inconclusive"
+    assert "cap-exceeded" in certs[0]["reasons"]
+    assert certs[1]["verdict"] == "certified-nontrivial"
+
+
+def test_cli_imports_are_pay_for_use():
+    script = """
+import sys
+from skeinlab import cli
+assert "sympy" not in sys.modules and "numpy" not in sys.modules
+cli.main(["lattice", "info", "--genus", "1"])
+cli.main(["qtrace", "support", "--curve=2,3"])
+assert "numpy" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_merging(tmp_path):

@@ -1,8 +1,11 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from skeinlab import curves
 from skeinlab.curves import (
     NormalCurve,
     StateCapExceeded,
@@ -161,3 +164,29 @@ def test_curve_json():
     obj = c.to_json()
     assert obj["triangulation"] == "Delta_1"
     assert all(isinstance(k, str) for k in obj["coords"])
+
+
+def test_torus_table_built_once_under_threads(monkeypatch):
+    monkeypatch.setattr(curves, "_table", None)
+    original_init = TorusCurveTable.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.05)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TorusCurveTable, "__init__", slow_init)
+    start = threading.Barrier(4, timeout=30)
+    tables = []
+
+    def worker():
+        start.wait()
+        tables.append(torus_table())
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(tables) == 4
+    assert all(t is tables[0] for t in tables)
