@@ -234,6 +234,19 @@ def _run_one_detect(obj):
     return runner(req).to_json()
 
 
+def _run_batch_item(obj):
+    """One batch slot: a certificate, or {"error": ...} for a bad request,
+    so that one bad request does not cost the others their results."""
+    try:
+        if not isinstance(obj, dict):
+            raise TypeError("a detection request must be a JSON object")
+        return _run_one_detect(obj)
+    except KeyError as exc:
+        return {"error": f"missing field {exc}"}
+    except (ValueError, TypeError) as exc:
+        return {"error": str(exc)}
+
+
 def cmd_detect(args):
     t0 = time.perf_counter()
     if args.batch:
@@ -243,11 +256,13 @@ def cmd_detect(args):
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_run_one_detect, requests))
+                results = list(pool.map(_run_batch_item, requests))
         else:
-            results = [_run_one_detect(r) for r in requests]
+            results = [_run_batch_item(r) for r in requests]
         _emit({"certificates": results})
         _log(f"detect: {len(results)} requests in {time.perf_counter() - t0:.3f}s")
+        if any("error" in r for r in results):
+            sys.exit(2)
         return
     obj = {
         "genus": args.genus,

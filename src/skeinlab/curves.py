@@ -322,9 +322,10 @@ def enumerate_admissible_states_bruteforce(
     from . import _kernels
 
     geo = curve.geometry()
-    if geo.n_points > cap:
+    limit = min(cap, BRUTE_FORCE_MAX_POINTS)
+    if geo.n_points > limit:
         raise StateCapExceeded(
-            f"{geo.n_points} intersection points exceed the cap {cap}"
+            f"{geo.n_points} intersection points exceed the cap {limit}"
         )
     if geo.n_points == 0:
         return TraceSupport(curve, {tuple([0] * curve.tri.n_edges): 1})

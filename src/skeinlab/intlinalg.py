@@ -1,6 +1,7 @@
-"""Exact integer lattice algorithms: HNF, SNF, kernels of forms mod N,
-sublattice indices, and the skew normal form used to split quantum tori
-into Weyl pairs.
+"""Exact integer lattice algorithms: HNF, SNF, the Gram matrix and pairing
+of an integer form (`gram`, `bilinear`), kernels of forms mod N,
+coordinates in an echelon (e.g. HNF) basis by back-substitution, sublattice
+indices, and the skew normal form used to split quantum tori into Weyl pairs.
 
 Matrices are lists of lists of Python ints; all arithmetic is exact.
 Eliminations use extended-gcd (Blankinship) two-row/two-column unimodular
@@ -41,6 +42,16 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
+def gram(rows, W):
+    """Gram matrix rows * W * rows^T of the form W on the given vectors."""
+    return mat_mul(mat_mul(rows, W), transpose(rows))
+
+
+def bilinear(a, W, b):
+    """The pairing a^T * W * b."""
+    return sum(x * y for x, y in zip(a, mat_vec(W, b)))
+
+
 def _egcd(a, b):
     """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -56,19 +67,12 @@ def _egcd(a, b):
     return old_r, old_x, old_y
 
 
-def _det_via_snf(A):
+def is_unimodular(A):
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("determinant of non-square matrix")
     D, _, _ = smith_normal_form(A)
-    det = 1
-    for i in range(n):
-        det *= D[i][i]
-    return det
-
-
-def is_unimodular(A):
-    return abs(_det_via_snf(A)) == 1
+    return all(D[i][i] == 1 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +270,29 @@ def lattice_contains(basis_rows, vec) -> bool:
 
 
 def lattice_coordinates(basis_rows, vec):
-    """Integer coordinates of vec in the given row basis, or None."""
-    if not basis_rows:
-        return [] if not any(vec) else None
-    return solve_integer(transpose(basis_rows), list(vec))
+    """Integer coordinates of vec in an echelon row basis (pivot columns
+    strictly increasing, as from `hnf` or `kernel_mod`), or None when vec
+    is outside the lattice. Raises ValueError for a non-echelon basis."""
+    v = list(vec)
+    coords = []
+    last = -1
+    for row in basis_rows:
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is None or piv <= last:
+            raise ValueError("basis rows are not in echelon form")
+        last = piv
+        q, r = divmod(v[piv], row[piv])
+        if r:
+            return None
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+        coords.append(q)
+    return None if any(v) else coords
 
 
 def sublattice_index(big_rows, sub_rows):
-    """Index [L:S] for S spanned by sub_rows inside L spanned by big_rows.
+    """Index [L:S] for S spanned by sub_rows inside L spanned by the
+    echelon basis big_rows.
 
     Returns a positive int, or None (infinite index) when rank drops.
     Raises ValueError when S is not contained in L.
@@ -284,13 +303,19 @@ def sublattice_index(big_rows, sub_rows):
         if c is None:
             raise ValueError("sublattice basis vector outside the ambient lattice")
         coords.append(c)
-    if int_rank(coords) < len(big_rows):
-        return None
     D, _, _ = smith_normal_form(coords)
     idx = 1
     for i in range(len(big_rows)):
-        idx *= D[i][i]
-    return abs(idx)
+        d = D[i][i] if i < len(D) else 0
+        if d == 0:
+            return None
+        idx *= d
+    return idx
+
+
+def full_rank_index(rows, n):
+    """Index [Z^n : span(rows)], or None when the rows span less than rank n."""
+    return sublattice_index(identity(n), rows)
 
 
 def perfect_square_root(n):
@@ -393,7 +418,7 @@ def skew_normal_form(F):
         t += 2
 
     # verify the congruence exactly
-    check = mat_mul(mat_mul(transpose(P), [list(r) for r in F]), P)
+    check = gram(transpose(P), F)
     for i in range(n):
         for j in range(n):
             expect = 0

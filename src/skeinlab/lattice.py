@@ -22,12 +22,7 @@ class SkewLattice:
         self.name = name
 
     def pairing(self, a, b) -> int:
-        return sum(
-            a[i] * self.form[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if self.form[i][j]
-        )
+        return intlinalg.bilinear(a, self.form, b)
 
     def kernel_mod(self, N):
         """HNF basis of {a : (a, b) == 0 mod N for all b}. Contains N*Z^rank."""
@@ -35,9 +30,7 @@ class SkewLattice:
 
     def kernel_index(self, N):
         """Index [Z^rank : kernel mod N]."""
-        return intlinalg.sublattice_index(
-            intlinalg.identity(self.rank), self.kernel_mod(N)
-        )
+        return intlinalg.full_rank_index(self.kernel_mod(N), self.rank)
 
     def __repr__(self):
         return f"SkewLattice(rank={self.rank}, name={self.name!r})"

@@ -108,7 +108,7 @@ class FreeGroupEndo:
 
         M = self.abelianization()
         try:
-            return abs(intlinalg._det_via_snf(M)) == 1
+            return intlinalg.is_unimodular(M)
         except ValueError:
             return False
 

@@ -151,13 +151,11 @@ class TorusElement:
 
     def is_central(self) -> bool:
         """True iff every exponent pairs to 0 mod N with the whole lattice."""
-        L = self.torus.lattice
+        form = self.torus.lattice.form
         N = self.torus.N
-        for vec in self.terms:
-            for i in range(L.rank):
-                if sum(L.form[i][j] * vec[j] for j in range(L.rank)) % N != 0:
-                    return False
-        return True
+        return all(
+            x % N == 0 for vec in self.terms for x in intlinalg.mat_vec(form, vec)
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -251,10 +249,9 @@ class CentralCharacter:
             vals.append(v)
         self.values = vals
         # the twist A^(-(a,b)/4) is trivial on E^0 by definition of the kernel
-        for a in self.kernel_basis:
-            for b in self.kernel_basis:
-                if torus.lattice.pairing(a, b) % torus.N != 0:
-                    raise AssertionError("kernel pairing not divisible by N")
+        for row in intlinalg.gram(self.kernel_basis, torus.lattice.form):
+            if any(x % torus.N for x in row):
+                raise AssertionError("kernel pairing not divisible by N")
 
     @staticmethod
     def trivial(torus: QuantumTorus):
@@ -365,9 +362,7 @@ class TorusIrrep:
             dim *= m
         if dim > IRREP_DIM_CAP:
             raise ValueError(f"irrep dimension {dim} exceeds cap {IRREP_DIM_CAP}")
-        index = intlinalg.sublattice_index(
-            intlinalg.identity(L.rank), character.kernel_basis
-        )
+        index = intlinalg.full_rank_index(character.kernel_basis, L.rank)
         if intlinalg.perfect_square_root(index) != dim:
             raise AssertionError("kernel index is not the square of the dimension")
         self.dimension = dim

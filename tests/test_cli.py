@@ -231,6 +231,29 @@ def test_detect_batch_cap_above_bruteforce_limit():
     assert certs[1]["verdict"] == "certified-nontrivial"
 
 
+def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
+    good = [
+        {"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]]}},
+        {"curve": "1,1", "phi": {"matrix": [[0, -1], [1, 0]]}, "N": 7},
+    ]
+    bad_curve = {"curve": "junk", "phi": {"matrix": [[1, 1], [0, 1]]}}
+    no_curve = {"phi": {"matrix": [[1, 1], [0, 1]]}}
+    mixed = [good[0], bad_curve, no_curve, good[1]]
+    for threads in ("1", "4"):
+        monkeypatch.setenv("SKEINLAB_THREADS", threads)
+        code, out, _ = run_cli("detect", "--batch", json.dumps(good))
+        assert code == 0
+        code, mixed_out, err = run_cli("detect", "--batch", json.dumps(mixed))
+        assert code == 2
+        assert "Traceback" not in err
+        certs = json.loads(mixed_out)["certificates"]
+        assert len(certs) == 4
+        assert "junk" in certs[1]["error"]
+        assert "curve" in certs[2]["error"]
+        valid = {"certificates": [certs[0], certs[3]]}
+        assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
+
+
 def test_cli_imports_are_pay_for_use():
     script = """
 import sys

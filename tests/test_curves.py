@@ -74,6 +74,16 @@ def test_state_cap():
         enumerate_admissible_states(c, cap=10)
 
 
+def test_bruteforce_cap_above_kernel_limit():
+    # a cap above the kernel's own limit must still stop at that limit;
+    # the walk DP is not bound by it
+    c = torus_table().curve(8, 3)
+    assert c.geometry().n_points > curves.BRUTE_FORCE_MAX_POINTS
+    with pytest.raises(StateCapExceeded):
+        enumerate_admissible_states_bruteforce(c, cap=40)
+    assert enumerate_admissible_states(c, cap=40).fibers
+
+
 def test_torus_fixture_curves():
     table = torus_table()
     assert table.basis == FIXTURES["torusCurves"]["classBasis"]

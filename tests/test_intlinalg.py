@@ -4,6 +4,8 @@ import random
 import pytest
 
 from skeinlab.intlinalg import (
+    bilinear,
+    gram,
     hnf,
     int_rank,
     kernel_mod,
@@ -99,6 +101,56 @@ def test_lattice_coordinates():
     basis = [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
     assert lattice_coordinates(basis, [1, 1, 0]) == [1, 1, -1]
     assert lattice_coordinates(basis, [1, 0, 0]) is None
+
+
+def test_lattice_coordinates_agree_with_solver():
+    # back-substitution on an HNF basis against the general SNF solver
+    rng = random.Random(5)
+    inside = outside = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        H = hnf(
+            [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        )
+        if not H:
+            continue
+        for _ in range(4):
+            if rng.random() < 0.5:
+                v = mat_mul([[rng.randint(-4, 4) for _ in H]], H)[0]
+            else:
+                v = [rng.randint(-9, 9) for _ in range(n)]
+            got = lattice_coordinates(H, v)
+            ref = solve_integer(transpose(H), v)
+            assert (got is None) == (ref is None)
+            if got is None:
+                outside += 1
+            else:
+                inside += 1
+                assert got == ref
+                assert mat_mul([got], H)[0] == v
+    assert inside > 50 and outside > 50
+
+
+def test_lattice_coordinates_rejects_non_echelon():
+    with pytest.raises(ValueError):
+        lattice_coordinates([[0, 1], [1, 0]], [1, 1])
+    with pytest.raises(ValueError):
+        lattice_coordinates([[1, 0], [2, 1]], [1, 1])
+    with pytest.raises(ValueError):
+        lattice_coordinates([[1, 0], [0, 0]], [1, 0])
+
+
+def test_gram_and_bilinear():
+    rng = random.Random(9)
+    for _ in range(30):
+        n, k = rng.randint(1, 6), rng.randint(0, 5)
+        W = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        G = gram(rows, W)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                expect = sum(a[p] * W[p][q] * b[q] for p in range(n) for q in range(n))
+                assert G[i][j] == expect == bilinear(a, W, b)
 
 
 def test_reduce_mod_rows():

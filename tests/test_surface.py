@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,39 @@ def test_k_boundary_balanced_and_central():
         assert B.contains(kb)
         for vec in B.basis:
             assert B.pairing(kb, vec) == 0
+
+
+def test_gram_matches_double_sum():
+    for g in (1, 2, 3):
+        tri = build_sigma_g_star(g)
+        B = BalancedLattice(tri)
+        wp = wp_form(tri)
+        n = tri.n_edges
+        expect = [
+            [
+                sum(u[e] * wp[e][f] * v[f] for e in range(n) for f in range(n))
+                for v in B.basis
+            ]
+            for u in B.basis
+        ]
+        assert intlinalg.gram(B.basis, wp) == B.form == expect
+
+
+def test_parity_membership_matches_kernel():
+    rng = random.Random(4)
+    for tri in (lone_triangle(), *(build_sigma_g_star(g) for g in (1, 2, 3))):
+        B = BalancedLattice(tri)
+        parity = [[f.count(e) for e in range(tri.n_edges)] for f in tri.faces]
+        K = intlinalg.kernel_mod(parity, 2)
+        seen = set()
+        for _ in range(60):
+            v = intlinalg.mat_mul([[rng.randint(-3, 3) for _ in K]], K)[0]
+            if rng.random() < 0.5:
+                v[rng.randrange(tri.n_edges)] += rng.choice((-1, 1))
+            member = intlinalg.solve_integer(intlinalg.transpose(K), v) is not None
+            assert B.contains(v) == member
+            seen.add(member)
+        assert seen == {True, False}
 
 
 def test_central_sublattice_eq_k0():
