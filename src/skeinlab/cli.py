@@ -219,8 +219,12 @@ def _run_one_detect(obj):
         curve = _parse_curve_arg(curve, tri)
     elif isinstance(curve, dict):
         curve = _parse_curve_arg(json.dumps(curve), tri)
-    else:
+    elif isinstance(curve, list) and len(curve) == 2:
         curve = torus_table().curve(*curve)
+    else:
+        raise ValueError(
+            f'curve must be "p,q", a coords object or a [p, q] pair, not {curve!r}'
+        )
     req = DetectionRequest(
         genus=obj.get("genus", 1),
         N=obj.get("N", 5),
@@ -286,9 +290,13 @@ def cmd_selftest(args):
     # selftest pulls in sympy (via poisson); no other command needs it
     from .selftest import run_all
 
+    t0 = time.perf_counter()
     results = run_all()
     for r in results:
-        _log(("PASS" if r["passed"] else "FAIL") + " - " + r["criterion"] + " - " + r["detail"])
+        line = ("PASS" if r["passed"] else "FAIL") + " - " + r["criterion"]
+        _log(line + (" - " + r["detail"] if r["detail"] else ""))
+    # timings stay on stderr: the results must be run-independent
+    _log(f"selftest: {time.perf_counter() - t0:.3f}s")
     _emit(
         {
             "results": results,

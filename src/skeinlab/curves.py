@@ -460,7 +460,3 @@ def torus_table() -> TorusCurveTable:
             if _table is None:
                 _table = TorusCurveTable()
     return _table
-
-
-def torus_curve(p: int, q: int) -> NormalCurve:
-    return torus_table().curve(p, q)

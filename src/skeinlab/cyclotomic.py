@@ -79,6 +79,21 @@ class Cyclotomic:
         c[power] = Fraction(1)
         return Cyclotomic(order, c)
 
+    @staticmethod
+    def root_of_unity(order, M, k) -> "Cyclotomic":
+        """zeta_M^k as an element of Q(zeta_order), the inverse of
+        as_root_of_unity. M must divide order, or 2*order for odd order."""
+        g = gcd(M, k)
+        M, k = M // g, k // g
+        if order % M == 0:
+            return Cyclotomic.zeta(order, k * (order // M))
+        if order % 2 == 0 or (2 * order) % M:
+            raise ValueError(f"zeta_{M} does not lie in Q(zeta_{order})")
+        # zeta_{2*order} == -zeta_order^((order + 1) / 2) for odd order
+        e = k * (2 * order // M)
+        z = Cyclotomic.zeta(order, e * (order + 1) // 2)
+        return -z if e % 2 else z
+
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other):
@@ -300,22 +315,25 @@ def _reduce_mod_phi(coeffs, order):
     return c
 
 
-def nth_root_of_unity_root(value: Cyclotomic, n: int) -> Cyclotomic:
-    """An exact x with x^n == value, for value a root of unity and n odd.
+def root_of_unity_root(M: int, k: int, n: int):
+    """(M', t) with (zeta_M'^t)^n == zeta_M^k.
 
     Stays in mu_M when possible, otherwise enlarges to mu_{M n}.
     """
-    ru = value.as_root_of_unity()
-    if ru is None:
-        raise ValueError("value is not a root of unity")
-    M, k = ru
     g = gcd(n, M)
     if k % g == 0:
         # solve t*n == k (mod M)
         Mg, ng, kg = M // g, n // g, k // g
-        t = (kg * pow(ng, -1, Mg)) % Mg
-        return Cyclotomic.zeta(M, t)
-    return Cyclotomic.zeta(M * n, k)
+        return M, (kg * pow(ng, -1, Mg)) % Mg
+    return M * n, k
+
+
+def nth_root_of_unity_root(value: Cyclotomic, n: int) -> Cyclotomic:
+    """An exact x with x^n == value, for value a root of unity and n odd."""
+    ru = value.as_root_of_unity()
+    if ru is None:
+        raise ValueError("value is not a root of unity")
+    return Cyclotomic.zeta(*root_of_unity_root(*ru, n))
 
 
 class DualNumber:

@@ -28,9 +28,5 @@ class SkewLattice:
         """HNF basis of {a : (a, b) == 0 mod N for all b}. Contains N*Z^rank."""
         return intlinalg.kernel_mod(self.form, N)
 
-    def kernel_index(self, N):
-        """Index [Z^rank : kernel mod N]."""
-        return intlinalg.full_rank_index(self.kernel_mod(N), self.rank)
-
     def __repr__(self):
         return f"SkewLattice(rank={self.rank}, name={self.name!r})"

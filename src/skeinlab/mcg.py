@@ -167,9 +167,6 @@ class MappingClass:
             return MappingClass(genus, matrix=obj["matrix"])
         return MappingClass(obj.get("genus", genus), words=obj["words"])
 
-    def is_identity_matrix(self):
-        return self.matrix == ((1, 0), (0, 1))
-
     def act_on_class(self, p, q):
         if self.matrix is None:
             raise ValueError("curve action needs the matrix form")

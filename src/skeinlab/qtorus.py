@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlinalg
-from .cyclotomic import Cyclotomic, nth_root_of_unity_root
+from .cyclotomic import Cyclotomic, root_of_unity_root
 from .lattice import SkewLattice
 
 IRREP_DIM_CAP = 2000
@@ -29,10 +29,13 @@ class QuantumTorus:
         self._half = (N + 1) // 2          # exponent with 2 * half == 1 mod N
         self._quarter = pow(self._half, 2, N)
 
+    def A_exponent(self, k, quarters=0) -> int:
+        """The e in [0, N) with A^k * (A^(1/4))^quarters == zeta_N^e."""
+        return (k + self._quarter * quarters) % self.N
+
     def A_power(self, k, quarters=0):
         """A^k * (A^(1/4))^quarters as an exact cyclotomic."""
-        e = (k + self._quarter * quarters) % self.N
-        return Cyclotomic.zeta(self.N, e)
+        return Cyclotomic.zeta(self.N, self.A_exponent(k, quarters))
 
     def twist(self, a, b):
         """A^(-(a,b)/4), the product twist of the defining relation."""
@@ -230,7 +233,8 @@ class CentralCharacter:
     """A multiplicative character on the mod-N kernel sublattice E^0.
 
     Values are prescribed on the HNF basis of E^0 and must be roots of
-    unity, so that the Azumaya scaling below stays exact.
+    unity; they are kept as exponents of zeta_order, so that the Azumaya
+    scaling below stays exact in integer arithmetic.
     """
 
     def __init__(self, torus: QuantumTorus, values):
@@ -240,14 +244,20 @@ class CentralCharacter:
             raise ValueError(
                 f"need {len(self.kernel_basis)} values on the kernel HNF basis"
             )
-        vals = []
+        roots = []
+        fields = []
         for v in values:
             if not isinstance(v, Cyclotomic):
                 v = Cyclotomic.rational(torus.N, v)
-            if v.as_root_of_unity() is None:
+            ru = v.as_root_of_unity()
+            if ru is None:
                 raise ValueError("character values must be roots of unity")
-            vals.append(v)
-        self.values = vals
+            roots.append(ru)
+            fields.append(v.order)
+        # value_of answers in the field the values were given in
+        self.field_order = lcm(torus.N, *fields)
+        self.order = lcm(torus.N, *(M for M, _ in roots))
+        self.exponents = [k * (self.order // M) for M, k in roots]
         # the twist A^(-(a,b)/4) is trivial on E^0 by definition of the kernel
         for row in intlinalg.gram(self.kernel_basis, torus.lattice.form):
             if any(x % torus.N for x in row):
@@ -258,15 +268,17 @@ class CentralCharacter:
         basis = torus.kernel_sublattice()
         return CentralCharacter(torus, [1] * len(basis))
 
-    def value_of(self, vec) -> Cyclotomic:
+    def exponent_of(self, vec) -> int:
+        """The e in [0, order) with chi(Z_vec) == zeta_order^e."""
         coords = intlinalg.lattice_coordinates(self.kernel_basis, list(vec))
         if coords is None:
             raise ValueError("vector is not in the kernel sublattice E^0")
-        order = lcm(self.torus.N, *(v.order for v in self.values))
-        out = Cyclotomic.rational(order, 1)
-        for c, v in zip(coords, self.values):
-            out = out * v.embed(order) ** c
-        return out
+        return sum(c * e for c, e in zip(coords, self.exponents)) % self.order
+
+    def value_of(self, vec) -> Cyclotomic:
+        return Cyclotomic.root_of_unity(
+            self.field_order, self.order, self.exponent_of(vec)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -275,64 +287,54 @@ class CentralCharacter:
 
 class MonomialMatrix:
     """dim x dim matrix with one nonzero per column: col j carries
-    coeff[j] at row perm[j]. Closed under products; exact entries."""
+    zeta_order^exps[j] at row perm[j]. Closed under products."""
 
-    __slots__ = ("dim", "perm", "coeffs")
+    __slots__ = ("dim", "order", "perm", "exps")
 
-    def __init__(self, dim, perm, coeffs):
+    def __init__(self, dim, order, perm, exps):
         self.dim = dim
+        self.order = order
         self.perm = tuple(perm)
-        self.coeffs = list(coeffs)
+        self.exps = tuple(e % order for e in exps)
 
     @staticmethod
-    def identity(dim, field_order):
-        one = Cyclotomic.rational(field_order, 1)
-        return MonomialMatrix(dim, range(dim), [one] * dim)
+    def identity(dim, order):
+        return MonomialMatrix(dim, order, range(dim), [0] * dim)
 
     def __mul__(self, other):
-        if isinstance(other, MonomialMatrix):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            perm = [self.perm[other.perm[j]] for j in range(self.dim)]
-            coeffs = [
-                self.coeffs[other.perm[j]] * other.coeffs[j] for j in range(self.dim)
-            ]
-            return MonomialMatrix(self.dim, perm, coeffs)
-        return MonomialMatrix(
-            self.dim, self.perm, [c * other for c in self.coeffs]
-        )
+        if other.dim != self.dim or other.order != self.order:
+            raise ValueError("dimension or order mismatch")
+        perm = [self.perm[p] for p in other.perm]
+        exps = [self.exps[p] + e for p, e in zip(other.perm, other.exps)]
+        return MonomialMatrix(self.dim, self.order, perm, exps)
 
-    __rmul__ = __mul__
+    def scale(self, e):
+        """zeta_order^e times this matrix."""
+        return MonomialMatrix(self.dim, self.order, self.perm, [x + e for x in self.exps])
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialMatrix)
             and self.dim == other.dim
+            and self.order == other.order
             and self.perm == other.perm
-            and self.coeffs == other.coeffs
+            and self.exps == other.exps
         )
 
-    def is_scalar(self, value) -> bool:
+    def is_scalar(self, e) -> bool:
+        """True iff this matrix is zeta_order^e times the identity."""
         if any(p != j for j, p in enumerate(self.perm)):
             return False
-        return all(c == value for c in self.coeffs)
+        e %= self.order
+        return all(x == e for x in self.exps)
 
     def kron(self, other):
-        dim = self.dim * other.dim
-        perm = []
-        coeffs = []
-        for j1 in range(self.dim):
-            for j2 in range(other.dim):
-                perm.append(self.perm[j1] * other.dim + other.perm[j2])
-                coeffs.append(self.coeffs[j1] * other.coeffs[j2])
-        return MonomialMatrix(dim, perm, coeffs)
-
-    def dense(self):
-        zero = self.coeffs[0] * 0
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            rows[self.perm[j]][j] = self.coeffs[j]
-        return rows
+        if other.order != self.order:
+            raise ValueError("order mismatch")
+        d = other.dim
+        perm = [p1 * d + p2 for p1 in self.perm for p2 in other.perm]
+        exps = [e1 + e2 for e1 in self.exps for e2 in other.exps]
+        return MonomialMatrix(self.dim * d, self.order, perm, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +346,8 @@ class TorusIrrep:
 
     Generators go to tensor products of clock and shift matrices in the
     Weyl normalization, scaled by a homomorphism chosen to hit the
-    character on E^0. All invariants are verified after construction.
+    character on E^0. Every root of unity is an exponent of
+    zeta_field_order. All invariants are verified after construction.
     """
 
     def __init__(self, torus: QuantumTorus, character: CentralCharacter):
@@ -366,7 +369,6 @@ class TorusIrrep:
         if intlinalg.perfect_square_root(index) != dim:
             raise AssertionError("kernel index is not the square of the dimension")
         self.dimension = dim
-        self._P = P
         # P is unimodular; invert via SNF (D must be the identity)
         D, U, V = intlinalg.smith_normal_form(P)
         assert all(D[i][i] == 1 for i in range(L.rank))
@@ -376,25 +378,23 @@ class TorusIrrep:
             [P[i][j] for i in range(L.rank)] for j in range(2 * n_pairs, L.rank)
         ]
 
-        # scaling homomorphism on the adapted basis, fixed by the character
-        u_vals, v_vals, w_vals = [], [], []
-        for i, (d, m) in enumerate(zip(blocks, self.pair_orders)):
-            u_i = [P[r][2 * i] for r in range(L.rank)]
-            v_i = [P[r][2 * i + 1] for r in range(L.rank)]
-            u_vals.append(
-                nth_root_of_unity_root(character.value_of([m * x for x in u_i]), m)
-            )
-            v_vals.append(
-                nth_root_of_unity_root(character.value_of([m * x for x in v_i]), m)
-            )
-        for w in radical:
-            w_vals.append(character.value_of(w))
-        self.field_order = lcm(
-            N, *(v.order for v in u_vals + v_vals + w_vals + character.values)
-        )
-        self._scale_u = [v.embed(self.field_order) for v in u_vals]
-        self._scale_v = [v.embed(self.field_order) for v in v_vals]
-        self._scale_w = [v.embed(self.field_order) for v in w_vals]
+        # scaling homomorphism on the adapted basis, fixed by the character:
+        # u_i, v_i go to m-th roots of chi(m u_i), chi(m v_i), as (order, exp)
+        chi = character
+        u_roots, v_roots = [], []
+        for i, m in enumerate(self.pair_orders):
+            for roots, col in ((u_roots, 2 * i), (v_roots, 2 * i + 1)):
+                mvec = [m * P[r][col] for r in range(L.rank)]
+                roots.append(root_of_unity_root(chi.order, chi.exponent_of(mvec), m))
+        F = lcm(chi.order, *(M for M, _ in u_roots + v_roots))
+        self.field_order = F
+        self._A_step = F // N
+        self._chi_step = F // chi.order
+        self._scale_u = [t * (F // M) for M, t in u_roots]
+        self._scale_v = [t * (F // M) for M, t in v_roots]
+        self._scale_w = [chi.exponent_of(w) * self._chi_step for w in radical]
+        # eta_i = A^(-d_i/4) for the pair's invariant d_i; omega_i = eta_i^2
+        self._eta = [torus.A_exponent(0, quarters=-d) * self._A_step for d in blocks]
         self.generator_images = {
             i: self.image_of_monomial(
                 [1 if j == i else 0 for j in range(L.rank)]
@@ -403,76 +403,46 @@ class TorusIrrep:
         }
         self._verify()
 
-    def _eta(self, pair_index):
-        # A^(-d/4) for the pair's invariant d, embedded in the work field
-        d = self.pair_invariants[pair_index]
-        return self.torus.A_power(0, quarters=-d).embed(self.field_order)
-
     def image_of_monomial(self, vec) -> MonomialMatrix:
-        L = self.torus.lattice
         coords = intlinalg.mat_vec(self._P_inv, list(vec))
         n_pairs = len(self.pair_invariants)
-        scalar = Cyclotomic.rational(self.field_order, 1)
-        out = None
+        F = self.field_order
+        scalar = 0
+        out = MonomialMatrix.identity(1, F)
         for i in range(n_pairs):
             x, y = coords[2 * i], coords[2 * i + 1]
             m = self.pair_orders[i]
-            eta = self._eta(i)
-            omega = eta * eta
+            eta = self._eta[i]
             # Weyl-normalized eta^(-xy) X^x Y^y with X = diag(omega^r), Y = shift
-            scalar = scalar * eta ** (-x * y)
-            scalar = scalar * self._scale_u[i] ** x * self._scale_v[i] ** y
+            scalar += -x * y * eta + x * self._scale_u[i] + y * self._scale_v[i]
             perm = [(r + y) % m for r in range(m)]
             # column j holds omega^(x * perm[j]) at row perm[j]
-            coeffs = [omega ** (x * ((j + y) % m)) for j in range(m)]
-            block = MonomialMatrix(m, perm, coeffs)
-            out = block if out is None else out.kron(block)
+            exps = [2 * eta * x * p for p in perm]
+            out = out.kron(MonomialMatrix(m, F, perm, exps))
         for j, z in enumerate(coords[2 * n_pairs :]):
-            scalar = scalar * self._scale_w[j] ** z
-        if out is None:
-            out = MonomialMatrix.identity(1, self.field_order)
-        return scalar * out
-
-    def image_of(self, elem: TorusElement):
-        """Dense image of a general torus element (sum of monomials)."""
-        acc = {}
-        for vec, c in elem.terms.items():
-            m = self.image_of_monomial(vec)
-            cc = c.embed(self.field_order)
-            for j in range(m.dim):
-                key = (m.perm[j], j)
-                val = acc.get(key)
-                add = cc * m.coeffs[j]
-                acc[key] = add if val is None else val + add
-        return acc
+            scalar += z * self._scale_w[j]
+        return out.scale(scalar)
 
     def _verify(self):
         L = self.torus.lattice
-        N = self.torus.N
-        one = Cyclotomic.rational(self.field_order, 1)
         # pairwise commutation relations on generators
         for i in range(L.rank):
             for j in range(L.rank):
                 gi, gj = self.generator_images[i], self.generator_images[j]
-                lhs = gi * gj
-                phase = self.torus.A_power(
-                    0, quarters=-2 * L.form[i][j]
-                ).embed(self.field_order)
-                rhs = phase * (gj * gi)
-                if lhs != rhs:
+                phase = self.torus.A_exponent(0, quarters=-2 * L.form[i][j])
+                if gi * gj != (gj * gi).scale(phase * self._A_step):
                     raise AssertionError("generator commutation relation failed")
         # the kernel sublattice acts by the character
         for kvec in self.character.kernel_basis:
             img = self.image_of_monomial(kvec)
-            val = self.character.value_of(kvec).embed(self.field_order)
-            if not img.is_scalar(val):
+            if not img.is_scalar(self.character.exponent_of(kvec) * self._chi_step):
                 raise AssertionError("central character not realized on E^0")
         # invertibility sanity: Z_a Z_{-a} = Z_0 = 1 (self-pairing vanishes)
         for i in range(min(L.rank, 1)):
             inv = self.image_of_monomial(
                 [-1 if j == i else 0 for j in range(L.rank)]
             )
-            if not (self.generator_images[i] * inv).is_scalar(one):
+            if not (self.generator_images[i] * inv).is_scalar(0):
                 raise AssertionError("monomial inverse failed")
 
 

@@ -19,3 +19,21 @@ def test_acceptance_criterion(check):
         line += " - " + result["detail"]
     print(line)
     assert result["passed"], result
+
+
+TIMED_CHECKS = (
+    selftest.check_pi_degree_table,
+    selftest.check_eq_k0,
+    selftest.check_azumaya_dimension,
+)
+
+
+def test_timed_checks_print_no_wall_time(monkeypatch):
+    # each timed check reads the clock twice; two clocks that tick at
+    # different rates must give the same detail bytes
+    details = []
+    for tick in (0.01, 0.37):
+        clock = iter(range(10**6))
+        monkeypatch.setattr(selftest.time, "time", lambda: tick * next(clock))
+        details.append([check()["detail"] for check in TIMED_CHECKS])
+    assert details[0] == details[1]

@@ -77,10 +77,11 @@ def test_lattice_info_refined():
 
 
 def test_qtorus_selftest():
-    code, out, _ = run_cli("qtorus", "selftest", "--N", "3", "--genus", "1")
-    obj = json.loads(out)
-    assert obj["irrepDimension"] == 9
-    assert obj["dimensionMatchesPiDegree"] is True
+    for genus, dim in (("1", 9), ("2", 243)):
+        code, out, _ = run_cli("qtorus", "selftest", "--N", "3", "--genus", genus)
+        obj = json.loads(out)
+        assert obj["irrepDimension"] == obj["piDegree"] == dim
+        assert obj["dimensionMatchesPiDegree"] is True
 
 
 def test_qtrace_support():
@@ -238,7 +239,8 @@ def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
     ]
     bad_curve = {"curve": "junk", "phi": {"matrix": [[1, 1], [0, 1]]}}
     no_curve = {"phi": {"matrix": [[1, 1], [0, 1]]}}
-    mixed = [good[0], bad_curve, no_curve, good[1]]
+    long_curve = {"curve": [1, 2, 3], "phi": {"matrix": [[1, 1], [0, 1]]}}
+    mixed = [good[0], bad_curve, no_curve, long_curve, good[1]]
     for threads in ("1", "4"):
         monkeypatch.setenv("SKEINLAB_THREADS", threads)
         code, out, _ = run_cli("detect", "--batch", json.dumps(good))
@@ -247,10 +249,12 @@ def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
         assert code == 2
         assert "Traceback" not in err
         certs = json.loads(mixed_out)["certificates"]
-        assert len(certs) == 4
+        assert len(certs) == 5
         assert "junk" in certs[1]["error"]
         assert "curve" in certs[2]["error"]
-        valid = {"certificates": [certs[0], certs[3]]}
+        # a message about the curve, not the signature of the table lookup
+        assert "curve" in certs[3]["error"] and "[1, 2, 3]" in certs[3]["error"]
+        valid = {"certificates": [certs[0], certs[4]]}
         assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
 
 

@@ -101,16 +101,15 @@ def test_centrality():
 
 
 def test_monomial_matrix_algebra():
-    one = Cyclotomic.rational(3, 1)
-    z = Cyclotomic.zeta(3)
-    X = MonomialMatrix(3, [0, 1, 2], [one, z, z * z])
-    Y = MonomialMatrix(3, [1, 2, 0], [one, one, one])
+    # clock X = diag(1, z, z^2) and shift Y over Q(zeta_3), as exponents
+    X = MonomialMatrix(3, 3, [0, 1, 2], [0, 1, 2])
+    Y = MonomialMatrix(3, 3, [1, 2, 0], [0, 0, 0])
     XY = X * Y
     YX = Y * X
     assert XY.perm == (1, 2, 0)
     # XY = omega YX for the clock and shift
-    assert XY == z * YX
-    assert MonomialMatrix.identity(3, 3).is_scalar(one)
+    assert XY == YX.scale(1)
+    assert MonomialMatrix.identity(3, 3).is_scalar(0)
     assert (X.kron(Y)).dim == 9
 
 
@@ -147,12 +146,13 @@ def test_irrep_multiplicative_on_random_monomials():
     L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
     T = QuantumTorus(L, 3)
     irr = TorusIrrep(T, CentralCharacter.trivial(T))
+    step = irr.field_order // T.N
     for _ in range(25):
         u = [rng.randint(-2, 2) for _ in range(L.rank)]
         v = [rng.randint(-2, 2) for _ in range(L.rank)]
         lhs = irr.image_of_monomial(u) * irr.image_of_monomial(v)
-        twist = T.twist(u, v).embed(irr.field_order)
-        rhs = twist * irr.image_of_monomial([x + y for x, y in zip(u, v)])
+        twist = T.A_exponent(0, quarters=-L.pairing(u, v)) * step
+        rhs = irr.image_of_monomial([x + y for x, y in zip(u, v)]).scale(twist)
         assert lhs == rhs
 
 
@@ -163,9 +163,88 @@ def test_irrep_nontrivial_character():
     chi = CentralCharacter(T, [Cyclotomic.zeta(3, k % 3) for k in range(len(basis))])
     irr = TorusIrrep(T, chi)
     assert irr.dimension == 9
-    for kvec, val in zip(chi.kernel_basis, chi.values):
+    F = irr.field_order
+    for kvec in chi.kernel_basis:
         img = irr.image_of_monomial(kvec)
-        assert img.is_scalar(chi.value_of(kvec).embed(irr.field_order))
+        assert img.is_scalar(chi.exponent_of(kvec) * (F // chi.order))
+        assert Cyclotomic.zeta(F, img.exps[0]) == chi.value_of(kvec).embed(F)
+
+
+def test_character_value_of_keeps_the_given_field():
+    # -zeta_N^k is a 2N-th root of unity given in Q(zeta_N): value_of must
+    # answer in Q(zeta_N) with the very same coefficients
+    L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
+    for N in (3, 5):
+        T = QuantumTorus(L, N)
+        basis = T.kernel_sublattice()
+        values = [-Cyclotomic.zeta(N, k) for k in range(len(basis))]
+        chi = CentralCharacter(T, values)
+        assert TorusIrrep(T, chi).dimension == N * N
+        for b, v in zip(basis, values):
+            assert chi.value_of(b) == v
+        a, b = basis[:2]
+        assert chi.value_of([x + y for x, y in zip(a, b)]) == values[0] * values[1]
+
+
+def _dense(mm):
+    """The monomial matrix as a dense list of Cyclotomic rows."""
+    zero = Cyclotomic.rational(mm.order, 0)
+    rows = [[zero] * mm.dim for _ in range(mm.dim)]
+    for j, (p, e) in enumerate(zip(mm.perm, mm.exps)):
+        rows[p][j] = Cyclotomic.zeta(mm.order, e)
+    return rows
+
+
+def _dense_mul(A, B):
+    n = len(A)
+    out = [[A[0][0] * 0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if A[i][k].is_zero():
+                continue
+            for j in range(n):
+                if not B[k][j].is_zero():
+                    out[i][j] = out[i][j] + A[i][k] * B[k][j]
+    return out
+
+
+def _dense_scaled(c, A):
+    return [[x if x.is_zero() else c * x for x in row] for row in A]
+
+
+def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
+    # rebuild the generator images as dense Cyclotomic matrices and check
+    # the relations with Cyclotomic products, independent of the exponents
+    L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
+    for N in (3, 5):
+        T = QuantumTorus(L, N)
+        basis = T.kernel_sublattice()
+        chi = CentralCharacter(
+            T, [-Cyclotomic.zeta(N, k + 1) for k in range(len(basis))]
+        )
+        irr = TorusIrrep(T, chi)
+        F = irr.field_order
+        gens = [_dense(irr.generator_images[i]) for i in range(L.rank)]
+        for i in range(L.rank):
+            for j in range(L.rank):
+                phase = T.A_power(0, quarters=-2 * L.form[i][j]).embed(F)
+                lhs = _dense_mul(gens[i], gens[j])
+                assert lhs == _dense_scaled(phase, _dense_mul(gens[j], gens[i]))
+        one = [[Cyclotomic.rational(F, int(r == c)) for c in range(irr.dimension)]
+               for r in range(irr.dimension)]
+        for kvec in basis:
+            # Z_{x + a e_i} = A^((x, a e_i)/4) Z_x Z_{e_i}^a
+            assert all(a >= 0 for a in kvec)
+            img, prefix = one, [0] * L.rank
+            for i, a in enumerate(kvec):
+                step = [a if r == i else 0 for r in range(L.rank)]
+                for _ in range(a):
+                    img = _dense_mul(img, gens[i])
+                img = _dense_scaled(
+                    T.A_power(0, quarters=L.pairing(prefix, step)).embed(F), img
+                )
+                prefix[i] = a
+            assert img == _dense_scaled(chi.value_of(kvec).embed(F), one)
 
 
 def test_character_rejects_non_root_values():
