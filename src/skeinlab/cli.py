@@ -67,18 +67,37 @@ def _parse_rep(obj):
     return SL2Rep(obj["genus"], images)
 
 
-def _parse_curve_arg(text, tri):
-    """Either "p,q" (class shorthand) or a JSON coords object/list."""
-    text = text.strip()
-    if text.startswith("{") or text.startswith("["):
-        obj = json.loads(text)
-        if isinstance(obj, dict):
-            if "pq" in obj:
-                return torus_table().curve(*obj["pq"])
-            return NormalCurve(tri, obj.get("coords", obj))
+def _curve_from_json(obj, tri):
+    """A curve or beta field: class shorthand ("p,q", [p, q] or {"pq": [p, q]},
+    genus 1 only), or edge coordinates as a list, {"coords": ...} or a bare
+    coords object. Any form but "p,q" may also come as JSON text."""
+    pq = None
+    if isinstance(obj, str):
+        text = obj.strip()
+        if text.startswith(("{", "[")):
+            obj = json.loads(text)
+        else:
+            pq = text.split(",")
+    if isinstance(obj, dict) and "pq" in obj:
+        pq = obj["pq"]
+    elif isinstance(obj, list) and len(obj) == 2:
+        pq = obj
+    if pq is not None:
+        table = torus_table()
+        if tri is not table.tri:
+            raise ValueError("(p, q) curve input is genus-1 only")
+        p, q = (int(t) for t in pq)
+        return table.curve(p, q)
+    if isinstance(obj, dict):
+        obj = obj.get("coords", obj)
+    if not isinstance(obj, (dict, list)):
+        raise ValueError(
+            f'curve must be "p,q", a [p, q] pair or edge coordinates, not {obj!r}'
+        )
+    try:
         return NormalCurve(tri, obj)
-    p, q = (int(t) for t in text.split(","))
-    return torus_table().curve(p, q)
+    except ValueError as exc:
+        raise ValueError(f"curve {obj!r}: {exc}") from None
 
 
 def _load_json_arg(text):
@@ -148,7 +167,7 @@ def cmd_qtorus(args):
 
 def cmd_qtrace(args):
     tri = torus_table().tri if args.genus == 1 else build_sigma_g_star(args.genus)
-    curve = _parse_curve_arg(args.curve, tri)
+    curve = _curve_from_json(args.curve, tri)
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
         "curve": curve.to_json(),
@@ -210,21 +229,15 @@ def _run_one_detect(obj):
     # genus one shares the cached table triangulation so that class
     # shorthand curves and explicit-coordinate curves can be compared
     tri = torus_table().tri if genus == 1 else build_sigma_g_star(genus)
-    phi = MappingClass.from_json(obj["phi"], genus=genus) if "phi" in obj else None
-    beta = None
-    if obj.get("beta") is not None:
-        beta = NormalCurve(tri, obj["beta"].get("coords", obj["beta"]))
-    curve = obj["curve"]
-    if isinstance(curve, str):
-        curve = _parse_curve_arg(curve, tri)
-    elif isinstance(curve, dict):
-        curve = _parse_curve_arg(json.dumps(curve), tri)
-    elif isinstance(curve, list) and len(curve) == 2:
-        curve = torus_table().curve(*curve)
-    else:
-        raise ValueError(
-            f'curve must be "p,q", a coords object or a [p, q] pair, not {curve!r}'
-        )
+    phi = obj.get("phi")
+    if isinstance(phi, list):  # a bare [[a, b], [c, d]] is a matrix mapping class
+        phi = {"matrix": phi}
+    if phi is not None:
+        phi = MappingClass.from_json(phi, genus=genus)
+    beta = obj.get("beta")
+    if beta is not None:
+        beta = _curve_from_json(beta, tri)
+    curve = _curve_from_json(obj["curve"], tri)
     req = DetectionRequest(
         genus=obj.get("genus", 1),
         N=obj.get("N", 5),
@@ -277,8 +290,6 @@ def cmd_detect(args):
     }
     if args.phi:
         obj["phi"] = _load_json_arg(args.phi)
-        if "matrix" not in obj["phi"] and "words" not in obj["phi"]:
-            obj["phi"] = {"matrix": obj["phi"]}
     if args.beta:
         obj["beta"] = _load_json_arg(args.beta)
     _emit(_run_one_detect(obj))
@@ -287,7 +298,8 @@ def cmd_detect(args):
 
 
 def cmd_selftest(args):
-    # selftest pulls in sympy (via poisson); no other command needs it
+    # only this command needs selftest and poisson, so the others do not pay
+    # to import them
     from .selftest import run_all
 
     t0 = time.perf_counter()

@@ -112,9 +112,7 @@ class _CosetProjector:
         if cell == "reduced":
             self.kernel, _, _ = self.lattice.central_sublattice(N)
         else:
-            refined = RefinedLattice(self.lattice)
-            self.refined = refined
-            self.kernel = refined.kernel_mod(N)
+            self.kernel = RefinedLattice(self.lattice).kernel_mod(N)
 
     def project(self, kvec):
         coords = self.lattice.coordinates(list(kvec))

@@ -71,6 +71,10 @@ class FreeGroupEndo:
 
     def __init__(self, genus, images):
         """images: dict like {"a1": word, "b1": word} (str or token tuple)."""
+        if not isinstance(images, dict):
+            raise ValueError(
+                f'words must map generators to words, e.g. {{"a1": "ab"}}, not {images!r}'
+            )
         self.genus = genus
         self.images = {}
         for i in range(1, genus + 1):
@@ -163,9 +167,13 @@ class MappingClass:
 
     @staticmethod
     def from_json(obj, genus=1):
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"a mapping class must be a JSON object with matrix or words, not {obj!r}"
+            )
         if "matrix" in obj:
             return MappingClass(genus, matrix=obj["matrix"])
-        return MappingClass(obj.get("genus", genus), words=obj["words"])
+        return MappingClass(obj.get("genus", genus), words=obj.get("words"))
 
     def act_on_class(self, p, q):
         if self.matrix is None:

@@ -10,19 +10,101 @@ to tau(1 + hbar r+) and friends at first order in hbar.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import sympy
+from itertools import combinations
 
 from .cyclotomic import DualNumber
 
-a, b, c, d = sympy.symbols("a b c d")
-GENERATORS = (a, b, c, d)
+_NAMES = "abcd"
+_ONE = (0, 0, 0, 0)
+
+
+class Poly:
+    """Exact polynomial over Q in a, b, c, d: a dict from exponent tuple to
+    nonzero Fraction, so that equal polynomials have equal dicts."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = {e: Fraction(k) for e, k in dict(terms).items() if k}
+
+    @staticmethod
+    def _wrap(x):
+        return x if isinstance(x, Poly) else Poly({_ONE: x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, k in Poly._wrap(other).terms.items():
+            out[e] = out.get(e, 0) + k
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({e: -k for e, k in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly._wrap(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for e1, k1 in self.terms.items():
+            for e2, k2 in Poly._wrap(other).terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + k1 * k2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = Poly({_ONE: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def diff(self, i):
+        """Partial derivative in the i-th generator."""
+        return Poly({e[:i] + (e[i] - 1,) + e[i + 1:]: k * e[i]
+                     for e, k in self.terms.items() if e[i]})
+
+    def __eq__(self, other):
+        if isinstance(other, (Poly, int, Fraction)):
+            return self.terms == Poly._wrap(other).terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        """sympy's syntax, terms in descending lex order."""
+        parts = []
+        for e in sorted(self.terms, reverse=True):
+            k = self.terms[e]
+            factors = [x if n == 1 else f"{x}**{n}" for x, n in zip(_NAMES, e) if n]
+            if abs(k.numerator) != 1 or not factors:
+                factors.insert(0, str(abs(k.numerator)))
+            text = "*".join(factors)
+            if k.denominator != 1:
+                text += f"/{k.denominator}"
+            parts.append(f"{'-' if k < 0 else '+'} {text}")
+        if not parts:
+            return "0"
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    __repr__ = __str__
+
+
+GENERATORS = tuple(Poly({tuple(int(i == j) for j in range(4)): 1}) for i in range(4))
+a, b, c, d = GENERATORS
 
 # {x, y} for the ordered pairs listed; the rest by antisymmetry
 D_TABLE = {
     (a, b): -a * b,
     (a, c): -a * c,
-    (b, c): sympy.Integer(0),
+    (b, c): 0,
     (d, b): d * b,
     (d, c): d * c,
     (a, d): -2 * b * c,
@@ -31,7 +113,7 @@ D_TABLE = {
 STS_TABLE = {
     (c, d): 2 * a * c,
     (d, b): 2 * a * b,
-    (d, a): sympy.Integer(0),
+    (d, a): 0,
     (b, a): 2 * a * b,
     (a, c): 2 * a * c,
     (c, b): 2 * a * (a - d),
@@ -47,36 +129,22 @@ class PoissonAlgebra:
         if variant not in _TABLES:
             raise ValueError("variant must be 'D' or 'STS'")
         self.variant = variant
-        table = _TABLES[variant]
         n = len(GENERATORS)
-        self.bivector = [[sympy.Integer(0)] * n for _ in range(n)]
-        for (x, y), val in table.items():
+        self.bivector = [[0] * n for _ in range(n)]
+        for (x, y), val in _TABLES[variant].items():
             i, j = GENERATORS.index(x), GENERATORS.index(y)
-            self.bivector[i][j] = sympy.expand(val)
-            self.bivector[j][i] = sympy.expand(-val)
+            self.bivector[i][j] = val
+            self.bivector[j][i] = -val
 
     def bracket(self, f, h, reduce_det=False):
-        f = sympy.sympify(f)
-        h = sympy.sympify(h)
-        out = sympy.Integer(0)
-        for i, x in enumerate(GENERATORS):
-            df = sympy.diff(f, x)
-            if df == 0:
-                continue
-            for j, y in enumerate(GENERATORS):
-                if self.bivector[i][j] == 0:
-                    continue
-                dh = sympy.diff(h, y)
-                if dh == 0:
-                    continue
-                out += df * dh * self.bivector[i][j]
-        out = sympy.expand(out)
-        if reduce_det:
-            out = reduce_mod_det(out)
-        return out
+        f, h = Poly._wrap(f), Poly._wrap(h)
+        n = len(GENERATORS)
+        out = sum(f.diff(i) * h.diff(j) * self.bivector[i][j]
+                  for i in range(n) for j in range(n))
+        return reduce_mod_det(out) if reduce_det else out
 
     def jacobi_defect(self, f, g_, h):
-        return sympy.expand(
+        return (
             self.bracket(self.bracket(f, g_), h)
             + self.bracket(self.bracket(g_, h), f)
             + self.bracket(self.bracket(h, f), g_)
@@ -84,118 +152,65 @@ class PoissonAlgebra:
 
     def jacobi_report(self):
         """Jacobi defect on every generator triple; all must vanish."""
-        from itertools import combinations
-
-        defects = {}
-        for f, g_, h in combinations(GENERATORS, 3):
-            defects[f"{f}{g_}{h}"] = sympy.simplify(self.jacobi_defect(f, g_, h))
+        defects = {
+            f"{f}{g_}{h}": self.jacobi_defect(f, g_, h)
+            for f, g_, h in combinations(GENERATORS, 3)
+        }
         return {"variant": self.variant, "defects": {k: str(v) for k, v in defects.items()},
                 "allZero": all(v == 0 for v in defects.values())}
 
     def preserves_determinant(self):
         det = a * d - b * c
-        return all(
-            sympy.expand(self.bracket(x, det)) == 0 for x in GENERATORS
-        )
+        return all(self.bracket(x, det) == 0 for x in GENERATORS)
 
 
 def reduce_mod_det(expr):
-    """Normal form modulo the ideal (a d - b c - 1)."""
-    q, r = sympy.reduced(sympy.expand(expr), [a * d - b * c - 1], GENERATORS)
-    return sympy.expand(r)
-
-
-# ---------------------------------------------------------------------------
-# Dual-number matrices and the r-matrix expansion
-
-
-def _mat(rows):
-    return [[x if isinstance(x, DualNumber) else DualNumber(x) for x in row] for row in rows]
-
-
-def _mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[DualNumber(0) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = A[i][t]
-            if x == DualNumber(0):
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + x * B[t][j]
+    """Normal form modulo the ideal (a d - b c - 1): every a^i d^l with
+    i, l >= 1 is rewritten through ad = bc + 1. {ad - bc - 1} is a Groebner
+    basis for lex order a > b > c > d, so this remainder is the unique one
+    with no term divisible by ad."""
+    out = Poly()
+    for (i, j, k, l), coef in Poly._wrap(expr).terms.items():
+        m = min(i, l)
+        out = out + Poly({(i - m, j, k, l - m): coef}) * (b * c + 1) ** m
     return out
 
 
-def _add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+# ---------------------------------------------------------------------------
+# Matrices over any ring (int, Fraction, DualNumber, Poly) and the r-matrices
+
+
+def _mul(*Ms):
+    out = Ms[0]
+    for M in Ms[1:]:
+        out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*M)] for row in out]
+    return out
+
+
+def _add(*Ms):
+    return [[sum(xs) for xs in zip(*rows)] for rows in zip(*Ms)]
 
 
 def _scale(t, A):
     return [[x * t for x in row] for row in A]
 
 
+def _kron(A, B):
+    return [[x * y for x in ra for y in rb] for ra in A for rb in B]
+
+
 def _eq(A, B):
     return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
-def _eye(n):
-    return _mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def _kron(A, B):
-    n, m = len(A), len(B)
-    out = [[DualNumber(0) for _ in range(n * m)] for _ in range(n * m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k][j * m + l] = A[i][j] * B[k][l]
-    return out
-
-
-def _dual_inverse(A):
-    """(A0 + hbar A1)^-1 = A0^-1 - hbar A0^-1 A1 A0^-1, A0 rational."""
-    n = len(A)
-    A0 = [[x.value for x in row] for row in A]
-    A1 = _mat([[Fraction(x.eps) for x in row] for row in A])
-    # fraction Gauss-Jordan for A0^-1
-    M = [[Fraction(A0[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    A0inv = _mat([row[n:] for row in M])
-    corr = _mul(_mul(A0inv, A1), A0inv)
-    return _add(A0inv, _scale(DualNumber(0, -1), corr))
-
-
-def _sympy_r_matrices():
-    def kron_num(A, B):
-        return [
-            [A[i][j] * B[k][l] for j in range(2) for l in range(2)]
-            for i in range(2)
-            for k in range(2)
-        ]
-
-    E = [[0, 0], [1, 0]]
-    F = [[0, 1], [0, 0]]
-    H = [[1, 0], [0, -1]]
-    half = sympy.Rational(1, 2)
-    r_plus = [
-        [half * x + 2 * y for x, y in zip(r1, r2)]
-        for r1, r2 in zip(kron_num(H, H), kron_num(E, F))
-    ]
-    r_minus = [
-        [half * x + 2 * y for x, y in zip(r1, r2)]
-        for r1, r2 in zip(kron_num(H, H), kron_num(F, E))
-    ]
-    tau = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    return r_plus, r_minus, tau
+E = [[0, 0], [1, 0]]
+F = [[0, 1], [0, 0]]
+H = [[1, 0], [0, -1]]
+I2 = [[1, 0], [0, 1]]
+I4 = _kron(I2, I2)
+TAU = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+R_PLUS = _add(_scale(Fraction(1, 2), _kron(H, H)), _scale(2, _kron(E, F)))
+R_MINUS = _add(_scale(Fraction(1, 2), _kron(H, H)), _scale(2, _kron(F, E)))
 
 
 def bracket_tables_from_r_matrix():
@@ -208,78 +223,30 @@ def bracket_tables_from_r_matrix():
     global sign that separates the bracket from its Alekseev-Malkin
     variant); the discrepancy is reported, not repaired.
     """
-    Nsym = {(0, 0): a, (0, 1): b, (1, 0): c, (1, 1): d}
-    r_plus, r_minus, tau = _sympy_r_matrices()
-
-    def idx(e1, e2):
-        return 2 * e1 + e2
-
-    def build(kind):
-        M = [[sympy.Integer(0)] * 4 for _ in range(4)]
-        for e1 in range(2):
-            for e2 in range(2):
-                for d1 in range(2):
-                    for d2 in range(2):
-                        if kind == "NN":
-                            v = Nsym[(e1, d1)] * Nsym[(e2, d2)]
-                        elif kind == "1N":
-                            v = (1 if e1 == d1 else 0) * Nsym[(e2, d2)]
-                        else:
-                            v = Nsym[(e1, d1)] * (1 if e2 == d2 else 0)
-                        M[idx(e1, e2)][idx(d1, d2)] = v
-        return M
-
-    def mul(*Ms):
-        out = Ms[0]
-        for M2 in Ms[1:]:
-            out = [
-                [
-                    sympy.expand(sum(out[i][k] * M2[k][j] for k in range(4)))
-                    for j in range(4)
-                ]
-                for i in range(4)
-            ]
-        return out
-
-    def addm(A, B):
-        return [[sympy.expand(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-    def negm(A):
-        return [[-x for x in row] for row in A]
-
-    NN = build("NN")
-    one_N = build("1N")
-    N_one = build("N1")
+    N = [[a, b], [c, d]]
+    NN, one_N, N_one = _kron(N, N), _kron(I2, N), _kron(N, I2)
 
     def compare(derived, table):
         def displayed(x, y):
             if x == y:
-                return sympy.Integer(0)
-            if (x, y) in table:
-                return table[(x, y)]
-            return -table[(y, x)]
+                return 0
+            return table[(x, y)] if (x, y) in table else -table[(y, x)]
 
-        exact = True
-        sign_flipped = True
-        for e1 in range(2):
-            for e2 in range(2):
-                for d1 in range(2):
-                    for d2 in range(2):
-                        lhs = displayed(Nsym[(e1, d1)], Nsym[(e2, d2)])
-                        rhs = derived[idx(e1, e2)][idx(d1, d2)]
-                        if sympy.expand(lhs - rhs) != 0:
-                            exact = False
-                        if sympy.expand(lhs + rhs) != 0 and sympy.expand(lhs) != 0:
-                            sign_flipped = False
+        # entry (e1 e2, d1 d2) of a 4x4 bracket matrix is {N[e1][d1], N[e2][d2]}
+        shown = [[displayed(x, y) for x in ra for y in rb] for ra in N for rb in N]
+        pairs = [(s, r) for rs, rr in zip(shown, derived) for s, r in zip(rs, rr)]
+        exact = all(s == r for s, r in pairs)
+        sign_flipped = all(s + r == 0 or s == 0 for s, r in pairs)
         return exact, sign_flipped
 
-    d_derived = addm(mul(r_plus, NN), negm(mul(NN, r_plus)))
+    d_derived = _add(_mul(R_PLUS, NN), _scale(-1, _mul(NN, R_PLUS)))
     d_exact, _ = compare(d_derived, D_TABLE)
 
-    tau_NN_tau = mul(tau, NN, tau)
-    sts_derived = addm(
-        addm(negm(mul(one_N, r_plus, N_one)), mul(tau_NN_tau, r_plus)),
-        addm(negm(mul(r_minus, NN)), mul(N_one, r_minus, one_N)),
+    sts_derived = _add(
+        _scale(-1, _mul(one_N, R_PLUS, N_one)),
+        _mul(TAU, NN, TAU, R_PLUS),
+        _scale(-1, _mul(R_MINUS, NN)),
+        _mul(N_one, R_MINUS, one_N),
     )
     sts_exact, sts_flip = compare(sts_derived, STS_TABLE)
     return {
@@ -296,32 +263,23 @@ def verify_r_matrix_expansion():
 
     Convention: A^(1/2) = exp(hbar/2), so the diagonal factor has entries
     (A^(1/2))^(e1 e2) = 1 + (e1 e2/2) hbar and the coupling q - q^(-1)
-    truncates to 2 hbar.
+    truncates to 2 hbar. R is invertible (R = tau at hbar = 0), so
+    R^-1 = X is checked as R X = 1.
     """
-    E = _mat([[0, 0], [1, 0]])
-    F = _mat([[0, 1], [0, 0]])
-    H = _mat([[1, 0], [0, -1]])
-    I4 = _eye(4)
-    tau = _mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     half = Fraction(1, 2)
     s = DualNumber(1, half)          # A^(1/2) to first order
     s_inv = DualNumber(1, -half)
-    Dq = _mat([[s, 0, 0, 0], [0, s_inv, 0, 0], [0, 0, s_inv, 0], [0, 0, 0, s]])
-    coupling = _add(I4, _scale(DualNumber(0, 2), _kron(E, F)))
-    R = _mul(tau, _mul(Dq, coupling))
-
-    r_plus = _add(_scale(DualNumber(half), _kron(H, H)), _scale(DualNumber(2), _kron(E, F)))
-    r_minus = _add(_scale(DualNumber(half), _kron(H, H)), _scale(DualNumber(2), _kron(F, E)))
+    Dq = [[s, 0, 0, 0], [0, s_inv, 0, 0], [0, 0, s_inv, 0], [0, 0, 0, s]]
     hbar = DualNumber(0, 1)
-
-    Rinv = _dual_inverse(R)
+    coupling = _add(I4, _scale(2 * hbar, _kron(E, F)))
+    R = _mul(TAU, Dq, coupling)
     checks = {
-        "eq31_first": _eq(R, _mul(tau, _add(I4, _scale(hbar, r_plus)))),
-        "eq31_second": _eq(R, _mul(_add(I4, _scale(hbar, r_minus)), tau)),
-        "eq32_first": _eq(Rinv, _mul(_add(I4, _scale(-1 * hbar, r_plus)), tau)),
-        "eq32_second": _eq(Rinv, _mul(tau, _add(I4, _scale(-1 * hbar, r_minus)))),
-        "tau_squared_identity": _eq(_mul(tau, tau), I4),
-        "r_plus_tau_conjugate": _eq(_mul(tau, _mul(r_plus, tau)), r_minus),
+        "eq31_first": _eq(R, _mul(TAU, _add(I4, _scale(hbar, R_PLUS)))),
+        "eq31_second": _eq(R, _mul(_add(I4, _scale(hbar, R_MINUS)), TAU)),
+        "eq32_first": _eq(_mul(R, _add(I4, _scale(-1 * hbar, R_PLUS)), TAU), I4),
+        "eq32_second": _eq(_mul(R, TAU, _add(I4, _scale(-1 * hbar, R_MINUS))), I4),
+        "tau_squared_identity": _eq(_mul(TAU, TAU), I4),
+        "r_plus_tau_conjugate": _eq(_mul(TAU, R_PLUS, TAU), R_MINUS),
     }
     checks["all"] = all(checks.values())
     return checks

@@ -240,7 +240,11 @@ def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
     bad_curve = {"curve": "junk", "phi": {"matrix": [[1, 1], [0, 1]]}}
     no_curve = {"phi": {"matrix": [[1, 1], [0, 1]]}}
     long_curve = {"curve": [1, 2, 3], "phi": {"matrix": [[1, 1], [0, 1]]}}
-    mixed = [good[0], bad_curve, no_curve, long_curve, good[1]]
+    # a bare matrix phi is accepted, as it is by `detect --phi`
+    bare_phi = {"curve": "0,1", "phi": [[1, 1], [0, 1]]}
+    list_beta = {"curve": "0,1", "beta": [0, 2, 2, 0, 0]}
+    text_words = {"curve": "0,1", "phi": {"words": "ab"}}
+    mixed = [good[0], bad_curve, no_curve, long_curve, good[1], bare_phi, list_beta, text_words]
     for threads in ("1", "4"):
         monkeypatch.setenv("SKEINLAB_THREADS", threads)
         code, out, _ = run_cli("detect", "--batch", json.dumps(good))
@@ -249,13 +253,47 @@ def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
         assert code == 2
         assert "Traceback" not in err
         certs = json.loads(mixed_out)["certificates"]
-        assert len(certs) == 5
+        assert len(certs) == 8
         assert "junk" in certs[1]["error"]
         assert "curve" in certs[2]["error"]
         # a message about the curve, not the signature of the table lookup
         assert "curve" in certs[3]["error"] and "[1, 2, 3]" in certs[3]["error"]
+        assert certs[5] == certs[0]
+        assert "[0, 2, 2, 0, 0]" in certs[6]["error"]
+        assert "words" in certs[7]["error"] and "'ab'" in certs[7]["error"]
         valid = {"certificates": [certs[0], certs[4]]}
         assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_detect_single_request_shapes():
+    # coords as a bare list and as a coords object name the same beta
+    beta = {"coords": {"0": 1, "1": 1, "2": 1, "3": 2}}
+    _, by_object, _ = run_cli("detect", "--curve", "0,1", "--beta", json.dumps(beta))
+    code, by_list, _ = run_cli("detect", "--curve", "0,1", "--beta", "[1, 1, 1, 2, 0]")
+    assert code == 0 and by_list == by_object
+    for flag, value in (("--beta", "[0,2,2,0,0]"), ("--phi", '{"words":"ab"}'), ("--phi", "{}")):
+        code, out, err = run_cli("detect", "--curve", "0,1", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_class_shorthand_is_genus_one_only():
+    for curve in ("0,1", '{"pq": [0, 1]}', "[0, 1]"):
+        code, out, err = run_cli("qtrace", "support", "--genus", "2", "--curve", curve)
+        assert code == 2 and out == ""
+        assert "genus-1 only" in err
+    code, _, err = run_cli("detect", "--genus", "2", "--curve", "0,1")
+    assert code == 2 and "genus-1 only" in err
+
+
+def run_script(script):
+    """Run a Python script in a fresh interpreter that imports skeinlab from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_cli_imports_are_pay_for_use():
@@ -267,13 +305,22 @@ cli.main(["lattice", "info", "--genus", "1"])
 cli.main(["qtrace", "support", "--curve=2,3"])
 assert "numpy" not in sys.modules
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_selftest_runs_without_sympy():
+    script = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+from skeinlab import cli
+cli.main(["selftest"])
+"""
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli("selftest")
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_config_merging(tmp_path):
