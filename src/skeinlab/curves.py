@@ -124,7 +124,8 @@ class _CurveGeometry:
             return self.point_offset[e] + idx
 
         # pieces: (point_a, point_b, slot_a, slot_b); the forbidden state
-        # pair is (a: +, b: -)
+        # pair is (a: +, b: -). slot_b is the slot after slot_a in the
+        # face, which the walk DP reads a step's orientation from.
         self.pieces = []
         for fi, f in enumerate(tri.faces):
             x = [coords[e] for e in f]
@@ -238,80 +239,90 @@ class TraceSupport:
 def enumerate_admissible_states(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
 ) -> TraceSupport:
-    """Default route: per-face corner pieces, then a walk DP per component."""
+    """Default route: per-face corner pieces, then a walk DP per component.
+
+    A k-vector is packed into one int, sum k_e * B**e with B = 2W + 1 for
+    the largest edge weight W. Every partial or total |k_e| is at most W,
+    so the packing is one-to-one and adding vectors adds their ints."""
     geo = curve.geometry()
     if geo.n_points > cap:
         raise StateCapExceeded(
             f"{geo.n_points} intersection points exceed the cap {cap}"
         )
-    if geo.n_points == 0:
-        return TraceSupport(curve, {tuple([0] * curve.tri.n_edges): 1})
-    total = {tuple([0] * curve.tri.n_edges): 1}
+    n_edges = curve.tri.n_edges
+    width = curve.max_edge_weight()
+    radix = 2 * width + 1
+    total = {0: 1}
     for walk in geo.cycles:
-        part = _component_states(curve.tri, geo, walk)
+        part = _component_states(geo, walk, radix)
         merged = {}
-        for v1, c1 in total.items():
-            for v2, c2 in part.items():
-                key = tuple(a + b for a, b in zip(v1, v2))
-                merged[key] = merged.get(key, 0) + c1 * c2
+        get = merged.get
+        for k1, c1 in total.items():
+            for k2, c2 in part.items():
+                k = k1 + k2
+                merged[k] = get(k, 0) + c1 * c2
         total = merged
-    return TraceSupport(curve, total)
+    # decode: shift every digit into [0, 2W] and read the base-B digits
+    shift = width * sum(radix**e for e in range(n_edges))
+    fibers = {}
+    for key, count in total.items():
+        x = key + shift
+        kvec = []
+        for _ in range(n_edges):
+            x, d = divmod(x, radix)
+            kvec.append(d - width)
+        fibers[tuple(kvec)] = count
+    return TraceSupport(curve, fibers)
 
 
-def _component_states(tri, geo, walk):
-    """DP over one component walk: {k-vector: count}."""
-    pts = [p for p, _, _ in walk]
-    n = len(pts)
-    closed = all(s_in is not None and s_out is not None for _, s_in, s_out in walk)
-    # consecutive constraint: between walk index t and t+1 there is a piece;
-    # find its orientation (which endpoint is the a-side)
-    edges_constraints = []
-    for t in range(n if closed else n - 1):
-        p, p2 = pts[t], pts[(t + 1) % n]
-        # identify the piece joining them that matches the walk step
-        qmatch = None
-        for qi, s in geo.incidence[p]:
-            pa, pb, sa, sb = geo.pieces[qi]
-            if (pa == p and pb == p2) or (pb == p and pa == p2):
-                out_slot = walk[t][2]
-                step_slot = sa if pa == p else sb
-                if step_slot == out_slot:
-                    qmatch = qi
-                    break
-        assert qmatch is not None, "walk piece not found"
-        pa, pb, _, _ = geo.pieces[qmatch]
-        edges_constraints.append(pa == p)  # True: p is a-side, p2 is b-side
-    kzero = tuple([0] * tri.n_edges)
+def _component_states(geo, walk, radix):
+    """DP over one component walk: {packed k-vector: count}.
 
-    def bump(vec, pid, s):
-        out = list(vec)
-        out[geo.point_edge[pid]] += 1 if s else -1
-        return tuple(out)
-
+    One dict per state of the current point (+ or -). Each holds its keys
+    relative to a lazy offset, so moving to the next point shifts both
+    dicts for free: + adds the point's unit B**edge, - subtracts it. The
+    one allowed change of state is a single pass that folds one dict into
+    the other."""
+    n = len(walk)
+    closed = walk[0][1] is not None
+    unit = [radix ** geo.point_edge[p] for p, _, _ in walk]
+    # a piece runs from slot k to slot k+1 of its face (its a-side to its
+    # b-side), so the step from point t leaves through its a-side exactly
+    # when the next point is entered through the following slot; the
+    # forbidden pair is then (+, -) along the step, else (-, +)
+    a_first = [
+        walk[(t + 1) % n][1][1] == (walk[t][2][1] + 1) % 3
+        for t in range(n if closed else n - 1)
+    ]
     results = {}
-    for first_state in (1, 0):
-        # states: dict (current_state, partial kvec) -> count
-        states = {(first_state, bump(kzero, pts[0], first_state)): 1}
+    get = results.get
+    for first in (1, 0):
+        plus, minus = ({0: 1}, {}) if first else ({}, {0: 1})
+        off_plus, off_minus = unit[0], -unit[0]
         for t in range(1, n):
-            a_first = edges_constraints[t - 1]
-            nxt = {}
-            for (s_prev, vec), cnt in states.items():
-                for s_cur in (1, 0):
-                    if a_first and s_prev == 1 and s_cur == 0:
-                        continue
-                    if not a_first and s_prev == 0 and s_cur == 1:
-                        continue
-                    key = (s_cur, bump(vec, pts[t], s_cur))
-                    nxt[key] = nxt.get(key, 0) + cnt
-            states = nxt
-        for (s_last, vec), cnt in states.items():
-            if closed and n >= 1:
-                a_first = edges_constraints[-1]
-                if a_first and s_last == 1 and first_state == 0:
-                    continue
-                if not a_first and s_last == 0 and first_state == 1:
-                    continue
-            results[vec] = results.get(vec, 0) + cnt
+            # with + then - forbidden, either state may be followed by +,
+            # so - folds into +; with - then + forbidden, + folds into -
+            if a_first[t - 1]:
+                dst, src, delta = plus, minus, off_minus - off_plus
+            else:
+                dst, src, delta = minus, plus, off_plus - off_minus
+            get_dst = dst.get
+            for k, c in src.items():
+                k += delta
+                dst[k] = get_dst(k, 0) + c
+            off_plus += unit[t]
+            off_minus -= unit[t]
+        ends = [(plus, off_plus), (minus, off_minus)]
+        if closed:
+            # the closing step back to the first point
+            if a_first[-1] and not first:
+                ends = [(minus, off_minus)]
+            elif not a_first[-1] and first:
+                ends = [(plus, off_plus)]
+        for states, off in ends:
+            for k, c in states.items():
+                k += off
+                results[k] = get(k, 0) + c
     return results
 
 

@@ -153,6 +153,19 @@ class MappingClass:
         if matrix is not None:
             if genus != 1:
                 raise ValueError("matrix mapping classes are genus-1 only")
+            if not (
+                isinstance(matrix, (list, tuple))
+                and len(matrix) == 2
+                and all(
+                    isinstance(row, (list, tuple))
+                    and len(row) == 2
+                    and all(isinstance(x, int) for x in row)
+                    for row in matrix
+                )
+            ):
+                raise ValueError(
+                    f"matrix must be a 2x2 integer matrix [[a, b], [c, d]], not {matrix!r}"
+                )
             (a, b), (c, d) = matrix
             if a * d - b * c != 1:
                 raise ValueError("matrix must lie in SL(2, Z)")

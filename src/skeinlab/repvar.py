@@ -233,6 +233,11 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
     automorphisms. Verifies the moment map is constant along the way."""
     endos = []
     for mc in mapping_classes:
+        if isinstance(mc, MappingClass) and mc.endo is None:
+            raise ValueError(
+                'orbit generators act through their free-group words: give {"words": ...}, '
+                'not {"matrix": ...}'
+            )
         endo = mc.endo if isinstance(mc, MappingClass) else FreeGroupEndo(
             seeds[0].genus, mc
         )

@@ -152,6 +152,28 @@ def test_orbit_command(tmp_path):
     assert obj["dimW"] == 27 * 12
 
 
+def test_orbit_matrix_generator_is_a_usage_error():
+    rep = {"genus": 1, "images": [[0, 1, -1, 0], [0, 1, -1, 0]]}
+    gens = [{"matrix": [[1, 1], [0, 1]]}]
+    code, out, err = run_cli("orbit", "--rep", json.dumps(rep), "--gens", json.dumps(gens))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and '"words"' in err
+
+
+def test_malformed_matrix_phi_is_a_usage_error():
+    phi = {"matrix": [1, 2]}
+    code, out, err = run_cli("detect", "--curve", "0,1", "--phi", json.dumps(phi))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]"
+    ]
+    code, out, _ = run_cli("detect", "--batch", json.dumps([{"curve": "0,1", "phi": phi}]))
+    assert code == 2
+    slot_error = json.loads(out)["certificates"][0]["error"]
+    assert "error: " + slot_error + "\n" == err
+
+
 def test_detect_command_and_schema():
     code, out, _ = run_cli(
         "detect", "--genus", "1", "--N", "5", "--curve", "0,1", "--phi", "[[1,1],[0,1]]"

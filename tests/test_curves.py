@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import curves
+from skeinlab import cli, curves
 from skeinlab.curves import (
     NormalCurve,
     StateCapExceeded,
@@ -64,6 +65,95 @@ def test_dp_equals_bruteforce_small():
         )
         tested += 1
     assert tested > 10
+
+
+def _normal_coord_vectors(tri, max_total):
+    """Every nonzero normal coordinate vector of total weight <= max_total;
+    a face's parity and corner constraints prune as soon as it is filled."""
+    last_edge = {}
+    for f in tri.faces:
+        last_edge.setdefault(max(f), []).append(f)
+
+    def face_ok(x):
+        return sum(x) % 2 == 0 and all(
+            x[k] + x[(k + 1) % 3] >= x[(k + 2) % 3] for k in range(3)
+        )
+
+    def rec(e, left, part):
+        if e == tri.n_edges:
+            if any(part):
+                yield list(part)
+            return
+        for v in range(left + 1):
+            part.append(v)
+            if all(face_ok([part[i] for i in f]) for f in last_edge.get(e, ())):
+                yield from rec(e + 1, left - v, part)
+            part.pop()
+
+    yield from rec(0, max_total, [])
+
+
+def test_dp_equals_bruteforce_genus_two():
+    """Closed and open walks (points on the boundary arc), one or several
+    components: every genus-2 curve with m <= 14 points."""
+    tri = build_sigma_g_star(2)
+    kinds = set()
+    for vec in _normal_coord_vectors(tri, 14):
+        c = NormalCurve(tri, vec)
+        walks = c.geometry().cycles
+        is_open = any(s_in is None for walk in walks for _, s_in, _ in walk)
+        kinds.add((len(walks) > 1, is_open))
+        assert (
+            enumerate_admissible_states(c).fibers
+            == enumerate_admissible_states_bruteforce(c).fibers
+        ), vec
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "pq, points, states, support_size, digest",
+    [
+        (
+            (13, 8),
+            55,
+            9943530304,
+            4361,
+            "417b1d1f6b8bb26d6a05e51d01e6d9ffb5001f010de6a3b40d70f6f9d5dec712",
+        ),
+        (
+            (21, 13),
+            89,
+            14971804538711028,
+            24662,
+            "7c66034b30206b8bedc5cc6d21c9ac1b50dacfb97c7cabb24ee8f12d8ab1c638",
+        ),
+    ],
+    ids=["13,8", "21,13"],
+)
+def test_large_curve_supports_pinned(pq, points, states, support_size, digest):
+    """Fibers of large torus curves, pinned to the tuple-keyed walk DP that
+    the packed DP replaced."""
+    c = torus_table().curve(*pq)
+    assert c.geometry().n_points == points
+    sup = enumerate_admissible_states(c, cap=points)
+    assert sup.state_count == states
+    assert len(sup.fibers) == support_size
+    blob = json.dumps(
+        [{"k": list(k), "fiber": sup.fibers[k]} for k in sorted(sup.fibers)],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_qtrace_support_large_curve_stdout_pinned(capsys):
+    cli.main(["qtrace", "support", "--curve", "13,8", "--cap", "96"])
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 492926
+    assert (
+        hashlib.sha256(out).hexdigest()
+        == "af4df2842a756ff0be812e4233cd683e1cf85830b5a4686158c82201f9ba212e"
+    )
 
 
 def test_state_cap():

@@ -63,6 +63,9 @@ def test_mapping_class_constructors():
     assert mc.act_on_class(0, 1) == (1, 1)
     with pytest.raises(ValueError):
         MappingClass(1, matrix=[[2, 0], [0, 1]])
+    for bad in ([1, 2], [[1, 1], [0]], [[1, "1"], [0, 1]], [[1, 1], [0, 1], [0, 0]], "I"):
+        with pytest.raises(ValueError, match="2x2 integer matrix"):
+            MappingClass(1, matrix=bad)
     with pytest.raises(ValueError):
         MappingClass(1, matrix=[[1, 0], [0, 1]], words=TWIST_ALPHA)
     with pytest.raises(ValueError):

@@ -125,6 +125,12 @@ def test_orbit_closure_fixture():
     assert orbit.moment == SL2Mat.identity()
 
 
+def test_orbit_closure_rejects_matrix_generators():
+    A = SL2Mat(0, 1, -1, 0)
+    with pytest.raises(ValueError, match="words"):
+        orbit_closure([SL2Rep(1, (A, A))], [MappingClass(1, matrix=[[1, 1], [0, 1]])])
+
+
 def test_orbit_trivial_fixed_point():
     triv = SL2Rep(1, (SL2Mat.identity(), SL2Mat.identity()))
     orbit = orbit_closure([triv], [MappingClass(1, words=TWIST_ALPHA)])
