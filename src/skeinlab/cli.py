@@ -62,6 +62,11 @@ def _parse_sl2(entries, order=4):
 
 
 def _parse_rep(obj):
+    if not isinstance(obj, dict) or "genus" not in obj or "images" not in obj:
+        raise ValueError(
+            f'a representation needs "genus" and "images", e.g. '
+            f'{{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}}, not {obj!r}'
+        )
     order = obj.get("field", {}).get("cyclotomicOrder", 4)
     images = [_parse_sl2(m, order) for m in obj["images"]]
     return SL2Rep(obj["genus"], images)

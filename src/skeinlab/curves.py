@@ -6,9 +6,9 @@ intersection point, and a state is admissible when no corner piece carries
 the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 
 Two enumeration routes are kept deliberately independent: a cycle-walk DP
-(default) and the 2^m brute-force kernel in _kernels (reference and
-certificate re-verification path). _kernels, and with it numpy, is
-imported only when the brute-force route runs.
+(default) and the 2^m brute-force kernel in _kernels (the reference route
+for tests and selftest). _kernels, and with it numpy, is imported only
+when the brute-force route runs.
 """
 
 from __future__ import annotations

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 from . import intlinalg
 from .curves import (
-    BRUTE_FORCE_MAX_POINTS,
     DEFAULT_STATE_CAP,
     NormalCurve,
     StateCapExceeded,
     enumerate_admissible_states,
-    enumerate_admissible_states_bruteforce,
     torus_table,
 )
 from .cyclotomic import Cyclotomic, nth_root_of_unity_root
@@ -158,11 +156,9 @@ def detect_support(req: DetectionRequest) -> Certificate:
     if alpha.coords == beta.coords:
         base.reasons.append("isotopic-curves")
         return base
-    # a witness must be re-verified by brute force, so the cap stops there
-    cap = min(req.state_cap, BRUTE_FORCE_MAX_POINTS)
     try:
-        sup_a = enumerate_admissible_states(alpha, cap=cap)
-        sup_b = enumerate_admissible_states(beta, cap=cap)
+        sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
+        sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
     except StateCapExceeded:
         base.reasons.append("cap-exceeded")
         return base
@@ -191,21 +187,159 @@ def detect_support(req: DetectionRequest) -> Certificate:
 
 
 def _reverify_witness(alpha, beta, coset, witness, projector):
-    """Recompute both fibers of the witness coset with the independent
-    brute-force enumerator before emitting a certificate."""
+    """Recount both fibers of the witness coset with the independent
+    residue-class recount before emitting a certificate."""
+    recount = _ResidueRecount(projector)
+    target = recount.target(coset)
     for curve, claimed in ((alpha, witness["fiberAlpha"]), (beta, witness["fiberBeta"])):
-        sup = enumerate_admissible_states_bruteforce(
-            curve, cap=BRUTE_FORCE_MAX_POINTS
-        )
-        states = 0
-        for kvec, count in sup.fibers.items():
-            if projector.project(kvec) == coset:
-                states += count
+        states = recount.states(curve).get(target, 0)
         if states != claimed:
             raise AssertionError(
                 "certificate re-verification failed: fiber mismatch "
                 f"({states} != {claimed})"
             )
+
+
+class _ResidueRecount:
+    """State counts of a curve per residue class of Z^E/L, where L is the
+    sublattice of edge vectors that the witness coset is taken modulo.
+
+    Reduced cell: L = K^0. Big cell: L = {x in K : (coords(x), 0) in
+    Kbar^0}, which is not K^0 in general. L has full rank, so from one
+    Smith form D = U L V the residue of v is (v V) mod diag(D): a finite
+    group whose size does not grow with the curve. A walk over the
+    curve's corner pieces counts states by (state of the current point,
+    residue of the partial k-vector). It shares no code with the walk DP
+    or the coset projection, and uses no K-coordinates or full k-vectors."""
+
+    def __init__(self, projector):
+        self.basis = projector.lattice.basis
+        self.khat_row = None
+        if projector.cell == "reduced":
+            rows = projector.kernel
+        else:
+            # an echelon basis of Kbar^0 with the khat column first: its
+            # first row is the only one with khat != 0
+            echelon = intlinalg.hnf([[r[-1], *r[:-1]] for r in projector.kernel])
+            self.khat_row = echelon[0]
+            rows = [r[1:] for r in echelon[1:]]
+        D, _, V = intlinalg.smith_normal_form(intlinalg.mat_mul(rows, self.basis))
+        moduli = [D[i][i] for i in range(len(V))]
+        assert all(moduli), "the witness sublattice must have full rank"
+        # components with d_i = 1 are always 0
+        keep = [i for i, d in enumerate(moduli) if d > 1]
+        V = [[row[i] for i in keep] for row in V]
+        moduli = [moduli[i] for i in keep]
+        n = len(moduli)
+        # Every d_i divides the largest, M, so component i is stored as
+        # c_i * M / d_i mod M, in its own field of `width` bits of one int.
+        # Adding two residues leaves every field below 2M <= 2**width with
+        # no carry between fields; `_shifted` then takes M off the fields
+        # that reached it by adding 2**(width-1) - M and reading their top
+        # bits.
+        self.modulus = m = max(moduli)
+        self.width = w = m.bit_length() + 1
+        self.scale = [m // d for d in moduli]
+        self.lift = sum(((1 << (w - 1)) - m) << (w * i) for i in range(n))
+        self.top = sum(1 << (w * i + w - 1) for i in range(n))
+        self.transform = V
+        # residues of the unit edge vectors and of their negatives
+        self.plus = [self.pack(row) for row in V]
+        self.minus = [self.pack([-x for x in row]) for row in V]
+
+    def pack(self, components):
+        """The residue whose i-th component is components[i] mod d_i."""
+        m, w = self.modulus, self.width
+        return sum((c * k % m) << (w * i) for i, (c, k) in enumerate(zip(components, self.scale)))
+
+    def target(self, coset):
+        """The residue of the edge vectors in the witness coset, or None
+        when the coset holds no vector with khat = 0."""
+        coords = list(coset)
+        if self.khat_row is not None:
+            # subtract the multiple of the khat row that clears khat
+            q, r = divmod(coords.pop(), self.khat_row[0])
+            if r:
+                return None
+            coords = [c - q * x for c, x in zip(coords, self.khat_row[1:])]
+        vec = intlinalg.mat_mul([coords], self.basis)[0]
+        return self.pack(intlinalg.mat_mul([vec], self.transform)[0])
+
+    def states(self, curve):
+        """{residue: number of admissible states} of the curve."""
+        geo = curve.geometry()
+        shift = self._shifted
+        total = {0: 1}
+        for points, forward in _piece_walks(geo.n_points, geo.pieces):
+            edges = [geo.point_edge[p] for p in points]
+            # a piece forbids (+, -) from its a-point to its b-point, so a
+            # step along it forbids (+, -) forward and (-, +) backward
+            closed = len(forward) == len(points)
+            out = {}
+            for first in (1, -1):
+                plus = shift(total, self.plus[edges[0]]) if first > 0 else {}
+                minus = shift(total, self.minus[edges[0]]) if first < 0 else {}
+                for t in range(1, len(points)):
+                    up, down = self.plus[edges[t]], self.minus[edges[t]]
+                    if forward[t - 1]:
+                        plus, minus = shift(plus, up, shift(minus, up)), shift(minus, down)
+                    else:
+                        plus, minus = shift(plus, up), shift(plus, down, shift(minus, down))
+                ends = (plus, minus)
+                if closed:
+                    # the last piece leads back to the first point
+                    if forward[-1] and first < 0:
+                        ends = (minus,)
+                    elif not forward[-1] and first > 0:
+                        ends = (plus,)
+                for table in ends:
+                    for key, count in table.items():
+                        out[key] = out.get(key, 0) + count
+            total = out
+        return total
+
+    def _shifted(self, table, unit, into=None):
+        """`into` (default: a new dict) plus every (residue + unit, count)."""
+        into = {} if into is None else into
+        lift, top, m, high = self.lift, self.top, self.modulus, self.width - 1
+        get = into.get
+        for key, count in table.items():
+            key += unit
+            key -= (((key + lift) & top) >> high) * m
+            into[key] = get(key, 0) + count
+        return into
+
+
+def _piece_walks(n_points, pieces):
+    """Curve components from the corner pieces alone: (points, forward)
+    per component, with points in walk order and forward[t] telling
+    whether the piece from points[t] to the next point starts at its
+    a-point. A closed component has one piece per point, an open one a
+    piece fewer."""
+    at = [[] for _ in range(n_points)]
+    for q, (pa, pb, *_) in enumerate(pieces):
+        at[pa].append(q)
+        at[pb].append(q)
+    used = [False] * len(pieces)
+    walks = []
+    # open paths from their endpoints first, then the closed cycles
+    for start in [p for p in range(n_points) if len(at[p]) == 1] + list(range(n_points)):
+        q = next((q for q in at[start] if not used[q]), None)
+        if q is None:
+            continue
+        points, forward = [start], []
+        p = start
+        while q is not None:
+            used[q] = True
+            pa, pb = pieces[q][:2]
+            forward.append(p == pa)
+            p = pb if p == pa else pa
+            if p == start:
+                break
+            points.append(p)
+            q = next((q2 for q2 in at[p] if not used[q2]), None)
+        walks.append((points, forward))
+    return walks
 
 
 def detect_theorem2(req: DetectionRequest) -> Certificate:

@@ -83,6 +83,14 @@ class FreeGroupEndo:
                 w = images.get(key, images.get(short, key))
                 if isinstance(w, str):
                     w = parse_word(w, genus)
+                elif not (
+                    isinstance(w, (list, tuple))
+                    and all(type(t) is int and 1 <= abs(t) <= 2 * genus for t in w)
+                ):
+                    raise ValueError(
+                        f"the image of {key} must be a word such as \"ab\" or a "
+                        f"list of generator ids in ±1..±{2 * genus}, not {w!r}"
+                    )
                 self.images[gid] = reduce_word(w)
 
     def apply(self, word):

@@ -161,6 +161,26 @@ def test_orbit_matrix_generator_is_a_usage_error():
     assert err.startswith("error: ") and '"words"' in err
 
 
+def test_non_word_image_is_a_usage_error():
+    code, out, err = run_cli("detect", "--curve", "0,1", "--phi", '{"words": {"a1": 5}}')
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the image of a1 must be a word")
+
+
+def test_rep_without_images_is_a_usage_error():
+    for argv in (
+        ("orbit", "--rep", '{"genus": 1}', "--gens", "[]"),
+        ("rep", "moment", "--rep", '{"genus": 1}'),
+        ("rep", "moment", "--rep", '{"images": []}'),
+        ("rep", "moment", "--rep", "[1, 2]"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith('error: a representation needs "genus" and "images"')
+
+
 def test_malformed_matrix_phi_is_a_usage_error():
     phi = {"matrix": [1, 2]}
     code, out, err = run_cli("detect", "--curve", "0,1", "--phi", json.dumps(phi))
@@ -240,17 +260,30 @@ def test_detect_batch_thread_determinism(tmp_path, monkeypatch):
 
 
 def test_detect_batch_cap_above_bruteforce_limit():
-    # the walk DP accepts the 30-point image curve, but a witness could not
-    # be re-verified by brute force, so the request must stop at the cap
+    # the residue recount re-verifies witnesses of any size, so a cap above
+    # the 25 points of the brute-force kernel certifies; the default cap of
+    # 24 still stops the same requests
+    twist = {"matrix": [[1, 1], [0, 1]]}
     batch = [
-        {"curve": "5,3", "phi": {"matrix": [[1, 1], [0, 1]]}, "N": 11, "cap": 30},
-        {"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]]}, "N": 5},
+        {"curve": "5,3", "phi": twist, "N": 11, "cap": 30},
+        {"curve": "0,1", "phi": twist, "N": 5},
+        {"curve": "5,3", "phi": twist, "N": 11, "cap": 96, "cell": "big"},
+        {"curve": "8,5", "phi": twist, "N": 11, "cap": 96},
+        {"curve": "8,5", "phi": twist, "N": 11, "cap": 96, "cell": "big"},
     ]
     code, out, _ = run_cli("detect", "--batch", json.dumps(batch))
     assert code == 0
     certs = json.loads(out)["certificates"]
-    assert certs[0]["verdict"] == "inconclusive"
-    assert "cap-exceeded" in certs[0]["reasons"]
+    for cert in certs:
+        assert cert["verdict"] == "certified-nontrivial"
+        assert {cert["witness"]["fiberAlpha"], cert["witness"]["fiberBeta"]} == {0, 1}
+    default_cap = [{k: v for k, v in req.items() if k != "cap"} for req in batch]
+    code, out, _ = run_cli("detect", "--batch", json.dumps(default_cap))
+    assert code == 0
+    certs = json.loads(out)["certificates"]
+    for i in (0, 2, 3, 4):
+        assert certs[i]["verdict"] == "inconclusive"
+        assert "cap-exceeded" in certs[i]["reasons"]
     assert certs[1]["verdict"] == "certified-nontrivial"
 
 
@@ -325,10 +358,12 @@ from skeinlab import cli
 assert "sympy" not in sys.modules and "numpy" not in sys.modules
 cli.main(["lattice", "info", "--genus", "1"])
 cli.main(["qtrace", "support", "--curve=2,3"])
+cli.main(["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'])
 assert "numpy" not in sys.modules
 """
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
+    assert '"verdict": "certified-nontrivial"' in proc.stdout
 
 
 def test_selftest_runs_without_sympy():

@@ -1,19 +1,33 @@
 import json
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from skeinlab.curves import NormalCurve, torus_table
+from skeinlab import detect
+from skeinlab.curves import (
+    NormalCurve,
+    TraceSupport,
+    enumerate_admissible_states,
+    enumerate_admissible_states_bruteforce,
+    torus_table,
+)
 from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.detect import (
     DetectionRequest,
+    _CosetProjector,
+    _find_witness,
+    _project_fibers,
+    _ResidueRecount,
     detect_support,
     detect_theorem2,
     reduced_character_space,
 )
-from skeinlab.mcg import MappingClass
+from skeinlab.mcg import MappingClass, act_on_curve
 from skeinlab.repvar import SL2Mat, SL2Rep
+from skeinlab.surface import build_sigma_g_star
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -155,6 +169,130 @@ def test_genus_two_explicit_coordinates():
         DetectionRequest(genus=2, N=3, cell="big", curve=alpha, beta=beta)
     )
     assert cert.verdict == "certified-nontrivial"
+
+
+def _assert_recount_matches_bruteforce(curve, projector):
+    """Every coset's brute-force state count equals the recount of its
+    residue, and distinct cosets have distinct residues."""
+    recount = _ResidueRecount(projector)
+    counts = recount.states(curve)
+    by_coset = {}
+    for kvec, n in enumerate_admissible_states_bruteforce(curve).fibers.items():
+        coset = projector.project(kvec)
+        by_coset[coset] = by_coset.get(coset, 0) + n
+    targets = {coset: recount.target(coset) for coset in by_coset}
+    assert len(set(targets.values())) == len(by_coset)
+    for coset, n in by_coset.items():
+        assert counts.get(targets[coset], 0) == n, (curve, coset)
+    assert sum(counts.values()) == sum(by_coset.values())
+    if projector.cell == "big":
+        # any representative of a coset names it; one with khat off the
+        # lattice names no curve state
+        khat = projector.kernel[-1]
+        for coset, target in targets.items():
+            assert recount.target([a + b for a, b in zip(coset, khat)]) == target
+            assert recount.target([*coset[:-1], coset[-1] + 1]) is None
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+@pytest.mark.parametrize("N", [3, 11])
+def test_residue_recount_matches_bruteforce(N, cell):
+    table = torus_table()
+    projector = _CosetProjector(table.tri, N, cell)
+    # closed, open (points on the boundary arc) and multi-component curves
+    # of small weight, then the torus classes up to 16 points
+    curves = []
+    for vec in product(range(5), repeat=table.tri.n_edges):
+        try:
+            curves.append(NormalCurve(table.tri, vec))
+        except ValueError:
+            pass
+    curves += [
+        table.curve(p, q) for p in range(-6, 7) for q in range(7) if gcd(p, q) == 1
+    ]
+    tested = 0
+    for curve in curves:
+        if 0 < curve.geometry().n_points <= 16:
+            _assert_recount_matches_bruteforce(curve, projector)
+            tested += 1
+    assert tested > 100
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_residue_recount_matches_bruteforce_genus_two(cell):
+    tri = build_sigma_g_star(2)
+    curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
+    assert curve.is_connected() and curve.geometry().n_points == 12
+    _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell))
+
+
+def _fibers_with_pieces(curve, pieces):
+    """{k-vector: count} over the full states that no (a, b) in `pieces`
+    forbids with a: +, b: -."""
+    geo = curve.geometry()
+    out = {}
+    for states in product((1, -1), repeat=geo.n_points):
+        if any(states[a] == 1 and states[b] == -1 for a, b in pieces):
+            continue
+        kvec = [0] * curve.tri.n_edges
+        for p, s in enumerate(states):
+            kvec[geo.point_edge[p]] += s
+        out[tuple(kvec)] = out.get(tuple(kvec), 0) + 1
+    return out
+
+
+def _false_witness_supports(alpha, beta, projector):
+    """(kind, curve, fibers): one curve's support with one walk constraint
+    flipped ("flip") or one fiber count moved by one ("bump"), on which the
+    support criterion finds a witness whose true fibers differ from the
+    claimed ones."""
+    true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
+
+    def projected(fibers_of):
+        return [_project_fibers(TraceSupport(c, fibers_of[c]), projector) for c in (alpha, beta)]
+
+    def states(fib, coset):
+        return [side.get(coset, {"states": 0})["states"] for side in fib]
+
+    true_fib = projected(true)
+    for curve in (alpha, beta):
+        pieces = [q[:2] for q in curve.geometry().pieces]
+        candidates = []
+        for i in range(len(pieces)):
+            flipped = list(pieces)
+            flipped[i] = pieces[i][::-1]
+            candidates.append(("flip", _fibers_with_pieces(curve, flipped)))
+        for kvec in sorted(true[curve]):
+            for step in (1, -1):
+                bumped = dict(true[curve])
+                bumped[kvec] += step
+                candidates.append(("bump", {k: n for k, n in bumped.items() if n}))
+        for kind, fibers in candidates:
+            fib = projected({**true, curve: fibers})
+            coset, _ = _find_witness(*fib)
+            if coset is not None and states(fib, coset) != states(true_fib, coset):
+                yield kind, curve, fibers
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_corrupted_support_fails_reverification(cell, monkeypatch):
+    table = torus_table()
+    alpha = table.curve(1, 1)
+    beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
+    req = DetectionRequest(genus=1, N=5, cell=cell, curve=alpha, beta=beta)
+    assert detect_support(req).verdict == "certified-nontrivial"
+    corrupted = list(_false_witness_supports(alpha, beta, _CosetProjector(table.tri, 5, cell)))
+    assert "flip" in {kind for kind, _, _ in corrupted}
+    for _, bad_curve, fibers in corrupted:
+
+        def enumerate_corrupted(curve, cap, bad_curve=bad_curve, fibers=fibers):
+            if curve == bad_curve:
+                return TraceSupport(curve, fibers)
+            return enumerate_admissible_states(curve, cap=cap)
+
+        monkeypatch.setattr(detect, "enumerate_admissible_states", enumerate_corrupted)
+        with pytest.raises(AssertionError, match="re-verification failed"):
+            detect_support(req)
 
 
 def test_reduced_character_space():

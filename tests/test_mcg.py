@@ -70,6 +70,11 @@ def test_mapping_class_constructors():
         MappingClass(1, matrix=[[1, 0], [0, 1]], words=TWIST_ALPHA)
     with pytest.raises(ValueError):
         MappingClass(1, words={"a1": "a", "b1": "a"})
+    # a word image is a word string or a sequence of generator ids
+    for bad in (5, None, [0], [3], [True], ["a"], {"a": 1}):
+        with pytest.raises(ValueError, match="image of a1"):
+            FreeGroupEndo(1, {"a1": bad})
+    assert FreeGroupEndo(1, {"a1": [1, 2], "b1": (2,)}).images == {1: (1, 2), 2: (2,)}
     mc2 = MappingClass.from_json({"matrix": [[0, -1], [1, 0]]})
     assert mc2.matrix == ((0, -1), (1, 0))
     mc3 = MappingClass.from_json({"genus": 1, "words": TWIST_ALPHA})
