@@ -3,7 +3,8 @@
 Subcommands: surface, lattice, qtorus, qtrace, orbit, leaf, rep, detect,
 selftest. Output keys are sorted and term/coset orderings canonical, so
 identical inputs give byte-identical output. A --config file supplies
-defaults for flags left unset; SKEINLAB_THREADS bounds batch parallelism.
+defaults for flags left unset. Bad input exits 2 with one "error: ..." line
+on stderr; detect --batch instead gives each bad request an {"error": ...} slot.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from fractions import Fraction
 from .curves import (
     DEFAULT_STATE_CAP,
     NormalCurve,
+    StateCapExceeded,
     enumerate_admissible_states,
     support_bounds_check,
     torus_table,
 )
 from .cyclotomic import Cyclotomic
-from .detect import DetectionRequest, detect_support, detect_theorem2
+from .detect import DetectionRequest, check_root_order, detect_support, detect_theorem2
 from .mcg import MappingClass
 from .qtorus import CentralCharacter, QuantumTorus, TorusIrrep
 from .repvar import (
@@ -47,6 +49,18 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
+# What malformed input raises (OSError: a file argument that cannot be read).
+# Anything else, above all the AssertionError of a failed re-verification, is
+# a bug and keeps its traceback.
+USAGE_ERRORS = (ValueError, TypeError, KeyError, OSError, StateCapExceeded)
+
+
+def _error_text(exc):
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc)
+
+
 def _parse_scalar(x, order=4):
     if isinstance(x, dict):
         return Cyclotomic.from_json(x)
@@ -56,18 +70,21 @@ def _parse_scalar(x, order=4):
 
 
 def _parse_sl2(entries, order=4):
-    if len(entries) != 4:
-        raise ValueError("an SL2 matrix needs 4 entries [a, b, c, d]")
+    if not isinstance(entries, list) or len(entries) != 4:
+        raise ValueError(f"an SL2 matrix needs 4 entries [a, b, c, d], not {entries!r}")
     return SL2Mat(*(_parse_scalar(x, order) for x in entries), order=order)
 
 
 def _parse_rep(obj):
-    if not isinstance(obj, dict) or "genus" not in obj or "images" not in obj:
+    if not isinstance(obj, dict) or "genus" not in obj or not isinstance(obj.get("images"), list):
         raise ValueError(
             f'a representation needs "genus" and "images", e.g. '
             f'{{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}}, not {obj!r}'
         )
-    order = obj.get("field", {}).get("cyclotomicOrder", 4)
+    field = obj.get("field", {})
+    if not isinstance(field, dict):
+        raise ValueError(f'"field" must be an object like {{"cyclotomicOrder": 4}}, not {field!r}')
+    order = field.get("cyclotomicOrder", 4)
     images = [_parse_sl2(m, order) for m in obj["images"]]
     return SL2Rep(obj["genus"], images)
 
@@ -91,7 +108,11 @@ def _curve_from_json(obj, tri):
         table = torus_table()
         if tri is not table.tri:
             raise ValueError("(p, q) curve input is genus-1 only")
-        p, q = (int(t) for t in pq)
+        try:
+            # through str, so that 1.5 or true is refused, not truncated
+            p, q = (int(str(t)) for t in pq)
+        except (TypeError, ValueError):
+            raise ValueError(f"(p, q) needs two integers, not {obj!r}") from None
         return table.curve(p, q)
     if isinstance(obj, dict):
         obj = obj.get("coords", obj)
@@ -110,6 +131,20 @@ def _load_json_arg(text):
         with open(text) as fh:
             return json.load(fh)
     return json.loads(text)
+
+
+def _load_json_list(text, flag):
+    obj = _load_json_arg(text)
+    if not isinstance(obj, list):
+        raise ValueError(f"{flag} must be a JSON list, not {obj!r}")
+    return obj
+
+
+def _int_field(obj, key, default):
+    val = obj.get(key, default)
+    if type(val) is not int:  # bool is refused too
+        raise ValueError(f"{key} must be an integer, not {val!r}")
+    return val
 
 
 def cmd_surface(args):
@@ -187,8 +222,10 @@ def cmd_qtrace(args):
 
 def cmd_orbit(args):
     rep = _parse_rep(_load_json_arg(args.rep))
-    gens_obj = _load_json_arg(args.gens)
-    gens = [MappingClass.from_json(g, genus=rep.genus) for g in gens_obj]
+    gens = [
+        MappingClass.from_json(g, genus=rep.genus)
+        for g in _load_json_list(args.gens, "--gens")
+    ]
     orbit = orbit_closure([rep], gens, cap=args.cap)
     out = {
         "size": orbit.size,
@@ -213,6 +250,11 @@ def cmd_leaf(args):
 
 def cmd_rep(args):
     if args.rep_command == "dims":
+        check_root_order(args.N)
+        if args.genus < 1:
+            raise ValueError("genus must be >= 1")
+        if args.orbit_size < 1:
+            raise ValueError("--orbit-size must be >= 1")
         exp = 3 * args.genus if args.cell == "big" else 3 * args.genus - 1
         _emit(
             {
@@ -230,7 +272,10 @@ def cmd_rep(args):
 
 
 def _run_one_detect(obj):
-    genus = obj.get("genus", 1)
+    """One detection request, from a batch slot or from the detect flags."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
+    genus = _int_field(obj, "genus", 1)
     # genus one shares the cached table triangulation so that class
     # shorthand curves and explicit-coordinate curves can be compared
     tri = torus_table().tri if genus == 1 else build_sigma_g_star(genus)
@@ -244,13 +289,13 @@ def _run_one_detect(obj):
         beta = _curve_from_json(beta, tri)
     curve = _curve_from_json(obj["curve"], tri)
     req = DetectionRequest(
-        genus=obj.get("genus", 1),
-        N=obj.get("N", 5),
+        genus=genus,
+        N=_int_field(obj, "N", 5),
         cell=obj.get("cell", "reduced"),
         curve=curve,
         phi=phi,
         beta=beta,
-        state_cap=obj.get("cap", DEFAULT_STATE_CAP),
+        state_cap=_int_field(obj, "cap", DEFAULT_STATE_CAP),
     )
     runner = detect_support if obj.get("method") == "support" else detect_theorem2
     return runner(req).to_json()
@@ -260,27 +305,15 @@ def _run_batch_item(obj):
     """One batch slot: a certificate, or {"error": ...} for a bad request,
     so that one bad request does not cost the others their results."""
     try:
-        if not isinstance(obj, dict):
-            raise TypeError("a detection request must be a JSON object")
         return _run_one_detect(obj)
-    except KeyError as exc:
-        return {"error": f"missing field {exc}"}
-    except (ValueError, TypeError) as exc:
-        return {"error": str(exc)}
+    except USAGE_ERRORS as exc:
+        return {"error": _error_text(exc)}
 
 
 def cmd_detect(args):
     t0 = time.perf_counter()
     if args.batch:
-        requests = _load_json_arg(args.batch)
-        threads = int(os.environ.get("SKEINLAB_THREADS", "1"))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_run_batch_item, requests))
-        else:
-            results = [_run_batch_item(r) for r in requests]
+        results = [_run_batch_item(r) for r in _load_json_list(args.batch, "--batch")]
         _emit({"certificates": results})
         _log(f"detect: {len(results)} requests in {time.perf_counter() - t0:.3f}s")
         if any("error" in r for r in results):
@@ -328,9 +361,11 @@ def cmd_selftest(args):
 def _apply_config(args, argv):
     """Config values fill in flags that were not given on the command line."""
     if not getattr(args, "config", None):
-        return args
+        return
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
     given = set()
     for tok in argv:
         if tok.startswith("--"):
@@ -338,8 +373,10 @@ def _apply_config(args, argv):
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and attr not in given:
+            flag = getattr(args, attr)
+            if flag is not None and type(val) is not type(flag):
+                raise ValueError(f"--config {key} must be {type(flag).__name__}, not {val!r}")
             setattr(args, attr, val)
-    return args
 
 
 def build_parser():
@@ -424,11 +461,11 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, argv)
     try:
+        _apply_config(args, argv)
         args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        _log(f"error: {exc}")
+    except USAGE_ERRORS as exc:
+        _log(f"error: {_error_text(exc)}")
         sys.exit(2)
     return 0
 

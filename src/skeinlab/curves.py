@@ -463,8 +463,8 @@ _table_lock = threading.Lock()
 
 
 def torus_table() -> TorusCurveTable:
-    """The shared Delta_1 table; batch threads must all get the same one,
-    since curves from different tables live on different triangulations."""
+    """The shared Delta_1 table; callers on any thread must all get the same
+    one, since curves from different tables live on different triangulations."""
     global _table
     if _table is None:
         with _table_lock:

@@ -32,6 +32,12 @@ from .surface import BalancedLattice, RefinedLattice
 ASSUMPTIONS = ("delta-liftable",)
 
 
+def check_root_order(N):
+    """Detection works at a root of unity of odd order N >= 3."""
+    if N < 3 or N % 2 == 0:
+        raise ValueError("N must be odd and >= 3")
+
+
 @dataclass
 class DetectionRequest:
     genus: int = 1
@@ -43,8 +49,7 @@ class DetectionRequest:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        if self.N < 3 or self.N % 2 == 0:
-            raise ValueError("N must be odd and >= 3")
+        check_root_order(self.N)
         if self.cell not in ("reduced", "big"):
             raise ValueError("cell must be 'reduced' or 'big'")
 

@@ -8,8 +8,9 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
-from skeinlab import cli
+from skeinlab import cli, detect
 
 
 def run_cli(*argv):
@@ -152,48 +153,6 @@ def test_orbit_command(tmp_path):
     assert obj["dimW"] == 27 * 12
 
 
-def test_orbit_matrix_generator_is_a_usage_error():
-    rep = {"genus": 1, "images": [[0, 1, -1, 0], [0, 1, -1, 0]]}
-    gens = [{"matrix": [[1, 1], [0, 1]]}]
-    code, out, err = run_cli("orbit", "--rep", json.dumps(rep), "--gens", json.dumps(gens))
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and '"words"' in err
-
-
-def test_non_word_image_is_a_usage_error():
-    code, out, err = run_cli("detect", "--curve", "0,1", "--phi", '{"words": {"a1": 5}}')
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: the image of a1 must be a word")
-
-
-def test_rep_without_images_is_a_usage_error():
-    for argv in (
-        ("orbit", "--rep", '{"genus": 1}', "--gens", "[]"),
-        ("rep", "moment", "--rep", '{"genus": 1}'),
-        ("rep", "moment", "--rep", '{"images": []}'),
-        ("rep", "moment", "--rep", "[1, 2]"),
-    ):
-        code, out, err = run_cli(*argv)
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith('error: a representation needs "genus" and "images"')
-
-
-def test_malformed_matrix_phi_is_a_usage_error():
-    phi = {"matrix": [1, 2]}
-    code, out, err = run_cli("detect", "--curve", "0,1", "--phi", json.dumps(phi))
-    assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "error: matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]"
-    ]
-    code, out, _ = run_cli("detect", "--batch", json.dumps([{"curve": "0,1", "phi": phi}]))
-    assert code == 2
-    slot_error = json.loads(out)["certificates"][0]["error"]
-    assert "error: " + slot_error + "\n" == err
-
-
 def test_detect_command_and_schema():
     code, out, _ = run_cli(
         "detect", "--genus", "1", "--N", "5", "--curve", "0,1", "--phi", "[[1,1],[0,1]]"
@@ -244,21 +203,6 @@ def test_detect_batch(tmp_path):
     assert verdicts == ["certified-nontrivial", "inconclusive"]
 
 
-def test_detect_batch_thread_determinism(tmp_path, monkeypatch):
-    batch = [
-        {"genus": 1, "N": 5, "curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]]}},
-        {"genus": 1, "N": 5, "curve": "1,0", "phi": {"matrix": [[1, 0], [1, 1]]}},
-        {"genus": 1, "N": 7, "curve": "1,1", "phi": {"matrix": [[0, -1], [1, 0]]}},
-    ]
-    f = tmp_path / "batch.json"
-    f.write_text(json.dumps(batch))
-    monkeypatch.setenv("SKEINLAB_THREADS", "1")
-    serial = run_cli("detect", "--batch", str(f))[1]
-    monkeypatch.setenv("SKEINLAB_THREADS", "4")
-    parallel = run_cli("detect", "--batch", str(f))[1]
-    assert serial == parallel
-
-
 def test_detect_batch_cap_above_bruteforce_limit():
     # the residue recount re-verifies witnesses of any size, so a cap above
     # the 25 points of the brute-force kernel certifies; the default cap of
@@ -287,7 +231,7 @@ def test_detect_batch_cap_above_bruteforce_limit():
     assert certs[1]["verdict"] == "certified-nontrivial"
 
 
-def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
+def test_detect_batch_bad_requests_keep_their_slots():
     good = [
         {"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]]}},
         {"curve": "1,1", "phi": {"matrix": [[0, -1], [1, 0]]}, "N": 7},
@@ -300,24 +244,22 @@ def test_detect_batch_bad_requests_keep_their_slots(monkeypatch):
     list_beta = {"curve": "0,1", "beta": [0, 2, 2, 0, 0]}
     text_words = {"curve": "0,1", "phi": {"words": "ab"}}
     mixed = [good[0], bad_curve, no_curve, long_curve, good[1], bare_phi, list_beta, text_words]
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SKEINLAB_THREADS", threads)
-        code, out, _ = run_cli("detect", "--batch", json.dumps(good))
-        assert code == 0
-        code, mixed_out, err = run_cli("detect", "--batch", json.dumps(mixed))
-        assert code == 2
-        assert "Traceback" not in err
-        certs = json.loads(mixed_out)["certificates"]
-        assert len(certs) == 8
-        assert "junk" in certs[1]["error"]
-        assert "curve" in certs[2]["error"]
-        # a message about the curve, not the signature of the table lookup
-        assert "curve" in certs[3]["error"] and "[1, 2, 3]" in certs[3]["error"]
-        assert certs[5] == certs[0]
-        assert "[0, 2, 2, 0, 0]" in certs[6]["error"]
-        assert "words" in certs[7]["error"] and "'ab'" in certs[7]["error"]
-        valid = {"certificates": [certs[0], certs[4]]}
-        assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
+    code, out, _ = run_cli("detect", "--batch", json.dumps(good))
+    assert code == 0
+    code, mixed_out, err = run_cli("detect", "--batch", json.dumps(mixed))
+    assert code == 2
+    assert "Traceback" not in err
+    certs = json.loads(mixed_out)["certificates"]
+    assert len(certs) == 8
+    assert "junk" in certs[1]["error"]
+    assert "curve" in certs[2]["error"]
+    # a message about the curve, not the signature of the table lookup
+    assert "curve" in certs[3]["error"] and "[1, 2, 3]" in certs[3]["error"]
+    assert certs[5] == certs[0]
+    assert "[0, 2, 2, 0, 0]" in certs[6]["error"]
+    assert "words" in certs[7]["error"] and "'ab'" in certs[7]["error"]
+    valid = {"certificates": [certs[0], certs[4]]}
+    assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
 
 
 def test_detect_single_request_shapes():
@@ -341,6 +283,145 @@ def test_class_shorthand_is_genus_one_only():
     assert code == 2 and "genus-1 only" in err
 
 
+REP = json.dumps({"genus": 1, "images": [[0, 1, -1, 0], [0, 1, -1, 0]]})
+NEEDS_REP = (
+    'a representation needs "genus" and "images", e.g. '
+    '{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}, not '
+)
+SHORT_MATRIX = {"matrix": [1, 2]}
+
+
+class File:
+    """An argv entry that the test writes to a file (a directory for None);
+    its path replaces the entry, and "<file>" in the expected message."""
+
+    def __init__(self, text=None):
+        self.text = text
+
+
+def _row(name, argv, message, batch=None):
+    return pytest.param(argv, message, batch, id=name)
+
+
+# (argv, the exact error message, and optionally the same request as a batch
+# object, whose slot must carry the very same message)
+MALFORMED = [
+    _row("surface-config-text-genus", ("--config", File('{"genus": "2"}'), "surface", "info"),
+         "--config genus must be int, not '2'"),
+    _row("lattice-config-missing", ("--config", "/nonexistent", "lattice", "info"),
+         "[Errno 2] No such file or directory: '/nonexistent'"),
+    _row("lattice-config-list", ("--config", File("[1, 2]"), "lattice", "info"),
+         "--config <file> must hold a JSON object of flag values"),
+    _row("qtorus-config-directory", ("--config", File(), "qtorus", "selftest"),
+         "[Errno 21] Is a directory: '<file>'"),
+    _row("qtorus-config-float-N", ("--config", File('{"N": 3.0}'), "qtorus", "selftest"),
+         "--config N must be int, not 3.0"),
+    _row("qtrace-over-cap", ("qtrace", "support", "--curve", "8,5"),
+         "34 intersection points exceed the cap 24"),
+    _row("qtrace-pq-one-int", ("qtrace", "support", "--curve", '{"pq": [1]}'),
+         "(p, q) needs two integers, not {'pq': [1]}"),
+    _row("orbit-rep-directory", ("orbit", "--rep", File(), "--gens", "[]"),
+         "[Errno 21] Is a directory: '<file>'"),
+    _row("orbit-gens-directory", ("orbit", "--rep", REP, "--gens", File()),
+         "[Errno 21] Is a directory: '<file>'"),
+    _row("orbit-gens-not-list", ("orbit", "--rep", REP, "--gens", "5"),
+         "--gens must be a JSON list, not 5"),
+    _row("orbit-field-not-object",
+         ("orbit", "--rep", json.dumps({**json.loads(REP), "field": 5}), "--gens", "[]"),
+         '"field" must be an object like {"cyclotomicOrder": 4}, not 5'),
+    _row("orbit-scalar-without-coeffs",
+         ("orbit", "--rep", '{"genus": 1, "images": [[{"order": 4}, 1, -1, 0], [0, 1, -1, 0]]}',
+          "--gens", "[]"),
+         "missing field 'coeffs'"),
+    _row("orbit-matrix-generator",
+         ("orbit", "--rep", REP, "--gens", '[{"matrix": [[1, 1], [0, 1]]}]'),
+         'orbit generators act through their free-group words: '
+         'give {"words": ...}, not {"matrix": ...}'),
+    _row("orbit-rep-without-images", ("orbit", "--rep", '{"genus": 1}', "--gens", "[]"),
+         NEEDS_REP + "{'genus': 1}"),
+    _row("rep-moment-without-images", ("rep", "moment", "--rep", '{"genus": 1}'),
+         NEEDS_REP + "{'genus': 1}"),
+    _row("rep-moment-without-genus", ("rep", "moment", "--rep", '{"images": []}'),
+         NEEDS_REP + "{'images': []}"),
+    _row("rep-moment-list", ("rep", "moment", "--rep", "[1, 2]"), NEEDS_REP + "[1, 2]"),
+    _row("rep-moment-images-not-list", ("rep", "moment", "--rep", '{"genus": 1, "images": 5}'),
+         NEEDS_REP + "{'genus': 1, 'images': 5}"),
+    _row("leaf-mat-not-list", ("leaf", "classify", "--mat", "5"),
+         "an SL2 matrix needs 4 entries [a, b, c, d], not 5"),
+    _row("rep-dims-even-N", ("rep", "dims", "--N", "4"), "N must be odd and >= 3"),
+    _row("rep-dims-genus-0", ("rep", "dims", "--genus", "0"), "genus must be >= 1"),
+    _row("rep-dims-orbit-size-0", ("rep", "dims", "--orbit-size", "0"),
+         "--orbit-size must be >= 1"),
+    _row("detect-junk-curve", ("detect", "--curve", "junk"),
+         "(p, q) needs two integers, not 'junk'", batch={"curve": "junk"}),
+    _row("detect-pq-not-pair", ("detect", "--curve", '{"pq": 5}'),
+         "(p, q) needs two integers, not {'pq': 5}", batch={"curve": {"pq": 5}}),
+    _row("detect-pq-fraction", ("detect", "--curve", "[1.5, 2]"),
+         "(p, q) needs two integers, not [1.5, 2]", batch={"curve": [1.5, 2]}),
+    _row("detect-non-word-image", ("detect", "--curve", "0,1", "--phi", '{"words": {"a1": 5}}'),
+         'the image of a1 must be a word such as "ab" or a list of generator ids '
+         "in ±1..±2, not 5",
+         batch={"curve": "0,1", "phi": {"words": {"a1": 5}}}),
+    _row("detect-single-matches-batch-slot",
+         ("detect", "--curve", "0,1", "--phi", json.dumps(SHORT_MATRIX)),
+         "matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]",
+         batch={"curve": "0,1", "phi": SHORT_MATRIX}),
+    _row("detect-batch-number", ("detect", "--batch", "5"), "--batch must be a JSON list, not 5"),
+    _row("detect-batch-object", ("detect", "--batch", '{"curve": "0,1"}'),
+         "--batch must be a JSON list, not {'curve': '0,1'}"),
+    _row("detect-batch-text-N", ("detect", "--batch", '[{"curve": "0,1", "N": "5"}]'),
+         "N must be an integer, not '5'"),
+    _row("detect-batch-text-cap", ("detect", "--batch", '[{"curve": "0,1", "cap": "30"}]'),
+         "cap must be an integer, not '30'"),
+    _row("detect-batch-text-genus", ("detect", "--batch", '[{"curve": "0,1", "genus": "1"}]'),
+         "genus must be an integer, not '1'"),
+]
+
+
+def _error_message(argv):
+    """The message of a rejected command: its one stderr line, or for a
+    batch list its one error slot."""
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    if argv[:2] == ("detect", "--batch") and argv[2].startswith("["):
+        assert err.startswith("detect: 1 requests in ")
+        [slot] = json.loads(out)["certificates"]
+        return slot["error"]
+    assert out == "" and err.startswith("error: ")
+    return err[len("error: "):].rstrip("\n")
+
+
+@pytest.mark.parametrize("argv, message, batch", MALFORMED)
+def test_malformed_inputs_are_usage_errors(argv, message, batch, tmp_path):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, File):
+            path = tmp_path / "arg"
+            path.mkdir() if arg.text is None else path.write_text(arg.text)
+            argv[i] = str(path)
+            message = message.replace("<file>", str(path))
+    assert _error_message(tuple(argv)) == message
+    if batch is not None:
+        assert _error_message(("detect", "--batch", json.dumps([batch]))) == message
+
+
+def test_failed_reverification_is_not_a_usage_error(monkeypatch):
+    # a certificate that fails re-verification is a bug, not bad input, so
+    # the AssertionError must get through single requests and batches alike
+    def fail(*args):
+        raise AssertionError("re-verification failed")
+
+    monkeypatch.setattr(detect, "_reverify_witness", fail)
+    request = {"curve": "0,1", "phi": [[1, 1], [0, 1]]}
+    for argv in (
+        ("detect", "--curve", "0,1", "--phi", json.dumps(request["phi"])),
+        ("detect", "--batch", json.dumps([request])),
+    ):
+        with pytest.raises(AssertionError, match="re-verification failed"):
+            run_cli(*argv)
+
+
 def run_script(script):
     """Run a Python script in a fresh interpreter that imports skeinlab from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -354,7 +435,7 @@ def run_script(script):
 def test_cli_imports_are_pay_for_use():
     script = """
 import sys
-from skeinlab import cli
+from skeinlab import cli, detect
 assert "sympy" not in sys.modules and "numpy" not in sys.modules
 cli.main(["lattice", "info", "--genus", "1"])
 cli.main(["qtrace", "support", "--curve=2,3"])
@@ -370,7 +451,7 @@ def test_selftest_runs_without_sympy():
     script = """
 import sys
 sys.modules["sympy"] = None  # any import of sympy now fails
-from skeinlab import cli
+from skeinlab import cli, detect
 cli.main(["selftest"])
 """
     proc = run_script(script)
@@ -387,12 +468,6 @@ def test_config_merging(tmp_path):
     assert json.loads(out)["N"] == 7
     code, out, _ = run_cli("--config", str(cfg), "lattice", "info", "--N", "3")
     assert json.loads(out)["N"] == 3
-
-
-def test_usage_error_exit_code():
-    code, out, err = run_cli("detect", "--curve", "junk")
-    assert code == 2
-    assert "error" in err
 
 
 def test_selftest_runs_clean():
