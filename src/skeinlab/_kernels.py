@@ -1,42 +1,64 @@
 """Brute-force full-state enumeration kernels.
 
-This is the package's hot numeric loop: filtering all 2^m full states of
-a curve against the per-piece bad-arc constraint, in chunked numpy. Only
-the brute-force reference route in curves imports this module, so numpy
-loads only when a curve is enumerated that way.
+The 2^m reference route of curves: every full state of a curve is tested
+against every corner piece. All 2^m states form one int used as a bitset,
+in which bit x stands for the state whose bitmask is x, so a piece clears
+its bad states from all of them in a few big-int operations. Only the
+brute-force reference route in curves imports this module.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
 
 from .curves import BRUTE_FORCE_MAX_POINTS
 
-_CHUNK = 1 << 18
+# bits of the state bitset decoded at a time when reading off masks
+_CHUNK = 512
 
 # There is no compiled kernel; the constant stays because benchmark
 # workers report it in their environment line.
 USE_NUMBA = False
 
 
+def _repeat(block, width, total):
+    """A `width`-bit block repeated to fill `total` bits (width | total)."""
+    while width < total:
+        block |= block << width
+        width <<= 1
+    return block
+
+
+def _bit_set(p, total):
+    """The `total`-bit bitset of the states that have bit p set."""
+    half = 1 << p
+    return _repeat(((1 << half) - 1) << half, half << 1, total)
+
+
 def admissible_masks(n_points: int, pieces_a, pieces_b):
-    """All bitmasks (bit=1 means state +) passing every piece constraint."""
-    pa = np.asarray(pieces_a, dtype=np.int64)
-    pb = np.asarray(pieces_b, dtype=np.int64)
+    """All bitmasks (bit=1 means state +) passing every piece constraint,
+    in increasing order."""
     if n_points > BRUTE_FORCE_MAX_POINTS:
         raise ValueError(
             f"brute-force enumeration capped at {BRUTE_FORCE_MAX_POINTS} points"
         )
     total = 1 << n_points
-    parts = []
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        ok = np.ones(masks.shape, dtype=bool)
-        for t in range(pa.shape[0]):
-            bad = (((masks >> pa[t]) & 1) == 1) & (((masks >> pb[t]) & 1) == 0)
-            ok &= ~bad
-        parts.append(masks[ok])
-    return np.concatenate(parts)
+    alive = (1 << total) - 1
+    for a, b in zip(pieces_a, pieces_b):
+        # the bad states (+ at a, - at b) repeat with the period of the
+        # higher of the two bits
+        width = 2 << max(a, b)
+        alive &= ~_repeat(_bit_set(a, width) & ~_bit_set(b, width), width, total)
+    data = alive.to_bytes((total + 7) >> 3, "little")
+    step = _CHUNK >> 3
+    masks = []
+    for i in range(0, len(data), step):
+        chunk = int.from_bytes(data[i:i + step], "little")
+        while chunk:
+            low = chunk & -chunk
+            masks.append((i << 3) + low.bit_length() - 1)
+            chunk ^= low
+    return masks
 
 
 def support_from_masks(masks, point_edge, n_edges):
@@ -44,13 +66,14 @@ def support_from_masks(masks, point_edge, n_edges):
 
     k(e) = (#plus - #minus) over the points of edge e.
     """
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size == 0:
-        return {}
-    kvecs = np.zeros((masks.size, n_edges), dtype=np.int64)
+    on_edge = [0] * n_edges
     for pid, e in enumerate(point_edge):
-        kvecs[:, e] += ((masks >> pid) & 1) * 2 - 1
-    uniq, counts = np.unique(kvecs, axis=0, return_counts=True)
+        on_edge[e] |= 1 << pid
+    plus_counts = Counter(
+        tuple(map(int.bit_count, map(mask.__and__, on_edge))) for mask in masks
+    )
+    weights = [bits.bit_count() for bits in on_edge]
     return {
-        tuple(int(x) for x in row): int(c) for row, c in zip(uniq, counts)
+        tuple(2 * c - w for c, w in zip(plus, weights)): count
+        for plus, count in plus_counts.items()
     }

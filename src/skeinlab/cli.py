@@ -158,6 +158,7 @@ def cmd_surface(args):
 
 
 def cmd_lattice(args):
+    check_root_order(args.N)
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
     N = args.N

@@ -7,8 +7,8 @@ the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 
 Two enumeration routes are kept deliberately independent: a cycle-walk DP
 (default) and the 2^m brute-force kernel in _kernels (the reference route
-for tests and selftest). _kernels, and with it numpy, is imported only
-when the brute-force route runs.
+for tests and selftest). _kernels is imported only when the brute-force
+route runs.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def _component_states(geo, walk, radix):
 def enumerate_admissible_states_bruteforce(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
 ) -> TraceSupport:
-    """Reference route: filter all 2^m full states with the array kernel."""
+    """Reference route: filter all 2^m full states with the bitset kernel."""
     from . import _kernels
 
     geo = curve.geometry()

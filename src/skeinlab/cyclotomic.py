@@ -12,26 +12,6 @@ from functools import lru_cache
 from math import gcd
 
 
-def _poly_divmod_exact(num, den):
-    # den monic with integer coefficients; num has integer coefficients
-    num = list(num)
-    d = len(den) - 1
-    quot = [0] * max(len(num) - d, 1)
-    while len(num) - 1 >= d and any(num):
-        lead = num[-1]
-        if lead == 0:
-            num.pop()
-            continue
-        shift = len(num) - 1 - d
-        quot[shift] = lead
-        for i, c in enumerate(den):
-            num[shift + i] -= lead * c
-        num.pop()
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of Phi_m, low degree first, monic over Z."""
@@ -40,12 +20,12 @@ def cyclotomic_polynomial(m: int) -> tuple:
     if m == 1:
         return (-1, 1)
     # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d
-    num = [-1] + [0] * (m - 1) + [1]
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod_exact(num, cyclotomic_polynomial(d))
+            num, rem = _poly_divmod_q(num, cyclotomic_polynomial(d))
             assert not any(rem)
-    return tuple(num)
+    return tuple(int(c) for c in num)
 
 
 def euler_phi(m: int) -> int:
@@ -61,7 +41,7 @@ class Cyclotomic:
         phi = euler_phi(order)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > phi:
-            coeffs = _reduce_mod_phi(coeffs, order)
+            coeffs = _poly_divmod_q(coeffs, cyclotomic_polynomial(order))[1]
         coeffs += [Fraction(0)] * (phi - len(coeffs))
         self.order = order
         self.coeffs = tuple(coeffs)
@@ -131,14 +111,7 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        prod[i + j] += ca * cb
-        return Cyclotomic(self.order, prod)
+        return Cyclotomic(self.order, _poly_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -273,7 +246,8 @@ def _poly_mul(a, b):
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+                if cb:
+                    out[i + j] += ca * cb
     return out
 
 
@@ -300,19 +274,6 @@ def _poly_divmod_q(a, b):
             r[shift + i] -= coef * c
         r.pop()
     return q, _trim(r)
-
-
-def _reduce_mod_phi(coeffs, order):
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    c = list(coeffs)
-    for i in range(len(c) - 1, deg - 1, -1):
-        lead = c[i]
-        if lead:
-            for j, p in enumerate(phi):
-                c[i - deg + j] -= lead * p
-        c.pop()
-    return c
 
 
 def root_of_unity_root(M: int, k: int, n: int):

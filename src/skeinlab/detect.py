@@ -150,9 +150,15 @@ def detect_support(req: DetectionRequest) -> Certificate:
     """Support criterion: a coset with an empty fiber for one curve and a
     singleton fiber for the other certifies nontriviality."""
     alpha, beta = _resolve_curves(req)
+    return _certify(req, alpha, beta, "support")
+
+
+def _certify(req, alpha, beta, method):
+    """The support criterion on resolved curves: enumerate both supports,
+    project them to cosets, look for a witness and re-verify it."""
     base = Certificate(
         verdict="inconclusive",
-        method="support",
+        method=method,
         N=req.N,
         cell=req.cell,
         alpha_coords=alpha.coords,
@@ -352,38 +358,19 @@ def detect_theorem2(req: DetectionRequest) -> Certificate:
     at most N-1 times are certified (with the support witness recorded).
     Above the bound the request falls through to the support criterion."""
     alpha, beta = _resolve_curves(req)
-    base = Certificate(
-        verdict="inconclusive",
-        method="theorem2",
-        N=req.N,
-        cell=req.cell,
-        alpha_coords=alpha.coords,
-        beta_coords=beta.coords,
-    )
-    if alpha.coords == beta.coords:
-        base.reasons.append("isotopic-curves")
-        return base
-    bound_ok = (
-        alpha.max_edge_weight() <= req.N - 1 and beta.max_edge_weight() <= req.N - 1
-    )
-    sub = DetectionRequest(
-        genus=req.genus,
-        N=req.N,
-        cell=req.cell,
-        curve=alpha,
-        beta=beta,
-        state_cap=req.state_cap,
-    )
-    cert = detect_support(sub)
-    cert.method = "theorem2" if bound_ok else "theorem2->support"
-    if cert.verdict != "certified-nontrivial":
-        if bound_ok and "cap-exceeded" not in cert.reasons:
-            # the bound guarantees a witness; reaching this is a soundness bug
-            raise AssertionError(
-                "intersection bound satisfied but no support witness found"
-            )
-        if not bound_ok:
+    cert = _certify(req, alpha, beta, "theorem2")
+    if "isotopic-curves" in cert.reasons:
+        return cert
+    certified = cert.verdict == "certified-nontrivial"
+    if max(alpha.max_edge_weight(), beta.max_edge_weight()) > req.N - 1:
+        cert.method = "theorem2->support"
+        if not certified:
             cert.reasons.append("bound-exceeded")
+    elif not certified and "cap-exceeded" not in cert.reasons:
+        # the bound guarantees a witness; reaching this is a soundness bug
+        raise AssertionError(
+            "intersection bound satisfied but no support witness found"
+        )
     return cert
 
 

@@ -265,8 +265,8 @@ class CentralCharacter:
 
     @staticmethod
     def trivial(torus: QuantumTorus):
-        basis = torus.kernel_sublattice()
-        return CentralCharacter(torus, [1] * len(basis))
+        # E^0 contains N*Z^r, so its HNF basis has one row per rank
+        return CentralCharacter(torus, [1] * torus.lattice.rank)
 
     def exponent_of(self, vec) -> int:
         """The e in [0, order) with chi(Z_vec) == zeta_order^e."""

@@ -348,6 +348,9 @@ MALFORMED = [
          NEEDS_REP + "{'genus': 1, 'images': 5}"),
     _row("leaf-mat-not-list", ("leaf", "classify", "--mat", "5"),
          "an SL2 matrix needs 4 entries [a, b, c, d], not 5"),
+    _row("lattice-even-N", ("lattice", "info", "--N", "4"), "N must be odd and >= 3"),
+    _row("lattice-refined-even-N", ("lattice", "info", "--N", "4", "--refined"),
+         "N must be odd and >= 3"),
     _row("rep-dims-even-N", ("rep", "dims", "--N", "4"), "N must be odd and >= 3"),
     _row("rep-dims-genus-0", ("rep", "dims", "--genus", "0"), "genus must be >= 1"),
     _row("rep-dims-orbit-size-0", ("rep", "dims", "--orbit-size", "0"),
@@ -447,10 +450,11 @@ assert "numpy" not in sys.modules
     assert '"verdict": "certified-nontrivial"' in proc.stdout
 
 
-def test_selftest_runs_without_sympy():
+def test_selftest_runs_without_sympy_or_numpy():
     script = """
 import sys
 sys.modules["sympy"] = None  # any import of sympy now fails
+sys.modules["numpy"] = None  # and so does any import of numpy
 from skeinlab import cli, detect
 cli.main(["selftest"])
 """

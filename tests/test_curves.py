@@ -172,6 +172,12 @@ def test_bruteforce_cap_above_kernel_limit():
     with pytest.raises(StateCapExceeded):
         enumerate_admissible_states_bruteforce(c, cap=40)
     assert enumerate_admissible_states(c, cap=40).fibers
+    # at exactly the limit the brute force still runs, and agrees
+    c = torus_table().curve(1, -12)
+    assert c.geometry().n_points == curves.BRUTE_FORCE_MAX_POINTS
+    brute = enumerate_admissible_states_bruteforce(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
+    assert brute == enumerate_admissible_states(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
+    assert brute.state_count == 114628
 
 
 def test_torus_fixture_curves():
