@@ -126,11 +126,13 @@ def _curve_from_json(obj, tri):
         raise ValueError(f"curve {obj!r}: {exc}") from None
 
 
+def _read_json_file(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_json_arg(text):
-    if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
-    return json.loads(text)
+    return _read_json_file(text) if os.path.exists(text) else json.loads(text)
 
 
 def _load_json_list(text, flag):
@@ -222,6 +224,7 @@ def cmd_qtrace(args):
 
 
 def cmd_orbit(args):
+    check_root_order(args.N)
     rep = _parse_rep(_load_json_arg(args.rep))
     gens = [
         MappingClass.from_json(g, genus=rep.genus)
@@ -326,11 +329,15 @@ def cmd_detect(args):
         "cell": args.cell,
         "curve": args.curve,
         "method": args.method,
+        "cap": args.cap,
     }
     if args.phi:
         obj["phi"] = _load_json_arg(args.phi)
-    if args.beta:
-        obj["beta"] = _load_json_arg(args.beta)
+    # a path names a JSON file; other text goes to _curve_from_json as it
+    # is, which reads JSON text and the "p,q" shorthand alike
+    for key, text in (("curve", args.curve), ("beta", args.beta)):
+        if text:
+            obj[key] = _read_json_file(text) if os.path.exists(text) else text
     _emit(_run_one_detect(obj))
     # timings stay on stderr: certificate bytes must be run-independent
     _log(f"detect: {time.perf_counter() - t0:.3f}s")
@@ -445,9 +452,10 @@ def build_parser():
     q.add_argument("--genus", type=int, default=1)
     q.add_argument("--N", type=int, default=5)
     q.add_argument("--cell", choices=["reduced", "big"], default="reduced")
-    q.add_argument("--curve", help='"p,q" or coords JSON')
+    q.add_argument("--curve", help='"p,q", coords JSON or a JSON file')
     q.add_argument("--phi", help="mapping class JSON (matrix or words)")
-    q.add_argument("--beta", help="explicit image curve JSON")
+    q.add_argument("--beta", help='explicit image curve: "p,q", coords JSON or a JSON file')
+    q.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     q.add_argument("--method", choices=["theorem2", "support"], default="theorem2")
     q.add_argument("--batch", help="JSON list of detection requests")
     q.set_defaults(func=cmd_detect)

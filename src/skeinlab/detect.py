@@ -118,18 +118,23 @@ class _CosetProjector:
             self.kernel = RefinedLattice(self.lattice).kernel_mod(N)
 
     def project(self, kvec):
-        coords = self.lattice.coordinates(list(kvec))
+        return self.project_all([kvec])[0]
+
+    def project_all(self, kvecs):
+        """The canonical coset of each k-vector, in one batched coordinate
+        solve and one batched reduction."""
+        coords = self.lattice.coordinates_many(kvecs)
         if self.cell == "big":
-            coords = list(coords) + [0]  # khat-component of curve supports is 0
-        return intlinalg.reduce_mod_rows(coords, self.kernel)
+            coords = [c + [0] for c in coords]  # khat-component of curve supports is 0
+        return intlinalg.reduce_mod_rows_many(coords, self.kernel)
 
 
 def _project_fibers(support, projector):
     out = {}
-    for kvec, count in support.fibers.items():
-        key = projector.project(kvec)
+    fibers = support.fibers
+    for kvec, key in zip(fibers, projector.project_all(list(fibers))):
         entry = out.setdefault(key, {"states": 0, "kvecs": []})
-        entry["states"] += count
+        entry["states"] += fibers[kvec]
         entry["kvecs"].append(kvec)
     return out
 

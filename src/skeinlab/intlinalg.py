@@ -11,6 +11,7 @@ here.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd, isqrt
 
 
@@ -273,21 +274,48 @@ def lattice_coordinates(basis_rows, vec):
     """Integer coordinates of vec in an echelon row basis (pivot columns
     strictly increasing, as from `hnf` or `kernel_mod`), or None when vec
     is outside the lattice. Raises ValueError for a non-echelon basis."""
-    v = list(vec)
-    coords = []
+    return lattice_coordinates_many(basis_rows, [vec])[0]
+
+
+def lattice_coordinates_many(basis_rows, vecs):
+    """`lattice_coordinates` of each vector of a batch, in one sweep over
+    the batch's columns."""
+    if not vecs:
+        return []
+    cols = [list(c) for c in zip(*vecs)]
+    quotients = _floor_sweep(basis_rows, cols, echelon=True)
+    # back-substitution leaves a nonzero residue exactly off the lattice
+    outside = [any(r) for r in zip(*cols)] if cols else [False] * len(vecs)
+    coords = zip(*quotients) if quotients else [()] * len(vecs)
+    return [None if off else list(c) for off, c in zip(outside, coords)]
+
+
+def _floor_sweep(rows, cols, echelon):
+    """Floor-reduce a batch of vectors by each row at its pivot (its first
+    nonzero entry), in row order. The batch is held as columns: cols[i]
+    lists entry i of every vector, and is updated in place. Returns the
+    quotient column of each row with a pivot. With echelon=True a zero row,
+    or a pivot not right of the one before, raises ValueError."""
+    quotients = []
     last = -1
-    for row in basis_rows:
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None or piv <= last:
+    for row in rows:
+        nonzero = compress(count(), row)
+        piv = next(nonzero, None)
+        if echelon and (piv is None or piv <= last):
             raise ValueError("basis rows are not in echelon form")
+        if piv is None:
+            continue
         last = piv
-        q, r = divmod(v[piv], row[piv])
-        if r:
-            return None
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-        coords.append(q)
-    return None if any(v) else coords
+        p = row[piv]
+        col = cols[piv]
+        q = [a // p for a in col]
+        quotients.append(q)
+        if any(q):
+            cols[piv] = [a % p for a in col]
+            for j in nonzero:
+                b = row[j]
+                cols[j] = [a - k * b for a, k in zip(cols[j], q)]
+    return quotients
 
 
 def sublattice_index(big_rows, sub_rows):
@@ -297,12 +325,9 @@ def sublattice_index(big_rows, sub_rows):
     Returns a positive int, or None (infinite index) when rank drops.
     Raises ValueError when S is not contained in L.
     """
-    coords = []
-    for v in sub_rows:
-        c = lattice_coordinates(big_rows, v)
-        if c is None:
-            raise ValueError("sublattice basis vector outside the ambient lattice")
-        coords.append(c)
+    coords = lattice_coordinates_many(big_rows, sub_rows)
+    if any(c is None for c in coords):
+        raise ValueError("sublattice basis vector outside the ambient lattice")
     D, _, _ = smith_normal_form(coords)
     idx = 1
     for i in range(len(big_rows)):
@@ -326,15 +351,17 @@ def perfect_square_root(n):
 def reduce_mod_rows(vec, hnf_rows):
     """Canonical coset representative of vec modulo a full-rank HNF row
     lattice: sweep each pivot and floor-reduce."""
-    v = list(vec)
-    for row in hnf_rows:
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        q = v[piv] // row[piv]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+    return reduce_mod_rows_many([vec], hnf_rows)[0]
+
+
+def reduce_mod_rows_many(vecs, hnf_rows):
+    """`reduce_mod_rows` of each vector of a batch, in one sweep over the
+    batch's columns."""
+    if not vecs:
+        return []
+    cols = [list(c) for c in zip(*vecs)]
+    _floor_sweep(hnf_rows, cols, echelon=False)
+    return list(zip(*cols)) if cols else [()] * len(vecs)
 
 
 # ---------------------------------------------------------------------------

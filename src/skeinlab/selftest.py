@@ -12,7 +12,6 @@ import json
 import random
 import time
 
-from . import intlinalg
 from .curves import (
     NormalCurve,
     enumerate_admissible_states,
@@ -20,7 +19,7 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .detect import DetectionRequest, detect_support, detect_theorem2
+from .detect import DetectionRequest, _CosetProjector, detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
 from .poisson import PoissonAlgebra, verify_r_matrix_expansion
 from .qtorus import QuantumTorus, build_irrep, chebyshev_apply, frobenius
@@ -141,18 +140,17 @@ def check_support_lemma():
 
 def check_injectivity_lemma():
     table = torus_table()
-    B = BalancedLattice(table.tri)
     N = 7
-    K0, _, _ = B.central_sublattice(N)
+    # the projection that detect runs, so that this check covers it
+    projector = _CosetProjector(table.tri, N, "reduced")
     bad = []
     for pq in FIXTURE_CLASSES:
         c = table.curve(*pq)
         if c.max_edge_weight() > N - 1:
             continue
-        sup = enumerate_admissible_states(c)
+        kvecs = list(enumerate_admissible_states(c).fibers)
         seen = {}
-        for k in sup.fibers:
-            red = intlinalg.reduce_mod_rows(B.coordinates(list(k)), K0)
+        for k, red in zip(kvecs, projector.project_all(kvecs)):
             if red in seen:
                 bad.append((pq, k, seen[red]))
             seen[red] = k

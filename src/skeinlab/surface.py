@@ -276,10 +276,13 @@ class BalancedLattice:
         return is_balanced(self.tri, vec)
 
     def coordinates(self, vec):
-        c = intlinalg.lattice_coordinates(self.basis, vec)
-        if c is None:
+        return self.coordinates_many([vec])[0]
+
+    def coordinates_many(self, vecs):
+        coords = intlinalg.lattice_coordinates_many(self.basis, vecs)
+        if any(c is None for c in coords):
             raise ValueError("vector is not balanced")
-        return c
+        return coords
 
     def pairing(self, vec1, vec2) -> int:
         return intlinalg.bilinear(vec1, self.ambient_form, vec2)

@@ -274,6 +274,37 @@ def test_detect_single_request_shapes():
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _single_and_batch_slot(argv, request):
+    """stdout of a single detect request, and the same bytes for the
+    certificate of the one-slot batch [request]."""
+    code, single, _ = run_cli("detect", *argv)
+    assert code == 0
+    code, out, _ = run_cli("detect", "--batch", json.dumps([request]))
+    assert code == 0
+    [cert] = json.loads(out)["certificates"]
+    return single, json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+def test_detect_cap_flag_matches_batch_slot():
+    argv = ("--curve=5,3", "--phi", "[[1,1],[0,1]]", "--N", "11")
+    request = {"curve": "5,3", "phi": [[1, 1], [0, 1]], "N": 11}
+    single, slot = _single_and_batch_slot((*argv, "--cap", "30"), {**request, "cap": 30})
+    assert single == slot
+    assert json.loads(single)["verdict"] == "certified-nontrivial"
+    # without the flag the default cap of 24 points still stops it
+    single, slot = _single_and_batch_slot(argv, request)
+    assert single == slot
+    assert "cap-exceeded" in json.loads(single)["reasons"]
+
+
+def test_detect_class_shorthand_beta_matches_batch_slot():
+    single, slot = _single_and_batch_slot(
+        ("--curve=1,0", "--beta=0,1", "--N", "3"), {"curve": "1,0", "beta": "0,1", "N": 3}
+    )
+    assert single == slot
+    assert json.loads(single)["verdict"] == "certified-nontrivial"
+
+
 def test_class_shorthand_is_genus_one_only():
     for curve in ("0,1", '{"pq": [0, 1]}', "[0, 1]"):
         code, out, err = run_cli("qtrace", "support", "--genus", "2", "--curve", curve)
@@ -337,6 +368,8 @@ MALFORMED = [
          ("orbit", "--rep", REP, "--gens", '[{"matrix": [[1, 1], [0, 1]]}]'),
          'orbit generators act through their free-group words: '
          'give {"words": ...}, not {"matrix": ...}'),
+    _row("orbit-even-N", ("orbit", "--rep", REP, "--gens", "[]", "--N", "4"),
+         "N must be odd and >= 3"),
     _row("orbit-rep-without-images", ("orbit", "--rep", '{"genus": 1}', "--gens", "[]"),
          NEEDS_REP + "{'genus': 1}"),
     _row("rep-moment-without-images", ("rep", "moment", "--rep", '{"genus": 1}'),

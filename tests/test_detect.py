@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from skeinlab.detect import (
     detect_theorem2,
     reduced_character_space,
 )
+from skeinlab.intlinalg import solve_integer, transpose
 from skeinlab.mcg import MappingClass, act_on_curve
 from skeinlab.repvar import SL2Mat, SL2Rep
 from skeinlab.surface import build_sigma_g_star
@@ -171,6 +173,22 @@ def test_genus_two_explicit_coordinates():
     assert cert.verdict == "certified-nontrivial"
 
 
+def _genus_one_curves(max_points):
+    """Closed, open (points on the boundary arc) and multi-component curves
+    of small weight, then the torus classes, up to max_points points."""
+    table = torus_table()
+    curves = []
+    for vec in product(range(5), repeat=table.tri.n_edges):
+        try:
+            curves.append(NormalCurve(table.tri, vec))
+        except ValueError:
+            pass
+    curves += [
+        table.curve(p, q) for p in range(-6, 7) for q in range(7) if gcd(p, q) == 1
+    ]
+    return [c for c in curves if 0 < c.geometry().n_points <= max_points]
+
+
 def _assert_recount_matches_bruteforce(curve, projector):
     """Every coset's brute-force state count equals the recount of its
     residue, and distinct cosets have distinct residues."""
@@ -197,25 +215,11 @@ def _assert_recount_matches_bruteforce(curve, projector):
 @pytest.mark.parametrize("cell", ["reduced", "big"])
 @pytest.mark.parametrize("N", [3, 11])
 def test_residue_recount_matches_bruteforce(N, cell):
-    table = torus_table()
-    projector = _CosetProjector(table.tri, N, cell)
-    # closed, open (points on the boundary arc) and multi-component curves
-    # of small weight, then the torus classes up to 16 points
-    curves = []
-    for vec in product(range(5), repeat=table.tri.n_edges):
-        try:
-            curves.append(NormalCurve(table.tri, vec))
-        except ValueError:
-            pass
-    curves += [
-        table.curve(p, q) for p in range(-6, 7) for q in range(7) if gcd(p, q) == 1
-    ]
-    tested = 0
+    projector = _CosetProjector(torus_table().tri, N, cell)
+    curves = _genus_one_curves(16)
     for curve in curves:
-        if 0 < curve.geometry().n_points <= 16:
-            _assert_recount_matches_bruteforce(curve, projector)
-            tested += 1
-    assert tested > 100
+        _assert_recount_matches_bruteforce(curve, projector)
+    assert len(curves) > 100
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -224,6 +228,58 @@ def test_residue_recount_matches_bruteforce_genus_two(cell):
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     assert curve.is_connected() and curve.geometry().n_points == 12
     _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell))
+
+
+def _project_one_at_a_time(kvecs, projector, coords_of):
+    """The canonical coset of each k-vector, one vector at a time: K-coordinates
+    from the general SNF solver, then a row-by-row floor reduction."""
+    out = []
+    for kvec in kvecs:
+        if kvec not in coords_of:
+            coords_of[kvec] = solve_integer(transpose(projector.lattice.basis), list(kvec))
+        v = coords_of[kvec] + ([0] if projector.cell == "big" else [])
+        for row in projector.kernel:
+            piv = next(i for i, x in enumerate(row) if x)
+            q = v[piv] // row[piv]
+            v = [a - q * b for a, b in zip(v, row)]
+        out.append(tuple(v))
+    return out
+
+
+def _grouped_one_at_a_time(support, projector, coords_of):
+    out = {}
+    kvecs = list(support.fibers)
+    for kvec, key in zip(kvecs, _project_one_at_a_time(kvecs, projector, coords_of)):
+        entry = out.setdefault(key, {"states": 0, "kvecs": []})
+        entry["states"] += support.fibers[kvec]
+        entry["kvecs"].append(kvec)
+    return out
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_batched_projection_matches_one_vector_at_a_time(cell):
+    table = torus_table()
+    supports = [enumerate_admissible_states(c) for c in _genus_one_curves(16)]
+    assert len(supports) > 100
+    coords_of = {}
+    for N in (3, 5, 11):
+        projector = _CosetProjector(table.tri, N, cell)
+        for sup in supports:
+            assert _project_fibers(sup, projector) == _grouped_one_at_a_time(
+                sup, projector, coords_of
+            )
+    t2 = build_sigma_g_star(2)
+    for coords in ({2: 1, 3: 1}, {7: 1, 8: 1}, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0]):
+        sup = enumerate_admissible_states(NormalCurve(t2, coords))
+        for N in (3, 5):
+            projector = _CosetProjector(t2, N, cell)
+            assert _project_fibers(sup, projector) == _grouped_one_at_a_time(sup, projector, {})
+
+
+def test_projection_rejects_unbalanced_vectors():
+    projector = _CosetProjector(torus_table().tri, 5, "reduced")
+    with pytest.raises(ValueError, match="not balanced"):
+        projector.project_all([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
 
 
 def _fibers_with_pieces(curve, pieces):
@@ -291,6 +347,65 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
             return enumerate_admissible_states(curve, cap=cap)
 
         monkeypatch.setattr(detect, "enumerate_admissible_states", enumerate_corrupted)
+        with pytest.raises(AssertionError, match="re-verification failed"):
+            detect_support(req)
+
+
+def _false_witness_projections(alpha, beta, projector):
+    """(kind, moved): projections that send every k-vector of one coset to
+    another coset ("merge"), or one k-vector of a coset of several to
+    another coset ("drop"), as {k-vector: wrong coset}, on which the
+    support criterion finds a witness whose true fibers differ from the
+    claimed ones."""
+    supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
+    true_fib = [_project_fibers(sup, projector) for sup in supports]
+    kvecs = sorted(set().union(*(sup.fibers for sup in supports)))
+    coset_of = dict(zip(kvecs, projector.project_all(kvecs)))
+    # the cosets hit, and their neighbours k + 2 e_i (2 e_i is balanced)
+    n = len(kvecs[0])
+    shifted = [tuple(x + 2 * (i == j) for j, x in enumerate(k)) for k in kvecs for i in range(n)]
+    cosets = sorted(set(coset_of.values()) | set(projector.project_all(shifted)))
+
+    def states(fib, coset):
+        return [side.get(coset, {"states": 0})["states"] for side in fib]
+
+    for source in sorted(set(coset_of.values())):
+        members = [k for k in kvecs if coset_of[k] == source]
+        for target in cosets:
+            if target == source:
+                continue
+            candidates = [("merge", dict.fromkeys(members, target))]
+            if len(members) > 1:
+                candidates += [("drop", {k: target}) for k in members]
+            for kind, moved in candidates:
+                corrupted = SimpleNamespace(
+                    project_all=lambda vs, moved=moved: [moved.get(v, coset_of[v]) for v in vs]
+                )
+                fib = [_project_fibers(sup, corrupted) for sup in supports]
+                coset, _ = _find_witness(*fib)
+                if coset is not None and states(fib, coset) != states(true_fib, coset):
+                    yield kind, moved
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_corrupted_projection_fails_reverification(cell, monkeypatch):
+    # the recount shares no code with the projection, so it also catches a
+    # projection that puts k-vectors in the wrong coset; at N = 3 some
+    # cosets hold several k-vectors
+    table = torus_table()
+    alpha = table.curve(2, 1)
+    beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
+    req = DetectionRequest(genus=1, N=3, cell=cell, curve=alpha, beta=beta)
+    assert detect_support(req).verdict == "certified-nontrivial"
+    project_all = _CosetProjector.project_all
+    corrupted = list(_false_witness_projections(alpha, beta, _CosetProjector(table.tri, 3, cell)))
+    assert {kind for kind, _ in corrupted} == {"merge", "drop"}
+    for _, moved in corrupted:
+
+        def project_corrupted(self, kvecs, moved=moved):
+            return [moved.get(v, c) for v, c in zip(kvecs, project_all(self, kvecs))]
+
+        monkeypatch.setattr(_CosetProjector, "project_all", project_corrupted)
         with pytest.raises(AssertionError, match="re-verification failed"):
             detect_support(req)
 

@@ -11,9 +11,11 @@ from skeinlab.intlinalg import (
     kernel_mod,
     lattice_contains,
     lattice_coordinates,
+    lattice_coordinates_many,
     mat_mul,
     perfect_square_root,
     reduce_mod_rows,
+    reduce_mod_rows_many,
     skew_normal_form,
     smith_normal_form,
     solve_integer,
@@ -138,6 +140,72 @@ def test_lattice_coordinates_rejects_non_echelon():
         lattice_coordinates([[1, 0], [2, 1]], [1, 1])
     with pytest.raises(ValueError):
         lattice_coordinates([[1, 0], [0, 0]], [1, 0])
+
+
+def _rowwise_coordinates(basis, vec):
+    """Back-substitution one vector at a time, row by row."""
+    v, coords = list(vec), []
+    for row in basis:
+        piv = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(v[piv], row[piv])
+        if r:
+            return None
+        v = [a - q * b for a, b in zip(v, row)]
+        coords.append(q)
+    return None if any(v) else coords
+
+
+def _rowwise_reduce(vec, rows):
+    """Floor-reduction one vector at a time, row by row."""
+    v = list(vec)
+    for row in rows:
+        piv = next(i for i, x in enumerate(row) if x)
+        q = v[piv] // row[piv]
+        v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def test_batched_helpers_match_one_vector():
+    rng = random.Random(17)
+    inside = outside = 0
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        H = hnf([[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, 7))])
+        if not H:
+            continue
+        vecs = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.5:
+                vecs.append(mat_mul([[rng.randint(-4, 4) for _ in H]], H)[0])
+            else:
+                vecs.append([rng.randint(-9, 9) for _ in range(n)])
+        coords = lattice_coordinates_many(H, vecs)
+        assert coords == [lattice_coordinates(H, v) for v in vecs]
+        assert coords == [_rowwise_coordinates(H, v) for v in vecs]
+        inside += sum(c is not None for c in coords)
+        outside += sum(c is None for c in coords)
+        reduced = reduce_mod_rows_many(vecs, H)
+        assert reduced == [reduce_mod_rows(v, H) for v in vecs]
+        assert reduced == [_rowwise_reduce(v, H) for v in vecs]
+        if len(H) == n:
+            # a full-rank lattice: the representative names the coset
+            shifted = [
+                [a + b for a, b in zip(v, mat_mul([[rng.randint(-3, 3) for _ in H]], H)[0])]
+                for v in vecs
+            ]
+            assert reduce_mod_rows_many(shifted, H) == reduced
+    assert inside > 100 and outside > 100
+
+
+def test_batched_helpers_edge_cases():
+    H = [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
+    assert lattice_coordinates_many(H, []) == []
+    assert reduce_mod_rows_many([], H) == []
+    assert lattice_coordinates_many([], [[0, 0], [1, 0]]) == [[], None]
+    assert reduce_mod_rows_many([(7, -3)], [[5, 0], [0, 5]]) == [(2, 2)]
+    for basis in ([[0, 1], [1, 0]], [[1, 0], [2, 1]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            lattice_coordinates_many(basis, [[1, 1], [0, 0]])
 
 
 def test_gram_and_bilinear():
