@@ -25,7 +25,13 @@ from .curves import (
     torus_table,
 )
 from .cyclotomic import Cyclotomic
-from .detect import DetectionRequest, check_root_order, detect_support, detect_theorem2
+from .detect import (
+    DetectionRequest,
+    check_root_order,
+    check_state_cap,
+    detect_support,
+    detect_theorem2,
+)
 from .mcg import MappingClass
 from .qtorus import CentralCharacter, QuantumTorus, TorusIrrep
 from .repvar import (
@@ -211,6 +217,7 @@ def cmd_qtorus(args):
 def cmd_qtrace(args):
     tri = torus_table().tri if args.genus == 1 else build_sigma_g_star(args.genus)
     curve = _curve_from_json(args.curve, tri)
+    check_state_cap(args.cap)
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
         "curve": curve.to_json(),

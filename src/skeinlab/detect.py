@@ -15,6 +15,7 @@ fibers as zero; anything else is inconclusive, never "trivial".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import intlinalg
 from .curves import (
@@ -38,6 +39,12 @@ def check_root_order(N):
         raise ValueError("N must be odd and >= 3")
 
 
+def check_state_cap(cap):
+    """A negative point cap admits no curve at all, so it is bad input."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, not {cap}")
+
+
 @dataclass
 class DetectionRequest:
     genus: int = 1
@@ -50,6 +57,7 @@ class DetectionRequest:
 
     def __post_init__(self):
         check_root_order(self.N)
+        check_state_cap(self.state_cap)
         if self.cell not in ("reduced", "big"):
             raise ValueError("cell must be 'reduced' or 'big'")
 
@@ -129,6 +137,16 @@ class _CosetProjector:
         return intlinalg.reduce_mod_rows_many(coords, self.kernel)
 
 
+@lru_cache(maxsize=32)
+def _detection_context(tri, N, cell):
+    """The coset projector and the residue recount of (tri, N, cell), built
+    once: neither depends on the curves. The cache holds the Triangulation
+    itself and hashes it by identity, so separately built triangulations
+    never share a context."""
+    projector = _CosetProjector(tri, N, cell)
+    return projector, _ResidueRecount(projector)
+
+
 def _project_fibers(support, projector):
     out = {}
     fibers = support.fibers
@@ -178,7 +196,7 @@ def _certify(req, alpha, beta, method):
     except StateCapExceeded:
         base.reasons.append("cap-exceeded")
         return base
-    projector = _CosetProjector(alpha.tri, req.N, req.cell)
+    projector, recount = _detection_context(alpha.tri, req.N, req.cell)
     fib_a = _project_fibers(sup_a, projector)
     fib_b = _project_fibers(sup_b, projector)
     coset, swapped = _find_witness(fib_a, fib_b)
@@ -196,19 +214,18 @@ def _certify(req, alpha, beta, method):
             for v in side.get(coset, {"kvecs": []})["kvecs"]
         ],
     }
-    _reverify_witness(alpha, beta, coset, witness, projector)
+    _reverify_witness(alpha, beta, coset, witness, recount)
     base.verdict = "certified-nontrivial"
     base.witness = witness
     return base
 
 
-def _reverify_witness(alpha, beta, coset, witness, projector):
+def _reverify_witness(alpha, beta, coset, witness, recount):
     """Recount both fibers of the witness coset with the independent
     residue-class recount before emitting a certificate."""
-    recount = _ResidueRecount(projector)
     target = recount.target(coset)
     for curve, claimed in ((alpha, witness["fiberAlpha"]), (beta, witness["fiberBeta"])):
-        states = recount.states(curve).get(target, 0)
+        states = recount.count(curve, target)
         if states != claimed:
             raise AssertionError(
                 "certificate re-verification failed: fiber mismatch "
@@ -217,16 +234,16 @@ def _reverify_witness(alpha, beta, coset, witness, projector):
 
 
 class _ResidueRecount:
-    """State counts of a curve per residue class of Z^E/L, where L is the
-    sublattice of edge vectors that the witness coset is taken modulo.
+    """State counts of a curve at one residue class of Z^E/L, where L is
+    the sublattice of edge vectors that the witness coset is taken modulo.
 
     Reduced cell: L = K^0. Big cell: L = {x in K : (coords(x), 0) in
     Kbar^0}, which is not K^0 in general. L has full rank, so from one
     Smith form D = U L V the residue of v is (v V) mod diag(D): a finite
-    group whose size does not grow with the curve. A walk over the
-    curve's corner pieces counts states by (state of the current point,
-    residue of the partial k-vector). It shares no code with the walk DP
-    or the coset projection, and uses no K-coordinates or full k-vectors."""
+    group whose size does not grow with the curve. Walks over the curve's
+    corner pieces count states by (state of the current point, residue of
+    the partial k-vector). They share no code with the walk DP or the
+    coset projection, and use no K-coordinates or full k-vectors."""
 
     def __init__(self, projector):
         self.basis = projector.lattice.basis
@@ -250,7 +267,7 @@ class _ResidueRecount:
         # Every d_i divides the largest, M, so component i is stored as
         # c_i * M / d_i mod M, in its own field of `width` bits of one int.
         # Adding two residues leaves every field below 2M <= 2**width with
-        # no carry between fields; `_shifted` then takes M off the fields
+        # no carry between fields; `_reduce` then takes M off the fields
         # that reached it by adding 2**(width-1) - M and reading their top
         # bits.
         self.modulus = m = max(moduli)
@@ -258,6 +275,7 @@ class _ResidueRecount:
         self.scale = [m // d for d in moduli]
         self.lift = sum(((1 << (w - 1)) - m) << (w * i) for i in range(n))
         self.top = sum(1 << (w * i + w - 1) for i in range(n))
+        self.full = sum(m << (w * i) for i in range(n))
         self.transform = V
         # residues of the unit edge vectors and of their negatives
         self.plus = [self.pack(row) for row in V]
@@ -281,49 +299,139 @@ class _ResidueRecount:
         vec = intlinalg.mat_mul([coords], self.basis)[0]
         return self.pack(intlinalg.mat_mul([vec], self.transform)[0])
 
-    def states(self, curve):
-        """{residue: number of admissible states} of the curve."""
+    def count(self, curve, target):
+        """The number of admissible states of the curve whose k-vector has
+        residue `target` (0 for None, a coset with no curve state).
+
+        The longest component is met in the middle: a walk forward from its
+        first point and a walk backward from its last point, each keeping
+        {residue: states} per state of its current point, are joined across
+        the middle piece with one lookup per forward residue. The other
+        components are walked fully first, and their product seeds the
+        forward walk."""
+        if target is None:
+            return 0
         geo = curve.geometry()
-        shift = self._shifted
-        total = {0: 1}
-        for points, forward in _piece_walks(geo.n_points, geo.pieces):
-            edges = [geo.point_edge[p] for p in points]
-            # a piece forbids (+, -) from its a-point to its b-point, so a
-            # step along it forbids (+, -) forward and (-, +) backward
-            closed = len(forward) == len(points)
-            out = {}
-            for first in (1, -1):
-                plus = shift(total, self.plus[edges[0]]) if first > 0 else {}
-                minus = shift(total, self.minus[edges[0]]) if first < 0 else {}
-                for t in range(1, len(points)):
-                    up, down = self.plus[edges[t]], self.minus[edges[t]]
-                    if forward[t - 1]:
-                        plus, minus = shift(plus, up, shift(minus, up)), shift(minus, down)
-                    else:
-                        plus, minus = shift(plus, up), shift(plus, down, shift(minus, down))
-                ends = (plus, minus)
-                if closed:
-                    # the last piece leads back to the first point
-                    if forward[-1] and first < 0:
-                        ends = (minus,)
-                    elif not forward[-1] and first > 0:
-                        ends = (plus,)
-                for table in ends:
-                    for key, count in table.items():
-                        out[key] = out.get(key, 0) + count
-            total = out
+        walks = [
+            ([geo.point_edge[p] for p in points], forward)
+            for points, forward in _piece_walks(geo.n_points, geo.pieces)
+        ]
+        walks.sort(key=lambda walk: len(walk[0]))
+        # a component of one point has no middle piece to meet across
+        longest = walks.pop() if walks and len(walks[-1][0]) > 1 else None
+        seed = {0: 1}
+        for walk in walks:
+            seed = self._walk_full(seed, walk)
+        if longest is None:
+            return seed.get(target, 0)
+        edges, forward = longest
+        n = len(edges)
+        h = (n - 1) // 2
+        plus, minus = self.plus, self.minus
+        # the backward walk adds negated residues and reads each piece from
+        # its far end
+        behind = [
+            (1 if forward[t] else 0, minus[edges[t]], plus[edges[t]])
+            for t in range(n - 2, h, -1)
+        ]
+        ahead = self._ahead(edges, forward, h)
+        total = 0
+        for first, last in _walk_ends(forward, n):
+            total += self._join(
+                self._walk(seed, first, plus[edges[0]], minus[edges[0]], ahead),
+                self._walk({0: 1}, last, minus[edges[-1]], plus[edges[-1]], behind),
+                0 if forward[h] else 1,
+                target,
+            )
         return total
 
-    def _shifted(self, table, unit, into=None):
-        """`into` (default: a new dict) plus every (residue + unit, count)."""
-        into = {} if into is None else into
+    def _walk_full(self, seed, walk):
+        """{residue: states} of the seed table times one whole component."""
+        edges, forward = walk
+        n = len(edges)
+        up, down = self.plus[edges[0]], self.minus[edges[0]]
+        steps = self._ahead(edges, forward, n - 1)
+        out = {}
+        for first, last in _walk_ends(forward, n):
+            tables, offsets = self._walk(seed, first, up, down, steps)
+            for s in last:
+                self._fold(tables[s], offsets[s], out)
+        return out
+
+    def _ahead(self, edges, forward, stop):
+        """The steps of a walk from point 0 to point `stop`, each (the state
+        at the next point that may follow either state, its residues for +
+        and -). A piece forbids (+, -) from its a-point to its b-point:
+        after its a-point - follows only -, after its b-point + only +."""
+        plus, minus = self.plus, self.minus
+        return [
+            (0 if forward[t] else 1, plus[edges[t + 1]], minus[edges[t + 1]])
+            for t in range(stop)
+        ]
+
+    def _walk(self, seed, states, up, down, steps):
+        """A walk that starts with the seed table in each of `states` (0 for
+        +, 1 for -) at a first point of residues `up` and `down`. Returns
+        one {key: states} table per state at the last point and the offset
+        that its keys are relative to, so that a step moves offsets and
+        folds one table into the other, touching no other entry."""
+        tables = [dict(seed) if s in states else {} for s in (0, 1)]
+        offsets = [up, down]
+        reduce = self._reduce
+        for keep, up, down in steps:
+            other = 1 - keep
+            self._fold(tables[other], self._diff(offsets[other], offsets[keep]), tables[keep])
+            offsets = [reduce(offsets[0] + up), reduce(offsets[1] + down)]
+        return tables, offsets
+
+    def _join(self, ahead, behind, middle, target):
+        """States whose forward and backward halves sum to the target, when
+        the middle piece forbids `middle` before it with the other state
+        after it. Backward keys plus offsets are negated residues."""
+        (tables, offsets), (back, back_offsets) = ahead, behind
+        other = 1 - middle
+        # after `other` either state may follow, after `middle` only itself
+        self._fold(back[middle], self._diff(back_offsets[middle], back_offsets[other]), back[other])
+        lift, top, m, high = self.lift, self.top, self.modulus, self.width - 1
+        minus_target = self._diff(0, target)
+        total = 0
+        for s in (0, 1):
+            # a forward key r needs the backward key r + delta
+            delta = self._reduce(self._diff(offsets[s], back_offsets[s]) + minus_target)
+            get = back[s].get
+            for key, count in tables[s].items():
+                key += delta
+                key -= (((key + lift) & top) >> high) * m
+                total += count * get(key, 0)
+        return total
+
+    def _fold(self, table, delta, into):
+        """`into` plus every (key + delta, count) of `table`."""
         lift, top, m, high = self.lift, self.top, self.modulus, self.width - 1
         get = into.get
         for key, count in table.items():
-            key += unit
+            key += delta
             key -= (((key + lift) & top) >> high) * m
             into[key] = get(key, 0) + count
-        return into
+
+    def _reduce(self, key):
+        """The residue of a sum of two residues."""
+        return key - (((key + self.lift) & self.top) >> (self.width - 1)) * self.modulus
+
+    def _diff(self, a, b):
+        """The residue a - b: every field of full - b lies in 1..M."""
+        return self._reduce(a + self.full - b)
+
+
+def _walk_ends(forward, n):
+    """(states at the first point, states allowed at the last point) of the
+    walks that make up one component of n points: one walk for an open
+    component, one per first state for a closed one, whose closing piece
+    forbids `close` at the last point with the other state at the first."""
+    if len(forward) < n:
+        return [((0, 1), (0, 1))]
+    close = 0 if forward[-1] else 1
+    return [((close,), (0, 1)), ((1 - close,), (1 - close,))]
 
 
 def _piece_walks(n_points, pieces):

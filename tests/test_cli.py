@@ -349,6 +349,8 @@ MALFORMED = [
          "--config N must be int, not 3.0"),
     _row("qtrace-over-cap", ("qtrace", "support", "--curve", "8,5"),
          "34 intersection points exceed the cap 24"),
+    _row("qtrace-negative-cap", ("qtrace", "support", "--curve", "0,1", "--cap", "-1"),
+         "cap must be >= 0, not -1"),
     _row("qtrace-pq-one-int", ("qtrace", "support", "--curve", '{"pq": [1]}'),
          "(p, q) needs two integers, not {'pq': [1]}"),
     _row("orbit-rep-directory", ("orbit", "--rep", File(), "--gens", "[]"),
@@ -402,6 +404,13 @@ MALFORMED = [
          ("detect", "--curve", "0,1", "--phi", json.dumps(SHORT_MATRIX)),
          "matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]",
          batch={"curve": "0,1", "phi": SHORT_MATRIX}),
+    _row("detect-negative-cap",
+         ("detect", "--curve", "0,1", "--phi", "[[1, 1], [0, 1]]", "--cap", "-1"),
+         "cap must be >= 0, not -1",
+         batch={"curve": "0,1", "phi": [[1, 1], [0, 1]], "cap": -1}),
+    _row("detect-batch-negative-cap",
+         ("detect", "--batch", '[{"curve": [2, 1], "beta": "1,1", "N": 3, "cap": -5}]'),
+         "cap must be >= 0, not -5"),
     _row("detect-batch-number", ("detect", "--batch", "5"), "--batch must be a JSON list, not 5"),
     _row("detect-batch-object", ("detect", "--batch", '{"curve": "0,1"}'),
          "--batch must be a JSON list, not {'curve': '0,1'}"),
@@ -440,6 +449,18 @@ def test_malformed_inputs_are_usage_errors(argv, message, batch, tmp_path):
     assert _error_message(tuple(argv)) == message
     if batch is not None:
         assert _error_message(("detect", "--batch", json.dumps([batch]))) == message
+
+
+def test_detect_batch_matches_golden_certificates():
+    # a fixed batch over both cells and methods, N in {3, 5, 7, 11},
+    # isotopic, cap-exceeded and bound-exceeded requests, (8, 5) with cap 96
+    # and genus-2 pairs with explicit beta, whose certificates are kept in
+    # the fixture so that any change to their bytes shows here
+    golden = json.loads((Path(__file__).parent / "fixtures" / "detect_golden.json").read_text())
+    code, out, _ = run_cli("detect", "--batch", json.dumps(golden["requests"]))
+    assert code == 0
+    expected = json.dumps({"certificates": golden["certificates"]}, sort_keys=True, indent=2)
+    assert out == expected + "\n"
 
 
 def test_failed_reverification_is_not_a_usage_error(monkeypatch):

@@ -190,19 +190,34 @@ def _genus_one_curves(max_points):
 
 
 def _assert_recount_matches_bruteforce(curve, projector):
-    """Every coset's brute-force state count equals the recount of its
-    residue, and distinct cosets have distinct residues."""
+    """The targeted count at every coset's residue equals the brute-force
+    state count of the coset, distinct cosets have distinct residues, and
+    the count is 0 at the first few cosets next to them that no state
+    reaches; the number of those cosets."""
     recount = _ResidueRecount(projector)
-    counts = recount.states(curve)
     by_coset = {}
-    for kvec, n in enumerate_admissible_states_bruteforce(curve).fibers.items():
+    fibers = enumerate_admissible_states_bruteforce(curve).fibers
+    for kvec, n in fibers.items():
         coset = projector.project(kvec)
         by_coset[coset] = by_coset.get(coset, 0) + n
     targets = {coset: recount.target(coset) for coset in by_coset}
     assert len(set(targets.values())) == len(by_coset)
     for coset, n in by_coset.items():
-        assert counts.get(targets[coset], 0) == n, (curve, coset)
-    assert sum(counts.values()) == sum(by_coset.values())
+        assert recount.count(curve, targets[coset]) == n, (curve, coset)
+    # k +- 2 e_i is balanced, so it names a coset of the same lattice
+    n_edges = curve.tri.n_edges
+    near = [
+        tuple(x + step * (i == j) for j, x in enumerate(kvec))
+        for kvec in fibers
+        for i in range(n_edges)
+        for step in (2, -2)
+    ]
+    unreached = sorted(set(projector.project_all(near)) - set(by_coset))[:4]
+    for coset in unreached:
+        target = recount.target(coset)
+        assert target not in targets.values()
+        assert recount.count(curve, target) == 0, (curve, coset)
+    assert recount.count(curve, None) == 0
     if projector.cell == "big":
         # any representative of a coset names it; one with khat off the
         # lattice names no curve state
@@ -210,6 +225,7 @@ def _assert_recount_matches_bruteforce(curve, projector):
         for coset, target in targets.items():
             assert recount.target([a + b for a, b in zip(coset, khat)]) == target
             assert recount.target([*coset[:-1], coset[-1] + 1]) is None
+    return len(unreached)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -217,9 +233,9 @@ def _assert_recount_matches_bruteforce(curve, projector):
 def test_residue_recount_matches_bruteforce(N, cell):
     projector = _CosetProjector(torus_table().tri, N, cell)
     curves = _genus_one_curves(16)
-    for curve in curves:
-        _assert_recount_matches_bruteforce(curve, projector)
+    unreached = [_assert_recount_matches_bruteforce(curve, projector) for curve in curves]
     assert len(curves) > 100
+    assert sum(unreached) > 2 * len(curves)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -227,7 +243,7 @@ def test_residue_recount_matches_bruteforce_genus_two(cell):
     tri = build_sigma_g_star(2)
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     assert curve.is_connected() and curve.geometry().n_points == 12
-    _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell))
+    assert _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell)) > 0
 
 
 def _project_one_at_a_time(kvecs, projector, coords_of):
@@ -408,6 +424,57 @@ def test_corrupted_projection_fails_reverification(cell, monkeypatch):
         monkeypatch.setattr(_CosetProjector, "project_all", project_corrupted)
         with pytest.raises(AssertionError, match="re-verification failed"):
             detect_support(req)
+
+
+def test_detection_context_is_built_once(monkeypatch):
+    tri = torus_table().tri
+    context = detect._detection_context(tri, 5, "reduced")
+    assert detect._detection_context(tri, 5, "reduced") is context
+    assert detect._detection_context(tri, 5, "big") is not context
+    assert detect._detection_context(tri, 7, "reduced") is not context
+    # two builds of one surface are two keys, however equal they look
+    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    assert first is not second
+    built = []
+
+    class CountingProjector(_CosetProjector):
+        def __init__(self, tri, N, cell):
+            built.append(tri)
+            super().__init__(tri, N, cell)
+
+    monkeypatch.setattr(detect, "_CosetProjector", CountingProjector)
+    contexts = []
+    for t2 in (first, second, first):
+        req = DetectionRequest(
+            genus=2, N=3, cell="big",
+            curve=NormalCurve(t2, {2: 1, 3: 1}), beta=NormalCurve(t2, {7: 1, 8: 1}),
+        )
+        assert detect_support(req).verdict == "certified-nontrivial"
+        contexts.append(detect._detection_context(t2, 3, "big"))
+    assert built == [first, second]
+    assert contexts[0] is contexts[2] is not contexts[1]
+    assert contexts[0][0].lattice.tri is first and contexts[1][0].lattice.tri is second
+
+
+def test_corrupted_projection_fails_reverification_with_a_warm_context(monkeypatch):
+    # a clean certification builds and caches the context first; the
+    # projection bug must still be caught through the cached projector
+    table = torus_table()
+    alpha = table.curve(2, 1)
+    beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
+    req = DetectionRequest(genus=1, N=3, cell="reduced", curve=alpha, beta=beta)
+    assert detect_support(req).verdict == "certified-nontrivial"
+    projector, _ = detect._detection_context(table.tri, 3, "reduced")
+    _, moved = next(_false_witness_projections(alpha, beta, projector))
+    project_all = _CosetProjector.project_all
+
+    def project_corrupted(self, kvecs):
+        return [moved.get(v, c) for v, c in zip(kvecs, project_all(self, kvecs))]
+
+    monkeypatch.setattr(_CosetProjector, "project_all", project_corrupted)
+    assert detect._detection_context(table.tri, 3, "reduced")[0] is projector
+    with pytest.raises(AssertionError, match="re-verification failed"):
+        detect_support(req)
 
 
 def test_reduced_character_space():
