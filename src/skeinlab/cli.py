@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .curves import (
     DEFAULT_STATE_CAP,
@@ -93,6 +94,16 @@ def _parse_rep(obj):
     order = field.get("cyclotomicOrder", 4)
     images = [_parse_sl2(m, order) for m in obj["images"]]
     return SL2Rep(obj["genus"], images)
+
+
+@lru_cache(maxsize=8)
+def _curve_surface(genus):
+    """The triangulation that curves of this genus live on, one per genus
+    per process: detection contexts are cached per triangulation object,
+    so requests on one surface share them. Genus one shares the torus
+    table's, so that class shorthand curves and explicit-coordinate curves
+    can be compared."""
+    return torus_table().tri if genus == 1 else build_sigma_g_star(genus)
 
 
 def _curve_from_json(obj, tri):
@@ -215,7 +226,7 @@ def cmd_qtorus(args):
 
 
 def cmd_qtrace(args):
-    tri = torus_table().tri if args.genus == 1 else build_sigma_g_star(args.genus)
+    tri = _curve_surface(args.genus)
     curve = _curve_from_json(args.curve, tri)
     check_state_cap(args.cap)
     sup = enumerate_admissible_states(curve, cap=args.cap)
@@ -287,9 +298,7 @@ def _run_one_detect(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
     genus = _int_field(obj, "genus", 1)
-    # genus one shares the cached table triangulation so that class
-    # shorthand curves and explicit-coordinate curves can be compared
-    tri = torus_table().tri if genus == 1 else build_sigma_g_star(genus)
+    tri = _curve_surface(genus)
     phi = obj.get("phi")
     if isinstance(phi, list):  # a bare [[a, b], [c, d]] is a matrix mapping class
         phi = {"matrix": phi}

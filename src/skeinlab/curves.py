@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from . import intlinalg
@@ -106,44 +107,45 @@ class _CurveGeometry:
     def __init__(self, tri, coords):
         self.tri = tri
         self.coords = coords
-        self.point_offset = []
-        total = 0
-        for e in range(tri.n_edges):
-            self.point_offset.append(total)
-            total += coords[e]
-        self.n_points = total
-        self.point_edge = []
-        for e in range(tri.n_edges):
-            self.point_edge.extend([e] * coords[e])
-
-        def point_at(slot, pos):
-            f, k = slot
-            e = tri.faces[f][k]
-            primary = tri.edge_slots[e][0] == slot
-            idx = pos if primary else coords[e] - 1 - pos
-            return self.point_offset[e] + idx
-
+        self.point_offset = list(accumulate(coords, initial=0))[:-1]
+        self.n_points = sum(coords)
+        self.point_edge = [e for e, w in enumerate(coords) for _ in range(w)]
         # pieces: (point_a, point_b, slot_a, slot_b); the forbidden state
         # pair is (a: +, b: -). slot_b is the slot after slot_a in the
         # face, which the walk DP reads a step's orientation from.
         self.pieces = []
         for fi, f in enumerate(tri.faces):
             x = [coords[e] for e in f]
+            # the point at position 0 of each side and the step to the next
+            # position: an edge numbers its points from its primary slot
+            sides = [
+                (self.point_offset[e], 1)
+                if tri.edge_slots[e][0] == (fi, k)
+                else (self.point_offset[e] + x[k] - 1, -1)
+                for k, e in enumerate(f)
+            ]
             for k in range(3):
                 c = (x[k] + x[(k + 1) % 3] - x[(k + 2) % 3]) // 2
+                if not c:
+                    continue
                 sa, sb = (fi, k), (fi, (k + 1) % 3)
-                for i in range(c):
-                    pa = point_at(sa, x[k] - 1 - i)
-                    pb = point_at(sb, i)
-                    self.pieces.append((pa, pb, sa, sb))
+                (a0, da), (b0, db) = sides[k], sides[(k + 1) % 3]
+                # piece i joins position x[k]-1-i of side k to position i
+                # of side k+1
+                a_last = a0 + da * (x[k] - 1)
+                self.pieces += [
+                    (pa, pb, sa, sb)
+                    for pa, pb in zip(
+                        range(a_last, a_last - da * c, -da), range(b0, b0 + db * c, db)
+                    )
+                ]
         # each point meets one piece per adjacent face side
         incidence = [[] for _ in range(self.n_points)]
         for qi, (pa, pb, sa, sb) in enumerate(self.pieces):
             incidence[pa].append((qi, sa))
             incidence[pb].append((qi, sb))
-        for p, inc in enumerate(incidence):
-            if len(inc) not in (1, 2):
-                raise AssertionError("point incidence must be 1 or 2")
+        if not all(0 < len(inc) < 3 for inc in incidence):
+            raise AssertionError("point incidence must be 1 or 2")
         self.incidence = incidence
         self.cycles = self._walk_components()
 
@@ -154,48 +156,42 @@ class _CurveGeometry:
         order; open paths (points on boundary arcs) keep in/out of None at
         the free ends.
         """
-        seen_piece = [False] * len(self.pieces)
+        pieces, incidence = self.pieces, self.incidence
+        seen_piece = [False] * len(pieces)
         components = []
         # open paths first (endpoints = points with a single piece)
-        for start, inc in enumerate(self.incidence):
+        for start, inc in enumerate(incidence):
             if len(inc) != 1 or seen_piece[inc[0][0]]:
                 continue
-            walk = []
-            p, (qi, slot) = start, inc[0]
-            walk.append((p, None, slot))
+            qi, slot = inc[0]
+            p = start
+            walk = [(p, None, slot)]
             while True:
                 seen_piece[qi] = True
-                pa, pb, sa, sb = self.pieces[qi]
-                p2 = pb if p == pa else pa
-                s2 = sb if p == pa else sa
-                nxt = [
-                    (qj, s) for qj, s in self.incidence[p2] if qj != qi
-                ]
-                if not nxt:
-                    walk.append((p2, s2, None))
+                pa, pb, sa, sb = pieces[qi]
+                p, s_in = (pb, sb) if p == pa else (pa, sa)
+                inc = incidence[p]
+                if len(inc) == 1:
+                    walk.append((p, s_in, None))
                     break
-                qi2, s_out = nxt[0]
-                walk.append((p2, s2, s_out))
-                p, qi = p2, qi2
+                qi, s_out = inc[1] if inc[0][0] == qi else inc[0]
+                walk.append((p, s_in, s_out))
             components.append(walk)
         # closed cycles
-        for qi0 in range(len(self.pieces)):
+        for qi0 in range(len(pieces)):
             if seen_piece[qi0]:
                 continue
             walk = []
-            pa0, pb0, sa0, sb0 = self.pieces[qi0]
-            p, qi = pa0, qi0
+            p, qi = pieces[qi0][0], qi0
             while True:
                 seen_piece[qi] = True
-                pa, pb, sa, sb = self.pieces[qi]
-                p2 = pb if p == pa else pa
-                s_in = sb if p == pa else sa
-                nxt = [(qj, s) for qj, s in self.incidence[p2] if qj != qi]
-                if len(nxt) != 1:
+                pa, pb, sa, sb = pieces[qi]
+                p, s_in = (pb, sb) if p == pa else (pa, sa)
+                inc = incidence[p]
+                if len(inc) != 2:
                     raise AssertionError("closed walk hit a path endpoint")
-                qi2, s_out = nxt[0]
-                walk.append((p2, s_in, s_out))
-                p, qi = p2, qi2
+                qi, s_out = inc[1] if inc[0][0] == qi else inc[0]
+                walk.append((p, s_in, s_out))
                 if qi == qi0:
                     break
             components.append(walk)
@@ -241,20 +237,22 @@ def enumerate_admissible_states(
 ) -> TraceSupport:
     """Default route: per-face corner pieces, then a walk DP per component.
 
-    A k-vector is packed into one int, sum k_e * B**e with B = 2W + 1 for
-    the largest edge weight W. Every partial or total |k_e| is at most W,
-    so the packing is one-to-one and adding vectors adds their ints."""
+    A k-vector is packed into one int, sum k_e * 2**(b*e), with fields of
+    b bits where 2**b >= 2W + 1 for the largest edge weight W. Every
+    partial or total |k_e| is at most W, so the packing is one-to-one and
+    adding vectors adds their ints. The components' tables are multiplied
+    (a one-component curve has nothing to multiply), and the product is
+    decoded one edge column at a time (`_decode`), in the table's order."""
     geo = curve.geometry()
     if geo.n_points > cap:
         raise StateCapExceeded(
             f"{geo.n_points} intersection points exceed the cap {cap}"
         )
-    n_edges = curve.tri.n_edges
     width = curve.max_edge_weight()
-    radix = 2 * width + 1
-    total = {0: 1}
-    for walk in geo.cycles:
-        part = _component_states(geo, walk, radix)
+    bits = _field_bits(width)
+    parts = [_component_states(geo, walk, bits) for walk in geo.cycles]
+    total = parts[0] if parts else {0: 1}
+    for part in parts[1:]:
         merged = {}
         get = merged.get
         for k1, c1 in total.items():
@@ -262,30 +260,38 @@ def enumerate_admissible_states(
                 k = k1 + k2
                 merged[k] = get(k, 0) + c1 * c2
         total = merged
-    # decode: shift every digit into [0, 2W] and read the base-B digits
-    shift = width * sum(radix**e for e in range(n_edges))
-    fibers = {}
-    for key, count in total.items():
-        x = key + shift
-        kvec = []
-        for _ in range(n_edges):
-            x, d = divmod(x, radix)
-            kvec.append(d - width)
-        fibers[tuple(kvec)] = count
-    return TraceSupport(curve, fibers)
+    return TraceSupport(curve, _decode(total, curve.tri.n_edges, width))
 
 
-def _component_states(geo, walk, radix):
+def _field_bits(width):
+    """Bits per edge field of a packed k-vector: the fewest b with
+    2**b >= 2W + 1, so that a field shifted by W holds any of -W..W."""
+    return (2 * width).bit_length()
+
+
+def _decode(table, n_edges, width):
+    """{k-vector tuple: count} of a {packed k-vector: count} table, in the
+    table's order, one edge column at a time: with W added to every field,
+    field e of a key is a shift and a mask."""
+    bits = _field_bits(width)
+    shift = width * sum(1 << (bits * e) for e in range(n_edges))
+    keys = [key + shift for key in table]
+    mask = (1 << bits) - 1
+    cols = [[((x >> (bits * e)) & mask) - width for x in keys] for e in range(n_edges)]
+    return dict(zip(zip(*cols), table.values()))
+
+
+def _component_states(geo, walk, bits):
     """DP over one component walk: {packed k-vector: count}.
 
     One dict per state of the current point (+ or -). Each holds its keys
     relative to a lazy offset, so moving to the next point shifts both
-    dicts for free: + adds the point's unit B**edge, - subtracts it. The
+    dicts for free: + adds the point's unit 2**(bits*edge), - subtracts it. The
     one allowed change of state is a single pass that folds one dict into
     the other."""
     n = len(walk)
     closed = walk[0][1] is not None
-    unit = [radix ** geo.point_edge[p] for p, _, _ in walk]
+    unit = [1 << (bits * geo.point_edge[p]) for p, _, _ in walk]
     # a piece runs from slot k to slot k+1 of its face (its a-side to its
     # b-side), so the step from point t leaves through its a-side exactly
     # when the next point is entered through the following slot; the

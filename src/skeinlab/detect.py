@@ -129,12 +129,15 @@ class _CosetProjector:
         return self.project_all([kvec])[0]
 
     def project_all(self, kvecs):
-        """The canonical coset of each k-vector, in one batched coordinate
-        solve and one batched reduction."""
-        coords = self.lattice.coordinates_many(kvecs)
-        if self.cell == "big":
-            coords = [c + [0] for c in coords]  # khat-component of curve supports is 0
-        return intlinalg.reduce_mod_rows_many(coords, self.kernel)
+        """The canonical coset of each k-vector: K-coordinates and their
+        reduction in one column-wise pass over the batch. On the big cell
+        the khat-coordinate of a curve's k-vectors is 0."""
+        cosets = intlinalg.lattice_cosets_many(
+            self.lattice.basis, self.kernel, kvecs, pad=1 if self.cell == "big" else 0
+        )
+        if cosets is None:
+            raise ValueError("vector is not balanced")
+        return cosets
 
 
 @lru_cache(maxsize=32)
@@ -150,23 +153,33 @@ def _detection_context(tri, N, cell):
 def _project_fibers(support, projector):
     out = {}
     fibers = support.fibers
-    for kvec, key in zip(fibers, projector.project_all(list(fibers))):
-        entry = out.setdefault(key, {"states": 0, "kvecs": []})
-        entry["states"] += fibers[kvec]
-        entry["kvecs"].append(kvec)
+    kvecs = list(fibers)
+    for kvec, key, states in zip(kvecs, projector.project_all(kvecs), fibers.values()):
+        entry = out.get(key)
+        if entry is None:
+            out[key] = {"states": states, "kvecs": [kvec]}
+        else:
+            entry["states"] += states
+            entry["kvecs"].append(kvec)
     return out
 
 
 def _find_witness(fib_a, fib_b):
-    """A coset with zero states on one side and exactly one on the other."""
-    for coset in sorted(set(fib_a) | set(fib_b)):
-        sa = fib_a.get(coset, {"states": 0})["states"]
-        sb = fib_b.get(coset, {"states": 0})["states"]
-        if sa == 0 and sb == 1:
-            return coset, False
-        if sb == 0 and sa == 1:
-            return coset, True
-    return None, None
+    """The least coset with zero states on one side and exactly one on the
+    other, and whether alpha's is the one (swapped); (None, None) when no
+    coset qualifies."""
+    none = {"states": 0}
+    found = [
+        (coset, True)
+        for coset, entry in fib_a.items()
+        if entry["states"] == 1 and fib_b.get(coset, none)["states"] == 0
+    ]
+    found += [
+        (coset, False)
+        for coset, entry in fib_b.items()
+        if entry["states"] == 1 and fib_a.get(coset, none)["states"] == 0
+    ]
+    return min(found) if found else (None, None)
 
 
 def detect_support(req: DetectionRequest) -> Certificate:
@@ -446,14 +459,16 @@ def _piece_walks(n_points, pieces):
         at[pb].append(q)
     used = [False] * len(pieces)
     walks = []
-    # open paths from their endpoints first, then the closed cycles
+    # open paths from their endpoints first, then the closed cycles; a
+    # walk uses up every piece of its points, so a point's pieces are all
+    # used or all unused, and the next piece is the other one at a point
     for start in [p for p in range(n_points) if len(at[p]) == 1] + list(range(n_points)):
-        q = next((q for q in at[start] if not used[q]), None)
-        if q is None:
+        q = at[start][0]
+        if used[q]:
             continue
         points, forward = [start], []
         p = start
-        while q is not None:
+        while True:
             used[q] = True
             pa, pb = pieces[q][:2]
             forward.append(p == pa)
@@ -461,7 +476,10 @@ def _piece_walks(n_points, pieces):
             if p == start:
                 break
             points.append(p)
-            q = next((q2 for q2 in at[p] if not used[q2]), None)
+            here = at[p]
+            q = here[-1] if here[0] == q else here[0]
+            if used[q]:  # the end of an open path
+                break
         walks.append((points, forward))
     return walks
 

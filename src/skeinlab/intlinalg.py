@@ -1,7 +1,8 @@
 """Exact integer lattice algorithms: HNF, SNF, the Gram matrix and pairing
 of an integer form (`gram`, `bilinear`), kernels of forms mod N,
-coordinates in an echelon (e.g. HNF) basis by back-substitution, sublattice
-indices, and the skew normal form used to split quantum tori into Weyl pairs.
+coordinates in an echelon (e.g. HNF) basis by back-substitution and their
+cosets modulo an HNF sublattice, sublattice indices, and the skew normal
+form used to split quantum tori into Weyl pairs.
 
 Matrices are lists of lists of Python ints; all arithmetic is exact.
 Eliminations use extended-gcd (Blankinship) two-row/two-column unimodular
@@ -290,6 +291,25 @@ def lattice_coordinates_many(basis_rows, vecs):
     return [None if off else list(c) for off, c in zip(outside, coords)]
 
 
+def lattice_cosets_many(basis_rows, sub_rows, vecs, pad=0):
+    """For each vector, its coordinates in the echelon basis basis_rows
+    with `pad` zero coordinates appended, reduced modulo the HNF rows
+    sub_rows to the canonical coset representative (as `reduce_mod_rows`).
+    None when some vector lies outside the lattice of basis_rows. The
+    batch is transposed to columns once, swept by both bases and
+    transposed back once."""
+    if not vecs:
+        return []
+    cols = [list(c) for c in zip(*vecs)]
+    coords = _floor_sweep(basis_rows, cols, echelon=True)
+    # back-substitution leaves a nonzero residue exactly off the lattice
+    if any(map(any, cols)):
+        return None
+    coords += [[0] * len(vecs) for _ in range(pad)]
+    _floor_sweep(sub_rows, coords, echelon=False)
+    return list(zip(*coords)) if coords else [()] * len(vecs)
+
+
 def _floor_sweep(rows, cols, echelon):
     """Floor-reduce a batch of vectors by each row at its pivot (its first
     nonzero entry), in row order. The batch is held as columns: cols[i]
@@ -308,10 +328,10 @@ def _floor_sweep(rows, cols, echelon):
         last = piv
         p = row[piv]
         col = cols[piv]
-        q = [a // p for a in col]
+        q = col if p == 1 else [a // p for a in col]
         quotients.append(q)
         if any(q):
-            cols[piv] = [a % p for a in col]
+            cols[piv] = [0] * len(col) if p == 1 else [a % p for a in col]
             for j in nonzero:
                 b = row[j]
                 cols[j] = [a - k * b for a, k in zip(cols[j], q)]

@@ -276,11 +276,8 @@ class BalancedLattice:
         return is_balanced(self.tri, vec)
 
     def coordinates(self, vec):
-        return self.coordinates_many([vec])[0]
-
-    def coordinates_many(self, vecs):
-        coords = intlinalg.lattice_coordinates_many(self.basis, vecs)
-        if any(c is None for c in coords):
+        coords = intlinalg.lattice_coordinates(self.basis, vec)
+        if coords is None:
             raise ValueError("vector is not balanced")
         return coords
 

@@ -203,6 +203,23 @@ def test_detect_batch(tmp_path):
     assert verdicts == ["certified-nontrivial", "inconclusive"]
 
 
+def test_detect_batch_genus_two_requests_share_one_context():
+    # one triangulation per genus per process, so the detection context
+    # (keyed on the triangulation object) is built once for the three
+    request = {
+        "genus": 2, "N": 3, "cell": "big",
+        "curve": {"2": 1, "3": 1}, "beta": {"7": 1, "8": 1},
+    }
+    detect._detection_context.cache_clear()
+    code, out, _ = run_cli("detect", "--batch", json.dumps([request] * 3))
+    assert code == 0
+    info = detect._detection_context.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    certs = json.loads(out)["certificates"]
+    assert certs[0]["verdict"] == "certified-nontrivial"
+    assert certs[0] == certs[1] == certs[2]
+
+
 def test_detect_batch_cap_above_bruteforce_limit():
     # the residue recount re-verifies witnesses of any size, so a cap above
     # the 25 points of the brute-force kernel certifies; the default cap of

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import threading
 import time
 from pathlib import Path
@@ -154,6 +155,27 @@ def test_qtrace_support_large_curve_stdout_pinned(capsys):
         hashlib.sha256(out).hexdigest()
         == "af4df2842a756ff0be812e4233cd683e1cf85830b5a4686158c82201f9ba212e"
     )
+
+
+@pytest.mark.parametrize("n_edges", [5, 11])
+def test_decode_inverts_packing(n_edges):
+    # every W = 2^k - 1 and 2^k up to 40, where the field width steps up
+    rng = random.Random(n_edges)
+    for width in range(41):
+        bits = curves._field_bits(width)
+        assert 1 << bits >= 2 * width + 1
+        digits = (-width, 0, width)
+        kvecs = [tuple(rng.choice(digits) for _ in range(n_edges)) for _ in range(200)]
+        kvecs += [(d,) * n_edges for d in digits]
+        kvecs += [tuple(digits[(e + i) % 3] for e in range(n_edges)) for i in range(3)]
+        kvecs = list(dict.fromkeys(kvecs))
+        table = {
+            sum(k << (bits * e) for e, k in enumerate(kvec)): i
+            for i, kvec in enumerate(kvecs)
+        }
+        assert len(table) == len(kvecs)
+        decoded = curves._decode(table, n_edges, width)
+        assert list(decoded.items()) == [(kvec, i) for i, kvec in enumerate(kvecs)]
 
 
 def test_state_cap():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -146,6 +147,44 @@ def test_ambiguous_fibers_path():
     cert = detect_support(req)
     assert cert.verdict == "inconclusive"
     assert cert.reasons == ["fibers-ambiguous"]
+
+
+def _find_witness_by_sorted_scan(fib_a, fib_b):
+    """The first qualifying coset of every coset in sorted order."""
+    for coset in sorted(set(fib_a) | set(fib_b)):
+        sa = fib_a.get(coset, {"states": 0})["states"]
+        sb = fib_b.get(coset, {"states": 0})["states"]
+        if sa == 0 and sb == 1:
+            return coset, False
+        if sb == 0 and sa == 1:
+            return coset, True
+    return None, None
+
+
+def test_find_witness_matches_sorted_scan():
+    rng = random.Random(12)
+    cosets = list(product(range(3), range(-1, 2), range(2)))
+    outcomes = {"alpha": 0, "beta": 0, "both": 0, "none": 0}
+    for _ in range(3000):
+        fib_a, fib_b = (
+            {
+                coset: {"states": rng.choice((0, 1, 1, 2, 3)), "kvecs": []}
+                for coset in rng.sample(cosets, rng.randrange(len(cosets) // 2))
+            }
+            for _ in range(2)
+        )
+        expected = _find_witness_by_sorted_scan(fib_a, fib_b)
+        assert _find_witness(fib_a, fib_b) == expected
+        sides = {
+            swapped
+            for coset in cosets
+            for swapped, (one, other) in ((True, (fib_a, fib_b)), (False, (fib_b, fib_a)))
+            if one.get(coset, {"states": 0})["states"] == 1
+            and other.get(coset, {"states": 0})["states"] == 0
+        }
+        outcomes[{0: "none", 2: "both"}.get(len(sides), "alpha" if True in sides else "beta")] += 1
+    # witnesses on one side each, on both sides at once, and none at all
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_disconnected_alpha_rejected():

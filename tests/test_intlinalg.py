@@ -12,6 +12,7 @@ from skeinlab.intlinalg import (
     lattice_contains,
     lattice_coordinates,
     lattice_coordinates_many,
+    lattice_cosets_many,
     mat_mul,
     perfect_square_root,
     reduce_mod_rows,
@@ -195,6 +196,34 @@ def test_batched_helpers_match_one_vector():
             ]
             assert reduce_mod_rows_many(shifted, H) == reduced
     assert inside > 100 and outside > 100
+
+
+def test_lattice_cosets_are_coordinates_then_reduction():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(150):
+        n, pad = rng.randint(1, 5), rng.randint(0, 1)
+        B = hnf([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if len(B) < n:
+            continue
+        m = rng.choice((3, 5, 7))
+        S = hnf(
+            [[rng.randint(-4, 4) for _ in range(n + pad)] for _ in range(2)]
+            + [[m * (i == j) for j in range(n + pad)] for i in range(n + pad)]
+        )
+        vecs = [mat_mul([[rng.randint(-6, 6) for _ in B]], B)[0] for _ in range(rng.randint(1, 9))]
+        expected = reduce_mod_rows_many(
+            [c + [0] * pad for c in lattice_coordinates_many(B, vecs)], S
+        )
+        assert lattice_cosets_many(B, S, vecs, pad) == expected
+        for _ in range(10):
+            outside = [rng.randint(-9, 9) for _ in range(n)]
+            if lattice_coordinates(B, outside) is None:
+                assert lattice_cosets_many(B, S, [*vecs, outside], pad) is None
+                checked += 1
+                break
+    assert checked > 50
+    assert lattice_cosets_many([[1, 0], [0, 2]], [[3, 0], [0, 3]], []) == []
 
 
 def test_batched_helpers_edge_cases():
