@@ -34,7 +34,7 @@ from .detect import (
     detect_theorem2,
 )
 from .mcg import MappingClass
-from .qtorus import CentralCharacter, QuantumTorus, TorusIrrep
+from .qtorus import build_irrep
 from .repvar import (
     SL2Mat,
     SL2Rep,
@@ -148,12 +148,19 @@ def _read_json_file(path):
         return json.load(fh)
 
 
-def _load_json_arg(text):
-    return _read_json_file(text) if os.path.exists(text) else json.loads(text)
+def _load_json_arg(text, flag):
+    """The JSON value of a flag: the contents of the file it names, or else
+    the text itself."""
+    if os.path.exists(text):
+        return _read_json_file(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise ValueError(f"{flag} {text!r} is neither an existing file nor JSON") from None
 
 
 def _load_json_list(text, flag):
-    obj = _load_json_arg(text)
+    obj = _load_json_arg(text, flag)
     if not isinstance(obj, list):
         raise ValueError(f"{flag} must be a JSON list, not {obj!r}")
     return obj
@@ -205,9 +212,7 @@ def cmd_qtorus(args):
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
     L = B.skew_lattice()
-    torus = QuantumTorus(L, args.N)
-    chi = CentralCharacter.trivial(torus)
-    irr = TorusIrrep(torus, chi)
+    irr = build_irrep(L, args.N)
     pd = B.pi_degree(args.N)
     _emit(
         {
@@ -243,7 +248,7 @@ def cmd_qtrace(args):
 
 def cmd_orbit(args):
     check_root_order(args.N)
-    rep = _parse_rep(_load_json_arg(args.rep))
+    rep = _parse_rep(_load_json_arg(args.rep, "--rep"))
     gens = [
         MappingClass.from_json(g, genus=rep.genus)
         for g in _load_json_list(args.gens, "--gens")
@@ -288,7 +293,7 @@ def cmd_rep(args):
             }
         )
     elif args.rep_command == "moment":
-        rep = _parse_rep(_load_json_arg(args.rep))
+        rep = _parse_rep(_load_json_arg(args.rep, "--rep"))
         mu = moment_map(rep)
         _emit({"mu": mu.to_json(), "cell": "big" if not mu.a.is_zero() else "reduced"})
 
@@ -348,7 +353,7 @@ def cmd_detect(args):
         "cap": args.cap,
     }
     if args.phi:
-        obj["phi"] = _load_json_arg(args.phi)
+        obj["phi"] = _load_json_arg(args.phi, "--phi")
     # a path names a JSON file; other text goes to _curve_from_json as it
     # is, which reads JSON text and the "p,q" shorthand alike
     for key, text in (("curve", args.curve), ("beta", args.beta)):

@@ -5,7 +5,13 @@ splits its points into corner arcs; a full state assigns +/- to every
 intersection point, and a state is admissible when no corner piece carries
 the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 
-Two enumeration routes are kept deliberately independent: a cycle-walk DP
+The points and pieces of a curve are walked once per component, in one
+loop: a walk is its points in order and the piece from each point to the
+next, and a step's orientation is whether it leaves through its piece's
+a-point. Intersection vectors, component counts and the walk DP all read
+these walks.
+
+Two enumeration routes are kept deliberately independent: the walk DP
 (default) and the 2^m brute-force kernel in _kernels (the reference route
 for tests and selftest). _kernels is imported only when the brute-force
 route runs.
@@ -72,7 +78,7 @@ class NormalCurve:
         return self._geometry
 
     def component_count(self):
-        return len(self.geometry().cycles)
+        return len(self.geometry().walks)
 
     def is_connected(self):
         return self.component_count() == 1
@@ -107,21 +113,21 @@ class _CurveGeometry:
     def __init__(self, tri, coords):
         self.tri = tri
         self.coords = coords
-        self.point_offset = list(accumulate(coords, initial=0))[:-1]
-        self.n_points = sum(coords)
+        offset = list(accumulate(coords, initial=0))
+        self.n_points = offset[-1]
         self.point_edge = [e for e, w in enumerate(coords) for _ in range(w)]
         # pieces: (point_a, point_b, slot_a, slot_b); the forbidden state
-        # pair is (a: +, b: -). slot_b is the slot after slot_a in the
-        # face, which the walk DP reads a step's orientation from.
+        # pair is (a: +, b: -), and slot_b is the slot after slot_a in the
+        # face.
         self.pieces = []
         for fi, f in enumerate(tri.faces):
             x = [coords[e] for e in f]
             # the point at position 0 of each side and the step to the next
             # position: an edge numbers its points from its primary slot
             sides = [
-                (self.point_offset[e], 1)
+                (offset[e], 1)
                 if tri.edge_slots[e][0] == (fi, k)
-                else (self.point_offset[e] + x[k] - 1, -1)
+                else (offset[e] + x[k] - 1, -1)
                 for k, e in enumerate(f)
             ]
             for k in range(3):
@@ -139,73 +145,68 @@ class _CurveGeometry:
                         range(a_last, a_last - da * c, -da), range(b0, b0 + db * c, db)
                     )
                 ]
-        # each point meets one piece per adjacent face side
-        incidence = [[] for _ in range(self.n_points)]
-        for qi, (pa, pb, sa, sb) in enumerate(self.pieces):
-            incidence[pa].append((qi, sa))
-            incidence[pb].append((qi, sb))
-        if not all(0 < len(inc) < 3 for inc in incidence):
-            raise AssertionError("point incidence must be 1 or 2")
-        self.incidence = incidence
-        self.cycles = self._walk_components()
+        self.walks = self._walk_components()
 
     def _walk_components(self):
-        """Components as alternating point/piece walks.
+        """Components as (points, steps) walks, in one loop: steps[t] is the
+        piece from points[t] to the next point. A closed component has one
+        step per point, the last one back to points[0]; an open one (its
+        ends lie on boundary arcs) has one step fewer.
 
-        Each entry is a list [(point, in_slot, out_slot), ...] in traversal
-        order; open paths (points on boundary arcs) keep in/out of None at
-        the free ends.
-        """
-        pieces, incidence = self.pieces, self.incidence
-        seen_piece = [False] * len(pieces)
-        components = []
-        # open paths first (endpoints = points with a single piece)
-        for start, inc in enumerate(incidence):
-            if len(inc) != 1 or seen_piece[inc[0][0]]:
+        Open paths come first, each from its lower endpoint. A closed cycle
+        starts at the b-point of its lowest piece, leaves through the other
+        piece there, and closes through the lowest piece."""
+        pieces = self.pieces
+        # each point meets one piece per adjacent face side
+        at = [[] for _ in range(self.n_points)]
+        for q, (pa, pb, _, _) in enumerate(pieces):
+            at[pa].append(q)
+            at[pb].append(q)
+        if not all(0 < len(qs) < 3 for qs in at):
+            raise AssertionError("point incidence must be 1 or 2")
+
+        def other(p, q):
+            """The piece at p that is not q; q itself at a path end."""
+            here = at[p]
+            return here[-1] if here[0] == q else here[0]
+
+        starts = [(p, qs[0]) for p, qs in enumerate(at) if len(qs) == 1]
+        starts += [(pb, other(pb, q)) for q, (_, pb, _, _) in enumerate(pieces)]
+        # a walk uses up every piece of its component, so a start whose
+        # first piece is used belongs to a component already walked
+        used = [False] * len(pieces)
+        walks = []
+        for start, q in starts:
+            if used[q]:
                 continue
-            qi, slot = inc[0]
+            points, steps = [start], []
             p = start
-            walk = [(p, None, slot)]
-            while True:
-                seen_piece[qi] = True
-                pa, pb, sa, sb = pieces[qi]
-                p, s_in = (pb, sb) if p == pa else (pa, sa)
-                inc = incidence[p]
-                if len(inc) == 1:
-                    walk.append((p, s_in, None))
+            while not used[q]:
+                used[q] = True
+                steps.append(q)
+                pa, pb = pieces[q][:2]
+                p = pb if p == pa else pa
+                if p == start:
                     break
-                qi, s_out = inc[1] if inc[0][0] == qi else inc[0]
-                walk.append((p, s_in, s_out))
-            components.append(walk)
-        # closed cycles
-        for qi0 in range(len(pieces)):
-            if seen_piece[qi0]:
-                continue
-            walk = []
-            p, qi = pieces[qi0][0], qi0
-            while True:
-                seen_piece[qi] = True
-                pa, pb, sa, sb = pieces[qi]
-                p, s_in = (pb, sb) if p == pa else (pa, sa)
-                inc = incidence[p]
-                if len(inc) != 2:
-                    raise AssertionError("closed walk hit a path endpoint")
-                qi, s_out = inc[1] if inc[0][0] == qi else inc[0]
-                walk.append((p, s_in, s_out))
-                if qi == qi0:
-                    break
-            components.append(walk)
-        return components
+                points.append(p)
+                q = other(p, q)
+            walks.append((points, steps))
+        return walks
 
     def intersection_vector(self):
+        """Each point that a walk passes through adds +1 to its edge when
+        the walk enters it through the edge's primary slot, else -1; the
+        ends of an open walk add nothing."""
         vec = [0] * self.tri.n_edges
-        for walk in self.cycles:
-            for p, s_in, s_out in walk:
-                if s_in is None or s_out is None:
-                    continue
-                e = self.point_edge[p]
-                primary = self.tri.edge_slots[e][0]
-                vec[e] += 1 if s_in == primary else -1
+        pieces, point_edge, edge_slots = self.pieces, self.point_edge, self.tri.edge_slots
+        for points, steps in self.walks:
+            # the step into points[t] is steps[t - 1], which for t = 0 is
+            # the closing step of a closed walk
+            for t in range(0 if len(steps) == len(points) else 1, len(steps)):
+                pa, _, sa, sb = pieces[steps[t - 1]]
+                slot_in = sb if pa == points[t - 1] else sa
+                e = point_edge[points[t]]
+                vec[e] += 1 if slot_in == edge_slots[e][0] else -1
         return vec
 
 
@@ -250,7 +251,7 @@ def enumerate_admissible_states(
         )
     width = curve.max_edge_weight()
     bits = _field_bits(width)
-    parts = [_component_states(geo, walk, bits) for walk in geo.cycles]
+    parts = [_component_states(geo, walk, bits) for walk in geo.walks]
     total = parts[0] if parts else {0: 1}
     for part in parts[1:]:
         merged = {}
@@ -288,18 +289,15 @@ def _component_states(geo, walk, bits):
     relative to a lazy offset, so moving to the next point shifts both
     dicts for free: + adds the point's unit 2**(bits*edge), - subtracts it. The
     one allowed change of state is a single pass that folds one dict into
-    the other."""
-    n = len(walk)
-    closed = walk[0][1] is not None
-    unit = [1 << (bits * geo.point_edge[p]) for p, _, _ in walk]
-    # a piece runs from slot k to slot k+1 of its face (its a-side to its
-    # b-side), so the step from point t leaves through its a-side exactly
-    # when the next point is entered through the following slot; the
-    # forbidden pair is then (+, -) along the step, else (-, +)
-    a_first = [
-        walk[(t + 1) % n][1][1] == (walk[t][2][1] + 1) % 3
-        for t in range(n if closed else n - 1)
-    ]
+    the other. The walk is (points, steps), steps[t] being the piece from
+    points[t] to the next point; a closed walk's last step returns to
+    points[0]. A step forbids (+, -) along it when it leaves through its
+    piece's a-point, else (-, +)."""
+    points, steps = walk
+    n = len(points)
+    closed = len(steps) == n
+    unit = [1 << (bits * geo.point_edge[p]) for p in points]
+    a_first = [geo.pieces[q][0] == p for p, q in zip(points, steps)]
     results = {}
     get = results.get
     for first in (1, 0):

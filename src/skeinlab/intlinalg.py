@@ -371,17 +371,9 @@ def perfect_square_root(n):
 def reduce_mod_rows(vec, hnf_rows):
     """Canonical coset representative of vec modulo a full-rank HNF row
     lattice: sweep each pivot and floor-reduce."""
-    return reduce_mod_rows_many([vec], hnf_rows)[0]
-
-
-def reduce_mod_rows_many(vecs, hnf_rows):
-    """`reduce_mod_rows` of each vector of a batch, in one sweep over the
-    batch's columns."""
-    if not vecs:
-        return []
-    cols = [list(c) for c in zip(*vecs)]
+    cols = [[x] for x in vec]
     _floor_sweep(hnf_rows, cols, echelon=False)
-    return list(zip(*cols)) if cols else [()] * len(vecs)
+    return tuple(c[0] for c in cols)
 
 
 # ---------------------------------------------------------------------------

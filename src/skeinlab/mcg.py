@@ -224,11 +224,5 @@ def act_on_curve(phi: MappingClass, curve: NormalCurve) -> NormalCurve:
     if curve.tri is not table.tri:
         raise ValueError("matrix action is defined on the built-in Delta_1")
     p, q = table.class_of(curve)
-    p2, q2 = phi.act_on_class(p, q)
-    return table.curve(*_canonical_class(p2, q2))
-
-
-def _canonical_class(p, q):
-    if p < 0 or (p == 0 and q < 0):
-        return (-p, -q)
-    return (p, q)
+    # (p, q) and (-p, -q) are one unoriented curve with the same coordinates
+    return table.curve(*phi.act_on_class(p, q))

@@ -359,8 +359,7 @@ class RefinedLattice:
         """Side-by-side report: definitional Kbar^0 vs the closed formula
         K^0 ⊕ N Z k̂, and the displayed (non-bilinear) pairing formula."""
         definitional = self.kernel_mod(N)
-        k0_def, _, _ = self.base.central_sublattice(N)
-        formula_gens = [row + [0] for row in k0_def]
+        formula_gens = [row + [0] for row in intlinalg.kernel_mod(self.base.form, N)]
         formula_gens.append([0] * self.base.rank + [N])
         formula = intlinalg.hnf(formula_gens)
         # the closed pairing formula under scrutiny:

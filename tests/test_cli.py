@@ -437,6 +437,16 @@ MALFORMED = [
          "cap must be an integer, not '30'"),
     _row("detect-batch-text-genus", ("detect", "--batch", '[{"curve": "0,1", "genus": "1"}]'),
          "genus must be an integer, not '1'"),
+    _row("orbit-rep-missing-file", ("orbit", "--rep", "missing.json", "--gens", "[]"),
+         "--rep 'missing.json' is neither an existing file nor JSON"),
+    _row("orbit-gens-missing-file", ("orbit", "--rep", REP, "--gens", "missing.json"),
+         "--gens 'missing.json' is neither an existing file nor JSON"),
+    _row("detect-phi-missing-file", ("detect", "--curve", "0,1", "--phi", "missing.json"),
+         "--phi 'missing.json' is neither an existing file nor JSON"),
+    _row("detect-batch-missing-file", ("detect", "--batch", "missing.json"),
+         "--batch 'missing.json' is neither an existing file nor JSON"),
+    _row("rep-moment-missing-file", ("rep", "moment", "--rep", "missing.json"),
+         "--rep 'missing.json' is neither an existing file nor JSON"),
 ]
 
 

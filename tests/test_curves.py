@@ -101,8 +101,8 @@ def test_dp_equals_bruteforce_genus_two():
     kinds = set()
     for vec in _normal_coord_vectors(tri, 14):
         c = NormalCurve(tri, vec)
-        walks = c.geometry().cycles
-        is_open = any(s_in is None for walk in walks for _, s_in, _ in walk)
+        walks = c.geometry().walks
+        is_open = any(len(steps) < len(points) for points, steps in walks)
         kinds.add((len(walks) > 1, is_open))
         assert (
             enumerate_admissible_states(c).fibers
@@ -285,6 +285,71 @@ def test_component_count():
     doubled = NormalCurve(tri, [2 * v for v in c.coords])
     assert doubled.component_count() == 2
     assert not doubled.is_connected()
+
+
+@pytest.mark.parametrize(
+    "genus, coords, ivec, components",
+    [
+        # genus-1 classes (1, 0), (1, -1), (5, 3), (8, -5)
+        (1, [1, 1, 0, 1, 0], [1, -1, 0, -1, 0], 1),
+        (1, [1, 1, 1, 0, 0], [-1, 1, 1, 0, 0], 1),
+        (1, [5, 5, 3, 8, 0], [-5, 5, -3, 8, 0], 1),
+        (1, [8, 8, 5, 3, 0], [-8, 8, 5, 3, 0], 1),
+        # genus 2: one closed walk, closed walks that partly cancel, one
+        # open walk, and several walks with open ones among them
+        (2, [0, 2, 1, 1, 2, 2, 2, 1, 1, 2, 0], [0, 0, -1, 1, 0, -2, 2, 1, 1, 0, 0], 1),
+        (2, [0, 0, 0, 0, 0, 2, 2, 5, 5, 0, 0], [0, 0, 0, 0, 0, 0, 0, -3, 3, 0, 0], 4),
+        (2, [0, 0, 0, 0, 0, 2, 4, 1, 3, 2, 2], [0, 0, 0, 0, 0, -2, 2, 1, 1, 0, 0], 1),
+        (2, [0, 0, 0, 0, 0, 2, 2, 0, 2, 4, 4], [0, 0, 0, 0, 0, 2, -2, 0, -2, 0, 0], 2),
+    ],
+)
+def test_walks_give_intersection_vector_and_components(genus, coords, ivec, components):
+    c = NormalCurve(build_sigma_g_star(genus), coords)
+    assert c.intersection_vector() == ivec
+    assert c.component_count() == components
+
+
+def _walk_shape(points, pieces_out):
+    """A walk's points up to rotation (closed) and reversal, with the
+    (a-point, b-point) pairs of its pieces."""
+    n = len(points)
+    closed = len(pieces_out) == n
+    orders = [points, points[::-1]]
+    if closed:
+        orders = [o[i:] + o[:i] for o in orders for i in range(n)]
+    return min(tuple(o) for o in orders), frozenset(pieces_out)
+
+
+def test_walks_equal_piece_walks_of_the_recount():
+    """The geometry's walks and the re-verifier's independent walks meet
+    the same points in the same cyclic order, and read every piece with
+    the same orientation: every genus-2 curve with m <= 14 points."""
+    from skeinlab.detect import _piece_walks
+
+    tri = build_sigma_g_star(2)
+    checked = 0
+    for vec in _normal_coord_vectors(tri, 14):
+        geo = NormalCurve(tri, vec).geometry()
+        ours = []
+        for points, steps in geo.walks:
+            assert len(steps) in (len(points), len(points) - 1)
+            pairs = []
+            for t, q in enumerate(steps):
+                here, there = points[t], points[(t + 1) % len(points)]
+                assert {here, there} == set(geo.pieces[q][:2])
+                forward = geo.pieces[q][0] == here
+                pairs.append((here, there) if forward else (there, here))
+            ours.append(_walk_shape(points, pairs))
+        theirs = []
+        for points, forward in _piece_walks(geo.n_points, geo.pieces):
+            pairs = [
+                (here, there) if f else (there, here)
+                for f, here, there in zip(forward, points, points[1:] + points[:1])
+            ]
+            theirs.append(_walk_shape(points, pairs))
+        assert sorted(ours, key=repr) == sorted(theirs, key=repr), vec
+        checked += 1
+    assert checked > 900
 
 
 def test_curve_json():

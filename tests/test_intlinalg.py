@@ -16,7 +16,6 @@ from skeinlab.intlinalg import (
     mat_mul,
     perfect_square_root,
     reduce_mod_rows,
-    reduce_mod_rows_many,
     skew_normal_form,
     smith_normal_form,
     solve_integer,
@@ -185,8 +184,7 @@ def test_batched_helpers_match_one_vector():
         assert coords == [_rowwise_coordinates(H, v) for v in vecs]
         inside += sum(c is not None for c in coords)
         outside += sum(c is None for c in coords)
-        reduced = reduce_mod_rows_many(vecs, H)
-        assert reduced == [reduce_mod_rows(v, H) for v in vecs]
+        reduced = [reduce_mod_rows(v, H) for v in vecs]
         assert reduced == [_rowwise_reduce(v, H) for v in vecs]
         if len(H) == n:
             # a full-rank lattice: the representative names the coset
@@ -194,7 +192,7 @@ def test_batched_helpers_match_one_vector():
                 [a + b for a, b in zip(v, mat_mul([[rng.randint(-3, 3) for _ in H]], H)[0])]
                 for v in vecs
             ]
-            assert reduce_mod_rows_many(shifted, H) == reduced
+            assert [reduce_mod_rows(v, H) for v in shifted] == reduced
     assert inside > 100 and outside > 100
 
 
@@ -212,9 +210,9 @@ def test_lattice_cosets_are_coordinates_then_reduction():
             + [[m * (i == j) for j in range(n + pad)] for i in range(n + pad)]
         )
         vecs = [mat_mul([[rng.randint(-6, 6) for _ in B]], B)[0] for _ in range(rng.randint(1, 9))]
-        expected = reduce_mod_rows_many(
-            [c + [0] * pad for c in lattice_coordinates_many(B, vecs)], S
-        )
+        expected = [
+            reduce_mod_rows(c + [0] * pad, S) for c in lattice_coordinates_many(B, vecs)
+        ]
         assert lattice_cosets_many(B, S, vecs, pad) == expected
         for _ in range(10):
             outside = [rng.randint(-9, 9) for _ in range(n)]
@@ -229,9 +227,7 @@ def test_lattice_cosets_are_coordinates_then_reduction():
 def test_batched_helpers_edge_cases():
     H = [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
     assert lattice_coordinates_many(H, []) == []
-    assert reduce_mod_rows_many([], H) == []
     assert lattice_coordinates_many([], [[0, 0], [1, 0]]) == [[], None]
-    assert reduce_mod_rows_many([(7, -3)], [[5, 0], [0, 5]]) == [(2, 2)]
     for basis in ([[0, 1], [1, 0]], [[1, 0], [2, 1]], [[1, 0], [0, 0]]):
         with pytest.raises(ValueError):
             lattice_coordinates_many(basis, [[1, 1], [0, 0]])

@@ -89,6 +89,11 @@ def test_act_on_curve_examples():
     assert table.class_of(curve) == (1, 1)
     assert act_on_curve(MappingClass(1, matrix=[[1, 0], [0, 1]]), table.curve(0, 1)) == table.curve(0, 1)
     assert table.class_of(act_on_curve(S, table.curve(1, 0))) == (0, 1)
+    # image classes with a negative sign name the same unoriented curve
+    assert act_on_curve(S, table.curve(0, 1)) == table.curve(1, 0)
+    minus_one = MappingClass(1, matrix=[[-1, 0], [0, -1]])
+    for pq in [(1, 0), (0, 1), (2, -1), (3, 5)]:
+        assert act_on_curve(minus_one, table.curve(*pq)) == table.curve(*pq)
 
 
 def test_act_respects_composition():
