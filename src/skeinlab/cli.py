@@ -143,16 +143,25 @@ def _curve_from_json(obj, tri):
         raise ValueError(f"curve {obj!r}: {exc}") from None
 
 
-def _read_json_file(path):
+def _parse_json(text, flag, source):
+    """The JSON value of text given to a flag. A parse error names the flag
+    and the source: the text itself, or the file it was read from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} {source!r} is not valid JSON: {exc}") from None
+
+
+def _read_json_file(path, flag):
     with open(path) as fh:
-        return json.load(fh)
+        return _parse_json(fh.read(), flag, path)
 
 
 def _load_json_arg(text, flag):
     """The JSON value of a flag: the contents of the file it names, or else
     the text itself."""
     if os.path.exists(text):
-        return _read_json_file(text)
+        return _read_json_file(text, flag)
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -266,9 +275,9 @@ def cmd_orbit(args):
 
 def cmd_leaf(args):
     order = args.field_order
-    m = _parse_sl2(json.loads(args.mat), order)
+    m = _parse_sl2(_parse_json(args.mat, "--mat", args.mat), order)
     if args.double:
-        m2 = _parse_sl2(json.loads(args.double), order)
+        m2 = _parse_sl2(_parse_json(args.double, "--double", args.double), order)
         i, j = classify_double_leaf(m, m2)
         _emit({"double": True, "leaf": [i, j]})
     else:
@@ -358,7 +367,7 @@ def cmd_detect(args):
     # is, which reads JSON text and the "p,q" shorthand alike
     for key, text in (("curve", args.curve), ("beta", args.beta)):
         if text:
-            obj[key] = _read_json_file(text) if os.path.exists(text) else text
+            obj[key] = _read_json_file(text, f"--{key}") if os.path.exists(text) else text
     _emit(_run_one_detect(obj))
     # timings stay on stderr: certificate bytes must be run-independent
     _log(f"detect: {time.perf_counter() - t0:.3f}s")
@@ -391,8 +400,7 @@ def _apply_config(args, argv):
     """Config values fill in flags that were not given on the command line."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json_file(args.config, "--config")
     if not isinstance(cfg, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
     given = set()

@@ -1,19 +1,22 @@
-"""Exact integer lattice algorithms: HNF, SNF, the Gram matrix and pairing
-of an integer form (`gram`, `bilinear`), kernels of forms mod N,
-coordinates in an echelon (e.g. HNF) basis by back-substitution and their
-cosets modulo an HNF sublattice, sublattice indices, and the skew normal
-form used to split quantum tori into Weyl pairs.
+"""Exact integer lattice algorithms: HNF, the Gram matrix and pairing of
+an integer form (`gram`, `bilinear`), coordinates in an echelon (e.g. HNF)
+basis by back-substitution and their cosets modulo an HNF sublattice, and
+the skew normal form used to split quantum tori into Weyl pairs. Ranks,
+sublattice indices and inverses of unimodular matrices are read off an
+HNF. The Smith normal form serves only the jobs that read its diagonal or
+transforms: kernels of forms mod N, the residue group of the witness
+recount in `detect`, and the reference solver `solve_integer`.
 
-Matrices are lists of lists of Python ints; all arithmetic is exact.
-Eliminations use extended-gcd (Blankinship) two-row/two-column unimodular
-transforms, which keep coefficient growth tame at the <=60x60 scale used
-here.
+Matrices are lists of lists of Python ints; all arithmetic is exact. HNF,
+SNF and the skew form share one elimination step, `_eliminator`: an
+extended-gcd (Blankinship) two-row/two-column unimodular transform, which
+keeps coefficient growth tame at the <=60x60 scale used here.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 def identity(n):
@@ -69,12 +72,44 @@ def _egcd(a, b):
     return old_r, old_x, old_y
 
 
-def is_unimodular(A):
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant of non-square matrix")
-    D, _, _ = smith_normal_form(A)
-    return all(D[i][i] == 1 for i in range(n))
+def _eliminator(p, x):
+    """The unimodular (a, b, c, d) with (a*p + b*x, c*p + d*x) == (g, 0):
+    a swap when p == 0, a shear when p divides x, else the extended-gcd
+    step. It is the one elimination step of `hnf`, `smith_normal_form` and
+    `skew_normal_form`."""
+    if p == 0:
+        return 0, 1, 1, 0
+    if x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, s, t = _egcd(p, x)
+    return s, t, -(x // g), p // g
+
+
+def _mix_rows(mats, i, j, a, b, c, d):
+    """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j) in each matrix."""
+    for M in mats:
+        Mi, Mj = M[i], M[j]
+        M[i] = [a * u + b * v for u, v in zip(Mi, Mj)]
+        M[j] = [c * u + d * v for u, v in zip(Mi, Mj)]
+
+
+def _mix_cols(rows, i, j, a, b, c, d):
+    """(col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j) in each row."""
+    for row in rows:
+        u, v = row[i], row[j]
+        row[i], row[j] = a * u + b * v, c * u + d * v
+
+
+def _smallest_entry(A, t):
+    """The first (i, j) with i, j >= t, in row order, of a nonzero entry of
+    least absolute value, or None when that block is zero."""
+    piv, best = None, None
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, len(row)):
+            if row[j] and (best is None or abs(row[j]) < best):
+                piv, best = (i, j), abs(row[j])
+    return piv
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +128,8 @@ def hnf(rows):
             break
         # gcd-combine rows r.. so that A[r][c] = gcd and the rest are 0
         for i in range(r + 1, len(A)):
-            if A[i][c] == 0:
-                continue
-            if A[r][c] == 0:
-                A[r], A[i] = A[i], A[r]
-                continue
-            if A[i][c] % A[r][c] == 0:
-                q = A[i][c] // A[r][c]
-                A[i] = [v - q * u for u, v in zip(A[r], A[i])]
-                continue
-            g, x, y = _egcd(A[r][c], A[i][c])
-            pr, pi = A[r][c] // g, A[i][c] // g
-            A[r], A[i] = (
-                [x * u + y * v for u, v in zip(A[r], A[i])],
-                [-pi * u + pr * v for u, v in zip(A[r], A[i])],
-            )
+            if A[i][c]:
+                _mix_rows((A,), r, i, *_eliminator(A[r][c], A[i][c]))
         if A[r][c] == 0:
             continue
         if A[r][c] < 0:
@@ -124,6 +146,23 @@ def row_span_equal(rows_a, rows_b) -> bool:
     return hnf(rows_a) == hnf(rows_b)
 
 
+def unimodular_inverse(A):
+    """A^-1 for a unimodular square A, read off hnf([A | I]) = [I | A^-1];
+    None when A is not unimodular."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("inverse of non-square matrix")
+    I = identity(n)
+    H = hnf([row + e for row, e in zip(A, I)])
+    if [row[:n] for row in H] != I:
+        return None
+    return [row[n:] for row in H]
+
+
+def is_unimodular(A):
+    return unimodular_inverse(A) is not None
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms
 
@@ -137,21 +176,11 @@ def smith_normal_form(M):
     U = identity(nr)
     V = identity(nc)
 
-    def rows_mix(i, j, a, b, c, d):
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)
-        A[i], A[j] = (
-            [a * u + b * v for u, v in zip(A[i], A[j])],
-            [c * u + d * v for u, v in zip(A[i], A[j])],
-        )
-        U[i], U[j] = (
-            [a * u + b * v for u, v in zip(U[i], U[j])],
-            [c * u + d * v for u, v in zip(U[i], U[j])],
-        )
+    def rows_mix(i, j, *step):
+        _mix_rows((A, U), i, j, *step)
 
-    def cols_mix(i, j, a, b, c, d):
-        for row in (*A, *V):
-            u, v = row[i], row[j]
-            row[i], row[j] = a * u + b * v, c * u + d * v
+    def cols_mix(i, j, *step):
+        _mix_cols((*A, *V), i, j, *step)
 
     def clear_position(t):
         """Make column t and row t zero outside (t, t)."""
@@ -160,37 +189,17 @@ def smith_normal_form(M):
             changed = False
             for i in range(t + 1, nr):
                 if A[i][t]:
-                    if A[t][t] == 0:
-                        rows_mix(t, i, 0, 1, 1, 0)  # swap (det -1 is fine)
-                    elif A[i][t] % A[t][t] == 0:
-                        rows_mix(t, i, 1, 0, -(A[i][t] // A[t][t]), 1)
-                    else:
-                        g, x, y = _egcd(A[t][t], A[i][t])
-                        pt, pi = A[t][t] // g, A[i][t] // g
-                        rows_mix(t, i, x, y, -pi, pt)
+                    rows_mix(t, i, *_eliminator(A[t][t], A[i][t]))
                     changed = True
             for j in range(t + 1, nc):
                 if A[t][j]:
-                    if A[t][t] == 0:
-                        cols_mix(t, j, 0, 1, 1, 0)
-                    elif A[t][j] % A[t][t] == 0:
-                        cols_mix(t, j, 1, 0, -(A[t][j] // A[t][t]), 1)
-                    else:
-                        g, x, y = _egcd(A[t][t], A[t][j])
-                        pt, pj = A[t][t] // g, A[t][j] // g
-                        cols_mix(t, j, x, y, -pj, pt)
+                    cols_mix(t, j, *_eliminator(A[t][t], A[t][j]))
                     changed = True
 
     t = 0
     while t < min(nr, nc):
         # bring some nonzero entry into (t, t)
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if A[i][j] != 0 and (
-                    piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
+        piv = _smallest_entry(A, t)
         if piv is None:
             break
         if piv[0] != t:
@@ -219,8 +228,7 @@ def smith_normal_form(M):
 
 
 def int_rank(M):
-    D, _, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0)
+    return len(hnf(M))
 
 
 def solve_integer(M, b):
@@ -348,14 +356,11 @@ def sublattice_index(big_rows, sub_rows):
     coords = lattice_coordinates_many(big_rows, sub_rows)
     if any(c is None for c in coords):
         raise ValueError("sublattice basis vector outside the ambient lattice")
-    D, _, _ = smith_normal_form(coords)
-    idx = 1
-    for i in range(len(big_rows)):
-        d = D[i][i] if i < len(D) else 0
-        if d == 0:
-            return None
-        idx *= d
-    return idx
+    # at full rank the HNF is square and upper triangular
+    H = hnf(coords)
+    if len(H) < len(big_rows):
+        return None
+    return prod(H[i][i] for i in range(len(H)))
 
 
 def full_rank_index(rows, n):
@@ -394,26 +399,15 @@ def skew_normal_form(F):
     A = [list(r) for r in F]
     P = identity(n)
 
-    def basis_mix(i, j, a, b, c, d):
+    def basis_mix(i, j, *step):
         # congruence: (e_i, e_j) <- (a e_i + b e_j, c e_i + d e_j)
-        for row in (*A, *P):
-            u, v = row[i], row[j]
-            row[i], row[j] = a * u + b * v, c * u + d * v
-        A[i], A[j] = (
-            [a * u + b * v for u, v in zip(A[i], A[j])],
-            [c * u + d * v for u, v in zip(A[i], A[j])],
-        )
+        _mix_cols((*A, *P), i, j, *step)
+        _mix_rows((A,), i, j, *step)
 
     t = 0
     blocks = []
     while True:
-        piv = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if A[i][j] != 0 and (
-                    piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
+        piv = _smallest_entry(A, t)
         if piv is None:
             break
         i, j = piv
@@ -425,31 +419,19 @@ def skew_normal_form(F):
             basis_mix(j, t + 1, 0, 1, 1, 0)
         if A[t][t + 1] < 0:
             basis_mix(t, t + 1, 1, 0, 0, -1)
-        # clear pairings of u_t, v_t with the other basis vectors
+        # clear pairings of u_t, v_t with the other basis vectors: mixing
+        # v_t with e_r turns (u_t, e_r) into 0 and (u_t, v_t) into the gcd,
+        # mixing u_t with e_r does the same for (v_t, e_r) = -(e_r, v_t);
+        # a shear (the divisible case) leaves (u_t, v_t) alone
         changed = True
         while changed:
             changed = False
             for r in range(t + 2, n):
                 if A[t][r]:
-                    d = A[t][t + 1]
-                    if A[t][r] % d == 0:
-                        # shear e_r by v_t: kills (u, e_r), leaves u, v alone
-                        basis_mix(t + 1, r, 1, 0, -(A[t][r] // d), 1)
-                    else:
-                        # mix v_t with e_r: (u, v) becomes gcd, (u, e_r) becomes 0
-                        g, x, y = _egcd(d, A[t][r])
-                        pv, pr = d // g, A[t][r] // g
-                        basis_mix(t + 1, r, x, y, -pr, pv)
+                    basis_mix(t + 1, r, *_eliminator(A[t][t + 1], A[t][r]))
                     changed = True
                 if A[t + 1][r]:
-                    d = A[t][t + 1]
-                    if A[t + 1][r] % d == 0:
-                        # shear e_r by u_t: kills (v, e_r), leaves u, v alone
-                        basis_mix(t, r, 1, 0, A[t + 1][r] // d, 1)
-                    else:
-                        g, x, y = _egcd(d, -A[t + 1][r])
-                        pu, pr = d // g, (-A[t + 1][r]) // g
-                        basis_mix(t, r, x, y, -pr, pu)
+                    basis_mix(t, r, *_eliminator(A[t][t + 1], -A[t + 1][r]))
                     changed = True
             if A[t][t + 1] < 0:
                 basis_mix(t, t + 1, 1, 0, 0, -1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 
+from . import intlinalg
 from .curves import NormalCurve, torus_table
 
 _TOKEN = re.compile(r"([a-zA-Z])(\d*)")
@@ -114,15 +115,7 @@ class FreeGroupEndo:
 
     def is_valid_automorphism(self) -> bool:
         """Boundary word fixed exactly, and abelianization in GL(2g, Z)."""
-        if not self.fixes_boundary():
-            return False
-        from . import intlinalg
-
-        M = self.abelianization()
-        try:
-            return intlinalg.is_unimodular(M)
-        except ValueError:
-            return False
+        return self.fixes_boundary() and intlinalg.is_unimodular(self.abelianization())
 
     def compose(self, other):
         """self after other."""

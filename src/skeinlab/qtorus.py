@@ -369,10 +369,8 @@ class TorusIrrep:
         if intlinalg.perfect_square_root(index) != dim:
             raise AssertionError("kernel index is not the square of the dimension")
         self.dimension = dim
-        # P is unimodular; invert via SNF (D must be the identity)
-        D, U, V = intlinalg.smith_normal_form(P)
-        assert all(D[i][i] == 1 for i in range(L.rank))
-        self._P_inv = intlinalg.mat_mul(V, U)
+        self._P_inv = intlinalg.unimodular_inverse(P)
+        assert self._P_inv is not None, "the skew normal form basis is not unimodular"
         n_pairs = len(blocks)
         radical = [
             [P[i][j] for i in range(L.rank)] for j in range(2 * n_pairs, L.rank)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -75,6 +76,45 @@ def test_lattice_info_refined():
     obj = json.loads(out)
     assert obj["refined"]["piDegree"] == 27
     assert obj["refined"]["kernelFormulaMatches"] is False
+
+
+@pytest.mark.parametrize(
+    "argvs, digest",
+    [
+        pytest.param(
+            [("lattice", "info", "--genus", str(g), "--N", str(N), "--refined") for N in (3, 5, 7)],
+            digest,
+            id=f"lattice-refined-g{g}",
+        )
+        for g, digest in (
+            (1, "1bd702340aa66702158aed1e53c8e6a2daf2b5367e5d70bbb6a1d067d952028a"),
+            (2, "0bc345d1433babf19658b51e9e0e024dddeaf4fa88286d6a422e6d31ff2ad48c"),
+            (3, "bb2b43db09efb5ddb83b7b05c7bbccebc189b61dd1266be90a4189d69c10eba5"),
+        )
+    ]
+    + [
+        pytest.param(
+            [("qtorus", "selftest", "--genus", "1", "--N", str(N)) for N in (3, 5, 7, 9, 11)],
+            "d5ec67f8b68602f54dbe4d0f8d54c32c41e2be8555377a722266c79ff9442eea",
+            id="qtorus-g1",
+        ),
+        pytest.param(
+            [("qtorus", "selftest", "--genus", "2", "--N", "3")],
+            "345e327c2959188e0eb075500931c3a973d0517d0f6ab06726ba02180c681591",
+            id="qtorus-g2",
+        ),
+    ],
+)
+def test_lattice_and_qtorus_stdout_pinned(argvs, digest):
+    """Stdout of lattice and torus-irrep commands, whose indices, kernels and
+    pair invariants come from HNF, SNF and the skew form, pinned so that any
+    change to their bytes shows."""
+    outs = []
+    for argv in argvs:
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
 
 def test_qtorus_selftest():
@@ -337,6 +377,7 @@ NEEDS_REP = (
     '{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}, not '
 )
 SHORT_MATRIX = {"matrix": [1, 2]}
+NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
 
 
 class File:
@@ -447,6 +488,27 @@ MALFORMED = [
          "--batch 'missing.json' is neither an existing file nor JSON"),
     _row("rep-moment-missing-file", ("rep", "moment", "--rep", "missing.json"),
          "--rep 'missing.json' is neither an existing file nor JSON"),
+    _row("config-file-not-json", ("--config", File("not json"), "lattice", "info"),
+         "--config '<file>' is not valid JSON: " + NOT_JSON),
+    _row("orbit-rep-file-not-json", ("orbit", "--rep", File("not json"), "--gens", "[]"),
+         "--rep '<file>' is not valid JSON: " + NOT_JSON),
+    _row("orbit-gens-file-not-json", ("orbit", "--rep", REP, "--gens", File("not json")),
+         "--gens '<file>' is not valid JSON: " + NOT_JSON),
+    _row("rep-moment-file-not-json", ("rep", "moment", "--rep", File("not json")),
+         "--rep '<file>' is not valid JSON: " + NOT_JSON),
+    _row("detect-curve-file-not-json", ("detect", "--curve", File("not json")),
+         "--curve '<file>' is not valid JSON: " + NOT_JSON),
+    _row("detect-beta-file-not-json", ("detect", "--curve", "0,1", "--beta", File("not json")),
+         "--beta '<file>' is not valid JSON: " + NOT_JSON),
+    _row("detect-phi-file-not-json", ("detect", "--curve", "0,1", "--phi", File("not json")),
+         "--phi '<file>' is not valid JSON: " + NOT_JSON),
+    _row("detect-batch-file-not-json", ("detect", "--batch", File("not json")),
+         "--batch '<file>' is not valid JSON: " + NOT_JSON),
+    _row("leaf-mat-not-json", ("leaf", "classify", "--mat", "notjson"),
+         "--mat 'notjson' is not valid JSON: " + NOT_JSON),
+    _row("leaf-double-not-json",
+         ("leaf", "classify", "--mat", "[1, 1, 0, 1]", "--double", "nope"),
+         "--double 'nope' is not valid JSON: " + NOT_JSON),
 ]
 
 

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +11,7 @@ from skeinlab.intlinalg import (
     gram,
     hnf,
     int_rank,
+    is_unimodular,
     kernel_mod,
     lattice_contains,
     lattice_coordinates,
@@ -21,6 +25,7 @@ from skeinlab.intlinalg import (
     solve_integer,
     sublattice_index,
     transpose,
+    unimodular_inverse,
 )
 
 
@@ -277,3 +282,119 @@ def test_perfect_square_root():
     assert perfect_square_root(625) == 25
     assert perfect_square_root(24) is None
     assert perfect_square_root(1) == 1
+
+
+def _rank_and_det(M):
+    """Rank over Q and, for a square M, the determinant, by Fraction Gaussian
+    elimination: a reference that shares no code with HNF or SNF."""
+    A = [[Fraction(x) for x in row] for row in M]
+    nc = len(A[0]) if A else 0
+    rank, det = 0, Fraction(1)
+    for c in range(nc):
+        piv = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            A[rank], A[piv] = A[piv], A[rank]
+            det = -det
+        det *= A[rank][c]
+        for i in range(rank + 1, len(A)):
+            f = A[i][c] / A[rank][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        rank += 1
+    if len(A) != nc:
+        return rank, None
+    return rank, det if rank == nc else 0
+
+
+def _random_matrix(rng, nr, nc, rank=None):
+    """A random integer matrix; with rank given, a product of random nr x rank
+    and rank x nc factors, whose rank is at most that."""
+    if rank is None:
+        return [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+    return mat_mul(_random_matrix(rng, nr, rank), _random_matrix(rng, rank, nc))
+
+
+def test_int_rank_matches_rank_over_q():
+    rng = random.Random(21)
+    ranks = set()
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        low = rng.randint(1, min(nr, nc)) if rng.random() < 0.5 else None
+        M = _random_matrix(rng, nr, nc, low)
+        rank, _ = _rank_and_det(M)
+        assert int_rank(M) == rank
+        ranks.add((rank, min(nr, nc)))
+    assert any(r < m for r, m in ranks) and any(r == m for r, m in ranks)
+
+
+def test_sublattice_index_matches_determinant():
+    rng = random.Random(22)
+    finite = infinite = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        big = hnf(_random_matrix(rng, n, n))
+        if len(big) < n:
+            continue
+        low = rng.randint(1, n) if rng.random() < 0.3 else None
+        coords = _random_matrix(rng, n, n, low)
+        sub = mat_mul(coords, big)
+        rank, det = _rank_and_det(coords)
+        if rank == n:
+            assert sublattice_index(big, sub) == abs(det)
+            finite += 1
+        else:
+            assert sublattice_index(big, sub) is None
+            infinite += 1
+    assert finite > 100 and infinite > 30
+
+
+def test_unimodular_inverse_matches_determinant():
+    rng = random.Random(23)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        _, det = _rank_and_det(A)
+        inverse = unimodular_inverse(A)
+        assert (inverse is not None) == (abs(det) == 1) == is_unimodular(A)
+        if inverse is not None:
+            assert mat_mul(A, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+        found[inverse is not None] += 1
+    assert found[True] > 50 and found[False] > 50
+
+
+def test_unimodular_inverse_rejects_non_square():
+    for A in ([[1, 0]], [[1], [0]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(A)
+        with pytest.raises(ValueError):
+            is_unimodular(A)
+
+
+SMITH_DIGEST = "e99280d8723dddd26535d6dd249b58c41e94ec84e7d7240bed9941a96363f953"
+SKEW_DIGEST = "418956f17ae27ccffd5ab74dbd8b95dce5785fd0f89aab682b47d34d4b1152cf"
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_smith_and_skew_transforms_pinned():
+    """D, U, V of the Smith form and P and the blocks of the skew form over a
+    seeded random set, pinned so that any change to the transforms shows:
+    the residue recount reads V and `pairInvariants` reads P."""
+    rng = random.Random(24)
+    smith, skew = [], []
+    for _ in range(150):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        smith.append(smith_normal_form(_random_matrix(rng, nr, nc)))
+        n = rng.randint(1, 8)
+        F = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                F[i][j] = rng.randint(-9, 9)
+                F[j][i] = -F[i][j]
+        skew.append(skew_normal_form(F))
+    assert _digest(smith) == SMITH_DIGEST
+    assert _digest(skew) == SKEW_DIGEST
