@@ -40,9 +40,11 @@ from .repvar import (
     SL2Rep,
     classify_double_leaf,
     classify_sts_leaf,
+    moment_cell,
     moment_map,
     orbit_closure,
     rep_dimension,
+    w_dimension,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star
 
@@ -106,15 +108,16 @@ def _curve_surface(genus):
     return torus_table().tri if genus == 1 else build_sigma_g_star(genus)
 
 
-def _curve_from_json(obj, tri):
+def _curve_from_json(obj, tri, flag):
     """A curve or beta field: class shorthand ("p,q", [p, q] or {"pq": [p, q]},
     genus 1 only), or edge coordinates as a list, {"coords": ...} or a bare
-    coords object. Any form but "p,q" may also come as JSON text."""
+    coords object. Any form but "p,q" may also come as JSON text, whose
+    parse error names the flag or field."""
     pq = None
     if isinstance(obj, str):
         text = obj.strip()
         if text.startswith(("{", "[")):
-            obj = json.loads(text)
+            obj = _parse_json(text, flag, obj)
         else:
             pq = text.split(",")
     if isinstance(obj, dict) and "pq" in obj:
@@ -241,7 +244,7 @@ def cmd_qtorus(args):
 
 def cmd_qtrace(args):
     tri = _curve_surface(args.genus)
-    curve = _curve_from_json(args.curve, tri)
+    curve = _curve_from_json(args.curve, tri, "--curve")
     check_state_cap(args.cap)
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
@@ -291,20 +294,19 @@ def cmd_rep(args):
             raise ValueError("genus must be >= 1")
         if args.orbit_size < 1:
             raise ValueError("--orbit-size must be >= 1")
-        exp = 3 * args.genus if args.cell == "big" else 3 * args.genus - 1
         _emit(
             {
                 "genus": args.genus,
                 "N": args.N,
                 "cell": args.cell,
                 "orbitSize": args.orbit_size,
-                "dimW": args.N**exp * args.orbit_size,
+                "dimW": w_dimension(args.genus, args.cell, args.N, args.orbit_size),
             }
         )
     elif args.rep_command == "moment":
         rep = _parse_rep(_load_json_arg(args.rep, "--rep"))
         mu = moment_map(rep)
-        _emit({"mu": mu.to_json(), "cell": "big" if not mu.a.is_zero() else "reduced"})
+        _emit({"mu": mu.to_json(), "cell": moment_cell(mu)})
 
 
 def _run_one_detect(obj):
@@ -320,8 +322,8 @@ def _run_one_detect(obj):
         phi = MappingClass.from_json(phi, genus=genus)
     beta = obj.get("beta")
     if beta is not None:
-        beta = _curve_from_json(beta, tri)
-    curve = _curve_from_json(obj["curve"], tri)
+        beta = _curve_from_json(beta, tri, "beta")
+    curve = _curve_from_json(obj["curve"], tri, "curve")
     req = DetectionRequest(
         genus=genus,
         N=_int_field(obj, "N", 5),

@@ -222,10 +222,6 @@ class TraceSupport:
     fibers: dict  # k-vector tuple -> number of admissible states
 
     @property
-    def support(self):
-        return sorted(self.fibers)
-
-    @property
     def state_count(self):
         return sum(self.fibers.values())
 

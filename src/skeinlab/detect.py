@@ -9,7 +9,9 @@ and is carried as an explicit assumption.
 
 Because the state-sum coefficients of the quantum trace are not pinned
 down, only fibers of size one are treated as provably nonzero and empty
-fibers as zero; anything else is inconclusive, never "trivial".
+fibers as zero; anything else is inconclusive, never "trivial". So each
+support is projected to a count of states per coset, and the witness
+coset's single k-vector is read back from the curve that owns it.
 """
 
 from __future__ import annotations
@@ -120,13 +122,8 @@ class _CosetProjector:
     def __init__(self, tri, N, cell):
         self.lattice = BalancedLattice(tri)
         self.cell = cell
-        if cell == "reduced":
-            self.kernel, _, _ = self.lattice.central_sublattice(N)
-        else:
-            self.kernel = RefinedLattice(self.lattice).kernel_mod(N)
-
-    def project(self, kvec):
-        return self.project_all([kvec])[0]
+        form = self.lattice.form if cell == "reduced" else RefinedLattice(self.lattice).form
+        self.kernel = intlinalg.kernel_mod(form, N)
 
     def project_all(self, kvecs):
         """The canonical coset of each k-vector: K-coordinates and their
@@ -150,35 +147,22 @@ def _detection_context(tri, N, cell):
     return projector, _ResidueRecount(projector)
 
 
-def _project_fibers(support, projector):
-    out = {}
-    fibers = support.fibers
-    kvecs = list(fibers)
-    for kvec, key, states in zip(kvecs, projector.project_all(kvecs), fibers.values()):
-        entry = out.get(key)
-        if entry is None:
-            out[key] = {"states": states, "kvecs": [kvec]}
-        else:
-            entry["states"] += states
-            entry["kvecs"].append(kvec)
-    return out
+def _coset_states(support, projector):
+    """The coset of each k-vector of the support, in fiber order, and
+    {coset: number of states}."""
+    cosets = projector.project_all(list(support.fibers))
+    states = {}
+    for coset, n in zip(cosets, support.fibers.values()):
+        states[coset] = states.get(coset, 0) + n
+    return cosets, states
 
 
 def _find_witness(fib_a, fib_b):
     """The least coset with zero states on one side and exactly one on the
     other, and whether alpha's is the one (swapped); (None, None) when no
-    coset qualifies."""
-    none = {"states": 0}
-    found = [
-        (coset, True)
-        for coset, entry in fib_a.items()
-        if entry["states"] == 1 and fib_b.get(coset, none)["states"] == 0
-    ]
-    found += [
-        (coset, False)
-        for coset, entry in fib_b.items()
-        if entry["states"] == 1 and fib_a.get(coset, none)["states"] == 0
-    ]
+    coset qualifies. A missing coset has zero states."""
+    found = [(coset, True) for coset, n in fib_a.items() if n == 1 and not fib_b.get(coset)]
+    found += [(coset, False) for coset, n in fib_b.items() if n == 1 and not fib_a.get(coset)]
     return min(found) if found else (None, None)
 
 
@@ -210,22 +194,21 @@ def _certify(req, alpha, beta, method):
         base.reasons.append("cap-exceeded")
         return base
     projector, recount = _detection_context(alpha.tri, req.N, req.cell)
-    fib_a = _project_fibers(sup_a, projector)
-    fib_b = _project_fibers(sup_b, projector)
+    cosets_a, fib_a = _coset_states(sup_a, projector)
+    cosets_b, fib_b = _coset_states(sup_b, projector)
     coset, swapped = _find_witness(fib_a, fib_b)
     if coset is None:
         base.reasons.append("fibers-ambiguous")
         return base
+    # the witness coset holds one state of one curve, hence one k-vector
+    sup, cosets = (sup_a, cosets_a) if swapped else (sup_b, cosets_b)
+    kvec = next(k for k, c in zip(sup.fibers, cosets) if c == coset)
     witness = {
         "coset": list(coset),
-        "fiberAlpha": fib_a.get(coset, {"states": 0})["states"],
-        "fiberBeta": fib_b.get(coset, {"states": 0})["states"],
+        "fiberAlpha": fib_a.get(coset, 0),
+        "fiberBeta": fib_b.get(coset, 0),
         "swapped": swapped,
-        "kvec": [
-            list(v)
-            for side in (fib_a, fib_b)
-            for v in side.get(coset, {"kvecs": []})["kvecs"]
-        ],
+        "kvec": [list(kvec)],
     }
     _reverify_witness(alpha, beta, coset, witness, recount)
     base.verdict = "certified-nontrivial"

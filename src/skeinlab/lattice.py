@@ -6,9 +6,9 @@ from . import intlinalg
 
 
 class SkewLattice:
-    """A free Z-module with basis labels and a skew-symmetric form matrix."""
+    """A free Z-module with a skew-symmetric form matrix."""
 
-    def __init__(self, form, labels=None, name=""):
+    def __init__(self, form, name=""):
         rank = len(form)
         for i in range(rank):
             if len(form[i]) != rank:
@@ -18,7 +18,6 @@ class SkewLattice:
                     raise ValueError("form must be skew-symmetric")
         self.rank = rank
         self.form = [list(row) for row in form]
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(rank)]
         self.name = name
 
     def pairing(self, a, b) -> int:

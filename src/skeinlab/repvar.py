@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import lcm
 
 from .cyclotomic import Cyclotomic
-from .mcg import FreeGroupEndo, MappingClass, boundary_word
+from .mcg import FreeGroupEndo, boundary_word
 
 
 class SL2Mat:
@@ -115,9 +115,14 @@ def moment_map(rep: SL2Rep) -> SL2Mat:
     return rep.evaluate_word(boundary_word(rep.genus))
 
 
-def classify_cell(rep: SL2Rep) -> str:
+def moment_cell(mu: SL2Mat) -> str:
     """'big' when the moment value has nonzero upper-left entry."""
-    return "big" if not moment_map(rep).a.is_zero() else "reduced"
+    return "big" if not mu.a.is_zero() else "reduced"
+
+
+def classify_cell(rep: SL2Rep) -> str:
+    """The cell of the representation's moment value."""
+    return moment_cell(moment_map(rep))
 
 
 def classify_sts_leaf(m: SL2Mat):
@@ -207,9 +212,8 @@ def quaternion_generators(order=4):
 
 
 class OrbitData:
-    def __init__(self, points, generators, moment, cell):
+    def __init__(self, points, moment, cell):
         self.points = points
-        self.generators = generators
         self.moment = moment
         self.cell = cell
 
@@ -229,21 +233,17 @@ def act_on_rep(phi: FreeGroupEndo, rep: SL2Rep) -> SL2Rep:
 
 
 def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
-    """BFS closure of seed representations under the given (validated)
-    automorphisms. Verifies the moment map is constant along the way."""
+    """BFS closure of seed representations under mapping classes given by
+    words (validated when they were built). Verifies the moment map is
+    constant along the way."""
     endos = []
     for mc in mapping_classes:
-        if isinstance(mc, MappingClass) and mc.endo is None:
+        if mc.endo is None:
             raise ValueError(
                 'orbit generators act through their free-group words: give {"words": ...}, '
                 'not {"matrix": ...}'
             )
-        endo = mc.endo if isinstance(mc, MappingClass) else FreeGroupEndo(
-            seeds[0].genus, mc
-        )
-        if not endo.is_valid_automorphism():
-            raise ValueError("generator datum is not a boundary-fixing automorphism")
-        endos.append(endo)
+        endos.append(mc.endo)
     mu = moment_map(seeds[0])
     seen = {}
     frontier = []
@@ -266,13 +266,15 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
                     seen[img] = True
                     nxt.append(img)
         frontier = nxt
-    points = list(seen)
-    cell = "big" if not mu.a.is_zero() else "reduced"
-    return OrbitData(points, endos, mu, cell)
+    return OrbitData(list(seen), mu, moment_cell(mu))
+
+
+def w_dimension(genus: int, cell: str, N: int, orbit_size: int) -> int:
+    """dim W(O): N^(3g) |O| on the big cell, N^(3g-1) |O| on the reduced."""
+    exp = 3 * genus if cell == "big" else 3 * genus - 1
+    return N**exp * orbit_size
 
 
 def rep_dimension(orbit: OrbitData, N: int) -> int:
-    """dim W(O): N^(3g) |O| on the big cell, N^(3g-1) |O| on the reduced."""
-    g = orbit.points[0].genus
-    exp = 3 * g if orbit.cell == "big" else 3 * g - 1
-    return N**exp * orbit.size
+    """dim W(O) of a finite orbit."""
+    return w_dimension(orbit.points[0].genus, orbit.cell, N, orbit.size)

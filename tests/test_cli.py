@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -509,6 +510,18 @@ MALFORMED = [
     _row("leaf-double-not-json",
          ("leaf", "classify", "--mat", "[1, 1, 0, 1]", "--double", "nope"),
          "--double 'nope' is not valid JSON: " + NOT_JSON),
+    _row("detect-curve-text-not-json", ("detect", "--curve", "{x"),
+         "curve '{x' is not valid JSON: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+         batch={"curve": "{x"}),
+    _row("detect-curve-list-text-not-json", ("detect", "--curve", "[1,"),
+         "curve '[1,' is not valid JSON: Expecting value: line 1 column 4 (char 3)",
+         batch={"curve": "[1,"}),
+    _row("detect-beta-text-not-json", ("detect", "--curve", "0,1", "--beta", "[1,"),
+         "beta '[1,' is not valid JSON: Expecting value: line 1 column 4 (char 3)",
+         batch={"curve": "0,1", "beta": "[1,"}),
+    _row("qtrace-curve-text-not-json", ("qtrace", "support", "--curve", "[1,"),
+         "--curve '[1,' is not valid JSON: Expecting value: line 1 column 4 (char 3)"),
 ]
 
 
@@ -606,6 +619,31 @@ cli.main(["selftest"])
     code, out, _ = run_cli("selftest")
     assert code == 0
     assert proc.stdout == out
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies: every import in every
+    # module, lazy ones inside functions included, is relative, of skeinlab
+    # itself or of the standard library
+    package = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
+    modules = sorted(package.glob("*.py"))
+    assert {"cli", "detect", "selftest", "poisson", "_kernels"} <= {m.stem for m in modules}
+    allowed = sys.stdlib_module_names | {"skeinlab"}
+    foreign = []
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                (module.name, name)
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert foreign == []
 
 
 def test_config_merging(tmp_path):

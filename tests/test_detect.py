@@ -1,6 +1,9 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -20,8 +23,8 @@ from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.detect import (
     DetectionRequest,
     _CosetProjector,
+    _coset_states,
     _find_witness,
-    _project_fibers,
     _ResidueRecount,
     detect_support,
     detect_theorem2,
@@ -152,8 +155,8 @@ def test_ambiguous_fibers_path():
 def _find_witness_by_sorted_scan(fib_a, fib_b):
     """The first qualifying coset of every coset in sorted order."""
     for coset in sorted(set(fib_a) | set(fib_b)):
-        sa = fib_a.get(coset, {"states": 0})["states"]
-        sb = fib_b.get(coset, {"states": 0})["states"]
+        sa = fib_a.get(coset, 0)
+        sb = fib_b.get(coset, 0)
         if sa == 0 and sb == 1:
             return coset, False
         if sb == 0 and sa == 1:
@@ -168,7 +171,7 @@ def test_find_witness_matches_sorted_scan():
     for _ in range(3000):
         fib_a, fib_b = (
             {
-                coset: {"states": rng.choice((0, 1, 1, 2, 3)), "kvecs": []}
+                coset: rng.choice((0, 1, 1, 2, 3))
                 for coset in rng.sample(cosets, rng.randrange(len(cosets) // 2))
             }
             for _ in range(2)
@@ -179,12 +182,69 @@ def test_find_witness_matches_sorted_scan():
             swapped
             for coset in cosets
             for swapped, (one, other) in ((True, (fib_a, fib_b)), (False, (fib_b, fib_a)))
-            if one.get(coset, {"states": 0})["states"] == 1
-            and other.get(coset, {"states": 0})["states"] == 0
+            if one.get(coset, 0) == 1 and other.get(coset, 0) == 0
         }
         outcomes[{0: "none", 2: "both"}.get(len(sides), "alpha" if True in sides else "beta")] += 1
     # witnesses on one side each, on both sides at once, and none at all
     assert min(outcomes.values()) > 50, outcomes
+
+
+SWEEP_MATRICES = ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]])
+SWEEP_DIGEST = "117564450e092b15569affbc71a6c1ede51a25a2cbc257c4a05a5dd9168ee0e2"
+
+
+@lru_cache(maxsize=1)
+def _sweep_certificates():
+    """(class, matrix, N, cell, cap, certificate JSON) over the primitive
+    classes with |p|, |q| <= 4 under a few SL2(Z) matrices, both cells, both
+    methods, N in {3, 5, 7, 11} and caps 24 and 40."""
+    classes = [
+        (p, q) for q in range(5) for p in range(-4, 5) if gcd(p, q) == 1 and (q > 0 or p == 1)
+    ]
+    out = []
+    for pq, mat, cell, N, cap in product(
+        classes, SWEEP_MATRICES, ("reduced", "big"), (3, 5, 7, 11), (24, 40)
+    ):
+        for run in (detect_support, detect_theorem2):
+            req = DetectionRequest(
+                N=N, cell=cell, curve=pq, phi=MappingClass(1, matrix=mat), state_cap=cap
+            )
+            out.append((pq, mat, N, cell, cap, run(req).to_json()))
+    return out
+
+
+def test_sweep_certificates_pinned():
+    # certificate bytes over a sweep wider than the golden batch, pinned so
+    # that any change to them shows
+    certs = [cert for *_, cert in _sweep_certificates()]
+    assert len(certs) == 3072
+    verdicts = Counter(cert["verdict"] for cert in certs)
+    assert verdicts["certified-nontrivial"] > 2000 and verdicts["inconclusive"] > 200
+    blob = json.dumps(certs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SWEEP_DIGEST
+
+
+def test_sweep_witness_kvec_is_the_singleton_state():
+    # a witness coset holds one state of one curve, hence one k-vector: a
+    # k-vector of that curve's support that projects to the coset
+    table = torus_table()
+    checked = 0
+    for pq, mat, N, cell, cap, cert in _sweep_certificates():
+        witness = cert["witness"]
+        if witness is None:
+            continue
+        alpha = table.curve(*pq)
+        beta = act_on_curve(MappingClass(1, matrix=mat), alpha)
+        assert len(witness["kvec"]) == 1
+        assert sorted((witness["fiberAlpha"], witness["fiberBeta"])) == [0, 1]
+        curve = alpha if witness["fiberAlpha"] == 1 else beta
+        assert witness["swapped"] == (curve is alpha)
+        kvec = tuple(witness["kvec"][0])
+        assert kvec in enumerate_admissible_states(curve, cap=cap).fibers
+        projector = detect._detection_context(table.tri, N, cell)[0]
+        assert projector.project_all([kvec]) == [tuple(witness["coset"])]
+        checked += 1
+    assert checked > 2000
 
 
 def test_disconnected_alpha_rejected():
@@ -236,8 +296,7 @@ def _assert_recount_matches_bruteforce(curve, projector):
     recount = _ResidueRecount(projector)
     by_coset = {}
     fibers = enumerate_admissible_states_bruteforce(curve).fibers
-    for kvec, n in fibers.items():
-        coset = projector.project(kvec)
+    for coset, n in zip(projector.project_all(list(fibers)), fibers.values()):
         by_coset[coset] = by_coset.get(coset, 0) + n
     targets = {coset: recount.target(coset) for coset in by_coset}
     assert len(set(targets.values())) == len(by_coset)
@@ -302,13 +361,12 @@ def _project_one_at_a_time(kvecs, projector, coords_of):
 
 
 def _grouped_one_at_a_time(support, projector, coords_of):
-    out = {}
     kvecs = list(support.fibers)
-    for kvec, key in zip(kvecs, _project_one_at_a_time(kvecs, projector, coords_of)):
-        entry = out.setdefault(key, {"states": 0, "kvecs": []})
-        entry["states"] += support.fibers[kvec]
-        entry["kvecs"].append(kvec)
-    return out
+    cosets = _project_one_at_a_time(kvecs, projector, coords_of)
+    states = {}
+    for kvec, key in zip(kvecs, cosets):
+        states[key] = states.get(key, 0) + support.fibers[kvec]
+    return cosets, states
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -320,7 +378,7 @@ def test_batched_projection_matches_one_vector_at_a_time(cell):
     for N in (3, 5, 11):
         projector = _CosetProjector(table.tri, N, cell)
         for sup in supports:
-            assert _project_fibers(sup, projector) == _grouped_one_at_a_time(
+            assert _coset_states(sup, projector) == _grouped_one_at_a_time(
                 sup, projector, coords_of
             )
     t2 = build_sigma_g_star(2)
@@ -328,7 +386,7 @@ def test_batched_projection_matches_one_vector_at_a_time(cell):
         sup = enumerate_admissible_states(NormalCurve(t2, coords))
         for N in (3, 5):
             projector = _CosetProjector(t2, N, cell)
-            assert _project_fibers(sup, projector) == _grouped_one_at_a_time(sup, projector, {})
+            assert _coset_states(sup, projector) == _grouped_one_at_a_time(sup, projector, {})
 
 
 def test_projection_rejects_unbalanced_vectors():
@@ -360,10 +418,10 @@ def _false_witness_supports(alpha, beta, projector):
     true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
 
     def projected(fibers_of):
-        return [_project_fibers(TraceSupport(c, fibers_of[c]), projector) for c in (alpha, beta)]
+        return [_coset_states(TraceSupport(c, fibers_of[c]), projector)[1] for c in (alpha, beta)]
 
     def states(fib, coset):
-        return [side.get(coset, {"states": 0})["states"] for side in fib]
+        return [side.get(coset, 0) for side in fib]
 
     true_fib = projected(true)
     for curve in (alpha, beta):
@@ -393,7 +451,8 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
     req = DetectionRequest(genus=1, N=5, cell=cell, curve=alpha, beta=beta)
     assert detect_support(req).verdict == "certified-nontrivial"
     corrupted = list(_false_witness_supports(alpha, beta, _CosetProjector(table.tri, 5, cell)))
-    assert "flip" in {kind for kind, _, _ in corrupted}
+    expected = {"reduced": {"flip": 2}, "big": {"flip": 8, "bump": 2}}[cell]
+    assert Counter(kind for kind, _, _ in corrupted) == expected
     for _, bad_curve, fibers in corrupted:
 
         def enumerate_corrupted(curve, cap, bad_curve=bad_curve, fibers=fibers):
@@ -413,7 +472,7 @@ def _false_witness_projections(alpha, beta, projector):
     support criterion finds a witness whose true fibers differ from the
     claimed ones."""
     supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
-    true_fib = [_project_fibers(sup, projector) for sup in supports]
+    true_fib = [_coset_states(sup, projector)[1] for sup in supports]
     kvecs = sorted(set().union(*(sup.fibers for sup in supports)))
     coset_of = dict(zip(kvecs, projector.project_all(kvecs)))
     # the cosets hit, and their neighbours k + 2 e_i (2 e_i is balanced)
@@ -422,7 +481,7 @@ def _false_witness_projections(alpha, beta, projector):
     cosets = sorted(set(coset_of.values()) | set(projector.project_all(shifted)))
 
     def states(fib, coset):
-        return [side.get(coset, {"states": 0})["states"] for side in fib]
+        return [side.get(coset, 0) for side in fib]
 
     for source in sorted(set(coset_of.values())):
         members = [k for k in kvecs if coset_of[k] == source]
@@ -436,7 +495,7 @@ def _false_witness_projections(alpha, beta, projector):
                 corrupted = SimpleNamespace(
                     project_all=lambda vs, moved=moved: [moved.get(v, coset_of[v]) for v in vs]
                 )
-                fib = [_project_fibers(sup, corrupted) for sup in supports]
+                fib = [_coset_states(sup, corrupted)[1] for sup in supports]
                 coset, _ = _find_witness(*fib)
                 if coset is not None and states(fib, coset) != states(true_fib, coset):
                     yield kind, moved
@@ -454,7 +513,8 @@ def test_corrupted_projection_fails_reverification(cell, monkeypatch):
     assert detect_support(req).verdict == "certified-nontrivial"
     project_all = _CosetProjector.project_all
     corrupted = list(_false_witness_projections(alpha, beta, _CosetProjector(table.tri, 3, cell)))
-    assert {kind for kind, _ in corrupted} == {"merge", "drop"}
+    expected = {"reduced": {"merge": 32, "drop": 32}, "big": {"merge": 31, "drop": 30}}[cell]
+    assert Counter(kind for kind, _ in corrupted) == expected
     for _, moved in corrupted:
 
         def project_corrupted(self, kvecs, moved=moved):
