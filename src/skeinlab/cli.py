@@ -25,10 +25,9 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, check_root_order
 from .detect import (
     DetectionRequest,
-    check_root_order,
     check_state_cap,
     detect_support,
     detect_theorem2,
@@ -171,6 +170,12 @@ def _load_json_arg(text, flag):
         raise ValueError(f"{flag} {text!r} is neither an existing file nor JSON") from None
 
 
+def _curve_arg(text, flag):
+    """A --curve or --beta value: the JSON in the file it names, or else the
+    text as it is, which _curve_from_json reads as JSON text or "p,q"."""
+    return _read_json_file(text, flag) if os.path.exists(text) else text
+
+
 def _load_json_list(text, flag):
     obj = _load_json_arg(text, flag)
     if not isinstance(obj, list):
@@ -244,7 +249,7 @@ def cmd_qtorus(args):
 
 def cmd_qtrace(args):
     tri = _curve_surface(args.genus)
-    curve = _curve_from_json(args.curve, tri, "--curve")
+    curve = _curve_from_json(_curve_arg(args.curve, "--curve"), tri, "--curve")
     check_state_cap(args.cap)
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
@@ -309,10 +314,16 @@ def cmd_rep(args):
         _emit({"mu": mu.to_json(), "cell": moment_cell(mu)})
 
 
+DETECT_METHODS = {"theorem2": detect_theorem2, "support": detect_support}
+
+
 def _run_one_detect(obj):
     """One detection request, from a batch slot or from the detect flags."""
     if not isinstance(obj, dict):
         raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
+    method = obj.get("method", "theorem2")
+    if not isinstance(method, str) or method not in DETECT_METHODS:
+        raise ValueError(f"method must be one of {', '.join(DETECT_METHODS)}, not {method!r}")
     genus = _int_field(obj, "genus", 1)
     tri = _curve_surface(genus)
     phi = obj.get("phi")
@@ -333,8 +344,7 @@ def _run_one_detect(obj):
         beta=beta,
         state_cap=_int_field(obj, "cap", DEFAULT_STATE_CAP),
     )
-    runner = detect_support if obj.get("method") == "support" else detect_theorem2
-    return runner(req).to_json()
+    return DETECT_METHODS[method](req).to_json()
 
 
 def _run_batch_item(obj):
@@ -365,11 +375,9 @@ def cmd_detect(args):
     }
     if args.phi:
         obj["phi"] = _load_json_arg(args.phi, "--phi")
-    # a path names a JSON file; other text goes to _curve_from_json as it
-    # is, which reads JSON text and the "p,q" shorthand alike
     for key, text in (("curve", args.curve), ("beta", args.beta)):
         if text:
-            obj[key] = _read_json_file(text, f"--{key}") if os.path.exists(text) else text
+            obj[key] = _curve_arg(text, f"--{key}")
     _emit(_run_one_detect(obj))
     # timings stay on stderr: certificate bytes must be run-independent
     _log(f"detect: {time.perf_counter() - t0:.3f}s")
@@ -487,7 +495,7 @@ def build_parser():
     q.add_argument("--phi", help="mapping class JSON (matrix or words)")
     q.add_argument("--beta", help='explicit image curve: "p,q", coords JSON or a JSON file')
     q.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    q.add_argument("--method", choices=["theorem2", "support"], default="theorem2")
+    q.add_argument("--method", choices=list(DETECT_METHODS), default="theorem2")
     q.add_argument("--batch", help="JSON list of detection requests")
     q.set_defaults(func=cmd_detect)
 

@@ -375,8 +375,8 @@ class TorusCurveTable:
     against the oracle.
     """
 
-    def __init__(self, tri=None, fit_weight=8):
-        self.tri = tri if tri is not None else build_sigma_g_star(1)
+    def __init__(self, fit_weight=8):
+        self.tri = build_sigma_g_star(1)
         self.basis = None
         self._fit(fit_weight)
 

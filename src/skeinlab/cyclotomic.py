@@ -12,6 +12,12 @@ from functools import lru_cache
 from math import gcd
 
 
+def check_root_order(N):
+    """The session convention: a root of unity of odd order N >= 3."""
+    if N < 3 or N % 2 == 0:
+        raise ValueError("N must be odd and >= 3")
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of Phi_m, low degree first, monic over Z."""

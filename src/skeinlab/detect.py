@@ -27,18 +27,12 @@ from .curves import (
     enumerate_admissible_states,
     torus_table,
 )
-from .cyclotomic import Cyclotomic, nth_root_of_unity_root
+from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .mcg import MappingClass, act_on_curve
-from .repvar import SL2Rep, moment_map
+from .repvar import SL2Rep, moment_cell, moment_map
 from .surface import BalancedLattice, RefinedLattice
 
 ASSUMPTIONS = ("delta-liftable",)
-
-
-def check_root_order(N):
-    """Detection works at a root of unity of odd order N >= 3."""
-    if N < 3 or N % 2 == 0:
-        raise ValueError("N must be odd and >= 3")
 
 
 def check_state_cap(cap):
@@ -498,7 +492,7 @@ def reduced_character_space(rep: SL2Rep, N: int):
     The boundary value is [[0, -z^-N], [z^N, d]]; lifts are (rho, z zeta^j).
     """
     mu = moment_map(rep)
-    if not mu.a.is_zero():
+    if moment_cell(mu) == "big":
         raise ValueError("representation is in the big cell")
     c = mu.c
     out = {
@@ -508,16 +502,13 @@ def reduced_character_space(rep: SL2Rep, N: int):
     }
     ru = c.as_root_of_unity()
     if ru is not None:
-        z0 = nth_root_of_unity_root(c, N)
-        order = z0.order * N if z0.order % N else z0.order
-        z0 = z0.embed(order) if order != z0.order else z0
-        zeta = Cyclotomic.zeta(order, order // N)
-        lifts = []
-        z = z0
-        for _ in range(N):
-            lifts.append(z.to_json())
-            z = z * zeta
-        out["lifts"] = lifts
+        # z = zeta_M^t has z^N == c; the lifts z zeta_N^j share one field
+        M, t = root_of_unity_root(*ru, N)
+        order = M if M % N == 0 else M * N
+        out["lifts"] = [
+            Cyclotomic.zeta(order, t * (order // M) + j * (order // N)).to_json()
+            for j in range(N)
+        ]
     else:
         out["lifts"] = None
         out["note"] = "boundary entry is not a root of unity; lifts kept symbolic"

@@ -385,17 +385,23 @@ def reduce_mod_rows(vec, hnf_rows):
 # Skew normal form
 
 
+def check_skew(F):
+    """A form matrix must be square and skew-symmetric."""
+    n = len(F)
+    if any(len(row) != n for row in F):
+        raise ValueError("form matrix must be square")
+    if any(F[i][j] != -F[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("form must be skew-symmetric")
+
+
 def skew_normal_form(F):
     """Unimodular P and invariants d_1..d_r with P^T F P hyperbolic.
 
     P^T F P = diag([[0, d_1], [-d_1, 0]], ..., [[0, d_r], [-d_r, 0]], 0).
     The columns of P are the new basis: pairs (u_i, v_i) then the radical.
     """
+    check_skew(F)
     n = len(F)
-    for i in range(n):
-        for j in range(n):
-            if F[i][j] != -F[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
     A = [list(r) for r in F]
     P = identity(n)
 

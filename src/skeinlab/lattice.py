@@ -9,14 +9,8 @@ class SkewLattice:
     """A free Z-module with a skew-symmetric form matrix."""
 
     def __init__(self, form, name=""):
-        rank = len(form)
-        for i in range(rank):
-            if len(form[i]) != rank:
-                raise ValueError("form matrix must be square")
-            for j in range(rank):
-                if form[i][j] != -form[j][i]:
-                    raise ValueError("form must be skew-symmetric")
-        self.rank = rank
+        intlinalg.check_skew(form)
+        self.rank = len(form)
         self.form = [list(row) for row in form]
         self.name = name
 

@@ -195,17 +195,6 @@ class MappingClass:
         (a, b), (c, d) = self.matrix
         return (a * p + b * q, c * p + d * q)
 
-    def to_json(self):
-        if self.matrix is not None:
-            return {"matrix": [list(r) for r in self.matrix]}
-        return {
-            "genus": self.genus,
-            "words": {
-                _gid_name(gid, self.genus): word_to_text(w, self.genus)
-                for gid, w in self.endo.images.items()
-            },
-        }
-
 
 def act_on_curve(phi: MappingClass, curve: NormalCurve) -> NormalCurve:
     """Genus-one matrix action: map the homology class, re-trace."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlinalg
-from .cyclotomic import Cyclotomic, root_of_unity_root
+from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .lattice import SkewLattice
 
 IRREP_DIM_CAP = 2000
@@ -22,8 +22,7 @@ class QuantumTorus:
     """T_q(E) for a skew lattice E at an odd root of unity of order N."""
 
     def __init__(self, lattice: SkewLattice, N: int):
-        if N < 1 or N % 2 == 0:
-            raise ValueError("N must be odd and positive")
+        check_root_order(N)
         self.lattice = lattice
         self.N = N
         self._half = (N + 1) // 2          # exponent with 2 * half == 1 mod N
@@ -58,17 +57,18 @@ class QuantumTorus:
             return self.zero()
         return TorusElement(self, {vec: c})
 
-    def element(self, terms):
-        out = {}
-        for vec, c in terms.items():
-            if not isinstance(c, Cyclotomic):
-                c = Cyclotomic.rational(self.N, c)
-            if not c.is_zero():
-                out[tuple(vec)] = c
-        return TorusElement(self, out)
-
     def kernel_sublattice(self):
         return self.lattice.kernel_mod(self.N)
+
+
+def _accumulate(terms, vec, c):
+    """Add c to the coefficient of vec, dropping the term when it cancels."""
+    s = terms.get(vec)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(vec, None)
+    else:
+        terms[vec] = s
 
 
 class TorusElement:
@@ -88,12 +88,7 @@ class TorusElement:
         self._check_same(other)
         out = dict(self.terms)
         for vec, c in other.terms.items():
-            s = out.get(vec)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(vec, None)
-            else:
-                out[vec] = s
+            _accumulate(out, vec, c)
         return TorusElement(self.torus, out)
 
     def __neg__(self):
@@ -116,13 +111,7 @@ class TorusElement:
         for va, ca in self.terms.items():
             for vb, cb in other.terms.items():
                 vec = tuple(x + y for x, y in zip(va, vb))
-                c = ca * cb * self.torus.twist(va, vb)
-                s = out.get(vec)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(vec, None)
-                else:
-                    out[vec] = s
+                _accumulate(out, vec, ca * cb * self.torus.twist(va, vb))
         return TorusElement(self.torus, out)
 
     __rmul__ = __mul__
@@ -178,16 +167,14 @@ class TorusElement:
         return " + ".join(f"({c!r})*Z{list(v)}" for v, c in self.sorted_terms())
 
 
-def frobenius(x: TorusElement, N=None) -> TorusElement:
-    """Fr_N: Z_a -> Z_{Na}, extended linearly.
+def frobenius(x: TorusElement) -> TorusElement:
+    """Fr_N: Z_a -> Z_{Na} for the torus's own N, extended linearly.
 
     Only defined on elements with integer coefficients (images of the
     A = +1 specialization); the result is always central.
     """
     torus = x.torus
-    N = torus.N if N is None else N
-    if N != torus.N:
-        raise ValueError("Frobenius order must match the torus session")
+    N = torus.N
     out = {}
     for vec, c in x.terms.items():
         if not c.is_rational() or c.rational_value().denominator != 1:

@@ -125,12 +125,17 @@ def classify_cell(rep: SL2Rep) -> str:
     return moment_cell(moment_map(rep))
 
 
+def _cell_index(m: SL2Mat) -> int:
+    """The Bruhat cell as an index: 0 for the big cell, 1 for the reduced."""
+    return 0 if moment_cell(m) == "big" else 1
+
+
 def classify_sts_leaf(m: SL2Mat):
     """Leaf descriptor on SL2 with the Semenov-Tian-Shansky structure:
     (cell index, conjugacy data). Cell 1 matrices are the singleton
     dressing orbits C_b."""
     tr = m.trace()
-    cell = 0 if not m.a.is_zero() else 1
+    cell = _cell_index(m)
     central = m.b.is_zero() and m.c.is_zero() and m.a == m.d and (m.a == 1 or m.a == -1)
     parabolic = (tr == 2 or tr == -2) and not central
     desc = {
@@ -146,9 +151,7 @@ def classify_sts_leaf(m: SL2Mat):
 
 def classify_double_leaf(g1: SL2Mat, g2: SL2Mat):
     """Symplectic leaf (i, j) of the double: cells of g2^-1 g1 and g2 g1^-1."""
-    i = 0 if not (g2.inverse() * g1).a.is_zero() else 1
-    j = 0 if not (g2 * g1.inverse()).a.is_zero() else 1
-    return (i, j)
+    return (_cell_index(g2.inverse() * g1), _cell_index(g2 * g1.inverse()))
 
 
 def toric_action(z: Cyclotomic, m: SL2Mat) -> SL2Mat:
@@ -171,22 +174,30 @@ def toric_action(z: Cyclotomic, m: SL2Mat) -> SL2Mat:
 # Finite orbits
 
 
-def group_closure(generators, cap=10**4):
-    """Multiplicative closure of a set of SL2 matrices."""
-    elems = {SL2Mat.identity(order=generators[0].order)}
-    frontier = list(elems)
+def _capped_closure(seeds, generators, cap, what):
+    """Breadth-first closure of the seeds under right multiplication by the
+    generators, in the order the points are found; finding more than cap
+    points is an error."""
+    seen = dict.fromkeys(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
             for gen in generators:
                 y = x * gen
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise ValueError("group closure exceeded cap")
-                    elems.add(y)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"{what} closure exceeded cap")
+                    seen[y] = None
                     nxt.append(y)
         frontier = nxt
-    return elems
+    return list(seen)
+
+
+def group_closure(generators, cap=10**4):
+    """Multiplicative closure of a set of SL2 matrices."""
+    identity = SL2Mat.identity(order=generators[0].order)
+    return set(_capped_closure([identity], generators, cap, "group"))
 
 
 def enumerate_hom_to_finite(generators, genus, cap=10**4):
@@ -232,41 +243,36 @@ def act_on_rep(phi: FreeGroupEndo, rep: SL2Rep) -> SL2Rep:
     return SL2Rep(g, images)
 
 
+class _OrbitStep:
+    """One mapping class acting on representations as right multiplication,
+    rho * step = phi . rho, refusing an image whose moment is not mu."""
+
+    def __init__(self, endo, mu):
+        self.endo = endo
+        self.mu = mu
+
+    def __rmul__(self, rep):
+        img = act_on_rep(self.endo, rep)
+        if moment_map(img) != self.mu:
+            raise AssertionError("moment map changed along the orbit: invalid generator")
+        return img
+
+
 def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
     """BFS closure of seed representations under mapping classes given by
-    words (validated when they were built). Verifies the moment map is
-    constant along the way."""
-    endos = []
+    words (validated when they were built). Verifies that every image has
+    the moment of the first seed."""
+    mu = moment_map(seeds[0])
+    steps = []
     for mc in mapping_classes:
         if mc.endo is None:
             raise ValueError(
                 'orbit generators act through their free-group words: give {"words": ...}, '
                 'not {"matrix": ...}'
             )
-        endos.append(mc.endo)
-    mu = moment_map(seeds[0])
-    seen = {}
-    frontier = []
-    for s in seeds:
-        if s not in seen:
-            seen[s] = True
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for endo in endos:
-                img = act_on_rep(endo, rep)
-                if img not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError("orbit closure exceeded cap")
-                    if moment_map(img) != mu:
-                        raise AssertionError(
-                            "moment map changed along the orbit: invalid generator"
-                        )
-                    seen[img] = True
-                    nxt.append(img)
-        frontier = nxt
-    return OrbitData(list(seen), mu, moment_cell(mu))
+        steps.append(_OrbitStep(mc.endo, mu))
+    points = _capped_closure(seeds, steps, cap, "orbit")
+    return OrbitData(points, mu, moment_cell(mu))
 
 
 def w_dimension(genus: int, cell: str, N: int, orbit_size: int) -> int:

@@ -346,9 +346,6 @@ class RefinedLattice:
             assert is_balanced(self.extended, v), "embedding left the balanced lattice"
         self.form = intlinalg.gram(ext_vectors, wp_form(self.extended))
 
-    def skew_lattice(self) -> SkewLattice:
-        return SkewLattice(self.form, name=f"Kbar({self.tri.name})")
-
     def kernel_mod(self, N):
         return intlinalg.kernel_mod(self.form, N)
 

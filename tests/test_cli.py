@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import io
@@ -479,6 +480,12 @@ MALFORMED = [
          "cap must be an integer, not '30'"),
     _row("detect-batch-text-genus", ("detect", "--batch", '[{"curve": "0,1", "genus": "1"}]'),
          "genus must be an integer, not '1'"),
+    _row("detect-batch-unknown-method",
+         ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "method": "suport"}]'),
+         "method must be one of theorem2, support, not 'suport'"),
+    _row("detect-batch-number-method",
+         ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "method": 5}]'),
+         "method must be one of theorem2, support, not 5"),
     _row("orbit-rep-missing-file", ("orbit", "--rep", "missing.json", "--gens", "[]"),
          "--rep 'missing.json' is neither an existing file nor JSON"),
     _row("orbit-gens-missing-file", ("orbit", "--rep", REP, "--gens", "missing.json"),
@@ -551,6 +558,48 @@ def test_malformed_inputs_are_usage_errors(argv, message, batch, tmp_path):
     assert _error_message(tuple(argv)) == message
     if batch is not None:
         assert _error_message(("detect", "--batch", json.dumps([batch]))) == message
+
+
+# a valid value for each option that a command with --N needs besides --N
+N_RULE_SAMPLES = {"--rep": REP, "--gens": "[]", "--curve": "1,1"}
+
+
+def _commands_with_N(parser, prefix=()):
+    """(command words, parser) of every subcommand that takes --N."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands_with_N(sub, prefix + (name,))
+    if any("--N" in action.option_strings for action in parser._actions):
+        yield prefix, parser
+
+
+N_RULE_COMMANDS = list(_commands_with_N(cli.build_parser()))
+
+
+@pytest.mark.parametrize("N", ["1", "4"])
+@pytest.mark.parametrize(
+    "words, parser", N_RULE_COMMANDS, ids=[" ".join(w) for w, _ in N_RULE_COMMANDS]
+)
+def test_every_command_with_N_keeps_the_odd_N_rule(words, parser, N):
+    # one root-order rule for every command: a command added later with --N
+    # is checked here too
+    argv = list(words)
+    for action in parser._actions:
+        flag = next((f for f in action.option_strings if f in N_RULE_SAMPLES), None)
+        if flag:
+            argv += [flag, N_RULE_SAMPLES[flag]]
+        else:
+            assert not action.required, f"no sample value for {action.option_strings}"
+    assert _error_message((*argv, "--N", N)) == "N must be odd and >= 3"
+
+
+def test_qtrace_curve_file_matches_inline_curve(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"pq": [1, 1]}))
+    inline = run_cli("qtrace", "support", "--curve", "1,1")
+    assert inline[0] == 0
+    assert run_cli("qtrace", "support", "--curve", str(path)) == inline
 
 
 def test_detect_batch_matches_golden_certificates():

@@ -593,3 +593,50 @@ def test_reduced_character_space():
     triv = SL2Rep(1, (SL2Mat.identity(), SL2Mat.identity()))
     with pytest.raises(ValueError):
         reduced_character_space(triv, 3)
+
+
+CHARACTER_SPACE_DIGEST = "a357570a4c5a5685e57fbe2404e6fcec74452b8791abf054315ba5036becbddb"
+
+
+def _character_space_sweep():
+    """reduced_character_space over genus-1 representations (diag(x, 1/x), B)
+    in Q(zeta_m), m in {3, 4, 5, 6, 8, 9, 12}, and N in {3, 5, 7, 9, 15}.
+    For x^2 != 1 the entries of B put the moment in the reduced cell with
+    lower-left entry -1/(q (x^2 - 1)): a root of unity (lifts) for q = w and
+    q = -w zeta with w = 1/(x^2 - 1), and in general not for q in
+    {1, 2, -zeta} (symbolic). For x^2 == 1, B is unipotent and the
+    moment is the identity, in the big cell."""
+    out = []
+    for order in (3, 4, 5, 6, 8, 9, 12):
+        z = Cyclotomic.zeta(order)
+        for k in range(1, 6):
+            x = z**k
+            A = SL2Mat(x, 0, 0, x.inverse(), order=order)
+            x2m1 = x * x - 1
+            if x2m1.is_zero():
+                reps = [SL2Rep(1, (A, SL2Mat(1, q, 0, 1, order=order))) for q in (1, 2, -z)]
+            else:
+                w = x2m1.inverse()
+                reps = []
+                for q in (1, 2, -z, w, -w * z):
+                    r = (q * x2m1).inverse()
+                    reps.append(SL2Rep(1, (A, SL2Mat(1, q, r, 1 + q * r, order=order))))
+            for rep in reps:
+                for N in (3, 5, 7, 9, 15):
+                    try:
+                        out.append(reduced_character_space(rep, N))
+                    except ValueError as exc:
+                        out.append(str(exc))
+    return out
+
+
+def test_reduced_character_space_pinned():
+    # the lifts are built from exponents of one root of unity; their bytes
+    # are pinned so that any change to them shows
+    out = _character_space_sweep()
+    kinds = Counter(
+        "big" if isinstance(o, str) else "lifts" if o["lifts"] else "symbolic" for o in out
+    )
+    assert kinds == {"lifts": 310, "symbolic": 415, "big": 90}
+    blob = json.dumps(out, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CHARACTER_SPACE_DIGEST

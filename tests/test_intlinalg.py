@@ -27,6 +27,7 @@ from skeinlab.intlinalg import (
     transpose,
     unimodular_inverse,
 )
+from skeinlab.lattice import SkewLattice
 
 
 def test_snf_examples():
@@ -276,6 +277,17 @@ def test_skew_normal_form_random():
 def test_skew_normal_form_rejects_non_skew():
     with pytest.raises(ValueError):
         skew_normal_form([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "F", [[[0, 1, 2], [-1, 0, 3]], [[0, 1], [-1, 0], [2, 3]]], ids=["2x3", "3x2"]
+)
+def test_non_square_forms_are_rejected(F):
+    # the skew form and SkewLattice share one check: square and skew-symmetric
+    with pytest.raises(ValueError, match="form matrix must be square"):
+        skew_normal_form(F)
+    with pytest.raises(ValueError, match="form matrix must be square"):
+        SkewLattice(F)
 
 
 def test_perfect_square_root():
