@@ -3,8 +3,9 @@
 Subcommands: surface, lattice, qtorus, qtrace, orbit, leaf, rep, detect,
 selftest. Output keys are sorted and term/coset orderings canonical, so
 identical inputs give byte-identical output. A --config file supplies
-defaults for flags left unset. Bad input exits 2 with one "error: ..." line
-on stderr; detect --batch instead gives each bad request an {"error": ...} slot.
+defaults for the chosen command's flags. Bad input exits 2 with one
+"error: ..." line on stderr; detect --batch instead gives each bad request an
+{"error": ...} slot.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from .curves import (
     torus_table,
 )
 from .cyclotomic import Cyclotomic, check_root_order
-from .detect import (
-    DetectionRequest,
-    check_state_cap,
-    detect_support,
-    detect_theorem2,
-)
+from .detect import DetectionRequest, detect_support, detect_theorem2
 from .mcg import MappingClass
 from .qtorus import build_irrep
 from .repvar import (
@@ -250,7 +246,6 @@ def cmd_qtorus(args):
 def cmd_qtrace(args):
     tri = _curve_surface(args.genus)
     curve = _curve_from_json(_curve_arg(args.curve, "--curve"), tri, "--curve")
-    check_state_cap(args.cap)
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
         "curve": curve.to_json(),
@@ -292,39 +287,40 @@ def cmd_leaf(args):
         _emit(classify_sts_leaf(m))
 
 
-def cmd_rep(args):
-    if args.rep_command == "dims":
-        check_root_order(args.N)
-        if args.genus < 1:
-            raise ValueError("genus must be >= 1")
-        if args.orbit_size < 1:
-            raise ValueError("--orbit-size must be >= 1")
-        _emit(
-            {
-                "genus": args.genus,
-                "N": args.N,
-                "cell": args.cell,
-                "orbitSize": args.orbit_size,
-                "dimW": w_dimension(args.genus, args.cell, args.N, args.orbit_size),
-            }
-        )
-    elif args.rep_command == "moment":
-        rep = _parse_rep(_load_json_arg(args.rep, "--rep"))
-        mu = moment_map(rep)
-        _emit({"mu": mu.to_json(), "cell": moment_cell(mu)})
+def cmd_rep_dims(args):
+    check_root_order(args.N)
+    if args.genus < 1:
+        raise ValueError("genus must be >= 1")
+    if args.orbit_size < 1:
+        raise ValueError("--orbit-size must be >= 1")
+    _emit(
+        {
+            "genus": args.genus,
+            "N": args.N,
+            "cell": args.cell,
+            "orbitSize": args.orbit_size,
+            "dimW": w_dimension(args.genus, args.cell, args.N, args.orbit_size),
+        }
+    )
+
+
+def cmd_rep_moment(args):
+    mu = moment_map(_parse_rep(_load_json_arg(args.rep, "--rep")))
+    _emit({"mu": mu.to_json(), "cell": moment_cell(mu)})
 
 
 DETECT_METHODS = {"theorem2": detect_theorem2, "support": detect_support}
 
 
 def _run_one_detect(obj):
-    """One detection request, from a batch slot or from the detect flags."""
+    """One detection request, from a batch slot or from the detect flags
+    given; a missing field takes DetectionRequest's default."""
     if not isinstance(obj, dict):
         raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
     method = obj.get("method", "theorem2")
     if not isinstance(method, str) or method not in DETECT_METHODS:
         raise ValueError(f"method must be one of {', '.join(DETECT_METHODS)}, not {method!r}")
-    genus = _int_field(obj, "genus", 1)
+    genus = _int_field(obj, "genus", DetectionRequest.genus)
     tri = _curve_surface(genus)
     phi = obj.get("phi")
     if isinstance(phi, list):  # a bare [[a, b], [c, d]] is a matrix mapping class
@@ -337,12 +333,12 @@ def _run_one_detect(obj):
     curve = _curve_from_json(obj["curve"], tri, "curve")
     req = DetectionRequest(
         genus=genus,
-        N=_int_field(obj, "N", 5),
-        cell=obj.get("cell", "reduced"),
+        N=_int_field(obj, "N", DetectionRequest.N),
+        cell=obj.get("cell", DetectionRequest.cell),
         curve=curve,
         phi=phi,
         beta=beta,
-        state_cap=_int_field(obj, "cap", DEFAULT_STATE_CAP),
+        state_cap=_int_field(obj, "cap", DetectionRequest.state_cap),
     )
     return DETECT_METHODS[method](req).to_json()
 
@@ -365,19 +361,12 @@ def cmd_detect(args):
         if any("error" in r for r in results):
             sys.exit(2)
         return
-    obj = {
-        "genus": args.genus,
-        "N": args.N,
-        "cell": args.cell,
-        "curve": args.curve,
-        "method": args.method,
-        "cap": args.cap,
-    }
-    if args.phi:
-        obj["phi"] = _load_json_arg(args.phi, "--phi")
-    for key, text in (("curve", args.curve), ("beta", args.beta)):
-        if text:
-            obj[key] = _curve_arg(text, f"--{key}")
+    readers = {"phi": _load_json_arg, "curve": _curve_arg, "beta": _curve_arg}
+    obj = {}
+    for key in ("genus", "N", "cell", "cap", "method", "phi", "curve", "beta"):
+        val = getattr(args, key)
+        if val is not None:
+            obj[key] = readers[key](val, f"--{key}") if key in readers else val
     _emit(_run_one_detect(obj))
     # timings stay on stderr: certificate bytes must be run-independent
     _log(f"detect: {time.perf_counter() - t0:.3f}s")
@@ -406,111 +395,109 @@ def cmd_selftest(args):
         sys.exit(1)
 
 
-def _apply_config(args, argv):
-    """Config values fill in flags that were not given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_json_file(args.config, "--config")
-    if not isinstance(cfg, dict):
-        raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            flag = getattr(args, attr)
-            if flag is not None and type(val) is not type(flag):
-                raise ValueError(f"--config {key} must be {type(flag).__name__}, not {val!r}")
-            setattr(args, attr, val)
+def _config_default(dest, value, decl):
+    """A --config value for the flag declared with decl, checked as argparse
+    checks the flag's own value: its type (bool for a switch) and choices."""
+    kind = bool if decl.get("action") == "store_true" else decl.get("type", str)
+    if type(value) is not kind:  # so 3.0 is not an int, nor 1 a bool
+        raise ValueError(f"--config {dest} must be {kind.__name__}, not {value!r}")
+    choices = decl.get("choices")
+    if choices and value not in choices:
+        raise ValueError(f"--config {dest} must be one of {', '.join(choices)}, not {value!r}")
+    return value
 
 
-def build_parser():
+def build_parser(config=None, chosen=None):
+    """The skeinlab parser. config maps flag names (dests) to defaults for
+    the flags of the command whose func is chosen; a flag given on the
+    command line still wins, and other keys are ignored."""
     p = argparse.ArgumentParser(prog="skeinlab")
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("surface", help="triangulation info")
-    spc = sp.add_subparsers(dest="surface_command", required=True)
-    q = spc.add_parser("info")
-    q.add_argument("--genus", type=int, default=1)
-    q.set_defaults(func=cmd_surface)
+    def group(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(
+            dest=f"{name}_command", required=True
+        )
 
-    sp = sub.add_parser("lattice", help="balanced lattice invariants")
-    spc = sp.add_subparsers(dest="lattice_command", required=True)
-    q = spc.add_parser("info")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--N", type=int, default=5)
-    q.add_argument("--refined", action="store_true")
-    q.set_defaults(func=cmd_lattice)
+    def command(parent, name, func, **kw):
+        """A command's parser; what it returns declares one of its flags."""
+        q = parent.add_parser(name, **kw)
+        q.set_defaults(func=func)
+        values = config if config and func is chosen else {}
 
-    sp = sub.add_parser("qtorus", help="quantum torus checks")
-    spc = sp.add_subparsers(dest="qtorus_command", required=True)
-    q = spc.add_parser("selftest")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--N", type=int, default=3)
-    q.set_defaults(func=cmd_qtorus)
+        def flag(option, **decl):
+            dest = option[2:].replace("-", "_")
+            if dest in values:
+                decl["default"] = _config_default(dest, values[dest], decl)
+            q.add_argument(option, **decl)
 
-    sp = sub.add_parser("qtrace", help="quantum trace supports")
-    spc = sp.add_subparsers(dest="qtrace_command", required=True)
-    q = spc.add_parser("support")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--curve", required=True, help='"p,q" or coords JSON')
-    q.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    q.set_defaults(func=cmd_qtrace)
+        return flag
 
-    q = sub.add_parser("orbit", help="finite orbit closure")
-    q.add_argument("--rep", required=True, help="representation JSON (file or inline)")
-    q.add_argument("--gens", required=True, help="mapping class list JSON")
-    q.add_argument("--N", type=int, default=3)
-    q.add_argument("--cap", type=int, default=4096)
-    q.set_defaults(func=cmd_orbit)
+    flag = command(group("surface", "triangulation info"), "info", cmd_surface)
+    flag("--genus", type=int, default=1)
 
-    sp = sub.add_parser("leaf", help="symplectic leaf classification")
-    spc = sp.add_subparsers(dest="leaf_command", required=True)
-    q = spc.add_parser("classify")
-    q.add_argument("--mat", required=True, help="[a, b, c, d] JSON")
-    q.add_argument("--double", help="second matrix for the double leaf")
-    q.add_argument("--field-order", type=int, default=4)
-    q.set_defaults(func=cmd_leaf)
+    flag = command(group("lattice", "balanced lattice invariants"), "info", cmd_lattice)
+    flag("--genus", type=int, default=1)
+    flag("--N", type=int, default=5)
+    flag("--refined", action="store_true")
 
-    sp = sub.add_parser("rep", help="representation utilities")
-    spc = sp.add_subparsers(dest="rep_command", required=True)
-    q = spc.add_parser("dims")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--N", type=int, default=3)
-    q.add_argument("--cell", choices=["big", "reduced"], default="big")
-    q.add_argument("--orbit-size", type=int, default=1)
-    q.set_defaults(func=cmd_rep)
-    q = spc.add_parser("moment")
-    q.add_argument("--rep", required=True)
-    q.set_defaults(func=cmd_rep)
+    flag = command(group("qtorus", "quantum torus checks"), "selftest", cmd_qtorus)
+    flag("--genus", type=int, default=1)
+    flag("--N", type=int, default=3)
 
-    q = sub.add_parser("detect", help="kernel detection certificates")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--N", type=int, default=5)
-    q.add_argument("--cell", choices=["reduced", "big"], default="reduced")
-    q.add_argument("--curve", help='"p,q", coords JSON or a JSON file')
-    q.add_argument("--phi", help="mapping class JSON (matrix or words)")
-    q.add_argument("--beta", help='explicit image curve: "p,q", coords JSON or a JSON file')
-    q.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    q.add_argument("--method", choices=list(DETECT_METHODS), default="theorem2")
-    q.add_argument("--batch", help="JSON list of detection requests")
-    q.set_defaults(func=cmd_detect)
+    flag = command(group("qtrace", "quantum trace supports"), "support", cmd_qtrace)
+    flag("--genus", type=int, default=1)
+    flag("--curve", required=True, help='"p,q" or coords JSON')
+    flag("--cap", type=int, default=DEFAULT_STATE_CAP)
 
-    q = sub.add_parser("selftest", help="run the full acceptance suite")
-    q.set_defaults(func=cmd_selftest)
+    flag = command(sub, "orbit", cmd_orbit, help="finite orbit closure")
+    flag("--rep", required=True, help="representation JSON (file or inline)")
+    flag("--gens", required=True, help="mapping class list JSON")
+    flag("--N", type=int, default=3)
+    flag("--cap", type=int, default=4096)
+
+    flag = command(group("leaf", "symplectic leaf classification"), "classify", cmd_leaf)
+    flag("--mat", required=True, help="[a, b, c, d] JSON")
+    flag("--double", help="second matrix for the double leaf")
+    flag("--field-order", type=int, default=4)
+
+    rep = group("rep", "representation utilities")
+    flag = command(rep, "dims", cmd_rep_dims)
+    flag("--genus", type=int, default=1)
+    flag("--N", type=int, default=3)
+    flag("--cell", choices=["big", "reduced"], default="big")
+    flag("--orbit-size", type=int, default=1)
+    flag = command(rep, "moment", cmd_rep_moment)
+    flag("--rep", required=True)
+
+    # no defaults here: a detect flag left out takes DetectionRequest's
+    flag = command(sub, "detect", cmd_detect, help="kernel detection certificates")
+    flag("--genus", type=int)
+    flag("--N", type=int)
+    flag("--cell", choices=["reduced", "big"])
+    flag("--curve", help='"p,q", coords JSON or a JSON file')
+    flag("--phi", help="mapping class JSON (matrix or words)")
+    flag("--beta", help='explicit image curve: "p,q", coords JSON or a JSON file')
+    flag("--cap", type=int)
+    flag("--method", choices=list(DETECT_METHODS))
+    flag("--batch", help="JSON list of detection requests")
+
+    command(sub, "selftest", cmd_selftest, help="run the full acceptance suite")
     return p
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if args.config:
+            # parse again with the config's values as the chosen command's
+            # defaults, so that argparse alone decides what the user gave
+            config = _read_json_file(args.config, "--config")
+            if not isinstance(config, dict):
+                raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
+            config = {key.replace("-", "_"): val for key, val in config.items()}
+            args = build_parser(config, args.func).parse_args(argv)
         args.func(args)
     except USAGE_ERRORS as exc:
         _log(f"error: {_error_text(exc)}")

@@ -32,6 +32,12 @@ DEFAULT_STATE_CAP = 24
 BRUTE_FORCE_MAX_POINTS = 25
 
 
+def check_state_cap(cap):
+    """A negative point cap admits no curve at all, so it is bad input."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, not {cap}")
+
+
 class StateCapExceeded(RuntimeError):
     pass
 
@@ -240,6 +246,7 @@ def enumerate_admissible_states(
     adding vectors adds their ints. The components' tables are multiplied
     (a one-component curve has nothing to multiply), and the product is
     decoded one edge column at a time (`_decode`), in the table's order."""
+    check_state_cap(cap)
     geo = curve.geometry()
     if geo.n_points > cap:
         raise StateCapExceeded(
@@ -313,12 +320,10 @@ def _component_states(geo, walk, bits):
             off_plus += unit[t]
             off_minus -= unit[t]
         ends = [(plus, off_plus), (minus, off_minus)]
-        if closed:
-            # the closing step back to the first point
-            if a_first[-1] and not first:
-                ends = [(minus, off_minus)]
-            elif not a_first[-1] and first:
-                ends = [(plus, off_plus)]
+        if closed and not first:
+            # a closed walk closes from its lowest piece's a-point
+            # (`_walk_components`), which forbids + then the first point's -
+            ends = [(minus, off_minus)]
         for states, off in ends:
             for k, c in states.items():
                 k += off
@@ -332,6 +337,7 @@ def enumerate_admissible_states_bruteforce(
     """Reference route: filter all 2^m full states with the bitset kernel."""
     from . import _kernels
 
+    check_state_cap(cap)
     geo = curve.geometry()
     limit = min(cap, BRUTE_FORCE_MAX_POINTS)
     if geo.n_points > limit:

@@ -24,21 +24,16 @@ from .curves import (
     DEFAULT_STATE_CAP,
     NormalCurve,
     StateCapExceeded,
+    check_state_cap,
     enumerate_admissible_states,
     torus_table,
 )
 from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .mcg import MappingClass, act_on_curve
-from .repvar import SL2Rep, moment_cell, moment_map
+from .repvar import SL2Rep, check_cell, moment_cell, moment_map
 from .surface import BalancedLattice, RefinedLattice
 
 ASSUMPTIONS = ("delta-liftable",)
-
-
-def check_state_cap(cap):
-    """A negative point cap admits no curve at all, so it is bad input."""
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, not {cap}")
 
 
 @dataclass
@@ -54,8 +49,7 @@ class DetectionRequest:
     def __post_init__(self):
         check_root_order(self.N)
         check_state_cap(self.state_cap)
-        if self.cell not in ("reduced", "big"):
-            raise ValueError("cell must be 'reduced' or 'big'")
+        check_cell(self.cell)
 
 
 @dataclass

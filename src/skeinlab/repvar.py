@@ -120,6 +120,12 @@ def moment_cell(mu: SL2Mat) -> str:
     return "big" if not mu.a.is_zero() else "reduced"
 
 
+def check_cell(cell):
+    """A cell name must be one that moment_cell gives."""
+    if cell not in ("reduced", "big"):
+        raise ValueError("cell must be 'reduced' or 'big'")
+
+
 def classify_cell(rep: SL2Rep) -> str:
     """The cell of the representation's moment value."""
     return moment_cell(moment_map(rep))
@@ -277,6 +283,7 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
 
 def w_dimension(genus: int, cell: str, N: int, orbit_size: int) -> int:
     """dim W(O): N^(3g) |O| on the big cell, N^(3g-1) |O| on the reduced."""
+    check_cell(cell)
     exp = 3 * genus if cell == "big" else 3 * genus - 1
     return N**exp * orbit_size
 

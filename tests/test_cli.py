@@ -407,6 +407,10 @@ MALFORMED = [
          "[Errno 21] Is a directory: '<file>'"),
     _row("qtorus-config-float-N", ("--config", File('{"N": 3.0}'), "qtorus", "selftest"),
          "--config N must be int, not 3.0"),
+    _row("rep-dims-config-cell-middle", ("--config", File('{"cell": "middle"}'), "rep", "dims"),
+         "--config cell must be one of big, reduced, not 'middle'"),
+    _row("detect-config-curve-list", ("--config", File('{"curve": [0, 1]}'), "detect"),
+         "--config curve must be str, not [0, 1]"),
     _row("qtrace-over-cap", ("qtrace", "support", "--curve", "8,5"),
          "34 intersection points exceed the cap 24"),
     _row("qtrace-negative-cap", ("qtrace", "support", "--curve", "0,1", "--cap", "-1"),
@@ -702,6 +706,123 @@ def test_config_merging(tmp_path):
     assert json.loads(out)["N"] == 7
     code, out, _ = run_cli("--config", str(cfg), "lattice", "info", "--N", "3")
     assert json.loads(out)["N"] == 3
+
+
+def _config(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def test_config_loses_to_an_abbreviated_flag(tmp_path):
+    # argparse reads --gen as --genus, so the command line wins
+    cfg = _config(tmp_path, {"genus": 3})
+    code, out, _ = run_cli("--config", cfg, "surface", "info", "--gen", "2")
+    assert code == 0 and json.loads(out)["genus"] == 2
+
+
+def test_config_sets_only_flags_of_the_chosen_command(tmp_path):
+    # keys naming the subcommand, the handler or --config itself are no
+    # flags of `rep dims`, so they are ignored like unknown keys
+    expected = run_cli("rep", "dims")
+    assert expected[0] == 0
+    for key, value in (
+        ("rep_command", "moment"), ("command", "detect"), ("func", 1),
+        ("config", "other.json"), ("mat", 5), ("rep", 5),
+    ):
+        assert run_cli("--config", _config(tmp_path, {key: value}), "rep", "dims") == expected
+
+
+def test_config_fills_detect_flags_like_the_batch_fields(tmp_path):
+    # detect flags have no defaults of their own: what the config sets
+    # reaches the request, and what neither sets is DetectionRequest's
+    cfg = _config(tmp_path, {"N": 11, "cap": 30})
+    code, single, _ = run_cli("--config", cfg, "detect", "--curve=5,3", "--phi", "[[1,1],[0,1]]")
+    assert code == 0
+    request = {"curve": "5,3", "phi": [[1, 1], [0, 1]], "N": 11, "cap": 30}
+    code, out, _ = run_cli("detect", "--batch", json.dumps([request]))
+    [slot] = json.loads(out)["certificates"]
+    assert single == json.dumps(slot, sort_keys=True, indent=2) + "\n"
+    assert json.loads(single)["verdict"] == "certified-nontrivial"
+
+
+# a valid command-line value for each required option
+REQUIRED_SAMPLES = {**N_RULE_SAMPLES, "--mat": "[1, 1, 0, 1]"}
+
+
+def _leaf_commands(parser, prefix=()):
+    """(command words, parser) of every command that runs something."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, prefix + (name,))
+    if not subs:
+        yield prefix, parser
+
+
+CONFIG_FLAGS = [
+    pytest.param(words, parser, action, id=" ".join((*words, action.option_strings[0])))
+    for words, parser in _leaf_commands(cli.build_parser())
+    for action in parser._actions
+    if action.option_strings and action.dest != "help"
+]
+
+
+def _recorded_args(argv, monkeypatch):
+    """A function of argv that gives the args main hands to the command:
+    the command that argv chooses only records them."""
+    seen = []
+    func = cli.build_parser().parse_args(argv).func
+    monkeypatch.setattr(cli, func.__name__, seen.append)
+
+    def args_of(argv):
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        return seen.pop()
+
+    return args_of
+
+
+@pytest.mark.parametrize("words, parser, action", CONFIG_FLAGS)
+def test_every_flag_checks_its_config_value(words, parser, action, tmp_path, monkeypatch):
+    # every option of every command, so a flag added later is checked too:
+    # a config value is typed and chosen like the flag's own value, and the
+    # command line beats it, in full or abbreviated
+    flag, dest = action.option_strings[0], action.dest
+    # argparse wants a required flag on the command line, config or not
+    required = {
+        a.option_strings[0]: REQUIRED_SAMPLES[a.option_strings[0]]
+        for a in parser._actions
+        if a.required
+    }
+    switch = isinstance(action, argparse._StoreTrueAction)
+    kind = bool if switch else action.type or str
+    wrong = {int: "3", str: 3, bool: 1}[kind]
+    required_argv = [t for item in required.items() for t in item]
+    argv = ("--config", _config(tmp_path, {dest: wrong}), *words, *required_argv)
+    assert _error_message(argv) == f"--config {dest} must be {kind.__name__}, not {wrong!r}"
+    if action.choices:
+        argv = ("--config", _config(tmp_path, {dest: "middle"}), *words, *required_argv)
+        message = f"--config {dest} must be one of {', '.join(action.choices)}, not 'middle'"
+        assert _error_message(argv) == message
+    if switch:
+        config_value, given, expected = False, [], True
+    elif action.choices:
+        config_value, given, expected = action.choices[0], [action.choices[-1]], action.choices[-1]
+    else:
+        config_value, given, expected = kind(7), [str(kind(9))], kind(9)
+    required.pop(flag, None)
+    required_argv = [t for item in required.items() for t in item]
+    argv = ["--config", _config(tmp_path, {dest: config_value}), *words, *required_argv]
+    args_of = _recorded_args(argv + [flag, *given], monkeypatch)
+    if not action.required:
+        assert getattr(args_of(argv), dest) == config_value
+    others = [s for a in parser._actions for s in a.option_strings if flag not in a.option_strings]
+    forms = [flag] + [
+        flag[:n] for n in range(3, len(flag)) if not any(s.startswith(flag[:n]) for s in others)
+    ][:1]
+    for form in forms:
+        assert getattr(args_of(argv + [form, *given]), dest) == expected
 
 
 def test_selftest_runs_clean():

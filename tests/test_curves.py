@@ -202,6 +202,40 @@ def test_bruteforce_cap_above_kernel_limit():
     assert brute.state_count == 114628
 
 
+def test_negative_cap_is_bad_input():
+    # a negative cap is refused before any curve is measured against it
+    c = torus_table().curve(0, 1)
+    for enumerate_states in (enumerate_admissible_states, enumerate_admissible_states_bruteforce):
+        with pytest.raises(ValueError, match=r"^cap must be >= 0, not -1$"):
+            enumerate_states(c, cap=-1)
+        assert enumerate_states(c, cap=2).state_count == 3
+
+
+def test_closed_walks_close_from_an_a_point():
+    """A closed walk closes through its lowest piece, from that piece's
+    a-point: the one closing rule the walk DP knows. Every genus-1 curve of
+    weight <= 10 and every genus-2 curve with m <= 14 points."""
+    table = torus_table()
+    genus_one = []
+    for vec in table._iter_coord_vectors(10):
+        try:
+            genus_one.append(NormalCurve(table.tri, vec))
+        except ValueError:
+            continue
+    tri = build_sigma_g_star(2)
+    genus_two = [NormalCurve(tri, vec) for vec in _normal_coord_vectors(tri, 14)]
+    closed = 0
+    for c in genus_one + genus_two:
+        geo = c.geometry()
+        for points, steps in geo.walks:
+            if len(steps) == len(points):
+                pa, pb = geo.pieces[steps[-1]][:2]
+                assert (pa, pb) == (points[-1], points[0]), c
+                assert steps[-1] == min(steps), c
+                closed += 1
+    assert closed > 1000
+
+
 def test_torus_fixture_curves():
     table = torus_table()
     assert table.basis == FIXTURES["torusCurves"]["classBasis"]

@@ -21,6 +21,7 @@ from skeinlab.repvar import (
     quaternion_generators,
     rep_dimension,
     toric_action,
+    w_dimension,
 )
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
@@ -217,3 +218,11 @@ def test_rep_json_round_trip():
     obj = rep.to_json()
     assert obj["genus"] == 1
     assert len(obj["images"]) == 2
+
+
+def test_w_dimension_rejects_an_unknown_cell():
+    # one cell rule (check_cell) for the library and the CLI alike
+    assert w_dimension(1, "big", 3, 1) == 27
+    assert w_dimension(1, "reduced", 3, 1) == 9
+    with pytest.raises(ValueError, match="cell must be 'reduced' or 'big'"):
+        w_dimension(1, "middle", 3, 1)
