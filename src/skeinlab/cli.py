@@ -22,6 +22,7 @@ from .curves import (
     DEFAULT_STATE_CAP,
     NormalCurve,
     StateCapExceeded,
+    class_curve,
     enumerate_admissible_states,
     support_bounds_check,
     torus_table,
@@ -120,15 +121,12 @@ def _curve_from_json(obj, tri, flag):
     elif isinstance(obj, list) and len(obj) == 2:
         pq = obj
     if pq is not None:
-        table = torus_table()
-        if tri is not table.tri:
-            raise ValueError("(p, q) curve input is genus-1 only")
         try:
             # through str, so that 1.5 or true is refused, not truncated
             p, q = (int(str(t)) for t in pq)
         except (TypeError, ValueError):
             raise ValueError(f"(p, q) needs two integers, not {obj!r}") from None
-        return table.curve(p, q)
+        return class_curve(tri.genus, p, q)
     if isinstance(obj, dict):
         obj = obj.get("coords", obj)
     if not isinstance(obj, (dict, list)):
@@ -289,8 +287,6 @@ def cmd_leaf(args):
 
 def cmd_rep_dims(args):
     check_root_order(args.N)
-    if args.genus < 1:
-        raise ValueError("genus must be >= 1")
     if args.orbit_size < 1:
         raise ValueError("--orbit-size must be >= 1")
     _emit(
@@ -407,6 +403,11 @@ def _config_default(dest, value, decl):
     return value
 
 
+# The default of a required flag that the config does not give. argparse does
+# not enforce required flags, since the config may give them; main does.
+REQUIRED = object()
+
+
 def build_parser(config=None, chosen=None):
     """The skeinlab parser. config maps flag names (dests) to defaults for
     the flags of the command whose func is chosen; a flag given on the
@@ -426,10 +427,14 @@ def build_parser(config=None, chosen=None):
         q.set_defaults(func=func)
         values = config if config and func is chosen else {}
 
-        def flag(option, **decl):
+        def flag(option, required=False, **decl):
             dest = option[2:].replace("-", "_")
+            if required:
+                decl["help"] = f"{decl.get('help', '')} (required, here or in --config)".lstrip()
             if dest in values:
                 decl["default"] = _config_default(dest, values[dest], decl)
+            elif required:
+                decl["default"] = REQUIRED
             q.add_argument(option, **decl)
 
         return flag
@@ -498,6 +503,9 @@ def main(argv=None):
                 raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
             config = {key.replace("-", "_"): val for key, val in config.items()}
             args = build_parser(config, args.func).parse_args(argv)
+        missing = [f"--{d.replace('_', '-')}" for d, v in vars(args).items() if v is REQUIRED]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
         args.func(args)
     except USAGE_ERRORS as exc:
         _log(f"error: {_error_text(exc)}")

@@ -33,7 +33,7 @@ BRUTE_FORCE_MAX_POINTS = 25
 
 
 def check_state_cap(cap):
-    """A negative point cap admits no curve at all, so it is bad input."""
+    """A negative cap, on points or on a closure's size, is bad input."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, not {cap}")
 
@@ -477,3 +477,11 @@ def torus_table() -> TorusCurveTable:
             if _table is None:
                 _table = TorusCurveTable()
     return _table
+
+
+def class_curve(genus, p, q) -> NormalCurve:
+    """The torus curve of class (p, q): class shorthand names curves on the
+    shared Delta_1 only."""
+    if genus != 1:
+        raise ValueError("(p, q) curve input is genus-1 only")
+    return torus_table().curve(p, q)

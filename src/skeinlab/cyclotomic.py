@@ -65,21 +65,6 @@ class Cyclotomic:
         c[power] = Fraction(1)
         return Cyclotomic(order, c)
 
-    @staticmethod
-    def root_of_unity(order, M, k) -> "Cyclotomic":
-        """zeta_M^k as an element of Q(zeta_order), the inverse of
-        as_root_of_unity. M must divide order, or 2*order for odd order."""
-        g = gcd(M, k)
-        M, k = M // g, k // g
-        if order % M == 0:
-            return Cyclotomic.zeta(order, k * (order // M))
-        if order % 2 == 0 or (2 * order) % M:
-            raise ValueError(f"zeta_{M} does not lie in Q(zeta_{order})")
-        # zeta_{2*order} == -zeta_order^((order + 1) / 2) for odd order
-        e = k * (2 * order // M)
-        z = Cyclotomic.zeta(order, e * (order + 1) // 2)
-        return -z if e % 2 else z
-
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other):

@@ -25,8 +25,8 @@ from .curves import (
     NormalCurve,
     StateCapExceeded,
     check_state_cap,
+    class_curve,
     enumerate_admissible_states,
-    torus_table,
 )
 from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .mcg import MappingClass, act_on_curve
@@ -79,23 +79,13 @@ class Certificate:
 
 
 def _resolve_curves(req: DetectionRequest):
-    table = torus_table()
     alpha = req.curve
     if not isinstance(alpha, NormalCurve):
-        p, q = alpha
-        if req.genus != 1:
-            raise ValueError("(p, q) curve input is genus-1 only")
-        alpha = table.curve(p, q)
-    if req.beta is not None:
-        beta = req.beta
-    else:
+        alpha = class_curve(req.genus, *alpha)
+    beta = req.beta
+    if beta is None:
         if req.phi is None:
             raise ValueError("request needs a mapping class or explicit beta")
-        if req.phi.matrix is None:
-            raise ValueError(
-                "for word mapping classes supply beta explicitly (no curve "
-                "image algorithm beyond genus one)"
-            )
         beta = act_on_curve(req.phi, alpha)
     if alpha.tri is not beta.tri:
         raise ValueError("alpha and beta live on different triangulations")

@@ -190,17 +190,17 @@ class MappingClass:
         return MappingClass(obj.get("genus", genus), words=obj.get("words"))
 
     def act_on_class(self, p, q):
-        if self.matrix is None:
-            raise ValueError("curve action needs the matrix form")
+        """The matrix action on a homology class (matrix form only)."""
         (a, b), (c, d) = self.matrix
         return (a * p + b * q, c * p + d * q)
 
 
 def act_on_curve(phi: MappingClass, curve: NormalCurve) -> NormalCurve:
-    """Genus-one matrix action: map the homology class, re-trace."""
+    """Genus-one matrix action: map the homology class, re-trace. A word
+    mapping class has no curve action here, at any genus."""
     if phi.matrix is None:
         raise ValueError(
-            "general-genus curve images must be supplied as explicit coordinates"
+            "a word mapping class has no curve action: supply the image curve as beta"
         )
     table = torus_table()
     if curve.tri is not table.tri:

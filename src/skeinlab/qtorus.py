@@ -219,32 +219,22 @@ def chebyshev_coefficients(N: int):
 class CentralCharacter:
     """A multiplicative character on the mod-N kernel sublattice E^0.
 
-    Values are prescribed on the HNF basis of E^0 and must be roots of
-    unity; they are kept as exponents of zeta_order, so that the Azumaya
-    scaling below stays exact in integer arithmetic.
+    chi(b_i) = zeta_M^exponents[i] on the i-th HNF basis vector b_i of E^0.
+    The exponents are kept over zeta_order, order = lcm(N, M), so that the
+    Azumaya scaling below stays exact in integer arithmetic.
     """
 
-    def __init__(self, torus: QuantumTorus, values):
+    def __init__(self, torus: QuantumTorus, M, exponents):
         self.torus = torus
         self.kernel_basis = torus.kernel_sublattice()
-        if len(values) != len(self.kernel_basis):
+        if type(M) is not int or M < 1:
+            raise ValueError(f"the root order M must be an integer >= 1, not {M!r}")
+        if len(exponents) != len(self.kernel_basis):
             raise ValueError(
-                f"need {len(self.kernel_basis)} values on the kernel HNF basis"
+                f"need {len(self.kernel_basis)} exponents on the kernel HNF basis"
             )
-        roots = []
-        fields = []
-        for v in values:
-            if not isinstance(v, Cyclotomic):
-                v = Cyclotomic.rational(torus.N, v)
-            ru = v.as_root_of_unity()
-            if ru is None:
-                raise ValueError("character values must be roots of unity")
-            roots.append(ru)
-            fields.append(v.order)
-        # value_of answers in the field the values were given in
-        self.field_order = lcm(torus.N, *fields)
-        self.order = lcm(torus.N, *(M for M, _ in roots))
-        self.exponents = [k * (self.order // M) for M, k in roots]
+        self.order = lcm(torus.N, M)
+        self.exponents = [k * (self.order // M) % self.order for k in exponents]
         # the twist A^(-(a,b)/4) is trivial on E^0 by definition of the kernel
         for row in intlinalg.gram(self.kernel_basis, torus.lattice.form):
             if any(x % torus.N for x in row):
@@ -253,7 +243,7 @@ class CentralCharacter:
     @staticmethod
     def trivial(torus: QuantumTorus):
         # E^0 contains N*Z^r, so its HNF basis has one row per rank
-        return CentralCharacter(torus, [1] * torus.lattice.rank)
+        return CentralCharacter(torus, 1, [0] * torus.lattice.rank)
 
     def exponent_of(self, vec) -> int:
         """The e in [0, order) with chi(Z_vec) == zeta_order^e."""
@@ -261,11 +251,6 @@ class CentralCharacter:
         if coords is None:
             raise ValueError("vector is not in the kernel sublattice E^0")
         return sum(c * e for c, e in zip(coords, self.exponents)) % self.order
-
-    def value_of(self, vec) -> Cyclotomic:
-        return Cyclotomic.root_of_unity(
-            self.field_order, self.order, self.exponent_of(vec)
-        )
 
 
 # ---------------------------------------------------------------------------

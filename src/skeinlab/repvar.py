@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from math import lcm
 
+from .curves import check_state_cap
 from .cyclotomic import Cyclotomic
 from .mcg import FreeGroupEndo, boundary_word
+from .surface import check_genus
 
 
 class SL2Mat:
@@ -72,6 +74,7 @@ class SL2Rep:
     """A representation of the free surface group: images of a1..ag, b1..bg."""
 
     def __init__(self, genus, images):
+        check_genus(genus)
         if len(images) != 2 * genus:
             raise ValueError("need 2g images (a1, b1, ..., ag, bg)")
         self.genus = genus
@@ -182,21 +185,20 @@ def toric_action(z: Cyclotomic, m: SL2Mat) -> SL2Mat:
 
 def _capped_closure(seeds, generators, cap, what):
     """Breadth-first closure of the seeds under right multiplication by the
-    generators, in the order the points are found; finding more than cap
-    points is an error."""
-    seen = dict.fromkeys(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in generators:
-                y = x * gen
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"{what} closure exceeded cap")
-                    seen[y] = None
-                    nxt.append(y)
-        frontier = nxt
+    generators, in the order the points are found; more than cap points,
+    seeds included, is an error."""
+    check_state_cap(cap)
+    seen = {}
+    found = seeds
+    while found:
+        frontier = []
+        for y in found:
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise ValueError(f"{what} closure exceeded cap")
+                seen[y] = None
+                frontier.append(y)
+        found = [x * gen for x in frontier for gen in generators]
     return list(seen)
 
 
@@ -266,8 +268,9 @@ class _OrbitStep:
 
 def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
     """BFS closure of seed representations under mapping classes given by
-    words (validated when they were built). Verifies that every image has
-    the moment of the first seed."""
+    words (validated when they were built) of the seeds' genus. Verifies
+    that every image has the moment of the first seed."""
+    genus = seeds[0].genus
     mu = moment_map(seeds[0])
     steps = []
     for mc in mapping_classes:
@@ -276,6 +279,11 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
                 'orbit generators act through their free-group words: give {"words": ...}, '
                 'not {"matrix": ...}'
             )
+        if mc.genus != genus:
+            raise ValueError(
+                f"an orbit generator of genus {mc.genus} cannot act on a "
+                f"representation of genus {genus}"
+            )
         steps.append(_OrbitStep(mc.endo, mu))
     points = _capped_closure(seeds, steps, cap, "orbit")
     return OrbitData(points, mu, moment_cell(mu))
@@ -283,6 +291,7 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
 
 def w_dimension(genus: int, cell: str, N: int, orbit_size: int) -> int:
     """dim W(O): N^(3g) |O| on the big cell, N^(3g-1) |O| on the reduced."""
+    check_genus(genus)
     check_cell(cell)
     exp = 3 * genus if cell == "big" else 3 * genus - 1
     return N**exp * orbit_size

@@ -196,6 +196,14 @@ def annulus_d1_plus() -> Triangulation:
     return Triangulation([(0, 2, 3), (3, 1, 2)], name="D1+")
 
 
+def check_genus(genus):
+    """The surfaces here have genus an integer >= 1 (and True is no genus)."""
+    if type(genus) is not int:
+        raise ValueError(f"genus must be an integer, not {genus!r}")
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+
+
 def build_sigma_g_star(g: int) -> Triangulation:
     """Triangulation Delta_g of the genus-g surface with one boundary arc.
 
@@ -203,8 +211,7 @@ def build_sigma_g_star(g: int) -> Triangulation:
     extra triangle; higher genus wedges on one more copy per handle, again
     through one fusion triangle each.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    check_genus(g)
 
     def sigma_1(offset):
         # edges: a=0+offset, b=1+offset, m=2, d=3, boundary arc 4

@@ -374,6 +374,10 @@ def test_class_shorthand_is_genus_one_only():
 
 
 REP = json.dumps({"genus": 1, "images": [[0, 1, -1, 0], [0, 1, -1, 0]]})
+REP_GENUS_2 = json.dumps({"genus": 2, "images": [[0, 1, -1, 0]] * 4})
+REP_GENUS_0 = '{"genus": 0, "images": []}'
+REP_GENUS_TRUE = json.dumps({"genus": True, "images": [[0, 1, -1, 0], [0, 1, -1, 0]]})
+TWIST = {"a1": "a1", "b1": "b1a1"}
 NEEDS_REP = (
     'a representation needs "genus" and "images", e.g. '
     '{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}, not '
@@ -436,6 +440,27 @@ MALFORMED = [
          'give {"words": ...}, not {"matrix": ...}'),
     _row("orbit-even-N", ("orbit", "--rep", REP, "--gens", "[]", "--N", "4"),
          "N must be odd and >= 3"),
+    _row("orbit-genus-0", ("orbit", "--rep", REP_GENUS_0, "--gens", "[]"),
+         "genus must be >= 1"),
+    _row("orbit-genus-true", ("orbit", "--rep", REP_GENUS_TRUE, "--gens", "[]"),
+         "genus must be an integer, not True"),
+    _row("rep-moment-genus-0", ("rep", "moment", "--rep", REP_GENUS_0), "genus must be >= 1"),
+    _row("rep-moment-genus-true", ("rep", "moment", "--rep", REP_GENUS_TRUE),
+         "genus must be an integer, not True"),
+    _row("orbit-negative-cap", ("orbit", "--rep", REP, "--gens", "[]", "--cap", "-1"),
+         "cap must be >= 0, not -1"),
+    _row("orbit-cap-0-below-the-seed", ("orbit", "--rep", REP, "--gens", "[]", "--cap", "0"),
+         "orbit closure exceeded cap"),
+    _row("orbit-genus-2-generator-on-genus-1-rep",
+         ("orbit", "--rep", REP, "--gens", json.dumps([{"genus": 2, "words": TWIST}])),
+         "an orbit generator of genus 2 cannot act on a representation of genus 1"),
+    _row("orbit-genus-2-generator-beyond-genus-1-rep",
+         ("orbit", "--rep", REP, "--gens",
+          json.dumps([{"genus": 2, "words": {"a1": "a1B1", "b1": "b1"}}])),
+         "an orbit generator of genus 2 cannot act on a representation of genus 1"),
+    _row("orbit-genus-1-generator-on-genus-2-rep",
+         ("orbit", "--rep", REP_GENUS_2, "--gens", json.dumps([{"genus": 1, "words": TWIST}])),
+         "an orbit generator of genus 1 cannot act on a representation of genus 2"),
     _row("orbit-rep-without-images", ("orbit", "--rep", '{"genus": 1}', "--gens", "[]"),
          NEEDS_REP + "{'genus': 1}"),
     _row("rep-moment-without-images", ("rep", "moment", "--rep", '{"genus": 1}'),
@@ -464,6 +489,10 @@ MALFORMED = [
          'the image of a1 must be a word such as "ab" or a list of generator ids '
          "in ±1..±2, not 5",
          batch={"curve": "0,1", "phi": {"words": {"a1": 5}}}),
+    _row("detect-word-class-without-beta",
+         ("detect", "--curve", "0,1", "--phi", '{"words": {"a1": "a", "b1": "ba"}}'),
+         "a word mapping class has no curve action: supply the image curve as beta",
+         batch={"curve": "0,1", "phi": {"words": {"a1": "a", "b1": "ba"}}}),
     _row("detect-single-matches-batch-slot",
          ("detect", "--curve", "0,1", "--phi", json.dumps(SHORT_MATRIX)),
          "matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]",
@@ -594,7 +623,7 @@ def test_every_command_with_N_keeps_the_odd_N_rule(words, parser, N):
         if flag:
             argv += [flag, N_RULE_SAMPLES[flag]]
         else:
-            assert not action.required, f"no sample value for {action.option_strings}"
+            assert action.default is not cli.REQUIRED, f"no sample value for {action.option_strings}"
     assert _error_message((*argv, "--N", N)) == "N must be odd and >= 3"
 
 
@@ -789,11 +818,11 @@ def test_every_flag_checks_its_config_value(words, parser, action, tmp_path, mon
     # a config value is typed and chosen like the flag's own value, and the
     # command line beats it, in full or abbreviated
     flag, dest = action.option_strings[0], action.dest
-    # argparse wants a required flag on the command line, config or not
+    # the other required flags go on the command line
     required = {
         a.option_strings[0]: REQUIRED_SAMPLES[a.option_strings[0]]
         for a in parser._actions
-        if a.required
+        if a.default is cli.REQUIRED
     }
     switch = isinstance(action, argparse._StoreTrueAction)
     kind = bool if switch else action.type or str
@@ -815,14 +844,44 @@ def test_every_flag_checks_its_config_value(words, parser, action, tmp_path, mon
     required_argv = [t for item in required.items() for t in item]
     argv = ["--config", _config(tmp_path, {dest: config_value}), *words, *required_argv]
     args_of = _recorded_args(argv + [flag, *given], monkeypatch)
-    if not action.required:
-        assert getattr(args_of(argv), dest) == config_value
+    assert getattr(args_of(argv), dest) == config_value
     others = [s for a in parser._actions for s in a.option_strings if flag not in a.option_strings]
     forms = [flag] + [
         flag[:n] for n in range(3, len(flag)) if not any(s.startswith(flag[:n]) for s in others)
     ][:1]
     for form in forms:
         assert getattr(args_of(argv + [form, *given]), dest) == expected
+
+
+REQUIRED_FLAGS = [
+    pytest.param(words, parser, action, id=" ".join((*words, action.option_strings[0])))
+    for words, parser in _leaf_commands(cli.build_parser())
+    for action in parser._actions
+    if action.default is cli.REQUIRED
+]
+
+
+@pytest.mark.parametrize("words, parser, action", REQUIRED_FLAGS)
+def test_a_required_flag_comes_from_the_command_line_or_the_config(
+    words, parser, action, tmp_path
+):
+    # required-ness is decided once the config is applied: a required flag
+    # that the config gives runs as if it were given on the command line,
+    # and one that neither gives is one error line
+    flag = action.option_strings[0]
+    others = [
+        t
+        for a in parser._actions
+        if a.default is cli.REQUIRED and a is not action
+        for t in (a.option_strings[0], REQUIRED_SAMPLES[a.option_strings[0]])
+    ]
+    message = f"the following arguments are required: {flag}"
+    assert _error_message((*words, *others)) == message
+    assert _error_message(("--config", _config(tmp_path, {}), *words, *others)) == message
+    expected = run_cli(*words, flag, REQUIRED_SAMPLES[flag], *others)
+    assert expected[0] == 0
+    config = _config(tmp_path, {action.dest: REQUIRED_SAMPLES[flag]})
+    assert run_cli("--config", config, *words, *others) == expected
 
 
 def test_selftest_runs_clean():

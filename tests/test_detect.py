@@ -15,6 +15,7 @@ from skeinlab import detect
 from skeinlab.curves import (
     NormalCurve,
     TraceSupport,
+    class_curve,
     enumerate_admissible_states,
     enumerate_admissible_states_bruteforce,
     torus_table,
@@ -131,6 +132,23 @@ def test_word_phi_requires_beta():
     )
     with pytest.raises(ValueError):
         detect_support(req)
+
+
+def test_curve_action_and_class_shorthand_rules():
+    # one refusal of a word class without beta, true at every genus, and one
+    # genus-1 rule for (p, q) shorthand, shared with the CLI
+    table = torus_table()
+    words = {"a1": "a1", "b1": "b1a1"}
+    genus_two_curve = NormalCurve(build_sigma_g_star(2), {2: 1, 3: 1})
+    for genus, curve in ((1, (0, 1)), (2, genus_two_curve)):
+        req = DetectionRequest(genus=genus, N=5, curve=curve, phi=MappingClass(genus, words=words))
+        with pytest.raises(ValueError, match="no curve action: supply the image curve as beta"):
+            detect_theorem2(req)
+    assert class_curve(1, 2, 1) == table.curve(2, 1)
+    with pytest.raises(ValueError, match="genus-1 only"):
+        class_curve(2, 2, 1)
+    with pytest.raises(ValueError, match="genus-1 only"):
+        detect_theorem2(DetectionRequest(genus=2, N=5, curve=(2, 1), beta=genus_two_curve))
 
 
 def test_request_validation():

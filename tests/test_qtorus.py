@@ -160,30 +160,15 @@ def test_irrep_nontrivial_character():
     L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
     T = QuantumTorus(L, 3)
     basis = T.kernel_sublattice()
-    chi = CentralCharacter(T, [Cyclotomic.zeta(3, k % 3) for k in range(len(basis))])
+    # chi(b_k) = zeta_3^(k mod 3) on the k-th kernel basis vector
+    chi = CentralCharacter(T, 3, [k % 3 for k in range(len(basis))])
     irr = TorusIrrep(T, chi)
     assert irr.dimension == 9
     F = irr.field_order
-    for kvec in chi.kernel_basis:
+    for k, kvec in enumerate(chi.kernel_basis):
         img = irr.image_of_monomial(kvec)
         assert img.is_scalar(chi.exponent_of(kvec) * (F // chi.order))
-        assert Cyclotomic.zeta(F, img.exps[0]) == chi.value_of(kvec).embed(F)
-
-
-def test_character_value_of_keeps_the_given_field():
-    # -zeta_N^k is a 2N-th root of unity given in Q(zeta_N): value_of must
-    # answer in Q(zeta_N) with the very same coefficients
-    L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
-    for N in (3, 5):
-        T = QuantumTorus(L, N)
-        basis = T.kernel_sublattice()
-        values = [-Cyclotomic.zeta(N, k) for k in range(len(basis))]
-        chi = CentralCharacter(T, values)
-        assert TorusIrrep(T, chi).dimension == N * N
-        for b, v in zip(basis, values):
-            assert chi.value_of(b) == v
-        a, b = basis[:2]
-        assert chi.value_of([x + y for x, y in zip(a, b)]) == values[0] * values[1]
+        assert Cyclotomic.zeta(F, img.exps[0]) == Cyclotomic.zeta(3, k % 3).embed(F)
 
 
 def _dense(mm):
@@ -219,9 +204,8 @@ def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
     for N in (3, 5):
         T = QuantumTorus(L, N)
         basis = T.kernel_sublattice()
-        chi = CentralCharacter(
-            T, [-Cyclotomic.zeta(N, k + 1) for k in range(len(basis))]
-        )
+        # chi(b_k) = -zeta_N^(k+1) = zeta_2N^(N + 2(k+1))
+        chi = CentralCharacter(T, 2 * N, [N + 2 * (k + 1) for k in range(len(basis))])
         irr = TorusIrrep(T, chi)
         F = irr.field_order
         gens = [_dense(irr.generator_images[i]) for i in range(L.rank)]
@@ -232,7 +216,7 @@ def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
                 assert lhs == _dense_scaled(phase, _dense_mul(gens[j], gens[i]))
         one = [[Cyclotomic.rational(F, int(r == c)) for c in range(irr.dimension)]
                for r in range(irr.dimension)]
-        for kvec in basis:
+        for k, kvec in enumerate(basis):
             # Z_{x + a e_i} = A^((x, a e_i)/4) Z_x Z_{e_i}^a
             assert all(a >= 0 for a in kvec)
             img, prefix = one, [0] * L.rank
@@ -244,22 +228,26 @@ def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
                     T.A_power(0, quarters=L.pairing(prefix, step)).embed(F), img
                 )
                 prefix[i] = a
-            assert img == _dense_scaled(chi.value_of(kvec).embed(F), one)
+            assert img == _dense_scaled((-Cyclotomic.zeta(N, k + 1)).embed(F), one)
 
 
-def test_character_rejects_non_root_values():
+def test_character_rejects_a_bad_order_or_exponent_count():
     T = QuantumTorus(WEYL, 3)
-    with pytest.raises(ValueError):
-        CentralCharacter(T, [Cyclotomic.rational(3, 2) for _ in range(2)])
+    for M in (0, -3, True, 3.0):
+        with pytest.raises(ValueError, match="root order M"):
+            CentralCharacter(T, M, [0, 0])
+    for exponents in ([], [1], [1, 2, 0]):
+        with pytest.raises(ValueError, match="need 2 exponents"):
+            CentralCharacter(T, 3, exponents)
 
 
 def test_character_multiplicativity():
     T = QuantumTorus(WEYL, 5)
     basis = T.kernel_sublattice()
-    chi = CentralCharacter(T, [Cyclotomic.zeta(5, 2), Cyclotomic.zeta(5, 3)])
+    chi = CentralCharacter(T, 5, [2, 3])
     a, b = basis
     ab = [x + y for x, y in zip(a, b)]
-    assert chi.value_of(ab) == chi.value_of(a) * chi.value_of(b)
+    assert chi.exponent_of(ab) == (chi.exponent_of(a) + chi.exponent_of(b)) % chi.order
 
 
 def test_torus_element_json():

@@ -23,6 +23,7 @@ from skeinlab.repvar import (
     toric_action,
     w_dimension,
 )
+from skeinlab.surface import build_sigma_g_star
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -226,3 +227,49 @@ def test_w_dimension_rejects_an_unknown_cell():
     assert w_dimension(1, "reduced", 3, 1) == 9
     with pytest.raises(ValueError, match="cell must be 'reduced' or 'big'"):
         w_dimension(1, "middle", 3, 1)
+
+
+def test_one_genus_rule():
+    # one genus rule (surface.check_genus) for triangulations,
+    # representations and W dimensions
+    for genus, message in ((0, "genus must be >= 1"), (True, "genus must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            SL2Rep(genus, [])
+        with pytest.raises(ValueError, match=message):
+            w_dimension(genus, "big", 3, 1)
+        with pytest.raises(ValueError, match=message):
+            build_sigma_g_star(genus)
+
+
+def test_orbit_generators_act_in_the_representations_genus():
+    A = SL2Mat(0, 1, -1, 0)
+    genus_1 = MappingClass(1, words={"a1": "a1", "b1": "b1a1"})
+    genus_2 = MappingClass(2, words={"a1": "a1", "b1": "b1a1"})
+    assert orbit_closure([SL2Rep(1, (A, A))], [genus_1]).size == 4
+    assert orbit_closure([SL2Rep(2, (A, A, A, A))], [genus_2]).size == 4
+    with pytest.raises(ValueError, match="generator of genus 2 cannot act on .* genus 1"):
+        orbit_closure([SL2Rep(1, (A, A))], [genus_2])
+    with pytest.raises(ValueError, match="generator of genus 1 cannot act on .* genus 2"):
+        orbit_closure([SL2Rep(2, (A, A, A, A))], [genus_1])
+
+
+def test_closure_cap_edges():
+    # the cap counts every point, seeds included, and a negative cap is
+    # refused by the point cap's rule
+    A = SL2Mat(0, 1, -1, 0)
+    seed = SL2Rep(1, (A, A))
+    twist = [MappingClass(1, words={"a1": "a1", "b1": "b1a1"})]
+    assert orbit_closure([seed], twist, cap=4).size == 4
+    with pytest.raises(ValueError, match="orbit closure exceeded cap"):
+        orbit_closure([seed], twist, cap=3)
+    assert orbit_closure([seed], [], cap=1).size == 1
+    with pytest.raises(ValueError, match="orbit closure exceeded cap"):
+        orbit_closure([seed], [], cap=0)
+    with pytest.raises(ValueError, match="cap must be >= 0, not -1"):
+        orbit_closure([seed], [], cap=-1)
+    gens = quaternion_generators()
+    assert len(group_closure(gens, cap=8)) == 8
+    with pytest.raises(ValueError, match="group closure exceeded cap"):
+        group_closure(gens, cap=7)
+    with pytest.raises(ValueError, match="cap must be >= 0, not -1"):
+        group_closure(gens, cap=-1)
