@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
 
 from . import intlinalg
@@ -240,21 +240,19 @@ def enumerate_admissible_states(
 ) -> TraceSupport:
     """Default route: per-face corner pieces, then a walk DP per component.
 
-    A k-vector is packed into one int, sum k_e * 2**(b*e), with fields of
-    b bits where 2**b >= 2W + 1 for the largest edge weight W. Every
-    partial or total |k_e| is at most W, so the packing is one-to-one and
-    adding vectors adds their ints. The components' tables are multiplied
-    (a one-component curve has nothing to multiply), and the product is
-    decoded one edge column at a time (`_decode`), in the table's order."""
+    A table maps the packed partial k-vector of every edge but the heavy
+    one to that edge's counts in slots of one int (`_Layout`). The
+    components' tables are multiplied (a one-component curve has nothing
+    to multiply): keys add, and values multiply as polynomials in their
+    slots. The product is decoded by `_decode`."""
     check_state_cap(cap)
     geo = curve.geometry()
     if geo.n_points > cap:
         raise StateCapExceeded(
             f"{geo.n_points} intersection points exceed the cap {cap}"
         )
-    width = curve.max_edge_weight()
-    bits = _field_bits(width)
-    parts = [_component_states(geo, walk, bits) for walk in geo.walks]
+    layout = _Layout(curve.coords)
+    parts = [_component_states(geo, walk, layout) for walk in geo.walks]
     total = parts[0] if parts else {0: 1}
     for part in parts[1:]:
         merged = {}
@@ -264,7 +262,7 @@ def enumerate_admissible_states(
                 k = k1 + k2
                 merged[k] = get(k, 0) + c1 * c2
         total = merged
-    return TraceSupport(curve, _decode(total, curve.tri.n_edges, width))
+    return TraceSupport(curve, _decode(total, layout))
 
 
 def _field_bits(width):
@@ -273,38 +271,86 @@ def _field_bits(width):
     return (2 * width).bit_length()
 
 
-def _decode(table, n_edges, width):
-    """{k-vector tuple: count} of a {packed k-vector: count} table, in the
-    table's order, one edge column at a time: with W added to every field,
-    field e of a key is a shift and a mask."""
-    bits = _field_bits(width)
-    shift = width * sum(1 << (bits * e) for e in range(n_edges))
+class _Layout:
+    """Where the walk DP keeps each edge of a curve with these weights.
+
+    The heavy edge h is the edge of largest weight w_h, the first one on
+    ties. Every other edge e is a field of b bits of a table's keys, field
+    e - (e > h), with 2**b >= 2W + 1 for the largest weight W of those
+    edges: a key is sum k_e * 2**(b*f), and as every partial or total
+    |k_e| is at most W, the packing is one-to-one and adding vectors adds
+    their ints. The edge h lives in a table's values: w_h + 1 slots of
+    s = m + 1 bits, slot j counting the partial states with j plus-signs on
+    h so far, so that k_h = 2j - w_h once the walk is done. A slot counts
+    distinct sign assignments of at most m points, at most 2**m < 2**s of
+    them, so no sum or product of values carries from one slot into the
+    next."""
+
+    def __init__(self, coords):
+        self.n_edges = len(coords)
+        self.heavy_weight = max(coords)
+        self.heavy = h = coords.index(self.heavy_weight)
+        rest = coords[:h] + coords[h + 1 :]
+        self.width = max(rest, default=0)
+        self.bits = b = _field_bits(self.width)
+        self.slot_bits = sum(coords) + 1
+        # what a + on a point of each edge adds to a key; 0 on h only
+        self.units = [1 << (b * f) for f in range(len(rest))]
+        self.units.insert(h, 0)
+
+
+def _decode(table, layout):
+    """{k-vector tuple: count} of a walk-DP table. Slot j of every value is
+    read in one pass, giving k_h = 2j - w_h; every other edge is decoded one
+    column at a time over the distinct keys (with W added to every field,
+    field f of a key is a shift and a mask) and spread to the nonzero
+    slots."""
+    values = list(table.values())
+    w_h, slot_bits, n = layout.heavy_weight, layout.slot_bits, len(values)
+    slot_mask = (1 << slot_bits) - 1
+    # slot j of every value, for j = 0..w_h in turn: each nonzero slot is
+    # one k-vector, with its key's row, k_h = 2j - w_h and its count
+    slots = [
+        (v >> s) & slot_mask for s in range(0, slot_bits * (w_h + 1), slot_bits) for v in values
+    ]
+    rows = list(compress(chain.from_iterable(repeat(range(n), w_h + 1)), slots))
+    k_heavy = chain.from_iterable(map(repeat, range(-w_h, w_h + 1, 2), repeat(n)))
+    width, bits = layout.width, layout.bits
+    n_fields = layout.n_edges - 1
+    shift = width * sum(1 << (bits * f) for f in range(n_fields))
     keys = [key + shift for key in table]
     mask = (1 << bits) - 1
-    cols = [[((x >> (bits * e)) & mask) - width for x in keys] for e in range(n_edges)]
-    return dict(zip(zip(*cols), table.values()))
+    cols = [
+        map([((x >> (bits * f)) & mask) - width for x in keys].__getitem__, rows)
+        for f in range(n_fields)
+    ]
+    cols.insert(layout.heavy, compress(k_heavy, slots))
+    return dict(zip(zip(*cols), filter(None, slots)))
 
 
-def _component_states(geo, walk, bits):
-    """DP over one component walk: {packed k-vector: count}.
+def _component_states(geo, walk, layout):
+    """DP over one component walk: {packed k-vector: slotted count}.
 
-    One dict per state of the current point (+ or -). Each holds its keys
+    One table per state of the current point (+ or -). Each holds its keys
     relative to a lazy offset, so moving to the next point shifts both
-    dicts for free: + adds the point's unit 2**(bits*edge), - subtracts it. The
-    one allowed change of state is a single pass that folds one dict into
-    the other. The walk is (points, steps), steps[t] being the piece from
-    points[t] to the next point; a closed walk's last step returns to
-    points[0]. A step forbids (+, -) along it when it leaves through its
-    piece's a-point, else (-, +)."""
+    tables' keys for free: + adds the point's unit, - subtracts it. On a
+    point of the heavy edge the units are 0 and instead every value of the
+    + table moves up one slot. The one allowed change of state is a single
+    pass that folds one table into the other. The walk is (points, steps),
+    steps[t] being the piece from points[t] to the next point; a closed
+    walk's last step returns to points[0]. A step forbids (+, -) along it
+    when it leaves through its piece's a-point, else (-, +)."""
     points, steps = walk
     n = len(points)
     closed = len(steps) == n
-    unit = [1 << (bits * geo.point_edge[p]) for p in points]
+    units, point_edge = layout.units, geo.point_edge
+    unit = [units[point_edge[p]] for p in points]
+    slot_bits = layout.slot_bits
     a_first = [geo.pieces[q][0] == p for p, q in zip(points, steps)]
     results = {}
     get = results.get
     for first in (1, 0):
-        plus, minus = ({0: 1}, {}) if first else ({}, {0: 1})
+        plus, minus = ({0: 1 if unit[0] else 1 << slot_bits}, {}) if first else ({}, {0: 1})
         off_plus, off_minus = unit[0], -unit[0]
         for t in range(1, n):
             # with + then - forbidden, either state may be followed by +,
@@ -317,6 +363,8 @@ def _component_states(geo, walk, bits):
             for k, c in src.items():
                 k += delta
                 dst[k] = get_dst(k, 0) + c
+            if not unit[t]:  # a point on h
+                plus = {k: c << slot_bits for k, c in plus.items()}
             off_plus += unit[t]
             off_minus -= unit[t]
         ends = [(plus, off_plus), (minus, off_minus)]
@@ -355,15 +403,13 @@ def enumerate_admissible_states_bruteforce(
 
 def support_bounds_check(support: TraceSupport, curve: NormalCurve) -> bool:
     """The three support constraints: |k(e)| <= |γ∩e|, matching parity,
-    and k = 0 on the boundary arc."""
+    and k = 0 on the boundary arc. Each edge column is checked over its
+    distinct values."""
     bd = curve.tri.boundary_edges
-    for kvec in support.fibers:
-        for e in range(curve.tri.n_edges):
-            w = curve.coords[e]
-            if abs(kvec[e]) > w or (kvec[e] - w) % 2 != 0:
-                return False
-        for e in bd:
-            if kvec[e] != 0:
+    for e, column in enumerate(zip(*support.fibers)):
+        w = curve.coords[e]
+        for k in set(column):
+            if abs(k) > w or (k - w) % 2 or (k and e in bd):
                 return False
     return True
 

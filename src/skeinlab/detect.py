@@ -31,7 +31,7 @@ from .curves import (
 from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .mcg import MappingClass, act_on_curve
 from .repvar import SL2Rep, check_cell, moment_cell, moment_map
-from .surface import BalancedLattice, RefinedLattice
+from .surface import BalancedLattice, RefinedLattice, check_genus
 
 ASSUMPTIONS = ("delta-liftable",)
 
@@ -47,9 +47,24 @@ class DetectionRequest:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
+        check_genus(self.genus)
         check_root_order(self.N)
         check_state_cap(self.state_cap)
         check_cell(self.cell)
+        # a (p, q) curve takes the request's genus; a curve or a mapping
+        # class carries its own, which must be the request's
+        carried = [
+            (name, c.tri.genus)
+            for name, c in (("curve", self.curve), ("beta", self.beta))
+            if isinstance(c, NormalCurve)
+        ]
+        if self.phi is not None:
+            carried.append(("phi", self.phi.genus))
+        for name, genus in carried:
+            if genus != self.genus:
+                raise ValueError(
+                    f"{name} has genus {genus}, but the request has genus {self.genus}"
+                )
 
 
 @dataclass

@@ -493,6 +493,12 @@ MALFORMED = [
          ("detect", "--curve", "0,1", "--phi", '{"words": {"a1": "a", "b1": "ba"}}'),
          "a word mapping class has no curve action: supply the image curve as beta",
          batch={"curve": "0,1", "phi": {"words": {"a1": "a", "b1": "ba"}}}),
+    _row("detect-word-class-of-another-genus",
+         ("detect", "--curve", "0,1", "--beta", "1,1", "--N", "3",
+          "--phi", '{"genus": 2, "words": {"a1": "a1", "b1": "b1a1"}}'),
+         "phi has genus 2, but the request has genus 1",
+         batch={"curve": "0,1", "beta": "1,1", "N": 3,
+                "phi": {"genus": 2, "words": {"a1": "a1", "b1": "b1a1"}}}),
     _row("detect-single-matches-batch-slot",
          ("detect", "--curve", "0,1", "--phi", json.dumps(SHORT_MATRIX)),
          "matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [1, 2]",

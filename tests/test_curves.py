@@ -12,6 +12,7 @@ from skeinlab.curves import (
     NormalCurve,
     StateCapExceeded,
     TorusCurveTable,
+    TraceSupport,
     enumerate_admissible_states,
     enumerate_admissible_states_bruteforce,
     support_bounds_check,
@@ -128,12 +129,20 @@ def test_dp_equals_bruteforce_genus_two():
             24662,
             "7c66034b30206b8bedc5cc6d21c9ac1b50dacfb97c7cabb24ee8f12d8ab1c638",
         ),
+        (
+            (34, 21),
+            144,
+            148872592136237848015486829,
+            149380,
+            "b56ce6f97d5e8c6bcc000b6fb8e876afe643f88314807aa0aa73472876091266",
+        ),
     ],
-    ids=["13,8", "21,13"],
+    ids=["13,8", "21,13", "34,21"],
 )
 def test_large_curve_supports_pinned(pq, points, states, support_size, digest):
-    """Fibers of large torus curves, pinned to the tuple-keyed walk DP that
-    the packed DP replaced."""
+    """Fibers of large torus curves, pinned to earlier walk DPs: (13,8) and
+    (21,13) to the tuple-keyed one, (34,21) to the one that kept every edge
+    in its keys. (34,21)'s slots are wider than 64 bits."""
     c = torus_table().curve(*pq)
     assert c.geometry().n_points == points
     sup = enumerate_admissible_states(c, cap=points)
@@ -158,24 +167,45 @@ def test_qtrace_support_large_curve_stdout_pinned(capsys):
 
 
 @pytest.mark.parametrize("n_edges", [5, 11])
-def test_decode_inverts_packing(n_edges):
-    # every W = 2^k - 1 and 2^k up to 40, where the field width steps up
+def test_decode_inverts_heavy_edge_layout(n_edges):
+    """The heavy edge h first, in the middle and last; every other edge's
+    width W = 2^k - 1 and 2^k up to 40, where its field width steps up; and
+    counts up to 2^m, the most that an (m + 1)-bit slot must hold."""
     rng = random.Random(n_edges)
-    for width in range(41):
-        bits = curves._field_bits(width)
-        assert 1 << bits >= 2 * width + 1
-        digits = (-width, 0, width)
-        kvecs = [tuple(rng.choice(digits) for _ in range(n_edges)) for _ in range(200)]
-        kvecs += [(d,) * n_edges for d in digits]
-        kvecs += [tuple(digits[(e + i) % 3] for e in range(n_edges)) for i in range(3)]
-        kvecs = list(dict.fromkeys(kvecs))
-        table = {
-            sum(k << (bits * e) for e, k in enumerate(kvec)): i
-            for i, kvec in enumerate(kvecs)
-        }
-        assert len(table) == len(kvecs)
-        decoded = curves._decode(table, n_edges, width)
-        assert list(decoded.items()) == [(kvec, i) for i, kvec in enumerate(kvecs)]
+    for h in (0, n_edges // 2, n_edges - 1):
+        for width in range(41):
+            # h is the first edge of largest weight: a tie only when first
+            coords = [width] * n_edges
+            coords[h] = width + (h > 0) + rng.randrange(3)
+            layout = curves._Layout(coords)
+            assert layout.heavy == h
+            w_h, m = coords[h], sum(coords)
+            bits = curves._field_bits(width)
+            assert 1 << bits >= 2 * width + 1
+            digits = (-width, 0, width)
+            fibers = {}
+            for _ in range(200):
+                kvec = [rng.choice(digits) for _ in range(n_edges)]
+                kvec[h] = rng.choice((-w_h, w_h, 2 * rng.randrange(w_h + 1) - w_h))
+                fibers[tuple(kvec)] = rng.choice((1, 3, 2**m))
+            table = {}
+            for kvec, count in fibers.items():
+                rest = kvec[:h] + kvec[h + 1 :]
+                key = sum(k << (bits * f) for f, k in enumerate(rest))
+                slot = (kvec[h] + w_h) // 2
+                table[key] = table.get(key, 0) + (count << ((m + 1) * slot))
+            assert curves._decode(table, layout) == fibers
+
+
+def test_slot_width_holds_on_eight_component_curves():
+    """Slots of m + 1 bits hold every count: two genus-2 curves of 8
+    components and 16 points, whose product of component tables overflows
+    slots sized from one component's state count."""
+    tri = build_sigma_g_star(2)
+    for coords in ({7: 8, 8: 8}, {2: 8, 3: 8}):
+        c = NormalCurve(tri, coords)
+        assert c.component_count() == 8 and c.geometry().n_points == 16
+        assert enumerate_admissible_states(c) == enumerate_admissible_states_bruteforce(c)
 
 
 def test_state_cap():
@@ -287,13 +317,17 @@ def test_support_bounds():
         c = table.curve(*pq)
         sup = enumerate_admissible_states(c)
         assert support_bounds_check(sup, c)
-        # a hand-corrupted support fails the boundary-arc constraint
-        bad = dict(sup.fibers)
-        corrupt = [0] * table.tri.n_edges
-        corrupt[table.tri.boundary_arc] = 2
-        bad[tuple(corrupt)] = 1
-        sup.fibers = bad
-        assert not support_bounds_check(sup, c)
+        # one hand-corrupted k-vector among good ones fails each constraint:
+        # |k_e| > w_e, the wrong parity on an edge of weight w_e >= 1, and
+        # k != 0 on the boundary arc
+        w = max(c.coords)
+        e = c.coords.index(w)
+        good = next(iter(sup.fibers))
+        for edge, k in ((e, w + 2), (e, w - 1), (table.tri.boundary_arc, 2)):
+            corrupt = list(good)
+            corrupt[edge] = k
+            bad = TraceSupport(c, {**sup.fibers, tuple(corrupt): 1})
+            assert not support_bounds_check(bad, c), (pq, edge, k)
 
 
 def test_supports_are_balanced():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -156,6 +157,28 @@ def test_request_validation():
         DetectionRequest(N=4)
     with pytest.raises(ValueError):
         DetectionRequest(cell="middle")
+
+
+def test_request_genus_is_checked_against_its_curves_and_class():
+    # the genus must be a genus, and the one that the curves and the
+    # mapping class carry: none of these may certify
+    t = torus_table()
+    alpha, beta = t.curve(1, 0), t.curve(0, 1)
+    for genus, message in (
+        (0, "genus must be >= 1"),
+        (True, "genus must be an integer, not True"),
+        (7, "curve has genus 1, but the request has genus 7"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detect_theorem2(DetectionRequest(genus=genus, N=3, curve=alpha, beta=beta))
+    genus_two_curve = NormalCurve(build_sigma_g_star(2), {2: 1, 3: 1})
+    with pytest.raises(ValueError, match="^beta has genus 2, but the request has genus 1$"):
+        DetectionRequest(genus=1, N=3, curve=alpha, beta=genus_two_curve)
+    words = MappingClass(2, words={"a1": "a1", "b1": "b1a1"})
+    with pytest.raises(ValueError, match="^phi has genus 2, but the request has genus 1$"):
+        DetectionRequest(genus=1, N=3, curve=alpha, beta=beta, phi=words)
+    # (p, q) shorthand takes the request's genus
+    assert detect_theorem2(DetectionRequest(genus=1, N=3, curve=(1, 0), beta=beta)).witness
 
 
 def test_ambiguous_fibers_path():
