@@ -5,7 +5,8 @@ selftest. Output keys are sorted and term/coset orderings canonical, so
 identical inputs give byte-identical output. A --config file supplies
 defaults for the chosen command's flags. Bad input exits 2 with one
 "error: ..." line on stderr; detect --batch instead gives each bad request an
-{"error": ...} slot.
+{"error": ...} slot. Each command imports only the modules it runs, so only
+detect loads the detection pipeline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 
 from .curves import (
@@ -26,21 +26,6 @@ from .curves import (
     enumerate_admissible_states,
     support_bounds_check,
     torus_table,
-)
-from .cyclotomic import Cyclotomic, check_root_order
-from .detect import DetectionRequest, detect_support, detect_theorem2
-from .mcg import MappingClass
-from .qtorus import build_irrep
-from .repvar import (
-    SL2Mat,
-    SL2Rep,
-    classify_double_leaf,
-    classify_sts_leaf,
-    moment_cell,
-    moment_map,
-    orbit_closure,
-    rep_dimension,
-    w_dimension,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star
 
@@ -67,20 +52,31 @@ def _error_text(exc):
 
 
 def _parse_scalar(x, order=4):
-    if isinstance(x, dict):
-        return Cyclotomic.from_json(x)
-    if isinstance(x, str):
-        return Cyclotomic.rational(order, Fraction(x))
-    return Cyclotomic.rational(order, x)
+    """A matrix entry: a rational as a number or text ("1/2"), or a
+    cyclotomic number {"order": ..., "coeffs": [[num, den], ...]}."""
+    from .cyclotomic import Cyclotomic
+
+    try:
+        if isinstance(x, dict):
+            return Cyclotomic.from_json(x)
+        if not isinstance(x, bool):  # JSON true is not the entry 1
+            return Cyclotomic.rational(order, x)
+    except (ZeroDivisionError, OverflowError):  # "1/0", a zero denominator, Infinity
+        pass
+    raise ValueError(f"matrix entry {x!r} is not a rational or cyclotomic number")
 
 
 def _parse_sl2(entries, order=4):
+    from .repvar import SL2Mat
+
     if not isinstance(entries, list) or len(entries) != 4:
         raise ValueError(f"an SL2 matrix needs 4 entries [a, b, c, d], not {entries!r}")
     return SL2Mat(*(_parse_scalar(x, order) for x in entries), order=order)
 
 
 def _parse_rep(obj):
+    from .repvar import SL2Rep
+
     if not isinstance(obj, dict) or "genus" not in obj or not isinstance(obj.get("images"), list):
         raise ValueError(
             f'a representation needs "genus" and "images", e.g. '
@@ -195,6 +191,8 @@ def cmd_surface(args):
 
 
 def cmd_lattice(args):
+    from .cyclotomic import check_root_order
+
     check_root_order(args.N)
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
@@ -220,6 +218,8 @@ def cmd_lattice(args):
 
 
 def cmd_qtorus(args):
+    from .qtorus import build_irrep
+
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
     L = B.skew_lattice()
@@ -257,6 +257,10 @@ def cmd_qtrace(args):
 
 
 def cmd_orbit(args):
+    from .cyclotomic import check_root_order
+    from .mcg import MappingClass
+    from .repvar import orbit_closure, rep_dimension
+
     check_root_order(args.N)
     rep = _parse_rep(_load_json_arg(args.rep, "--rep"))
     gens = [
@@ -275,6 +279,8 @@ def cmd_orbit(args):
 
 
 def cmd_leaf(args):
+    from .repvar import classify_double_leaf, classify_sts_leaf
+
     order = args.field_order
     m = _parse_sl2(_parse_json(args.mat, "--mat", args.mat), order)
     if args.double:
@@ -286,6 +292,9 @@ def cmd_leaf(args):
 
 
 def cmd_rep_dims(args):
+    from .cyclotomic import check_root_order
+    from .repvar import w_dimension
+
     check_root_order(args.N)
     if args.orbit_size < 1:
         raise ValueError("--orbit-size must be >= 1")
@@ -301,16 +310,23 @@ def cmd_rep_dims(args):
 
 
 def cmd_rep_moment(args):
+    from .repvar import moment_cell, moment_map
+
     mu = moment_map(_parse_rep(_load_json_arg(args.rep, "--rep")))
     _emit({"mu": mu.to_json(), "cell": moment_cell(mu)})
 
 
-DETECT_METHODS = {"theorem2": detect_theorem2, "support": detect_support}
+# each method runs detect.detect_<method>
+DETECT_METHODS = ("theorem2", "support")
 
 
 def _run_one_detect(obj):
     """One detection request, from a batch slot or from the detect flags
     given; a missing field takes DetectionRequest's default."""
+    from . import detect
+    from .detect import DetectionRequest
+    from .mcg import MappingClass
+
     if not isinstance(obj, dict):
         raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
     method = obj.get("method", "theorem2")
@@ -336,7 +352,7 @@ def _run_one_detect(obj):
         beta=beta,
         state_cap=_int_field(obj, "cap", DetectionRequest.state_cap),
     )
-    return DETECT_METHODS[method](req).to_json()
+    return getattr(detect, f"detect_{method}")(req).to_json()
 
 
 def _run_batch_item(obj):
@@ -369,8 +385,6 @@ def cmd_detect(args):
 
 
 def cmd_selftest(args):
-    # only this command needs selftest and poisson, so the others do not pay
-    # to import them
     from .selftest import run_all
 
     t0 = time.perf_counter()

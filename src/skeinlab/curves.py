@@ -20,7 +20,6 @@ route runs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 
@@ -49,7 +48,10 @@ class NormalCurve:
         if isinstance(coords, dict):
             vec = [0] * tri.n_edges
             for e, v in coords.items():
-                vec[int(e)] = int(v)
+                i = int(e)
+                if not 0 <= i < tri.n_edges:
+                    raise ValueError(f"edge label {e!r} is not in 0..{tri.n_edges - 1}")
+                vec[i] = int(v)
             coords = vec
         else:
             coords = [int(v) for v in coords]
@@ -220,12 +222,12 @@ class _CurveGeometry:
 # Admissible state enumeration
 
 
-@dataclass
 class TraceSupport:
     """Support of the quantum trace: balanced maps with state fiber sizes."""
 
-    curve: NormalCurve
-    fibers: dict  # k-vector tuple -> number of admissible states
+    def __init__(self, curve: NormalCurve, fibers: dict):
+        self.curve = curve
+        self.fibers = fibers  # k-vector tuple -> number of admissible states
 
     @property
     def state_count(self):

@@ -321,6 +321,16 @@ def test_detect_batch_bad_requests_keep_their_slots():
     assert json.dumps(valid, sort_keys=True, indent=2) + "\n" == out
 
 
+def test_detect_batch_bad_edge_label_keeps_the_good_slot():
+    good = {"curve": "0,1", "N": 3, "beta": "1,1"}
+    bad = {"curve": {"coords": {"9": 2}}, "N": 3, "beta": "1,1"}
+    code, out, err = run_cli("detect", "--batch", json.dumps([bad, good]))
+    assert code == 2 and "Traceback" not in err
+    certs = json.loads(out)["certificates"]
+    assert certs[0] == {"error": "curve {'9': 2}: edge label '9' is not in 0..4"}
+    assert certs[1]["verdict"] == "certified-nontrivial"
+
+
 def test_detect_single_request_shapes():
     # coords as a bare list and as a coords object name the same beta
     beta = {"coords": {"0": 1, "1": 1, "2": 1, "3": 2}}
@@ -421,6 +431,9 @@ MALFORMED = [
          "cap must be >= 0, not -1"),
     _row("qtrace-pq-one-int", ("qtrace", "support", "--curve", '{"pq": [1]}'),
          "(p, q) needs two integers, not {'pq': [1]}"),
+    _row("qtrace-negative-edge-labels",
+         ("qtrace", "support", "--curve", '{"-5": 1, "-4": 1, "-2": 1}'),
+         "curve {'-5': 1, '-4': 1, '-2': 1}: edge label '-5' is not in 0..4"),
     _row("orbit-rep-directory", ("orbit", "--rep", File(), "--gens", "[]"),
          "[Errno 21] Is a directory: '<file>'"),
     _row("orbit-gens-directory", ("orbit", "--rep", REP, "--gens", File()),
@@ -472,6 +485,21 @@ MALFORMED = [
          NEEDS_REP + "{'genus': 1, 'images': 5}"),
     _row("leaf-mat-not-list", ("leaf", "classify", "--mat", "5"),
          "an SL2 matrix needs 4 entries [a, b, c, d], not 5"),
+    _row("leaf-mat-zero-denominator", ("leaf", "classify", "--mat", '["1/0", 0, 0, 1]'),
+         "matrix entry '1/0' is not a rational or cyclotomic number"),
+    _row("leaf-mat-infinite-entry", ("leaf", "classify", "--mat", "[Infinity, 0, 0, 1]"),
+         "matrix entry inf is not a rational or cyclotomic number"),
+    _row("rep-moment-true-entry",
+         ("rep", "moment", "--rep", '{"genus": 1, "images": [[true, 0, 0, 1], [1, 0, 0, 1]]}'),
+         "matrix entry True is not a rational or cyclotomic number"),
+    _row("rep-moment-zero-denominator-coeff",
+         ("rep", "moment", "--rep",
+          '{"genus": 1, "images": [[{"order": 4, "coeffs": [[1, 0]]}, 0, 0, 1], [1, 0, 0, 1]]}'),
+         "matrix entry {'order': 4, 'coeffs': [[1, 0]]} is not a rational or cyclotomic number"),
+    _row("orbit-rep-zero-denominator",
+         ("orbit", "--rep", '{"genus": 1, "images": [["1/0", 0, 0, 1], [1, 0, 0, 1]]}',
+          "--gens", "[]"),
+         "matrix entry '1/0' is not a rational or cyclotomic number"),
     _row("lattice-even-N", ("lattice", "info", "--N", "4"), "N must be odd and >= 3"),
     _row("lattice-refined-even-N", ("lattice", "info", "--N", "4", "--refined"),
          "N must be odd and >= 3"),
@@ -483,6 +511,10 @@ MALFORMED = [
          "(p, q) needs two integers, not 'junk'", batch={"curve": "junk"}),
     _row("detect-pq-not-pair", ("detect", "--curve", '{"pq": 5}'),
          "(p, q) needs two integers, not {'pq': 5}", batch={"curve": {"pq": 5}}),
+    _row("detect-edge-label-out-of-range",
+         ("detect", "--curve", '{"coords": {"9": 2}}', "--N", "3", "--beta", "1,1"),
+         "curve {'9': 2}: edge label '9' is not in 0..4",
+         batch={"curve": {"coords": {"9": 2}}, "N": 3, "beta": "1,1"}),
     _row("detect-pq-fraction", ("detect", "--curve", "[1.5, 2]"),
          "(p, q) needs two integers, not [1.5, 2]", batch={"curve": [1.5, 2]}),
     _row("detect-non-word-image", ("detect", "--curve", "0,1", "--phi", '{"words": {"a1": 5}}'),
@@ -692,6 +724,31 @@ assert "numpy" not in sys.modules
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert '"verdict": "certified-nontrivial"' in proc.stdout
+
+
+PIPELINE = ("skeinlab.detect", "skeinlab.mcg", "skeinlab.repvar", "dataclasses")
+TORUS = ("skeinlab.qtorus", "skeinlab.cyclotomic")
+# (a command, the modules it must not import)
+IMPORT_CASES = [
+    (["surface", "info"], PIPELINE + TORUS),
+    (["lattice", "info"], PIPELINE),
+    (["qtorus", "selftest"], PIPELINE),
+    (["qtrace", "support", "--curve=2,3"], PIPELINE + TORUS),
+    (["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'], ("skeinlab.qtorus",)),
+]
+
+
+@pytest.mark.parametrize("argv, absent", IMPORT_CASES, ids=[a[0] for a, _ in IMPORT_CASES])
+def test_each_command_imports_only_the_modules_it_runs(argv, absent):
+    script = f"""
+import sys
+from skeinlab import cli
+cli.main({argv!r})
+loaded = [name for name in {absent!r} if name in sys.modules]
+assert loaded == [], loaded
+"""
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selftest_runs_without_sympy_or_numpy():
