@@ -27,7 +27,7 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star
+from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, check_root_order
 
 
 def _emit(obj):
@@ -191,8 +191,6 @@ def cmd_surface(args):
 
 
 def cmd_lattice(args):
-    from .cyclotomic import check_root_order
-
     check_root_order(args.N)
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
@@ -257,7 +255,6 @@ def cmd_qtrace(args):
 
 
 def cmd_orbit(args):
-    from .cyclotomic import check_root_order
     from .mcg import MappingClass
     from .repvar import orbit_closure, rep_dimension
 
@@ -292,7 +289,6 @@ def cmd_leaf(args):
 
 
 def cmd_rep_dims(args):
-    from .cyclotomic import check_root_order
     from .repvar import w_dimension
 
     check_root_order(args.N)
@@ -318,6 +314,8 @@ def cmd_rep_moment(args):
 
 # each method runs detect.detect_<method>
 DETECT_METHODS = ("theorem2", "support")
+# the fields of a detection request, and the detect flags that give them
+DETECT_FIELDS = ("genus", "N", "cell", "cap", "method", "phi", "curve", "beta")
 
 
 def _run_one_detect(obj):
@@ -329,6 +327,11 @@ def _run_one_detect(obj):
 
     if not isinstance(obj, dict):
         raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
+    unknown = [key for key in obj if key not in DETECT_FIELDS]
+    if unknown:
+        raise ValueError(
+            f"unknown request field {unknown[0]!r}: the fields are {', '.join(DETECT_FIELDS)}"
+        )
     method = obj.get("method", "theorem2")
     if not isinstance(method, str) or method not in DETECT_METHODS:
         raise ValueError(f"method must be one of {', '.join(DETECT_METHODS)}, not {method!r}")
@@ -375,7 +378,7 @@ def cmd_detect(args):
         return
     readers = {"phi": _load_json_arg, "curve": _curve_arg, "beta": _curve_arg}
     obj = {}
-    for key in ("genus", "N", "cell", "cap", "method", "phi", "curve", "beta"):
+    for key in DETECT_FIELDS:
         val = getattr(args, key)
         if val is not None:
             obj[key] = readers[key](val, f"--{key}") if key in readers else val

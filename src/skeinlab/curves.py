@@ -45,17 +45,23 @@ class NormalCurve:
     """A multicurve given by edge intersection numbers on a triangulation."""
 
     def __init__(self, tri: Triangulation, coords):
+        n = tri.n_edges
         if isinstance(coords, dict):
-            vec = [0] * tri.n_edges
+            # a label is an edge index, as an int or as its decimal text
+            # ("2", never "02" or "+2"), so that no two labels name one edge
+            labels = {str(e): e for e in range(n)}
+            vec = [0] * n
             for e, v in coords.items():
-                i = int(e)
-                if not 0 <= i < tri.n_edges:
-                    raise ValueError(f"edge label {e!r} is not in 0..{tri.n_edges - 1}")
-                vec[i] = int(v)
+                i = e if type(e) is int and 0 <= e < n else labels.get(e)
+                if i is None:
+                    raise ValueError(f"edge label {e!r} is not in 0..{n - 1}")
+                vec[i] = v
             coords = vec
-        else:
-            coords = [int(v) for v in coords]
-        if len(coords) != tri.n_edges:
+        coords = list(coords)
+        for v in coords:
+            if type(v) is not int:  # so 1.9 is not 1, nor true or "1"
+                raise ValueError(f"intersection number {v!r} is not an integer")
+        if len(coords) != n:
             raise ValueError("coordinate vector length mismatch")
         if any(v < 0 for v in coords):
             raise ValueError("negative intersection number")
@@ -420,19 +426,21 @@ def support_bounds_check(support: TraceSupport, curve: NormalCurve) -> bool:
 # Torus curves on the built-in Delta_1
 
 
+# The HNF basis of the intersection vectors of Delta_1's connected normal
+# curves; the tests re-derive it from every such curve up to weight 11.
+CLASS_BASIS = [[1, -1, 0, -1, 0], [0, 0, 1, -1, 0]]
+
+
 class TorusCurveTable:
     """(p, q) <-> normal coordinates on Delta_1.
 
-    Slope functionals are fitted from an enumeration oracle over all
-    connected normal curves of small weight; coordinates of a general
-    coprime class are |p*h1 + q*h2| per edge, which the tests re-validate
-    against the oracle.
+    A coprime class (p, q) has coordinates |p*h1 + q*h2| per edge, for the
+    class basis (h1, h2).
     """
 
-    def __init__(self, fit_weight=8):
+    def __init__(self):
         self.tri = build_sigma_g_star(1)
-        self.basis = None
-        self._fit(fit_weight)
+        self.basis = CLASS_BASIS
 
     def _iter_coord_vectors(self, max_total):
         tri = self.tri
@@ -452,26 +460,6 @@ class TorusCurveTable:
 
         yield from rec(0, max_total, [])
 
-    def _fit(self, max_total):
-        classes = {}
-        for vec in self._iter_coord_vectors(max_total):
-            if sum(vec) == 0:
-                continue
-            try:
-                curve = NormalCurve(self.tri, vec)
-            except ValueError:
-                continue
-            if not curve.is_connected():
-                continue
-            ivec = tuple(curve.intersection_vector())
-            classes.setdefault(ivec, []).append(curve)
-        span = [list(v) for v in classes if any(v)]
-        basis = intlinalg.hnf(span)
-        if len(basis) != 2:
-            raise AssertionError("homology image of Delta_1 curves must be rank 2")
-        self.basis = basis
-        self._oracle_classes = classes
-
     def predicted_coords(self, p, q):
         h1, h2 = self.basis
         return [abs(p * a + q * b) for a, b in zip(h1, h2)]
@@ -490,26 +478,13 @@ class TorusCurveTable:
         ivec = curve.intersection_vector()
         coords = intlinalg.lattice_coordinates(self.basis, ivec)
         if coords is None:
-            raise ValueError("curve class is outside the fitted basis lattice")
+            raise ValueError("curve class is outside the class basis lattice")
         p, q = coords
         if (p, q) == (0, 0):
             return (0, 0)
         if p < 0 or (p == 0 and q < 0):
             p, q = -p, -q
         return (p, q)
-
-    def oracle_minimal_curve(self, p, q):
-        """Enumeration-backed lookup: minimal-weight connected curve whose
-        intersection vector is +/- (p*h1 + q*h2)."""
-        h1, h2 = self.basis
-        target = tuple(p * a + q * b for a, b in zip(h1, h2))
-        neg = tuple(-x for x in target)
-        cands = self._oracle_classes.get(target, []) + self._oracle_classes.get(
-            neg, []
-        )
-        if not cands:
-            return None
-        return min(cands, key=lambda c: c.total_weight)
 
 
 _table = None

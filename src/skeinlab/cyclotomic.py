@@ -12,12 +12,6 @@ from functools import lru_cache
 from math import gcd
 
 
-def check_root_order(N):
-    """The session convention: a root of unity of odd order N >= 3."""
-    if N < 3 or N % 2 == 0:
-        raise ValueError("N must be odd and >= 3")
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of Phi_m, low degree first, monic over Z."""
@@ -196,24 +190,6 @@ class Cyclotomic:
             out[step * i] = c
         return Cyclotomic(target_order, out)
 
-    def as_root_of_unity(self):
-        """Return (M, k) with self == zeta_M^k, or None.
-
-        M is self.order when the value is a plain power of zeta, and
-        2*order when it is minus such a power.
-        """
-        m = self.order
-        z = Cyclotomic.zeta(m)
-        power = Cyclotomic.rational(m, 1)
-        for k in range(m):
-            if self == power:
-                return (m, k)
-            if self == -power:
-                # -zeta_m^k = zeta_{2m}^{m + 2k}
-                return (2 * m, (m + 2 * k) % (2 * m))
-            power = power * z
-        return None
-
     def to_json(self):
         return {
             "order": self.order,
@@ -278,14 +254,6 @@ def root_of_unity_root(M: int, k: int, n: int):
         Mg, ng, kg = M // g, n // g, k // g
         return M, (kg * pow(ng, -1, Mg)) % Mg
     return M * n, k
-
-
-def nth_root_of_unity_root(value: Cyclotomic, n: int) -> Cyclotomic:
-    """An exact x with x^n == value, for value a root of unity and n odd."""
-    ru = value.as_root_of_unity()
-    if ru is None:
-        raise ValueError("value is not a root of unity")
-    return Cyclotomic.zeta(*root_of_unity_root(*ru, n))
 
 
 class DualNumber:

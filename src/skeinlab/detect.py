@@ -28,12 +28,12 @@ from .curves import (
     class_curve,
     enumerate_admissible_states,
 )
-from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
 from .mcg import MappingClass, act_on_curve
-from .repvar import SL2Rep, check_cell, moment_cell, moment_map
-from .surface import BalancedLattice, RefinedLattice, check_genus
+from .surface import BalancedLattice, RefinedLattice, check_cell, check_genus, check_root_order
 
 ASSUMPTIONS = ("delta-liftable",)
+# a word class maps no curve here, so its explicit beta cannot be checked
+WORD_ASSUMPTIONS = ASSUMPTIONS + ("beta-is-image",)
 
 
 @dataclass
@@ -94,14 +94,26 @@ class Certificate:
 
 
 def _resolve_curves(req: DetectionRequest):
+    """alpha and beta. A matrix class maps alpha, and an explicit beta must
+    be that image; a word class maps no curve, so its beta is taken on
+    trust (the assumption "beta-is-image")."""
     alpha = req.curve
     if not isinstance(alpha, NormalCurve):
         alpha = class_curve(req.genus, *alpha)
     beta = req.beta
-    if beta is None:
+    if req.phi is not None and req.phi.matrix is not None:
+        image = act_on_curve(req.phi, alpha)
+        if beta is None:
+            beta = image
+        elif beta.coords != image.coords:
+            raise ValueError(
+                f"beta {list(beta.coords)} is not the image {list(image.coords)} "
+                "of the curve under phi"
+            )
+    elif beta is None:
         if req.phi is None:
             raise ValueError("request needs a mapping class or explicit beta")
-        beta = act_on_curve(req.phi, alpha)
+        beta = act_on_curve(req.phi, alpha)  # refuses a word class
     if alpha.tri is not beta.tri:
         raise ValueError("alpha and beta live on different triangulations")
     if not alpha.is_connected() or alpha.is_empty():
@@ -169,11 +181,13 @@ def detect_support(req: DetectionRequest) -> Certificate:
 def _certify(req, alpha, beta, method):
     """The support criterion on resolved curves: enumerate both supports,
     project them to cosets, look for a witness and re-verify it."""
+    word_class = req.phi is not None and req.phi.endo is not None
     base = Certificate(
         verdict="inconclusive",
         method=method,
         N=req.N,
         cell=req.cell,
+        assumptions=WORD_ASSUMPTIONS if word_class else ASSUMPTIONS,
         alpha_coords=alpha.coords,
         beta_coords=beta.coords,
     )
@@ -479,36 +493,3 @@ def detect_theorem2(req: DetectionRequest) -> Certificate:
             "intersection bound satisfied but no support witness found"
         )
     return cert
-
-
-# ---------------------------------------------------------------------------
-# Reduced-cell character space
-
-
-def reduced_character_space(rep: SL2Rep, N: int):
-    """The N central-character lifts of a reduced-cell representation.
-
-    The boundary value is [[0, -z^-N], [z^N, d]]; lifts are (rho, z zeta^j).
-    """
-    mu = moment_map(rep)
-    if moment_cell(mu) == "big":
-        raise ValueError("representation is in the big cell")
-    c = mu.c
-    out = {
-        "cell": "reduced",
-        "boundaryLowerLeft": c.to_json(),
-        "liftCount": N,
-    }
-    ru = c.as_root_of_unity()
-    if ru is not None:
-        # z = zeta_M^t has z^N == c; the lifts z zeta_N^j share one field
-        M, t = root_of_unity_root(*ru, N)
-        order = M if M % N == 0 else M * N
-        out["lifts"] = [
-            Cyclotomic.zeta(order, t * (order // M) + j * (order // N)).to_json()
-            for j in range(N)
-        ]
-    else:
-        out["lifts"] = None
-        out["note"] = "boundary entry is not a root of unity; lifts kept symbolic"
-    return out

@@ -142,10 +142,6 @@ def hnf(rows):
     return [row for row in A[:r] if any(row)]
 
 
-def row_span_equal(rows_a, rows_b) -> bool:
-    return hnf(rows_a) == hnf(rows_b)
-
-
 def unimodular_inverse(A):
     """A^-1 for a unimodular square A, read off hnf([A | I]) = [I | A^-1];
     None when A is not unimodular."""
@@ -273,10 +269,6 @@ def kernel_mod(M, N):
 
 # ---------------------------------------------------------------------------
 # Sublattice membership and index
-
-
-def lattice_contains(basis_rows, vec) -> bool:
-    return lattice_coordinates(basis_rows, vec) is not None
 
 
 def lattice_coordinates(basis_rows, vec):

@@ -32,18 +32,6 @@ def parse_word(text, genus):
     return tuple(out)
 
 
-def word_to_text(word, genus):
-    parts = []
-    for t in word:
-        idx = abs(t)
-        letter = "a" if idx <= genus else "b"
-        n = idx if idx <= genus else idx - genus
-        if t < 0:
-            letter = letter.upper()
-        parts.append(f"{letter}{n}" if genus > 1 else letter)
-    return "".join(parts)
-
-
 def reduce_word(word):
     out = []
     for t in word:
@@ -116,26 +104,6 @@ class FreeGroupEndo:
     def is_valid_automorphism(self) -> bool:
         """Boundary word fixed exactly, and abelianization in GL(2g, Z)."""
         return self.fixes_boundary() and intlinalg.is_unimodular(self.abelianization())
-
-    def compose(self, other):
-        """self after other."""
-        images = {}
-        for gid, w in other.images.items():
-            images[_gid_name(gid, self.genus)] = self.apply(w)
-        return FreeGroupEndo(self.genus, images)
-
-
-def _gid_name(gid, genus):
-    return f"a{gid}" if gid <= genus else f"b{gid - genus}"
-
-
-def validate_automorphism(genus, images) -> bool:
-    try:
-        endo = FreeGroupEndo(genus, images)
-    except (ValueError, KeyError):
-        return False
-    return endo.is_valid_automorphism()
-
 
 # built-in genus-one twist generators; both fix [a, b] exactly
 TWIST_ALPHA = {"a1": "a", "b1": "ba"}

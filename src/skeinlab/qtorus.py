@@ -12,8 +12,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlinalg
-from .cyclotomic import Cyclotomic, check_root_order, root_of_unity_root
+from .cyclotomic import Cyclotomic, root_of_unity_root
 from .lattice import SkewLattice
+from .surface import check_root_order
 
 IRREP_DIM_CAP = 2000
 
@@ -195,20 +196,6 @@ def chebyshev_apply(x: TorusElement, N: int) -> TorusElement:
     cur = x
     for _ in range(N - 1):
         prev, cur = cur, x * cur - prev
-    return cur
-
-
-def chebyshev_coefficients(N: int):
-    """Coefficient list of T_N as a polynomial (index = degree), T_0 = 2."""
-    prev = [Fraction(2)]
-    cur = [Fraction(0), Fraction(1)]
-    if N == 0:
-        return prev
-    for _ in range(N - 1):
-        nxt = [Fraction(0)] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
     return cur
 
 

@@ -14,7 +14,7 @@ from math import lcm
 from .curves import check_state_cap
 from .cyclotomic import Cyclotomic
 from .mcg import FreeGroupEndo, boundary_word
-from .surface import check_genus
+from .surface import check_cell, check_genus
 
 
 class SL2Mat:
@@ -123,17 +123,6 @@ def moment_cell(mu: SL2Mat) -> str:
     return "big" if not mu.a.is_zero() else "reduced"
 
 
-def check_cell(cell):
-    """A cell name must be one that moment_cell gives."""
-    if cell not in ("reduced", "big"):
-        raise ValueError("cell must be 'reduced' or 'big'")
-
-
-def classify_cell(rep: SL2Rep) -> str:
-    """The cell of the representation's moment value."""
-    return moment_cell(moment_map(rep))
-
-
 def _cell_index(m: SL2Mat) -> int:
     """The Bruhat cell as an index: 0 for the big cell, 1 for the reduced."""
     return 0 if moment_cell(m) == "big" else 1
@@ -163,22 +152,6 @@ def classify_double_leaf(g1: SL2Mat, g2: SL2Mat):
     return (_cell_index(g2.inverse() * g1), _cell_index(g2 * g1.inverse()))
 
 
-def toric_action(z: Cyclotomic, m: SL2Mat) -> SL2Mat:
-    """z . m = [[a, z^2 b], [z^-2 c, d]]."""
-    if not isinstance(z, Cyclotomic):
-        z = Cyclotomic.rational(m.order, z)
-    order = lcm(z.order, m.order)
-    z = z.embed(order)
-    z2 = z * z
-    return SL2Mat(
-        m.a.embed(order),
-        z2 * m.b.embed(order),
-        z2.inverse() * m.c.embed(order),
-        m.d.embed(order),
-        order=order,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Finite orbits
 
@@ -200,34 +173,6 @@ def _capped_closure(seeds, generators, cap, what):
                 frontier.append(y)
         found = [x * gen for x in frontier for gen in generators]
     return list(seen)
-
-
-def group_closure(generators, cap=10**4):
-    """Multiplicative closure of a set of SL2 matrices."""
-    identity = SL2Mat.identity(order=generators[0].order)
-    return set(_capped_closure([identity], generators, cap, "group"))
-
-
-def enumerate_hom_to_finite(generators, genus, cap=10**4):
-    """All homomorphisms of the free surface group into the closure of the
-    given matrices: every 2g-tuple, since the group is free."""
-    import itertools
-
-    H = sorted(group_closure(generators, cap=cap), key=lambda m: repr(m))
-    reps = []
-    for tup in itertools.product(H, repeat=2 * genus):
-        reps.append(SL2Rep(genus, tup))
-    return reps
-
-
-def quaternion_generators(order=4):
-    i = Cyclotomic.zeta(order, order // 4) if order % 4 == 0 else None
-    if i is None:
-        raise ValueError("field must contain a fourth root of unity")
-    return [
-        SL2Mat(0, 1, -1, 0, order=order),
-        SL2Mat(i, 0, 0, -i, order=order),
-    ]
 
 
 class OrbitData:

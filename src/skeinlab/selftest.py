@@ -21,7 +21,7 @@ from .curves import (
 )
 from .detect import DetectionRequest, _CosetProjector, detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
-from .poisson import PoissonAlgebra, verify_r_matrix_expansion
+from .poisson import PoissonAlgebra, bracket_tables_from_r_matrix, verify_r_matrix_expansion
 from .qtorus import QuantumTorus, build_irrep, chebyshev_apply, frobenius
 from .repvar import SL2Mat, SL2Rep, act_on_rep, moment_map, orbit_closure, rep_dimension
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, k_boundary
@@ -223,11 +223,18 @@ def check_detection():
 def check_classical_suite():
     problems = []
     for variant in ("D", "STS"):
-        rep = PoissonAlgebra(variant).jacobi_report()
-        if not rep["allZero"]:
+        algebra = PoissonAlgebra(variant)
+        if not algebra.jacobi_report()["allZero"]:
             problems.append(f"jacobi-{variant}")
+        if not algebra.preserves_determinant():
+            problems.append(f"det-{variant}")
     if not verify_r_matrix_expansion()["all"]:
         problems.append("r-matrix")
+    # the r-matrix equations give the D table exactly and the STS table up
+    # to its global sign
+    tables = bracket_tables_from_r_matrix()
+    if not (tables["D"]["matchesDisplayedTable"] and tables["STS"]["matchesUpToGlobalSign"]):
+        problems.append("bracket-tables")
     # moment map constant along 50 random twist steps
     rng = random.Random(42)
     twists = [MappingClass(1, words=TWIST_ALPHA).endo, MappingClass(1, words=TWIST_BETA).endo]

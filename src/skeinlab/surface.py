@@ -5,6 +5,10 @@ counter-clockwise order. An edge occurring in two slots is an inner edge
 glued there (parameter-reversing, so orientations match); an edge in one
 slot is a boundary arc. The surfaces of interest are the genus-g surfaces
 with one boundary arc, built by fusing annuli with extra triangles.
+
+The session's input rules live here, one routine each: the genus
+(`check_genus`, an integer >= 1), the root order (`check_root_order`, odd
+N >= 3) and the Bruhat cell (`check_cell`, "reduced" or "big").
 """
 
 from __future__ import annotations
@@ -185,23 +189,24 @@ class Triangulation:
         }
 
 
-def lone_triangle() -> Triangulation:
-    return Triangulation([(0, 1, 2)], name="triangle")
-
-
-def annulus_d1_plus() -> Triangulation:
-    """The annulus with one boundary arc on each circle (edges: a=0, b=1)."""
-    # square with left/right sides glued: a = bottom, b = top, m = vertical
-    # side, d = diagonal; both faces keep ccw slot order
-    return Triangulation([(0, 2, 3), (3, 1, 2)], name="D1+")
-
-
 def check_genus(genus):
     """The surfaces here have genus an integer >= 1 (and True is no genus)."""
     if type(genus) is not int:
         raise ValueError(f"genus must be an integer, not {genus!r}")
     if genus < 1:
         raise ValueError("genus must be >= 1")
+
+
+def check_root_order(N):
+    """The session convention: a root of unity of odd order N >= 3."""
+    if N < 3 or N % 2 == 0:
+        raise ValueError("N must be odd and >= 3")
+
+
+def check_cell(cell):
+    """A cell name must be one that repvar.moment_cell gives."""
+    if cell not in ("reduced", "big"):
+        raise ValueError("cell must be 'reduced' or 'big'")
 
 
 def build_sigma_g_star(g: int) -> Triangulation:
@@ -278,9 +283,6 @@ class BalancedLattice:
 
     def skew_lattice(self) -> SkewLattice:
         return SkewLattice(self.form, name=f"K({self.tri.name})")
-
-    def contains(self, vec) -> bool:
-        return is_balanced(self.tri, vec)
 
     def coordinates(self, vec):
         coords = intlinalg.lattice_coordinates(self.basis, vec)

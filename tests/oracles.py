@@ -1,0 +1,66 @@
+"""Oracles and fixtures that the tests check skeinlab against. No command
+or selftest check needs them, so they live here rather than in `src`."""
+
+import itertools
+
+from skeinlab import intlinalg
+from skeinlab.curves import NormalCurve
+from skeinlab.cyclotomic import Cyclotomic
+from skeinlab.mcg import FreeGroupEndo
+from skeinlab.repvar import SL2Mat, SL2Rep, _capped_closure
+from skeinlab.surface import Triangulation
+
+
+def row_span_equal(rows_a, rows_b) -> bool:
+    return intlinalg.hnf(rows_a) == intlinalg.hnf(rows_b)
+
+
+def lattice_contains(basis_rows, vec) -> bool:
+    return intlinalg.lattice_coordinates(basis_rows, vec) is not None
+
+
+def lone_triangle() -> Triangulation:
+    return Triangulation([(0, 1, 2)], name="triangle")
+
+
+def validate_automorphism(genus, images) -> bool:
+    try:
+        endo = FreeGroupEndo(genus, images)
+    except ValueError:
+        return False
+    return endo.is_valid_automorphism()
+
+
+def group_closure(generators, cap=10**4):
+    """Multiplicative closure of a set of SL2 matrices."""
+    identity = SL2Mat.identity(order=generators[0].order)
+    return set(_capped_closure([identity], generators, cap, "group"))
+
+
+def enumerate_hom_to_finite(generators, genus):
+    """All homomorphisms of the free surface group into the closure of the
+    given matrices: every 2g-tuple, since the group is free."""
+    H = sorted(group_closure(generators), key=repr)
+    return [SL2Rep(genus, tup) for tup in itertools.product(H, repeat=2 * genus)]
+
+
+def quaternion_generators():
+    """Generators of the quaternion group Q8 in SL2(Q(zeta_4))."""
+    i = Cyclotomic.zeta(4)
+    return [SL2Mat(0, 1, -1, 0), SL2Mat(i, 0, 0, -i)]
+
+
+def torus_classes(table, max_total):
+    """{intersection vector: connected curves} over every normal curve on
+    the table's Delta_1 of total weight <= max_total."""
+    classes = {}
+    for vec in table._iter_coord_vectors(max_total):
+        if sum(vec) == 0:
+            continue
+        try:
+            curve = NormalCurve(table.tri, vec)
+        except ValueError:
+            continue
+        if curve.is_connected():
+            classes.setdefault(tuple(curve.intersection_vector()), []).append(curve)
+    return classes

@@ -374,6 +374,24 @@ def test_detect_class_shorthand_beta_matches_batch_slot():
     assert json.loads(single)["verdict"] == "certified-nontrivial"
 
 
+def test_detect_word_class_beta_is_an_assumption():
+    # a word class maps no curve, so its beta is carried as an assumption;
+    # a matrix class's beta is checked instead
+    words = json.dumps({"words": {"a1": "a", "b1": "ba"}})
+    single, slot = _single_and_batch_slot(
+        ("--curve=0,1", "--beta=1,1", "--N", "3", "--phi", words),
+        {"curve": "0,1", "beta": "1,1", "N": 3, "phi": json.loads(words)},
+    )
+    assert single == slot
+    assert json.loads(single)["assumptions"] == ["delta-liftable", "beta-is-image"]
+    single, slot = _single_and_batch_slot(
+        ("--curve=0,1", "--beta=1,1", "--N", "3", "--phi", "[[1,1],[0,1]]"),
+        {"curve": "0,1", "beta": "1,1", "N": 3, "phi": [[1, 1], [0, 1]]},
+    )
+    assert single == slot
+    assert json.loads(single)["assumptions"] == ["delta-liftable"]
+
+
 def test_class_shorthand_is_genus_one_only():
     for curve in ("0,1", '{"pq": [0, 1]}', "[0, 1]"):
         code, out, err = run_cli("qtrace", "support", "--genus", "2", "--curve", curve)
@@ -434,6 +452,26 @@ MALFORMED = [
     _row("qtrace-negative-edge-labels",
          ("qtrace", "support", "--curve", '{"-5": 1, "-4": 1, "-2": 1}'),
          "curve {'-5': 1, '-4': 1, '-2': 1}: edge label '-5' is not in 0..4"),
+    # a coordinate is an int, and an edge label an int or its decimal text
+    _row("qtrace-float-coordinate", ("qtrace", "support", "--curve", "[1,1,0,1.9,0]"),
+         "curve [1, 1, 0, 1.9, 0]: intersection number 1.9 is not an integer"),
+    _row("qtrace-bool-coordinate", ("qtrace", "support", "--curve", "[true,1,0,1,0]"),
+         "curve [True, 1, 0, 1, 0]: intersection number True is not an integer"),
+    _row("qtrace-text-coordinate", ("qtrace", "support", "--curve", '[1,1,0,"1",0]'),
+         "curve [1, 1, 0, '1', 0]: intersection number '1' is not an integer"),
+    _row("qtrace-float-coordinate-by-label",
+         ("qtrace", "support", "--curve", '{"2": 1.0, "3": 1}'),
+         "curve {'2': 1.0, '3': 1}: intersection number 1.0 is not an integer"),
+    _row("qtrace-zero-padded-edge-label",
+         ("qtrace", "support", "--curve", '{"2": 5, "3": 1, "02": 1}'),
+         "curve {'2': 5, '3': 1, '02': 1}: edge label '02' is not in 0..4"),
+    _row("qtrace-spaced-edge-label", ("qtrace", "support", "--curve", '{" 2": 1, "3": 1}'),
+         "curve {' 2': 1, '3': 1}: edge label ' 2' is not in 0..4"),
+    _row("qtrace-signed-edge-label", ("qtrace", "support", "--curve", '{"+2": 1, "3": 1}'),
+         "curve {'+2': 1, '3': 1}: edge label '+2' is not in 0..4"),
+    _row("detect-float-beta-coordinate", ("detect", "--curve", "1,1", "--beta", "[2,2,1,3,0.5]"),
+         "curve [2, 2, 1, 3, 0.5]: intersection number 0.5 is not an integer",
+         batch={"curve": "1,1", "beta": [2, 2, 1, 3, 0.5]}),
     _row("orbit-rep-directory", ("orbit", "--rep", File(), "--gens", "[]"),
          "[Errno 21] Is a directory: '<file>'"),
     _row("orbit-gens-directory", ("orbit", "--rep", REP, "--gens", File()),
@@ -542,6 +580,17 @@ MALFORMED = [
     _row("detect-batch-negative-cap",
          ("detect", "--batch", '[{"curve": [2, 1], "beta": "1,1", "N": 3, "cap": -5}]'),
          "cap must be >= 0, not -5"),
+    _row("detect-beta-not-the-image",
+         ("detect", "--N", "5", "--curve", "1,0", "--phi", "[[1,0],[0,1]]", "--beta", "0,1"),
+         "beta [0, 0, 1, 1, 0] is not the image [1, 1, 0, 1, 0] of the curve under phi",
+         batch={"curve": "1,0", "phi": [[1, 0], [0, 1]], "beta": "0,1", "N": 5}),
+    _row("detect-batch-unknown-field",
+         ("detect", "--batch", '[{"curve": "1,0", "phi": [[1, 1], [0, 1]], "N": 5, "bogus": 1}]'),
+         "unknown request field 'bogus': the fields are genus, N, cell, cap, method, phi, "
+         "curve, beta"),
+    _row("detect-batch-miscased-field", ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "Cap": 30}]'),
+         "unknown request field 'Cap': the fields are genus, N, cell, cap, method, phi, "
+         "curve, beta"),
     _row("detect-batch-number", ("detect", "--batch", "5"), "--batch must be a JSON list, not 5"),
     _row("detect-batch-object", ("detect", "--batch", '{"curve": "0,1"}'),
          "--batch must be a JSON list, not {'curve': '0,1'}"),
@@ -731,10 +780,11 @@ TORUS = ("skeinlab.qtorus", "skeinlab.cyclotomic")
 # (a command, the modules it must not import)
 IMPORT_CASES = [
     (["surface", "info"], PIPELINE + TORUS),
-    (["lattice", "info"], PIPELINE),
+    (["lattice", "info"], PIPELINE + TORUS),
     (["qtorus", "selftest"], PIPELINE),
     (["qtrace", "support", "--curve=2,3"], PIPELINE + TORUS),
-    (["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'], ("skeinlab.qtorus",)),
+    (["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'],
+     ("skeinlab.qtorus", "skeinlab.cyclotomic", "skeinlab.repvar", "fractions")),
 ]
 
 

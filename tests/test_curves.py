@@ -9,6 +9,7 @@ import pytest
 
 from skeinlab import cli, curves
 from skeinlab.curves import (
+    CLASS_BASIS,
     NormalCurve,
     StateCapExceeded,
     TorusCurveTable,
@@ -18,7 +19,10 @@ from skeinlab.curves import (
     support_bounds_check,
     torus_table,
 )
-from skeinlab.surface import BalancedLattice, build_sigma_g_star, lone_triangle
+from skeinlab.intlinalg import hnf
+from skeinlab.surface import build_sigma_g_star, is_balanced
+
+from oracles import lone_triangle, torus_classes
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -295,11 +299,18 @@ def test_torus_curves_connected_and_classed():
 
 
 def test_predicted_coords_match_wide_oracle():
-    wide = TorusCurveTable(fit_weight=11)
+    # every connected curve of weight <= 11, grouped by intersection vector:
+    # those vectors span the constant class basis, and each class's
+    # predicted coordinates are its lightest curve's
+    table = torus_table()
+    classes = torus_classes(table, 11)
+    assert hnf([list(v) for v in classes]) == CLASS_BASIS == table.basis
+    h1, h2 = CLASS_BASIS
     for pq in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (3, 1)]:
-        oracle = wide.oracle_minimal_curve(*pq)
-        assert oracle is not None
-        assert tuple(wide.predicted_coords(*pq)) == oracle.coords
+        vec = tuple(pq[0] * a + pq[1] * b for a, b in zip(h1, h2))
+        curves = classes.get(vec, []) + classes.get(tuple(-x for x in vec), [])
+        lightest = min(curves, key=lambda c: c.total_weight)
+        assert tuple(table.predicted_coords(*pq)) == lightest.coords
 
 
 def test_triangle_inequality_sanity():
@@ -332,11 +343,10 @@ def test_support_bounds():
 
 def test_supports_are_balanced():
     table = torus_table()
-    B = BalancedLattice(table.tri)
     for pq in [(1, 0), (1, 1), (2, 1)]:
         sup = enumerate_admissible_states(table.curve(*pq))
         for k in sup.fibers:
-            assert B.contains(list(k))
+            assert is_balanced(table.tri, k)
 
 
 def test_all_plus_state_is_unique_top():

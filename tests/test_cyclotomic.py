@@ -8,7 +8,7 @@ from skeinlab.cyclotomic import (
     DualNumber,
     cyclotomic_polynomial,
     euler_phi,
-    nth_root_of_unity_root,
+    root_of_unity_root,
 )
 
 
@@ -74,23 +74,15 @@ def test_embedding():
         z3.embed(10)
 
 
-def test_as_root_of_unity():
-    z7 = Cyclotomic.zeta(7)
-    assert (z7**3).as_root_of_unity() == (7, 3)
-    assert (-(z7**2)).as_root_of_unity() == (14, (7 + 4) % 14)
-    assert Cyclotomic.rational(7, 1).as_root_of_unity() == (7, 0)
-    assert (z7 + 1).as_root_of_unity() is None
-
-
-def test_nth_root_of_unity_root():
-    for m, n in [(5, 3), (5, 5), (7, 3), (4, 5)]:
-        z = Cyclotomic.zeta(m)
-        r = nth_root_of_unity_root(z, n)
-        target = z.embed(r.order) if r.order != m else z
-        assert r**n == target
-    assert nth_root_of_unity_root(Cyclotomic.rational(3, 1), 7) == 1
-    with pytest.raises(ValueError):
-        nth_root_of_unity_root(Cyclotomic.zeta(5) + 1, 3)
+def test_root_of_unity_root():
+    # (zeta_M'^t)^n == zeta_M^k, with M' = M when t exists there, else M n
+    for M, k, n, expect_M in [
+        (5, 1, 3, 5), (5, 1, 5, 25), (7, 1, 3, 7), (4, 1, 5, 4), (3, 0, 7, 3),
+        (6, 3, 3, 6), (9, 2, 3, 27), (9, 3, 3, 9),
+    ]:
+        M2, t = root_of_unity_root(M, k, n)
+        assert M2 == expect_M
+        assert Cyclotomic.zeta(M2, t) ** n == Cyclotomic.zeta(M, k).embed(M2)
 
 
 def test_json_round_trip():

@@ -3,7 +3,6 @@ import json
 import random
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -21,7 +20,6 @@ from skeinlab.curves import (
     enumerate_admissible_states_bruteforce,
     torus_table,
 )
-from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.detect import (
     DetectionRequest,
     _CosetProjector,
@@ -30,11 +28,9 @@ from skeinlab.detect import (
     _ResidueRecount,
     detect_support,
     detect_theorem2,
-    reduced_character_space,
 )
 from skeinlab.intlinalg import solve_integer, transpose
 from skeinlab.mcg import MappingClass, act_on_curve
-from skeinlab.repvar import SL2Mat, SL2Rep
 from skeinlab.surface import build_sigma_g_star
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
@@ -150,6 +146,37 @@ def test_curve_action_and_class_shorthand_rules():
         class_curve(2, 2, 1)
     with pytest.raises(ValueError, match="genus-1 only"):
         detect_theorem2(DetectionRequest(genus=2, N=5, curve=(2, 1), beta=genus_two_curve))
+
+
+def test_explicit_beta_must_be_the_image_of_a_matrix_class():
+    # beta names the image: under the identity, and under a twist that
+    # fixes (1, 0), the beta (0, 1) is refused rather than certified
+    t = torus_table()
+    for matrix in (IDENTITY, TWIST):
+        req = DetectionRequest(
+            N=5, curve=t.curve(1, 0), phi=MappingClass(1, matrix=matrix), beta=t.curve(0, 1)
+        )
+        for run in (detect_theorem2, detect_support):
+            with pytest.raises(ValueError, match=r"^beta \[0, 0, 1, 1, 0\] is not the image"):
+                run(req)
+    # the image itself gives the certificate that phi alone gives
+    twist = MappingClass(1, matrix=TWIST)
+    with_beta = DetectionRequest(N=5, curve=(0, 1), phi=twist, beta=t.curve(1, 1))
+    alone = DetectionRequest(N=5, curve=(0, 1), phi=twist)
+    assert detect_theorem2(with_beta).to_json() == detect_theorem2(alone).to_json()
+
+
+def test_a_word_class_beta_is_an_assumption():
+    t = torus_table()
+    words = MappingClass(1, words={"a1": "a", "b1": "ba"})
+    for phi, assumptions in (
+        (words, ["delta-liftable", "beta-is-image"]),
+        (MappingClass(1, matrix=TWIST), ["delta-liftable"]),
+        (None, ["delta-liftable"]),
+    ):
+        req = DetectionRequest(N=5, curve=(0, 1), phi=phi, beta=t.curve(1, 1))
+        for run in (detect_theorem2, detect_support):
+            assert run(req).to_json()["assumptions"] == assumptions
 
 
 def test_request_validation():
@@ -615,69 +642,3 @@ def test_corrupted_projection_fails_reverification_with_a_warm_context(monkeypat
     assert detect._detection_context(table.tri, 3, "reduced")[0] is projector
     with pytest.raises(AssertionError, match="re-verification failed"):
         detect_support(req)
-
-
-def test_reduced_character_space():
-    i4 = Cyclotomic.zeta(4)
-    A = SL2Mat(i4, 0, 0, i4**3)
-    B = SL2Mat(1, Fraction(1, 2), -1, Fraction(1, 2))
-    rep = SL2Rep(1, (A, B))
-    for N in (3, 5):
-        out = reduced_character_space(rep, N)
-        assert out["liftCount"] == N
-        assert len(out["lifts"]) == N
-        # z^N = c for every lift
-        c = Cyclotomic.from_json(out["boundaryLowerLeft"])
-        for lift in out["lifts"]:
-            z = Cyclotomic.from_json(lift)
-            assert z**N == c.embed(z.order)
-    triv = SL2Rep(1, (SL2Mat.identity(), SL2Mat.identity()))
-    with pytest.raises(ValueError):
-        reduced_character_space(triv, 3)
-
-
-CHARACTER_SPACE_DIGEST = "a357570a4c5a5685e57fbe2404e6fcec74452b8791abf054315ba5036becbddb"
-
-
-def _character_space_sweep():
-    """reduced_character_space over genus-1 representations (diag(x, 1/x), B)
-    in Q(zeta_m), m in {3, 4, 5, 6, 8, 9, 12}, and N in {3, 5, 7, 9, 15}.
-    For x^2 != 1 the entries of B put the moment in the reduced cell with
-    lower-left entry -1/(q (x^2 - 1)): a root of unity (lifts) for q = w and
-    q = -w zeta with w = 1/(x^2 - 1), and in general not for q in
-    {1, 2, -zeta} (symbolic). For x^2 == 1, B is unipotent and the
-    moment is the identity, in the big cell."""
-    out = []
-    for order in (3, 4, 5, 6, 8, 9, 12):
-        z = Cyclotomic.zeta(order)
-        for k in range(1, 6):
-            x = z**k
-            A = SL2Mat(x, 0, 0, x.inverse(), order=order)
-            x2m1 = x * x - 1
-            if x2m1.is_zero():
-                reps = [SL2Rep(1, (A, SL2Mat(1, q, 0, 1, order=order))) for q in (1, 2, -z)]
-            else:
-                w = x2m1.inverse()
-                reps = []
-                for q in (1, 2, -z, w, -w * z):
-                    r = (q * x2m1).inverse()
-                    reps.append(SL2Rep(1, (A, SL2Mat(1, q, r, 1 + q * r, order=order))))
-            for rep in reps:
-                for N in (3, 5, 7, 9, 15):
-                    try:
-                        out.append(reduced_character_space(rep, N))
-                    except ValueError as exc:
-                        out.append(str(exc))
-    return out
-
-
-def test_reduced_character_space_pinned():
-    # the lifts are built from exponents of one root of unity; their bytes
-    # are pinned so that any change to them shows
-    out = _character_space_sweep()
-    kinds = Counter(
-        "big" if isinstance(o, str) else "lifts" if o["lifts"] else "symbolic" for o in out
-    )
-    assert kinds == {"lifts": 310, "symbolic": 415, "big": 90}
-    blob = json.dumps(out, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == CHARACTER_SPACE_DIGEST

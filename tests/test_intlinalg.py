@@ -13,7 +13,6 @@ from skeinlab.intlinalg import (
     int_rank,
     is_unimodular,
     kernel_mod,
-    lattice_contains,
     lattice_coordinates,
     lattice_coordinates_many,
     lattice_cosets_many,
@@ -28,6 +27,8 @@ from skeinlab.intlinalg import (
     unimodular_inverse,
 )
 from skeinlab.lattice import SkewLattice
+
+from oracles import lattice_contains
 
 
 def test_snf_examples():

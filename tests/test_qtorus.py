@@ -11,7 +11,6 @@ from skeinlab.qtorus import (
     TorusIrrep,
     build_irrep,
     chebyshev_apply,
-    chebyshev_coefficients,
     frobenius,
 )
 from skeinlab.surface import BalancedLattice, build_sigma_g_star, k_boundary
@@ -73,9 +72,12 @@ def test_frobenius():
 
 
 def test_chebyshev_polynomials():
-    assert chebyshev_coefficients(0) == [2]
-    assert chebyshev_coefficients(1) == [0, 1]
-    assert chebyshev_coefficients(3) == [0, -3, 0, 1]  # X^3 - 3X
+    # trace form: T_0 = 2, T_1 = X, T_3 = X^3 - 3X
+    T = QuantumTorus(WEYL, 5)
+    x = T.monomial([1, 2]) + T.monomial([-1, -2])
+    assert chebyshev_apply(x, 0) == T.one() * 2
+    assert chebyshev_apply(x, 1) == x
+    assert chebyshev_apply(x, 3) == x * x * x - x * 3
 
 
 def test_chebyshev_frobenius_compatibility():

@@ -11,19 +11,22 @@ from skeinlab.repvar import (
     SL2Mat,
     SL2Rep,
     act_on_rep,
-    classify_cell,
     classify_double_leaf,
     classify_sts_leaf,
-    enumerate_hom_to_finite,
-    group_closure,
+    moment_cell,
     moment_map,
     orbit_closure,
-    quaternion_generators,
     rep_dimension,
-    toric_action,
     w_dimension,
 )
 from skeinlab.surface import build_sigma_g_star
+
+from oracles import (
+    enumerate_hom_to_finite,
+    group_closure,
+    quaternion_generators,
+    validate_automorphism,
+)
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -53,13 +56,13 @@ def test_moment_map_trivial_and_abelian():
 
 def test_classify_cell():
     triv = SL2Rep(1, (SL2Mat.identity(), SL2Mat.identity()))
-    assert classify_cell(triv) == "big"
+    assert moment_cell(moment_map(triv)) == "big"
     i4 = Cyclotomic.zeta(4)
     A = SL2Mat(i4, 0, 0, i4**3)
     B = SL2Mat(1, Fraction(1, 2), -1, Fraction(1, 2))
     rep = SL2Rep(1, (A, B))
     assert moment_map(rep) == SL2Mat(0, -1, 1, 0)
-    assert classify_cell(rep) == "reduced"
+    assert moment_cell(moment_map(rep)) == "reduced"
 
 
 def test_sts_leaves():
@@ -82,20 +85,6 @@ def test_double_leaves():
     assert classify_double_leaf(SL2Mat(1, 1, 0, 1), I) == (0, 0)
 
 
-def test_toric_action():
-    m = SL2Mat(0, 1, -1, 0)
-    assert toric_action(1, m) == m
-    d = SL2Mat(2, 0, 0, Fraction(1, 2))
-    z5 = Cyclotomic.zeta(5)
-    out = toric_action(z5, d)
-    assert out.b.is_zero() and out.c.is_zero()
-    out = toric_action(z5, m)
-    assert out.b == z5.embed(20) ** 2
-    assert out.c == -(z5.embed(20) ** -2)
-    # the cell is insensitive to the toric action
-    assert classify_sts_leaf(out)["cell"] == classify_sts_leaf(m)["cell"]
-
-
 def test_finite_subgroups():
     gens = quaternion_generators()
     assert len(group_closure(gens)) == 8
@@ -113,7 +102,7 @@ def test_quaternion_reps_all_big():
     # commutators in the quaternion group are central, so every moment
     # value has nonzero upper-left entry
     for rep in enumerate_hom_to_finite(quaternion_generators(), 1):
-        assert classify_cell(rep) == "big"
+        assert moment_cell(moment_map(rep)) == "big"
 
 
 def test_orbit_closure_fixture():
@@ -178,8 +167,6 @@ def test_rep_dimension_formula():
 
 
 def test_genus_two_orbit_with_word_generators():
-    from skeinlab.mcg import validate_automorphism
-
     words = {"a1": "a1", "b1": "b1a1", "a2": "a2", "b2": "b2"}
     assert validate_automorphism(2, words)
     mc = MappingClass(2, words=words)
@@ -193,13 +180,8 @@ def test_genus_two_orbit_with_word_generators():
 def test_torelli_boundary_twist_fixes_diagonal_reps():
     # conjugation by the boundary word: a Torelli element (identity on
     # homology) fixing every abelian representation
-    from skeinlab.mcg import invert_word, parse_word, word_to_text
-
-    w = parse_word("abAB", 1)
-    conj = {
-        "a1": word_to_text(w + (1,) + invert_word(w), 1),
-        "b1": word_to_text(w + (2,) + invert_word(w), 1),
-    }
+    # w x w^-1 for the boundary word w = abAB
+    conj = {"a1": "abAB" + "a" + "baBA", "b1": "abAB" + "b" + "baBA"}
     mc = MappingClass(1, words=conj)
     assert mc.endo.abelianization() == [[1, 0], [0, 1]]
     diag = SL2Rep(
