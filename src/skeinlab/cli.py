@@ -28,6 +28,7 @@ from .curves import (
     torus_table,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, check_root_order
+from .surface import check_decimal, check_fields, check_genus, check_int
 
 
 def _emit(obj):
@@ -53,11 +54,14 @@ def _error_text(exc):
 
 def _parse_scalar(x, order=4):
     """A matrix entry: a rational as a number or text ("1/2"), or a
-    cyclotomic number {"order": ..., "coeffs": [[num, den], ...]}."""
+    cyclotomic number {"order": ..., "coeffs": [[num, den], ...]} of ints."""
     from .cyclotomic import Cyclotomic
 
     try:
         if isinstance(x, dict):
+            check_fields(x, "cyclotomic number", ("order", "coeffs"))
+            for n in (x["order"], *(n for pair in x["coeffs"] for n in pair)):
+                check_int(n, "a cyclotomic number's order or coefficient")
             return Cyclotomic.from_json(x)
         if not isinstance(x, bool):  # JSON true is not the entry 1
             return Cyclotomic.rational(order, x)
@@ -82,10 +86,9 @@ def _parse_rep(obj):
             f'a representation needs "genus" and "images", e.g. '
             f'{{"genus": 1, "images": [[0, 1, -1, 0], [1, 1, 0, 1]]}}, not {obj!r}'
         )
-    field = obj.get("field", {})
-    if not isinstance(field, dict):
-        raise ValueError(f'"field" must be an object like {{"cyclotomicOrder": 4}}, not {field!r}')
-    order = field.get("cyclotomicOrder", 4)
+    check_fields(obj, "representation", ("genus", "images", "field"))
+    field = check_fields(obj.get("field", {}), '"field"', ("cyclotomicOrder",))
+    order = check_int(field.get("cyclotomicOrder", 4), "cyclotomicOrder")
     images = [_parse_sl2(m, order) for m in obj["images"]]
     return SL2Rep(obj["genus"], images)
 
@@ -103,8 +106,8 @@ def _curve_surface(genus):
 def _curve_from_json(obj, tri, flag):
     """A curve or beta field: class shorthand ("p,q", [p, q] or {"pq": [p, q]},
     genus 1 only), or edge coordinates as a list, {"coords": ...} or a bare
-    coords object. Any form but "p,q" may also come as JSON text, whose
-    parse error names the flag or field."""
+    coords object. Any form but "p,q" may also come as JSON text. An error
+    in the JSON text or the coordinates names the flag or field."""
     pq = None
     if isinstance(obj, str):
         text = obj.strip()
@@ -113,18 +116,18 @@ def _curve_from_json(obj, tri, flag):
         else:
             pq = text.split(",")
     if isinstance(obj, dict) and "pq" in obj:
-        pq = obj["pq"]
+        pq = check_fields(obj, flag, ("pq",))["pq"]
     elif isinstance(obj, list) and len(obj) == 2:
         pq = obj
     if pq is not None:
         try:
-            # through str, so that 1.5 or true is refused, not truncated
-            p, q = (int(str(t)) for t in pq)
+            # the parts of "p,q" are decimal text, those of [p, q] JSON integers
+            p, q = (check_decimal(t) if isinstance(obj, str) else check_int(t, "p") for t in pq)
         except (TypeError, ValueError):
             raise ValueError(f"(p, q) needs two integers, not {obj!r}") from None
         return class_curve(tri.genus, p, q)
-    if isinstance(obj, dict):
-        obj = obj.get("coords", obj)
+    if isinstance(obj, dict) and "coords" in obj:
+        obj = check_fields(obj, flag, ("coords",))["coords"]
     if not isinstance(obj, (dict, list)):
         raise ValueError(
             f'curve must be "p,q", a [p, q] pair or edge coordinates, not {obj!r}'
@@ -132,15 +135,24 @@ def _curve_from_json(obj, tri, flag):
     try:
         return NormalCurve(tri, obj)
     except ValueError as exc:
-        raise ValueError(f"curve {obj!r}: {exc}") from None
+        raise ValueError(f"{flag} {obj!r}: {exc}") from None
+
+
+def _unique_keys(pairs):
+    """A JSON object that names no key twice (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
 
 
 def _parse_json(text, flag, source):
-    """The JSON value of text given to a flag. A parse error names the flag
-    and the source: the text itself, or the file it was read from."""
+    """The JSON value of text given to a flag. A syntax error or a repeated key
+    names the flag and the source: the text itself, or the file it came from."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # json.JSONDecodeError, or a repeated key
         raise ValueError(f"{flag} {source!r} is not valid JSON: {exc}") from None
 
 
@@ -152,12 +164,7 @@ def _read_json_file(path, flag):
 def _load_json_arg(text, flag):
     """The JSON value of a flag: the contents of the file it names, or else
     the text itself."""
-    if os.path.exists(text):
-        return _read_json_file(text, flag)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise ValueError(f"{flag} {text!r} is neither an existing file nor JSON") from None
+    return _read_json_file(text, flag) if os.path.exists(text) else _parse_json(text, flag, text)
 
 
 def _curve_arg(text, flag):
@@ -171,13 +178,6 @@ def _load_json_list(text, flag):
     if not isinstance(obj, list):
         raise ValueError(f"{flag} must be a JSON list, not {obj!r}")
     return obj
-
-
-def _int_field(obj, key, default):
-    val = obj.get(key, default)
-    if type(val) is not int:  # bool is refused too
-        raise ValueError(f"{key} must be an integer, not {val!r}")
-    return val
 
 
 def cmd_surface(args):
@@ -325,17 +325,12 @@ def _run_one_detect(obj):
     from .detect import DetectionRequest
     from .mcg import MappingClass
 
-    if not isinstance(obj, dict):
-        raise ValueError(f"a detection request must be a JSON object, not {obj!r}")
-    unknown = [key for key in obj if key not in DETECT_FIELDS]
-    if unknown:
-        raise ValueError(
-            f"unknown request field {unknown[0]!r}: the fields are {', '.join(DETECT_FIELDS)}"
-        )
+    check_fields(obj, "request", DETECT_FIELDS)
     method = obj.get("method", "theorem2")
     if not isinstance(method, str) or method not in DETECT_METHODS:
         raise ValueError(f"method must be one of {', '.join(DETECT_METHODS)}, not {method!r}")
-    genus = _int_field(obj, "genus", DetectionRequest.genus)
+    genus = obj.get("genus", DetectionRequest.genus)
+    check_genus(genus)  # before the per-genus cache, which would take True for 1
     tri = _curve_surface(genus)
     phi = obj.get("phi")
     if isinstance(phi, list):  # a bare [[a, b], [c, d]] is a matrix mapping class
@@ -348,12 +343,12 @@ def _run_one_detect(obj):
     curve = _curve_from_json(obj["curve"], tri, "curve")
     req = DetectionRequest(
         genus=genus,
-        N=_int_field(obj, "N", DetectionRequest.N),
+        N=obj.get("N", DetectionRequest.N),
         cell=obj.get("cell", DetectionRequest.cell),
         curve=curve,
         phi=phi,
         beta=beta,
-        state_cap=_int_field(obj, "cap", DetectionRequest.state_cap),
+        state_cap=obj.get("cap", DetectionRequest.state_cap),
     )
     return getattr(detect, f"detect_{method}")(req).to_json()
 
@@ -425,11 +420,18 @@ def _config_default(dest, value, decl):
 REQUIRED = object()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose every error is one usage error, like bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser(config=None, chosen=None):
     """The skeinlab parser. config maps flag names (dests) to defaults for
     the flags of the command whose func is chosen; a flag given on the
     command line still wins, and other keys are ignored."""
-    p = argparse.ArgumentParser(prog="skeinlab")
+    p = _Parser(prog="skeinlab")
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -442,6 +444,8 @@ def build_parser(config=None, chosen=None):
         """A command's parser; what it returns declares one of its flags."""
         q = parent.add_parser(name, **kw)
         q.set_defaults(func=func)
+        # an int flag reads ASCII decimal text, as the parts of "p,q" do
+        q.register("type", int, check_decimal)
         values = config if config and func is chosen else {}
 
         def flag(option, required=False, **decl):
@@ -510,8 +514,8 @@ def build_parser(config=None, chosen=None):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
             # parse again with the config's values as the chosen command's
             # defaults, so that argparse alone decides what the user gave

@@ -24,7 +24,7 @@ from itertools import accumulate, chain, compress, repeat
 from math import gcd
 
 from . import intlinalg
-from .surface import Triangulation, build_sigma_g_star
+from .surface import Triangulation, build_sigma_g_star, check_int
 
 DEFAULT_STATE_CAP = 24
 # largest curve the 2^m brute-force kernel will enumerate
@@ -32,8 +32,8 @@ BRUTE_FORCE_MAX_POINTS = 25
 
 
 def check_state_cap(cap):
-    """A negative cap, on points or on a closure's size, is bad input."""
-    if cap < 0:
+    """A cap, on points or on a closure's size, is an integer >= 0."""
+    if check_int(cap, "cap") < 0:
         raise ValueError(f"cap must be >= 0, not {cap}")
 
 
@@ -57,10 +57,7 @@ class NormalCurve:
                     raise ValueError(f"edge label {e!r} is not in 0..{n - 1}")
                 vec[i] = v
             coords = vec
-        coords = list(coords)
-        for v in coords:
-            if type(v) is not int:  # so 1.9 is not 1, nor true or "1"
-                raise ValueError(f"intersection number {v!r} is not an integer")
+        coords = [check_int(v, "intersection number") for v in coords]
         if len(coords) != n:
             raise ValueError("coordinate vector length mismatch")
         if any(v < 0 for v in coords):

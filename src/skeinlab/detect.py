@@ -16,8 +16,8 @@ coset's single k-vector is read back from the curve that owns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import intlinalg
 from .curves import (
@@ -28,7 +28,7 @@ from .curves import (
     class_curve,
     enumerate_admissible_states,
 )
-from .mcg import MappingClass, act_on_curve
+from .mcg import act_on_curve
 from .surface import BalancedLattice, RefinedLattice, check_cell, check_genus, check_root_order
 
 ASSUMPTIONS = ("delta-liftable",)
@@ -36,48 +36,46 @@ ASSUMPTIONS = ("delta-liftable",)
 WORD_ASSUMPTIONS = ASSUMPTIONS + ("beta-is-image",)
 
 
-@dataclass
-class DetectionRequest:
-    genus: int = 1
-    N: int = 5
-    cell: str = "reduced"
-    curve: object = None            # NormalCurve or (p, q) pair
-    phi: MappingClass | None = None
-    beta: NormalCurve | None = None  # required when phi has no matrix form
-    state_cap: int = DEFAULT_STATE_CAP
+class DetectionRequest(SimpleNamespace):
+    """One detection request: curve (a NormalCurve or a (p, q) pair), phi (a
+    MappingClass or None) and beta (a NormalCurve, required when phi has no
+    matrix form). The class attributes are the defaults of the other
+    fields; the CLI reads them for the fields a request leaves out."""
 
-    def __post_init__(self):
-        check_genus(self.genus)
-        check_root_order(self.N)
-        check_state_cap(self.state_cap)
-        check_cell(self.cell)
+    genus = 1
+    N = 5
+    cell = "reduced"
+    state_cap = DEFAULT_STATE_CAP
+
+    def __init__(
+        self, genus=genus, N=N, cell=cell, curve=None, phi=None, beta=None, state_cap=state_cap
+    ):
+        super().__init__(
+            genus=genus, N=N, cell=cell, curve=curve, phi=phi, beta=beta, state_cap=state_cap
+        )
+        check_genus(genus)
+        check_root_order(N)
+        check_state_cap(state_cap)
+        check_cell(cell)
         # a (p, q) curve takes the request's genus; a curve or a mapping
         # class carries its own, which must be the request's
         carried = [
             (name, c.tri.genus)
-            for name, c in (("curve", self.curve), ("beta", self.beta))
+            for name, c in (("curve", curve), ("beta", beta))
             if isinstance(c, NormalCurve)
         ]
-        if self.phi is not None:
-            carried.append(("phi", self.phi.genus))
-        for name, genus in carried:
-            if genus != self.genus:
+        if phi is not None:
+            carried.append(("phi", phi.genus))
+        for name, carried_genus in carried:
+            if carried_genus != genus:
                 raise ValueError(
-                    f"{name} has genus {genus}, but the request has genus {self.genus}"
+                    f"{name} has genus {carried_genus}, but the request has genus {genus}"
                 )
 
 
-@dataclass
-class Certificate:
-    verdict: str                    # "certified-nontrivial" | "inconclusive"
-    method: str
-    N: int
-    cell: str
-    reasons: list = field(default_factory=list)
-    witness: dict | None = None
-    assumptions: tuple = ASSUMPTIONS
-    alpha_coords: tuple = ()
-    beta_coords: tuple = ()
+class Certificate(SimpleNamespace):
+    """A verdict ("certified-nontrivial" or "inconclusive") with its method, N, cell,
+    reasons, witness, assumptions and curve coordinates; equal fields, equal certificates."""
 
     def to_json(self):
         return {
@@ -190,6 +188,8 @@ def _certify(req, alpha, beta, method):
         assumptions=WORD_ASSUMPTIONS if word_class else ASSUMPTIONS,
         alpha_coords=alpha.coords,
         beta_coords=beta.coords,
+        reasons=[],
+        witness=None,
     )
     if alpha.coords == beta.coords:
         base.reasons.append("isotopic-curves")

@@ -14,6 +14,7 @@ import re
 
 from . import intlinalg
 from .curves import NormalCurve, torus_table
+from .surface import check_fields, check_genus, check_int
 
 _TOKEN = re.compile(r"([a-zA-Z])(\d*)")
 
@@ -59,7 +60,8 @@ class FreeGroupEndo:
     """Endomorphism of the free group on a1..ag, b1..bg."""
 
     def __init__(self, genus, images):
-        """images: dict like {"a1": word, "b1": word} (str or token tuple)."""
+        """images: dict like {"a1": word, "b1": word} (str or token tuple);
+        at genus one "a" and "b" may stand for "a1" and "b1"."""
         if not isinstance(images, dict):
             raise ValueError(
                 f'words must map generators to words, e.g. {{"a1": "ab"}}, not {images!r}'
@@ -69,18 +71,24 @@ class FreeGroupEndo:
         for i in range(1, genus + 1):
             for key, gid in ((f"a{i}", i), (f"b{i}", genus + i)):
                 short = key[0] if genus == 1 else None
+                if key in images and short in images:
+                    raise ValueError(f'"words" gives both {key!r} and {short!r}: give one')
                 w = images.get(key, images.get(short, key))
+                gen_id = f"a generator id in the image of {key}"
                 if isinstance(w, str):
                     w = parse_word(w, genus)
                 elif not (
                     isinstance(w, (list, tuple))
-                    and all(type(t) is int and 1 <= abs(t) <= 2 * genus for t in w)
+                    and all(1 <= abs(check_int(t, gen_id)) <= 2 * genus for t in w)
                 ):
                     raise ValueError(
                         f"the image of {key} must be a word such as \"ab\" or a "
                         f"list of generator ids in ±1..±{2 * genus}, not {w!r}"
                     )
                 self.images[gid] = reduce_word(w)
+        # after the images, so that a bad image (null included) names its generator
+        names = [f"{x}{i}" for i in range(1, genus + 1) for x in "ab"]
+        check_fields(images, '"words"', names + ["a", "b"] if genus == 1 else names)
 
     def apply(self, word):
         out = []
@@ -116,26 +124,21 @@ class MappingClass:
     def __init__(self, genus, matrix=None, words=None):
         if (matrix is None) == (words is None):
             raise ValueError("give exactly one of matrix or words")
+        check_genus(genus)
         self.genus = genus
         self.matrix = None
         self.endo = None
         if matrix is not None:
             if genus != 1:
                 raise ValueError("matrix mapping classes are genus-1 only")
-            if not (
-                isinstance(matrix, (list, tuple))
-                and len(matrix) == 2
-                and all(
-                    isinstance(row, (list, tuple))
-                    and len(row) == 2
-                    and all(isinstance(x, int) for x in row)
-                    for row in matrix
-                )
-            ):
+            try:
+                (a, b), (c, d) = matrix
+                for x in (a, b, c, d):
+                    check_int(x, "a matrix entry")
+            except (TypeError, ValueError):
                 raise ValueError(
                     f"matrix must be a 2x2 integer matrix [[a, b], [c, d]], not {matrix!r}"
-                )
-            (a, b), (c, d) = matrix
+                ) from None
             if a * d - b * c != 1:
                 raise ValueError("matrix must lie in SL(2, Z)")
             self.matrix = ((a, b), (c, d))
@@ -149,13 +152,11 @@ class MappingClass:
 
     @staticmethod
     def from_json(obj, genus=1):
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"a mapping class must be a JSON object with matrix or words, not {obj!r}"
-            )
-        if "matrix" in obj:
-            return MappingClass(genus, matrix=obj["matrix"])
-        return MappingClass(obj.get("genus", genus), words=obj.get("words"))
+        """A JSON mapping class; its "genus", if given, replaces genus."""
+        check_fields(obj, "mapping class", ("genus", "matrix", "words"))
+        return MappingClass(
+            obj.get("genus", genus), matrix=obj.get("matrix"), words=obj.get("words")
+        )
 
     def act_on_class(self, p, q):
         """The matrix action on a homology class (matrix form only)."""

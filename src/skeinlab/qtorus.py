@@ -14,7 +14,7 @@ from math import gcd, lcm
 from . import intlinalg
 from .cyclotomic import Cyclotomic, root_of_unity_root
 from .lattice import SkewLattice
-from .surface import check_root_order
+from .surface import check_int, check_root_order
 
 IRREP_DIM_CAP = 2000
 
@@ -214,7 +214,7 @@ class CentralCharacter:
     def __init__(self, torus: QuantumTorus, M, exponents):
         self.torus = torus
         self.kernel_basis = torus.kernel_sublattice()
-        if type(M) is not int or M < 1:
+        if check_int(M, "the root order M") < 1:
             raise ValueError(f"the root order M must be an integer >= 1, not {M!r}")
         if len(exponents) != len(self.kernel_basis):
             raise ValueError(

@@ -8,10 +8,15 @@ with one boundary arc, built by fusing annuli with extra triangles.
 
 The session's input rules live here, one routine each: the genus
 (`check_genus`, an integer >= 1), the root order (`check_root_order`, odd
-N >= 3) and the Bruhat cell (`check_cell`, "reduced" or "big").
+N >= 3) and the Bruhat cell (`check_cell`, "reduced" or "big"). So do the
+rules of every input: an integer is a JSON int (`check_int`), or ASCII
+decimal text in "p,q" and in integer flags (`check_decimal`), and a JSON
+object holds only known fields, none null (`check_fields`).
 """
 
 from __future__ import annotations
+
+import re
 
 from . import intlinalg
 from .lattice import SkewLattice
@@ -189,17 +194,41 @@ class Triangulation:
         }
 
 
+def check_int(value, what):
+    """value, an int: not a bool, a float or text, which int() would take."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def check_decimal(text):
+    """The int that text writes in ASCII decimal (not "1_0" or "٣"), spaces and a sign allowed."""
+    if not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"{text!r} is not an integer in decimal")
+    return int(text)
+
+
+def check_fields(obj, what, fields):
+    """obj, a JSON object whose keys are among fields and whose values are not null."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+    for key, value in obj.items():
+        if key not in fields:
+            raise ValueError(f"unknown {what} field {key!r}: the fields are {', '.join(fields)}")
+        if value is None:
+            raise ValueError(f"{what} field {key!r} must not be null")
+    return obj
+
+
 def check_genus(genus):
-    """The surfaces here have genus an integer >= 1 (and True is no genus)."""
-    if type(genus) is not int:
-        raise ValueError(f"genus must be an integer, not {genus!r}")
-    if genus < 1:
+    """The surfaces here have genus an integer >= 1."""
+    if check_int(genus, "genus") < 1:
         raise ValueError("genus must be >= 1")
 
 
 def check_root_order(N):
     """The session convention: a root of unity of odd order N >= 3."""
-    if N < 3 or N % 2 == 0:
+    if check_int(N, "N") < 3 or N % 2 == 0:
         raise ValueError("N must be odd and >= 3")
 
 

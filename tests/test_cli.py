@@ -451,26 +451,26 @@ MALFORMED = [
          "(p, q) needs two integers, not {'pq': [1]}"),
     _row("qtrace-negative-edge-labels",
          ("qtrace", "support", "--curve", '{"-5": 1, "-4": 1, "-2": 1}'),
-         "curve {'-5': 1, '-4': 1, '-2': 1}: edge label '-5' is not in 0..4"),
+         "--curve {'-5': 1, '-4': 1, '-2': 1}: edge label '-5' is not in 0..4"),
     # a coordinate is an int, and an edge label an int or its decimal text
     _row("qtrace-float-coordinate", ("qtrace", "support", "--curve", "[1,1,0,1.9,0]"),
-         "curve [1, 1, 0, 1.9, 0]: intersection number 1.9 is not an integer"),
+         "--curve [1, 1, 0, 1.9, 0]: intersection number must be an integer, not 1.9"),
     _row("qtrace-bool-coordinate", ("qtrace", "support", "--curve", "[true,1,0,1,0]"),
-         "curve [True, 1, 0, 1, 0]: intersection number True is not an integer"),
+         "--curve [True, 1, 0, 1, 0]: intersection number must be an integer, not True"),
     _row("qtrace-text-coordinate", ("qtrace", "support", "--curve", '[1,1,0,"1",0]'),
-         "curve [1, 1, 0, '1', 0]: intersection number '1' is not an integer"),
+         "--curve [1, 1, 0, '1', 0]: intersection number must be an integer, not '1'"),
     _row("qtrace-float-coordinate-by-label",
          ("qtrace", "support", "--curve", '{"2": 1.0, "3": 1}'),
-         "curve {'2': 1.0, '3': 1}: intersection number 1.0 is not an integer"),
+         "--curve {'2': 1.0, '3': 1}: intersection number must be an integer, not 1.0"),
     _row("qtrace-zero-padded-edge-label",
          ("qtrace", "support", "--curve", '{"2": 5, "3": 1, "02": 1}'),
-         "curve {'2': 5, '3': 1, '02': 1}: edge label '02' is not in 0..4"),
+         "--curve {'2': 5, '3': 1, '02': 1}: edge label '02' is not in 0..4"),
     _row("qtrace-spaced-edge-label", ("qtrace", "support", "--curve", '{" 2": 1, "3": 1}'),
-         "curve {' 2': 1, '3': 1}: edge label ' 2' is not in 0..4"),
+         "--curve {' 2': 1, '3': 1}: edge label ' 2' is not in 0..4"),
     _row("qtrace-signed-edge-label", ("qtrace", "support", "--curve", '{"+2": 1, "3": 1}'),
-         "curve {'+2': 1, '3': 1}: edge label '+2' is not in 0..4"),
+         "--curve {'+2': 1, '3': 1}: edge label '+2' is not in 0..4"),
     _row("detect-float-beta-coordinate", ("detect", "--curve", "1,1", "--beta", "[2,2,1,3,0.5]"),
-         "curve [2, 2, 1, 3, 0.5]: intersection number 0.5 is not an integer",
+         "beta [2, 2, 1, 3, 0.5]: intersection number must be an integer, not 0.5",
          batch={"curve": "1,1", "beta": [2, 2, 1, 3, 0.5]}),
     _row("orbit-rep-directory", ("orbit", "--rep", File(), "--gens", "[]"),
          "[Errno 21] Is a directory: '<file>'"),
@@ -480,7 +480,7 @@ MALFORMED = [
          "--gens must be a JSON list, not 5"),
     _row("orbit-field-not-object",
          ("orbit", "--rep", json.dumps({**json.loads(REP), "field": 5}), "--gens", "[]"),
-         '"field" must be an object like {"cyclotomicOrder": 4}, not 5'),
+         '"field" must be a JSON object, not 5'),
     _row("orbit-scalar-without-coeffs",
          ("orbit", "--rep", '{"genus": 1, "images": [[{"order": 4}, 1, -1, 0], [0, 1, -1, 0]]}',
           "--gens", "[]"),
@@ -607,15 +607,15 @@ MALFORMED = [
          ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "method": 5}]'),
          "method must be one of theorem2, support, not 5"),
     _row("orbit-rep-missing-file", ("orbit", "--rep", "missing.json", "--gens", "[]"),
-         "--rep 'missing.json' is neither an existing file nor JSON"),
+         "--rep 'missing.json' is not valid JSON: " + NOT_JSON),
     _row("orbit-gens-missing-file", ("orbit", "--rep", REP, "--gens", "missing.json"),
-         "--gens 'missing.json' is neither an existing file nor JSON"),
+         "--gens 'missing.json' is not valid JSON: " + NOT_JSON),
     _row("detect-phi-missing-file", ("detect", "--curve", "0,1", "--phi", "missing.json"),
-         "--phi 'missing.json' is neither an existing file nor JSON"),
+         "--phi 'missing.json' is not valid JSON: " + NOT_JSON),
     _row("detect-batch-missing-file", ("detect", "--batch", "missing.json"),
-         "--batch 'missing.json' is neither an existing file nor JSON"),
+         "--batch 'missing.json' is not valid JSON: " + NOT_JSON),
     _row("rep-moment-missing-file", ("rep", "moment", "--rep", "missing.json"),
-         "--rep 'missing.json' is neither an existing file nor JSON"),
+         "--rep 'missing.json' is not valid JSON: " + NOT_JSON),
     _row("config-file-not-json", ("--config", File("not json"), "lattice", "info"),
          "--config '<file>' is not valid JSON: " + NOT_JSON),
     _row("orbit-rep-file-not-json", ("orbit", "--rep", File("not json"), "--gens", "[]"),
@@ -649,6 +649,106 @@ MALFORMED = [
          batch={"curve": "0,1", "beta": "[1,"}),
     _row("qtrace-curve-text-not-json", ("qtrace", "support", "--curve", "[1,"),
          "--curve '[1,' is not valid JSON: Expecting value: line 1 column 4 (char 3)"),
+    # an integer is a JSON int, or ASCII decimal text in "p,q" and in flags
+    _row("detect-bool-matrix-entry", ("detect", "--curve", "0,1", "--phi", "[[true,1],[0,1]]"),
+         "matrix must be a 2x2 integer matrix [[a, b], [c, d]], not [[True, 1], [0, 1]]",
+         batch={"curve": "0,1", "phi": [[True, 1], [0, 1]]}),
+    _row("detect-word-class-genus-true",
+         ("detect", "--curve", "0,1", "--beta", "1,1", "--N", "3",
+          "--phi", '{"genus": true, "words": {"a1": "a1", "b1": "b1a1"}}'),
+         "genus must be an integer, not True",
+         batch={"curve": "0,1", "beta": "1,1", "N": 3,
+                "phi": {"genus": True, "words": {"a1": "a1", "b1": "b1a1"}}}),
+    _row("rep-moment-field-order-true",
+         ("rep", "moment", "--rep", json.dumps({**json.loads(REP), "field": {"cyclotomicOrder": True}})),
+         "cyclotomicOrder must be an integer, not True"),
+    _row("rep-moment-scalar-order-true",
+         ("rep", "moment", "--rep",
+          '{"genus": 1, "images": [[{"order": true, "coeffs": [[1, 1]]}, 0, 0, 1], [1, 0, 0, 1]]}'),
+         "a cyclotomic number's order or coefficient must be an integer, not True"),
+    _row("rep-moment-scalar-denominator-true",
+         ("rep", "moment", "--rep",
+          '{"genus": 1, "images": [[{"order": 4, "coeffs": [[1, true]]}, 0, 0, 1], [1, 0, 0, 1]]}'),
+         "a cyclotomic number's order or coefficient must be an integer, not True"),
+    _row("detect-pq-text-parts", ("detect", "--curve", '["1","0"]'),
+         "(p, q) needs two integers, not ['1', '0']", batch={"curve": ["1", "0"]}),
+    _row("detect-pq-underscore", ("detect", "--curve", "1_0,1"),
+         "(p, q) needs two integers, not '1_0,1'", batch={"curve": "1_0,1"}),
+    _row("detect-pq-arabic-digit", ("detect", "--curve", "\u0663,1"),
+         "(p, q) needs two integers, not '\u0663,1'", batch={"curve": "\u0663,1"}),
+    _row("surface-genus-arabic-digit", ("surface", "info", "--genus", "\u0662"),
+         "argument --genus: invalid int value: '\u0662'"),
+    _row("lattice-N-underscore", ("lattice", "info", "--N", "1_1"),
+         "argument --N: invalid int value: '1_1'"),
+    _row("detect-N-spaced-underscore",
+         ("detect", "--curve", "0,1", "--phi", "[[1,1],[0,1]]", "--N", " 1_1"),
+         "argument --N: invalid int value: ' 1_1'"),
+    _row("qtrace-cap-underscore", ("qtrace", "support", "--curve", "0,1", "--cap", "2_4"),
+         "argument --cap: invalid int value: '2_4'"),
+    _row("rep-dims-orbit-size-underscore", ("rep", "dims", "--orbit-size", "1_0"),
+         "argument --orbit-size: invalid int value: '1_0'"),
+    _row("leaf-field-order-arabic-digit",
+         ("leaf", "classify", "--mat", "[1, 1, 0, 1]", "--field-order", "\u0664"),
+         "argument --field-order: invalid int value: '\u0664'"),
+    # an object holds its known fields, each under one spelling, none as null
+    _row("detect-phi-matrix-and-words",
+         ("detect", "--curve", "0,1", "--phi", json.dumps({"matrix": [[1, 1], [0, 1]], "words": TWIST})),
+         "give exactly one of matrix or words",
+         batch={"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]], "words": TWIST}}),
+    _row("detect-curve-coords-and-pq",
+         ("detect", "--curve", '{"coords": [1, 1, 0, 1, 0], "pq": [0, 1]}'),
+         "unknown curve field 'coords': the fields are pq",
+         batch={"curve": {"coords": [1, 1, 0, 1, 0], "pq": [0, 1]}}),
+    _row("detect-phi-genus-2-matrix",
+         ("detect", "--curve", "0,1", "--phi", '{"genus": 2, "matrix": [[1, 1], [0, 1]]}'),
+         "matrix mapping classes are genus-1 only",
+         batch={"curve": "0,1", "phi": {"genus": 2, "matrix": [[1, 1], [0, 1]]}}),
+    _row("detect-words-two-spellings",
+         ("detect", "--curve", "0,1", "--beta", "1,1", "--N", "3",
+          "--phi", '{"words": {"a": "ab", "a1": "a", "b1": "ba"}}'),
+         "\"words\" gives both 'a1' and 'a': give one",
+         batch={"curve": "0,1", "beta": "1,1", "N": 3,
+                "phi": {"words": {"a": "ab", "a1": "a", "b1": "ba"}}}),
+    _row("detect-phi-unknown-field",
+         ("detect", "--curve", "0,1", "--phi", '{"matrix": [[1, 1], [0, 1]], "power": 2}'),
+         "unknown mapping class field 'power': the fields are genus, matrix, words",
+         batch={"curve": "0,1", "phi": {"matrix": [[1, 1], [0, 1]], "power": 2}}),
+    _row("detect-words-unknown-generator",
+         ("detect", "--curve", "0,1", "--beta", "1,1", "--N", "3",
+          "--phi", '{"words": {"a1": "a", "b1": "ba", "c9": "a"}}'),
+         "unknown \"words\" field 'c9': the fields are a1, b1, a, b",
+         batch={"curve": "0,1", "beta": "1,1", "N": 3,
+                "phi": {"words": {"a1": "a", "b1": "ba", "c9": "a"}}}),
+    _row("orbit-rep-unknown-field",
+         ("orbit", "--rep", json.dumps({**json.loads(REP), "order": 4}), "--gens", "[]"),
+         "unknown representation field 'order': the fields are genus, images, field"),
+    _row("orbit-rep-field-unknown-key",
+         ("orbit", "--rep", json.dumps({**json.loads(REP), "field": {"order": 8}}), "--gens", "[]"),
+         'unknown "field" field \'order\': the fields are cyclotomicOrder'),
+    _row("rep-moment-scalar-unknown-field",
+         ("rep", "moment", "--rep",
+          '{"genus": 1, "images": [[{"order": 4, "coeffs": [[1, 1]], "den": 2}, 0, 0, 1], '
+          '[1, 0, 0, 1]]}'),
+         "unknown cyclotomic number field 'den': the fields are order, coeffs"),
+    _row("detect-batch-null-phi",
+         ("detect", "--batch", '[{"curve": "0,1", "beta": "1,1", "N": 3, "phi": null}]'),
+         "request field 'phi' must not be null"),
+    _row("detect-batch-null-beta",
+         ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "beta": null}]'),
+         "request field 'beta' must not be null"),
+    # a repeated key refuses the whole JSON text, a batch included
+    _row("detect-batch-repeated-N",
+         ("detect", "--batch", '[{"curve": "0,1", "phi": [[1, 1], [0, 1]], "N": 4, "N": 5}]'),
+         "--batch '[{\"curve\": \"0,1\", \"phi\": [[1, 1], [0, 1]], \"N\": 4, \"N\": 5}]' "
+         "is not valid JSON: repeated key 'N'"),
+    _row("qtrace-repeated-edge-label",
+         ("qtrace", "support", "--curve", '{"2": 5, "3": 1, "2": 1}'),
+         "--curve '{\"2\": 5, \"3\": 1, \"2\": 1}' is not valid JSON: repeated key '2'"),
+    _row("config-repeated-key", ("--config", File('{"N": 5, "N": 7}'), "lattice", "info"),
+         "--config '<file>' is not valid JSON: repeated key 'N'"),
+    _row("detect-beta-negative-coordinate", ("detect", "--curve", "1,1", "--beta", "[2,2,1,3,-1]"),
+         "beta [2, 2, 1, 3, -1]: negative intersection number",
+         batch={"curve": "1,1", "beta": [2, 2, 1, 3, -1]}),
 ]
 
 
@@ -658,8 +758,8 @@ def _error_message(argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert "Traceback" not in err and len(err.splitlines()) == 1
-    if argv[:2] == ("detect", "--batch") and argv[2].startswith("["):
-        assert err.startswith("detect: 1 requests in ")
+    if not err.startswith("error: "):
+        assert argv[:2] == ("detect", "--batch") and err.startswith("detect: 1 requests in ")
         [slot] = json.loads(out)["certificates"]
         return slot["error"]
     assert out == "" and err.startswith("error: ")
@@ -784,7 +884,7 @@ IMPORT_CASES = [
     (["qtorus", "selftest"], PIPELINE),
     (["qtrace", "support", "--curve=2,3"], PIPELINE + TORUS),
     (["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'],
-     ("skeinlab.qtorus", "skeinlab.cyclotomic", "skeinlab.repvar", "fractions")),
+     ("skeinlab.qtorus", "skeinlab.cyclotomic", "skeinlab.repvar", "fractions", "dataclasses")),
 ]
 
 

@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
 ALLOWED = {
     ("intlinalg", "reduce_mod_rows"): "a perfbench/tracer.py target (intlinalg.reduce_calls)",
     ("intlinalg", "solve_integer"): "a perfbench/tracer.py target (intlinalg.solve_integer)",
+    ("cli", "_Parser.error"): "argparse calls it on every bad command line",
 }
 
 
