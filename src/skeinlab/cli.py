@@ -55,14 +55,16 @@ def _error_text(exc):
 def _parse_scalar(x, order=4):
     """A matrix entry: a rational as a number or text ("1/2"), or a
     cyclotomic number {"order": ..., "coeffs": [[num, den], ...]} of ints."""
+    from fractions import Fraction
+
     from .cyclotomic import Cyclotomic
 
     try:
         if isinstance(x, dict):
             check_fields(x, "cyclotomic number", ("order", "coeffs"))
-            for n in (x["order"], *(n for pair in x["coeffs"] for n in pair)):
-                check_int(n, "a cyclotomic number's order or coefficient")
-            return Cyclotomic.from_json(x)
+            what = "a cyclotomic number's order or coefficient"
+            coeffs = [Fraction(check_int(n, what), check_int(d, what)) for n, d in x["coeffs"]]
+            return Cyclotomic(check_int(x["order"], what), coeffs)
         if not isinstance(x, bool):  # JSON true is not the entry 1
             return Cyclotomic.rational(order, x)
     except (ZeroDivisionError, OverflowError):  # "1/0", a zero denominator, Infinity
@@ -112,11 +114,14 @@ def _curve_from_json(obj, tri, flag):
     if isinstance(obj, str):
         text = obj.strip()
         if text.startswith(("{", "[")):
-            obj = _parse_json(text, flag, obj)
+            obj = _parse_json(text, f"{flag} {obj!r} is not valid JSON")
         else:
             pq = text.split(",")
-    if isinstance(obj, dict) and "pq" in obj:
-        pq = check_fields(obj, flag, ("pq",))["pq"]
+    if isinstance(obj, dict) and ("pq" in obj or "coords" in obj):
+        if len(check_fields(obj, flag, ("pq", "coords"))) > 1:
+            raise ValueError(f"{flag} gives both pq and coords: give one")
+        pq = obj.get("pq")
+        obj = obj.get("coords", obj)
     elif isinstance(obj, list) and len(obj) == 2:
         pq = obj
     if pq is not None:
@@ -126,8 +131,6 @@ def _curve_from_json(obj, tri, flag):
         except (TypeError, ValueError):
             raise ValueError(f"(p, q) needs two integers, not {obj!r}") from None
         return class_curve(tri.genus, p, q)
-    if isinstance(obj, dict) and "coords" in obj:
-        obj = check_fields(obj, flag, ("coords",))["coords"]
     if not isinstance(obj, (dict, list)):
         raise ValueError(
             f'curve must be "p,q", a [p, q] pair or edge coordinates, not {obj!r}'
@@ -147,24 +150,24 @@ def _unique_keys(pairs):
     return obj
 
 
-def _parse_json(text, flag, source):
-    """The JSON value of text given to a flag. A syntax error or a repeated key
-    names the flag and the source: the text itself, or the file it came from."""
+def _parse_json(text, refusal):
+    """The JSON value of text; bad JSON or a repeated key raises "refusal: reason"."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # json.JSONDecodeError, or a repeated key
-        raise ValueError(f"{flag} {source!r} is not valid JSON: {exc}") from None
+        raise ValueError(f"{refusal}: {exc}") from None
 
 
 def _read_json_file(path, flag):
     with open(path) as fh:
-        return _parse_json(fh.read(), flag, path)
+        return _parse_json(fh.read(), f"{flag} {path!r} is not valid JSON")
 
 
 def _load_json_arg(text, flag):
-    """The JSON value of a flag: the contents of the file it names, or else
-    the text itself."""
-    return _read_json_file(text, flag) if os.path.exists(text) else _parse_json(text, flag, text)
+    """The JSON in the file that text names, or else the JSON text itself."""
+    if os.path.exists(text):
+        return _read_json_file(text, flag)
+    return _parse_json(text, f"{flag} {text!r} is neither an existing file nor valid JSON")
 
 
 def _curve_arg(text, flag):
@@ -279,10 +282,10 @@ def cmd_leaf(args):
     from .repvar import classify_double_leaf, classify_sts_leaf
 
     order = args.field_order
-    m = _parse_sl2(_parse_json(args.mat, "--mat", args.mat), order)
+    m = _parse_sl2(_parse_json(args.mat, f"--mat {args.mat!r} is not valid JSON"), order)
     if args.double:
-        m2 = _parse_sl2(_parse_json(args.double, "--double", args.double), order)
-        i, j = classify_double_leaf(m, m2)
+        m2 = _parse_json(args.double, f"--double {args.double!r} is not valid JSON")
+        i, j = classify_double_leaf(m, _parse_sl2(m2, order))
         _emit({"double": True, "leaf": [i, j]})
     else:
         _emit(classify_sts_leaf(m))
@@ -421,9 +424,7 @@ REQUIRED = object()
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose every error is one usage error, like bad input."""
-
-    def error(self, message):
+    def error(self, message):  # every argparse error is one usage error, like bad input
         raise ValueError(message)
 
 
@@ -444,8 +445,7 @@ def build_parser(config=None, chosen=None):
         """A command's parser; what it returns declares one of its flags."""
         q = parent.add_parser(name, **kw)
         q.set_defaults(func=func)
-        # an int flag reads ASCII decimal text, as the parts of "p,q" do
-        q.register("type", int, check_decimal)
+        q.register("type", int, check_decimal)  # an int flag is ASCII decimal, as in "p,q"
         values = config if config and func is chosen else {}
 
         def flag(option, required=False, **decl):

@@ -196,10 +196,6 @@ class Cyclotomic:
             "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(obj):
-        return Cyclotomic(obj["order"], [Fraction(n, d) for n, d in obj["coeffs"]])
-
 
 def _trim(p):
     p = list(p)

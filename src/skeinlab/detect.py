@@ -36,11 +36,8 @@ ASSUMPTIONS = ("delta-liftable",)
 WORD_ASSUMPTIONS = ASSUMPTIONS + ("beta-is-image",)
 
 
-class DetectionRequest(SimpleNamespace):
-    """One detection request: curve (a NormalCurve or a (p, q) pair), phi (a
-    MappingClass or None) and beta (a NormalCurve, required when phi has no
-    matrix form). The class attributes are the defaults of the other
-    fields; the CLI reads them for the fields a request leaves out."""
+class DetectionRequest:
+    """curve: a NormalCurve or (p, q); phi: a MappingClass; beta: needed when phi has no matrix."""
 
     genus = 1
     N = 5
@@ -50,9 +47,8 @@ class DetectionRequest(SimpleNamespace):
     def __init__(
         self, genus=genus, N=N, cell=cell, curve=None, phi=None, beta=None, state_cap=state_cap
     ):
-        super().__init__(
-            genus=genus, N=N, cell=cell, curve=curve, phi=phi, beta=beta, state_cap=state_cap
-        )
+        self.genus, self.N, self.cell, self.state_cap = genus, N, cell, state_cap
+        self.curve, self.phi, self.beta = curve, phi, beta
         check_genus(genus)
         check_root_order(N)
         check_state_cap(state_cap)
@@ -74,8 +70,7 @@ class DetectionRequest(SimpleNamespace):
 
 
 class Certificate(SimpleNamespace):
-    """A verdict ("certified-nontrivial" or "inconclusive") with its method, N, cell,
-    reasons, witness, assumptions and curve coordinates; equal fields, equal certificates."""
+    """A verdict, "certified-nontrivial" or "inconclusive", and the evidence to_json lists."""
 
     def to_json(self):
         return {

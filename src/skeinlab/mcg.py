@@ -60,8 +60,7 @@ class FreeGroupEndo:
     """Endomorphism of the free group on a1..ag, b1..bg."""
 
     def __init__(self, genus, images):
-        """images: dict like {"a1": word, "b1": word} (str or token tuple);
-        at genus one "a" and "b" may stand for "a1" and "b1"."""
+        """images: {"a1": word, "b1": word, ...} (str or token tuple), "a" and "b" at genus 1."""
         if not isinstance(images, dict):
             raise ValueError(
                 f'words must map generators to words, e.g. {{"a1": "ab"}}, not {images!r}'
@@ -133,8 +132,7 @@ class MappingClass:
                 raise ValueError("matrix mapping classes are genus-1 only")
             try:
                 (a, b), (c, d) = matrix
-                for x in (a, b, c, d):
-                    check_int(x, "a matrix entry")
+                a, b, c, d = (check_int(x, "a matrix entry") for x in (a, b, c, d))
             except (TypeError, ValueError):
                 raise ValueError(
                     f"matrix must be a 2x2 integer matrix [[a, b], [c, d]], not {matrix!r}"
@@ -154,9 +152,7 @@ class MappingClass:
     def from_json(obj, genus=1):
         """A JSON mapping class; its "genus", if given, replaces genus."""
         check_fields(obj, "mapping class", ("genus", "matrix", "words"))
-        return MappingClass(
-            obj.get("genus", genus), matrix=obj.get("matrix"), words=obj.get("words")
-        )
+        return MappingClass(obj.get("genus", genus), obj.get("matrix"), obj.get("words"))
 
     def act_on_class(self, p, q):
         """The matrix action on a homology class (matrix form only)."""

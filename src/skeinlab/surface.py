@@ -8,15 +8,12 @@ with one boundary arc, built by fusing annuli with extra triangles.
 
 The session's input rules live here, one routine each: the genus
 (`check_genus`, an integer >= 1), the root order (`check_root_order`, odd
-N >= 3) and the Bruhat cell (`check_cell`, "reduced" or "big"). So do the
-rules of every input: an integer is a JSON int (`check_int`), or ASCII
-decimal text in "p,q" and in integer flags (`check_decimal`), and a JSON
-object holds only known fields, none null (`check_fields`).
+N >= 3), the Bruhat cell (`check_cell`, "reduced" or "big"), an integer
+(`check_int`, a JSON int; `check_decimal`, ASCII decimal text, in "p,q" and
+integer flags) and a JSON object (`check_fields`: known fields, none null).
 """
 
 from __future__ import annotations
-
-import re
 
 from . import intlinalg
 from .lattice import SkewLattice
@@ -202,8 +199,8 @@ def check_int(value, what):
 
 
 def check_decimal(text):
-    """The int that text writes in ASCII decimal (not "1_0" or "٣"), spaces and a sign allowed."""
-    if not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text, re.ASCII):
+    """The int that text writes in ASCII decimal: what int() reads, but not "1_0" or "٣"."""
+    if not text.isascii() or "_" in text:
         raise ValueError(f"{text!r} is not an integer in decimal")
     return int(text)
 

@@ -1,7 +1,8 @@
 """Each input rule is written once. An `ast` scan of `src` fails on a JSON
 parse outside `cli._parse_json` (the one place that refuses repeated
-keys), on `isinstance(..., int)`, which takes true for 1, and on
-`type(...) is int` outside `surface.check_int`."""
+keys), on `isinstance(..., int)`, which takes true for 1, and on an
+exact type test `type(...) is ...` outside `surface.check_int`, since a
+test against a type held in a variable may be a second integer rule."""
 
 import ast
 from pathlib import Path
@@ -9,12 +10,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
 
 # the one site of each rule
-HOMES = {"json parse": ("cli", "_parse_json"), "type is int": ("surface", "check_int")}
+HOMES = {"json parse": ("cli", "_parse_json"), "type is": ("surface", "check_int")}
 
 # (module, enclosing function, rule): why the site stays
 ALLOWED = {
-    ("curves", "NormalCurve.__init__", "type is int"):
+    ("curves", "NormalCurve.__init__", "type is"):
         "an edge label is an int or its decimal text, so that no two labels name one edge",
+    ("cli", "_config_default", "type is"):
+        "a --config value has its flag's type (int, str or bool) exactly, as argparse would give",
     ("cyclotomic", "Cyclotomic._coerce", "isinstance int"):
         "arithmetic with a Python number, where True is the number 1 by Python's rule",
     ("cyclotomic", "Cyclotomic.__eq__", "isinstance int"):
@@ -63,9 +66,8 @@ def _rule(node):
         and isinstance(node.left, ast.Call)
         and _is_name(node.left.func, "type")
         and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-        and any(_is_name(c, "int") for c in node.comparators)
     ):
-        return "type is int"
+        return "type is"
     return None
 
 
