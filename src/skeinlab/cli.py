@@ -63,7 +63,15 @@ def _parse_scalar(x, order=4):
         if isinstance(x, dict):
             check_fields(x, "cyclotomic number", ("order", "coeffs"))
             what = "a cyclotomic number's order or coefficient"
-            coeffs = [Fraction(check_int(n, what), check_int(d, what)) for n, d in x["coeffs"]]
+            pairs = x["coeffs"]
+            if not isinstance(pairs, list) or any(
+                not isinstance(p, list) or len(p) != 2 for p in pairs
+            ):
+                raise ValueError(
+                    "a cyclotomic number's coeffs must be a list of [numerator, denominator] "
+                    f"integer pairs, not {pairs!r}"
+                )
+            coeffs = [Fraction(check_int(n, what), check_int(d, what)) for n, d in pairs]
             return Cyclotomic(check_int(x["order"], what), coeffs)
         if not isinstance(x, bool):  # JSON true is not the entry 1
             return Cyclotomic.rational(order, x)

@@ -73,15 +73,8 @@ class NormalCurve:
                     raise ValueError(f"corner count negative on face {fi}")
         self._geometry = None
 
-    @property
-    def total_weight(self):
-        return sum(self.coords)
-
     def max_edge_weight(self):
         return max(self.coords) if self.coords else 0
-
-    def is_empty(self):
-        return self.total_weight == 0
 
     def geometry(self):
         if self._geometry is None:

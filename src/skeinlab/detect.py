@@ -109,8 +109,11 @@ def _resolve_curves(req: DetectionRequest):
         beta = act_on_curve(req.phi, alpha)  # refuses a word class
     if alpha.tri is not beta.tri:
         raise ValueError("alpha and beta live on different triangulations")
-    if not alpha.is_connected() or alpha.is_empty():
-        raise ValueError("alpha must be a connected essential curve")
+    # a homeomorphism maps a connected curve to a connected curve; an empty
+    # curve has no component
+    for name, curve in (("alpha", alpha), ("beta", beta)):
+        if not curve.is_connected():
+            raise ValueError(f"{name} must be a connected essential curve")
     return alpha, beta
 
 
@@ -298,31 +301,22 @@ class _ResidueRecount:
         return self.pack(intlinalg.mat_mul([vec], self.transform)[0])
 
     def count(self, curve, target):
-        """The number of admissible states of the curve whose k-vector has
-        residue `target` (0 for None, a coset with no curve state).
+        """The number of admissible states of the connected curve whose
+        k-vector has residue `target` (0 for None, a coset with no curve
+        state).
 
-        The longest component is met in the middle: a walk forward from its
+        The states are met in the middle: a walk forward from the curve's
         first point and a walk backward from its last point, each keeping
         {residue: states} per state of its current point, are joined across
-        the middle piece with one lookup per forward residue. The other
-        components are walked fully first, and their product seeds the
-        forward walk."""
+        the middle piece with one lookup per forward residue."""
+        geo = curve.geometry()
+        walks = _piece_walks(geo.n_points, geo.pieces)
+        if len(walks) != 1:
+            raise ValueError(f"the recount counts one curve component, not {len(walks)}")
         if target is None:
             return 0
-        geo = curve.geometry()
-        walks = [
-            ([geo.point_edge[p] for p in points], forward)
-            for points, forward in _piece_walks(geo.n_points, geo.pieces)
-        ]
-        walks.sort(key=lambda walk: len(walk[0]))
-        # a component of one point has no middle piece to meet across
-        longest = walks.pop() if walks and len(walks[-1][0]) > 1 else None
-        seed = {0: 1}
-        for walk in walks:
-            seed = self._walk_full(seed, walk)
-        if longest is None:
-            return seed.get(target, 0)
-        edges, forward = longest
+        points, forward = walks[0]
+        edges = [geo.point_edge[p] for p in points]
         n = len(edges)
         h = (n - 1) // 2
         plus, minus = self.plus, self.minus
@@ -336,25 +330,12 @@ class _ResidueRecount:
         total = 0
         for first, last in _walk_ends(forward, n):
             total += self._join(
-                self._walk(seed, first, plus[edges[0]], minus[edges[0]], ahead),
-                self._walk({0: 1}, last, minus[edges[-1]], plus[edges[-1]], behind),
+                self._walk(first, plus[edges[0]], minus[edges[0]], ahead),
+                self._walk(last, minus[edges[-1]], plus[edges[-1]], behind),
                 0 if forward[h] else 1,
                 target,
             )
         return total
-
-    def _walk_full(self, seed, walk):
-        """{residue: states} of the seed table times one whole component."""
-        edges, forward = walk
-        n = len(edges)
-        up, down = self.plus[edges[0]], self.minus[edges[0]]
-        steps = self._ahead(edges, forward, n - 1)
-        out = {}
-        for first, last in _walk_ends(forward, n):
-            tables, offsets = self._walk(seed, first, up, down, steps)
-            for s in last:
-                self._fold(tables[s], offsets[s], out)
-        return out
 
     def _ahead(self, edges, forward, stop):
         """The steps of a walk from point 0 to point `stop`, each (the state
@@ -367,13 +348,13 @@ class _ResidueRecount:
             for t in range(stop)
         ]
 
-    def _walk(self, seed, states, up, down, steps):
-        """A walk that starts with the seed table in each of `states` (0 for
-        +, 1 for -) at a first point of residues `up` and `down`. Returns
-        one {key: states} table per state at the last point and the offset
-        that its keys are relative to, so that a step moves offsets and
-        folds one table into the other, touching no other entry."""
-        tables = [dict(seed) if s in states else {} for s in (0, 1)]
+    def _walk(self, states, up, down, steps):
+        """A walk that starts with one state in each of `states` (0 for +,
+        1 for -) at a first point of residues `up` and `down`. Returns one
+        {key: states} table per state at the last point and the offset that
+        its keys are relative to, so that a step moves offsets and folds one
+        table into the other, touching no other entry."""
+        tables = [{0: 1} if s in states else {} for s in (0, 1)]
         offsets = [up, down]
         reduce = self._reduce
         for keep, up, down in steps:

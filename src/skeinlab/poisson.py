@@ -45,9 +45,6 @@ class Poly:
     def __sub__(self, other):
         return self + -Poly._wrap(other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         out = {}
         for e1, k1 in self.terms.items():
@@ -57,12 +54,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = Poly({_ONE: 1})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def diff(self, i):
         """Partial derivative in the i-th generator."""
@@ -136,12 +127,11 @@ class PoissonAlgebra:
             self.bivector[i][j] = val
             self.bivector[j][i] = -val
 
-    def bracket(self, f, h, reduce_det=False):
+    def bracket(self, f, h):
         f, h = Poly._wrap(f), Poly._wrap(h)
         n = len(GENERATORS)
-        out = sum(f.diff(i) * h.diff(j) * self.bivector[i][j]
-                  for i in range(n) for j in range(n))
-        return reduce_mod_det(out) if reduce_det else out
+        return sum(f.diff(i) * h.diff(j) * self.bivector[i][j]
+                   for i in range(n) for j in range(n))
 
     def jacobi_defect(self, f, g_, h):
         return (
@@ -162,18 +152,6 @@ class PoissonAlgebra:
     def preserves_determinant(self):
         det = a * d - b * c
         return all(self.bracket(x, det) == 0 for x in GENERATORS)
-
-
-def reduce_mod_det(expr):
-    """Normal form modulo the ideal (a d - b c - 1): every a^i d^l with
-    i, l >= 1 is rewritten through ad = bc + 1. {ad - bc - 1} is a Groebner
-    basis for lex order a > b > c > d, so this remainder is the unique one
-    with no term divisible by ad."""
-    out = Poly()
-    for (i, j, k, l), coef in Poly._wrap(expr).terms.items():
-        m = min(i, l)
-        out = out + Poly({(i - m, j, k, l - m): coef}) * (b * c + 1) ** m
-    return out
 
 
 # ---------------------------------------------------------------------------

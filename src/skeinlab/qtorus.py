@@ -117,18 +117,6 @@ class TorusElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers only for single monomials")
-        result = self.torus.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, TorusElement)
@@ -139,9 +127,6 @@ class TorusElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self):
-        return not self.terms
-
     def is_central(self) -> bool:
         """True iff every exponent pairs to 0 mod N with the whole lattice."""
         form = self.torus.lattice.form
@@ -150,22 +135,10 @@ class TorusElement:
             x % N == 0 for vec in self.terms for x in intlinalg.mat_vec(form, vec)
         )
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def to_json(self):
-        return {
-            "lattice": self.torus.lattice.name,
-            "N": self.torus.N,
-            "terms": [
-                {"exp": list(v), "coeff": c.to_json()} for v, c in self.sorted_terms()
-            ],
-        }
-
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({c!r})*Z{list(v)}" for v, c in self.sorted_terms())
+        return " + ".join(f"({c!r})*Z{list(v)}" for v, c in sorted(self.terms.items()))
 
 
 def frobenius(x: TorusElement) -> TorusElement:

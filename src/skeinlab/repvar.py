@@ -105,13 +105,6 @@ class SL2Rep:
     def __hash__(self):
         return hash((self.genus, self.images))
 
-    def to_json(self):
-        return {
-            "genus": self.genus,
-            "field": {"cyclotomicOrder": self.images[0].order if self.images else 4},
-            "images": [m.to_json() for m in self.images],
-        }
-
 
 def moment_map(rep: SL2Rep) -> SL2Mat:
     """rho evaluated at the boundary loop [a1,b1]...[ag,bg]."""

@@ -7,7 +7,7 @@ slot is a boundary arc. The surfaces of interest are the genus-g surfaces
 with one boundary arc, built by fusing annuli with extra triangles.
 
 The session's input rules live here, one routine each: the genus
-(`check_genus`, an integer >= 1), the root order (`check_root_order`, odd
+(`check_genus`, an integer in 1..100), the root order (`check_root_order`, odd
 N >= 3), the Bruhat cell (`check_cell`, "reduced" or "big"), an integer
 (`check_int`, a JSON int; `check_decimal`, ASCII decimal text, in "p,q" and
 integer flags) and a JSON object (`check_fields`: known fields, none null).
@@ -217,10 +217,18 @@ def check_fields(obj, what, fields):
     return obj
 
 
+# The largest genus: building and checking the triangulation grows about as
+# the cube of the genus, and `surface info` at genus 100 takes about 1 s on a
+# 2-CPU Xeon host.
+MAX_GENUS = 100
+
+
 def check_genus(genus):
-    """The surfaces here have genus an integer >= 1."""
+    """The surfaces here have genus an integer in 1..MAX_GENUS."""
     if check_int(genus, "genus") < 1:
         raise ValueError("genus must be >= 1")
+    if genus > MAX_GENUS:
+        raise ValueError(f"genus must be <= {MAX_GENUS}")
 
 
 def check_root_order(N):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -43,7 +44,6 @@ def make_validator(name):
             "cyclotomic.schema.json",
             "triangulation.schema.json",
             "certificate.schema.json",
-            "torus-element.schema.json",
             "representation.schema.json",
             "support.schema.json",
         ):
@@ -211,6 +211,41 @@ def test_detect_command_and_schema():
     assert json.loads(out2)["verdict"] == "inconclusive"
 
 
+def _output(*argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_every_shipped_schema_describes_a_command_input_or_output():
+    # each schema file, and a command's input or output that validates
+    # against it; a file that describes nothing a command reads or prints
+    # fails here
+    zeta4 = {"order": 4, "coeffs": [[0, 1], [1, 1]]}
+    rep = {
+        "genus": 1,
+        "field": {"cyclotomicOrder": 8},
+        "images": [[zeta4, 0, 0, {"order": 4, "coeffs": [[0, 1], [-1, 1]]}], [1, 1, 0, 1]],
+    }
+    assert _output("rep", "moment", "--rep", json.dumps(rep))["cell"] == "big"
+    surface = _output("surface", "info")
+    described = {
+        "certificate.schema.json": _output("detect", "--curve", "0,1", "--phi", "[[1,1],[0,1]]"),
+        "support.schema.json": _output("qtrace", "support", "--curve", "0,1"),
+        "triangulation.schema.json": {
+            key: surface[key] for key in ("faces", "edges", "gluing", "genus", "check")
+        },
+        "representation.schema.json": rep,  # the --rep of rep moment and orbit
+        "cyclotomic.schema.json": zeta4,  # a --rep matrix entry
+    }
+    shipped = sorted(f.name for f in resources.files("skeinlab").joinpath("schemas").iterdir())
+    assert shipped == sorted(described)
+    for name, instance in described.items():
+        make_validator(name).validate(instance)
+    # the representation schema reads its cyclotomic entries through the other
+    assert '"$ref": "skeinlab/cyclotomic"' in json.dumps(load_schema("representation.schema.json"))
+
+
 def test_detect_byte_determinism():
     results = [
         run_cli("detect", "--N", "5", "--curve", "0,1", "--phi", "[[1,1],[0,1]]")[1]
@@ -329,6 +364,21 @@ def test_detect_batch_bad_edge_label_keeps_the_good_slot():
     certs = json.loads(out)["certificates"]
     assert certs[0] == {"error": "curve {'9': 2}: edge label '9' is not in 0..4"}
     assert certs[1]["verdict"] == "certified-nontrivial"
+
+
+def test_batch_genus_above_the_bound_keeps_the_other_slots():
+    # a genus far above the bound is refused before any surface is built,
+    # as an error slot between the others' certificates
+    good = {"curve": "0,1", "phi": [[1, 1], [0, 1]]}
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        "detect", "--batch", json.dumps([good, {"curve": "0,1", "genus": 1000001}, good])
+    )
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    first, bad, last = json.loads(out)["certificates"]
+    assert bad == {"error": "genus must be <= 100"}
+    assert first == last and first["verdict"] == "certified-nontrivial"
 
 
 def test_detect_single_request_shapes():
@@ -749,6 +799,39 @@ MALFORMED = [
     _row("detect-beta-negative-coordinate", ("detect", "--curve", "1,1", "--beta", "[2,2,1,3,-1]"),
          "beta [2, 2, 1, 3, -1]: negative intersection number",
          batch={"curve": "1,1", "beta": [2, 2, 1, 3, -1]}),
+    # a mapping class maps a connected curve to a connected curve, so beta
+    # is one, like alpha, whether or not a word class comes with it
+    *(
+        _row(f"detect-beta-{name}{suffix}",
+             ("detect", "--N", "5", "--curve", "1,0", "--beta", beta, *flags),
+             "beta must be a connected essential curve",
+             batch={"curve": "1,0", "beta": json.loads(beta), "N": 5,
+                    **({"phi": json.loads(flags[1])} if flags else {})})
+        for name, beta in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[0,0,2,2,0]"))
+        for suffix, flags in (("", ()), ("-word-class", ("--phi", '{"words":{"a1":"a","b1":"ba"}}')))
+    ),
+    # coeffs is a list of [numerator, denominator] pairs
+    *(
+        _row(f"rep-moment-coeffs-{name}",
+             ("rep", "moment", "--rep",
+              f'{{"genus":1,"images":[[{{"order":4,"coeffs":{coeffs}}},0,0,1],[1,0,0,1]]}}'),
+             "a cyclotomic number's coeffs must be a list of [numerator, denominator] "
+             f"integer pairs, not {json.loads(coeffs)!r}")
+        for name, coeffs in (("number", "5"), ("list-of-numbers", "[5]"),
+                             ("short-pair", "[[1]]"), ("long-pair", "[[1,2,3]]"))
+    ),
+    # the input sizes that would take a command minutes are refused at once
+    _row("surface-genus-above-the-bound", ("surface", "info", "--genus", "101"),
+         "genus must be <= 100"),
+    _row("detect-batch-genus-1000001", ("detect", "--batch", '[{"curve": "0,1", "genus": 1000001}]'),
+         "genus must be <= 100"),
+    _row("rep-moment-order-above-the-bound",
+         ("rep", "moment", "--rep",
+          '{"genus":1,"images":[[{"order":100000000,"coeffs":[[1,1]]},0,0,1],[1,0,0,1]]}'),
+         "cyclotomic order must be in 1..720, not 100000000"),
+    _row("leaf-field-order-above-the-bound",
+         ("leaf", "classify", "--mat", "[1, 1, 0, 1]", "--field-order", "721"),
+         "cyclotomic order must be in 1..720, not 721"),
 ]
 
 

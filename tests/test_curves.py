@@ -309,7 +309,7 @@ def test_predicted_coords_match_wide_oracle():
     for pq in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (3, 1)]:
         vec = tuple(pq[0] * a + pq[1] * b for a, b in zip(h1, h2))
         curves = classes.get(vec, []) + classes.get(tuple(-x for x in vec), [])
-        lightest = min(curves, key=lambda c: c.total_weight)
+        lightest = min(curves, key=lambda c: sum(c.coords))
         assert tuple(table.predicted_coords(*pq)) == lightest.coords
 
 

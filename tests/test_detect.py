@@ -323,6 +323,19 @@ def test_disconnected_alpha_rejected():
         detect_support(req)
 
 
+def test_empty_or_disconnected_beta_rejected():
+    # no mapping class sends a connected curve to these, so neither may
+    # certify, whether a word class comes with them or none
+    table = torus_table()
+    words = MappingClass(1, words={"a1": "a", "b1": "ba"})
+    for coords in ([0] * 5, [2 * v for v in table.curve(0, 1).coords]):
+        for phi in (None, words):
+            req = DetectionRequest(N=5, curve=(1, 0), phi=phi, beta=NormalCurve(table.tri, coords))
+            for run in (detect_theorem2, detect_support):
+                with pytest.raises(ValueError, match="^beta must be a connected essential curve$"):
+                    run(req)
+
+
 def test_genus_two_explicit_coordinates():
     # curves supported on the two handles of Delta_2, supplied explicitly
     from skeinlab.surface import build_sigma_g_star
@@ -340,12 +353,13 @@ def test_genus_two_explicit_coordinates():
     assert cert.verdict == "certified-nontrivial"
 
 
-def _genus_one_curves(max_points):
+def _genus_one_curves(max_points, max_weight=4):
     """Closed, open (points on the boundary arc) and multi-component curves
-    of small weight, then the torus classes, up to max_points points."""
+    of edge weights up to max_weight, then the torus classes, up to
+    max_points points."""
     table = torus_table()
     curves = []
-    for vec in product(range(5), repeat=table.tri.n_edges):
+    for vec in product(range(max_weight + 1), repeat=table.tri.n_edges):
         try:
             curves.append(NormalCurve(table.tri, vec))
         except ValueError:
@@ -398,10 +412,14 @@ def _assert_recount_matches_bruteforce(curve, projector):
 @pytest.mark.parametrize("N", [3, 11])
 def test_residue_recount_matches_bruteforce(N, cell):
     projector = _CosetProjector(torus_table().tri, N, cell)
-    curves = _genus_one_curves(16)
+    # the recount counts one component: alpha and beta are connected
+    curves = [curve for curve in _genus_one_curves(17, max_weight=8) if curve.is_connected()]
     unreached = [_assert_recount_matches_bruteforce(curve, projector) for curve in curves]
     assert len(curves) > 100
     assert sum(unreached) > 2 * len(curves)
+    doubled = NormalCurve(projector.lattice.tri, [2 * v for v in curves[0].coords])
+    with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
+        _ResidueRecount(projector).count(doubled, 0)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])

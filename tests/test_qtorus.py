@@ -27,10 +27,14 @@ def test_monomial_product_examples():
 
 
 def test_weyl_power_absorbs_twists():
+    # Z_a^N = Z_{Na}: a monomial's product with itself carries no twist
     for N in (3, 5, 7):
         T = QuantumTorus(WEYL, N)
-        assert T.monomial([1, 0]) ** N == T.monomial([N, 0])
-        assert T.monomial([2, 3]) ** N == T.monomial([2 * N, 3 * N])
+        for a in ([1, 0], [2, 3]):
+            power = T.one()
+            for _ in range(N):
+                power = power * T.monomial(a)
+            assert power == T.monomial([N * x for x in a])
 
 
 def test_defining_relation_random():
@@ -55,8 +59,9 @@ def test_commutation_relation_on_generators():
 def test_addition_prunes_zero_terms():
     T = QuantumTorus(WEYL, 3)
     x = T.monomial([1, 0]) - T.monomial([1, 0])
-    assert x.is_zero()
-    assert (T.monomial([1, 0]) + T.monomial([0, 1])).sorted_terms()[0][0] == (0, 1)
+    assert x.terms == {} and x == T.zero()
+    # terms print in the order of their exponents
+    assert repr(T.monomial([1, 0]) + T.monomial([0, 1])) == "(Cyc(3; 1))*Z[0, 1] + (Cyc(3; 1))*Z[1, 0]"
 
 
 def test_frobenius():
@@ -250,11 +255,3 @@ def test_character_multiplicativity():
     a, b = basis
     ab = [x + y for x, y in zip(a, b)]
     assert chi.exponent_of(ab) == (chi.exponent_of(a) + chi.exponent_of(b)) % chi.order
-
-
-def test_torus_element_json():
-    T = QuantumTorus(WEYL, 3)
-    x = T.monomial([1, 0]) + T.monomial([0, 1], T.A_power(1))
-    obj = x.to_json()
-    assert obj["N"] == 3
-    assert [t["exp"] for t in obj["terms"]] == [[0, 1], [1, 0]]
