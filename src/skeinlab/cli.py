@@ -28,7 +28,7 @@ from .curves import (
     torus_table,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, check_root_order
-from .surface import check_decimal, check_fields, check_genus, check_int
+from .surface import check_decimal, check_fields, check_genus, check_int, pi_degree_report
 
 
 def _emit(obj):
@@ -207,7 +207,7 @@ def cmd_lattice(args):
     B = BalancedLattice(tri)
     N = args.N
     definitional, formula, equal = B.central_sublattice(N)
-    pd = B.pi_degree(N)
+    pd = pi_degree_report(definitional, B.rank, N)
     out = {
         "genus": args.genus,
         "N": N,
@@ -233,7 +233,7 @@ def cmd_qtorus(args):
     B = BalancedLattice(tri)
     L = B.skew_lattice()
     irr = build_irrep(L, args.N)
-    pd = B.pi_degree(args.N)
+    pd = pi_degree_report(irr.character.kernel_basis, L.rank, args.N)
     _emit(
         {
             "genus": args.genus,

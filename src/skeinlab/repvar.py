@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import lcm
 
 from .curves import check_state_cap
-from .cyclotomic import Cyclotomic
+from .cyclotomic import MAX_ORDER, Cyclotomic
 from .mcg import FreeGroupEndo, boundary_word
 from .surface import check_cell, check_genus
 
@@ -21,7 +21,13 @@ class SL2Mat:
     __slots__ = ("order", "a", "b", "c", "d")
 
     def __init__(self, a, b, c, d, order=4):
-        target = lcm(order, *(x.order for x in (a, b, c, d) if isinstance(x, Cyclotomic)))
+        orders = sorted({x.order for x in (a, b, c, d) if isinstance(x, Cyclotomic)} - {order})
+        target = lcm(order, *orders)
+        if target > MAX_ORDER:
+            raise ValueError(
+                f"the field order {order} and the entry orders {orders} have lcm {target}, "
+                f"above the largest cyclotomic order {MAX_ORDER}"
+            )
         vals = []
         for x in (a, b, c, d):
             if not isinstance(x, Cyclotomic):

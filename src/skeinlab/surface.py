@@ -7,7 +7,7 @@ slot is a boundary arc. The surfaces of interest are the genus-g surfaces
 with one boundary arc, built by fusing annuli with extra triangles.
 
 The session's input rules live here, one routine each: the genus
-(`check_genus`, an integer in 1..100), the root order (`check_root_order`, odd
+(`check_genus`, an integer in 1..35), the root order (`check_root_order`, odd
 N >= 3), the Bruhat cell (`check_cell`, "reduced" or "big"), an integer
 (`check_int`, a JSON int; `check_decimal`, ASCII decimal text, in "p,q" and
 integer flags) and a JSON object (`check_fields`: known fields, none null).
@@ -217,10 +217,10 @@ def check_fields(obj, what, fields):
     return obj
 
 
-# The largest genus: building and checking the triangulation grows about as
-# the cube of the genus, and `surface info` at genus 100 takes about 1 s on a
-# 2-CPU Xeon host.
-MAX_GENUS = 100
+# The largest genus: the mod-N kernels grow about as the cube of the genus,
+# and at genus 35 the slowest command, `lattice info --refined`, takes about
+# 2 s on a 2-CPU Xeon host.
+MAX_GENUS = 35
 
 
 def check_genus(genus):
@@ -340,10 +340,11 @@ class BalancedLattice:
 
     def pi_degree(self, N):
         """PI-degree sqrt([K : K^0]) of the associated quantum torus."""
-        return _pi_degree_report(intlinalg.kernel_mod(self.form, N), self.rank, N)
+        return pi_degree_report(intlinalg.kernel_mod(self.form, N), self.rank, N)
 
 
-def _pi_degree_report(kernel, rank, N):
+def pi_degree_report(kernel, rank, N):
+    """The PI-degree report of a rank-`rank` lattice from its mod-N kernel."""
     index = intlinalg.full_rank_index(kernel, rank)
     root = intlinalg.perfect_square_root(index)
     return {
@@ -393,7 +394,7 @@ class RefinedLattice:
         return intlinalg.kernel_mod(self.form, N)
 
     def pi_degree(self, N):
-        return _pi_degree_report(self.kernel_mod(N), self.rank, N)
+        return pi_degree_report(self.kernel_mod(N), self.rank, N)
 
     def lemma_comparison(self, N):
         """Side-by-side report: definitional Kbar^0 vs the closed formula
@@ -414,7 +415,7 @@ class RefinedLattice:
             for i in range(self.rank)
             for j in range(self.rank)
         )
-        report = _pi_degree_report(definitional, self.rank, N)
+        report = pi_degree_report(definitional, self.rank, N)
         report.update(
             {
                 "definitionalKernel": definitional,

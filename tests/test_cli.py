@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from skeinlab import cli, detect
+from skeinlab import cli, detect, recount
 
 
 def run_cli(*argv):
@@ -377,8 +377,27 @@ def test_batch_genus_above_the_bound_keeps_the_other_slots():
     assert time.perf_counter() - t0 < 5
     assert code == 2
     first, bad, last = json.loads(out)["certificates"]
-    assert bad == {"error": "genus must be <= 100"}
+    assert bad == {"error": "genus must be <= 35"}
     assert first == last and first["verdict"] == "certified-nontrivial"
+
+
+def test_the_genus_bound_admits_the_slowest_commands_and_refuses_one_more():
+    # the bound is where the slowest commands, `lattice info --refined` and
+    # a detect request on each cell, take about 2 s
+    pair = ("--curve", '{"2": 1, "3": 1}', "--beta", '{"7": 1, "8": 1}')
+    commands = [("lattice", "info", "--refined")]
+    commands += [("detect", "--cell", cell, *pair) for cell in ("reduced", "big")]
+    for argv in commands:
+        code, out, err = run_cli(*argv, "--genus", "35", "--N", "3")
+        assert code == 0, err
+        if argv[0] == "lattice":
+            report = json.loads(out)
+            assert report["piDegreeReduced"] == 3 ** (3 * 35 - 1)
+            assert report["refined"]["index"] == 3 ** (6 * 35)
+        else:
+            assert json.loads(out)["verdict"] == "certified-nontrivial"
+    for argv in (("surface", "info"), ("qtorus", "selftest"), *commands):
+        assert run_cli(*argv, "--genus", "36") == (2, "", "error: genus must be <= 35\n")
 
 
 def test_detect_single_request_shapes():
@@ -821,10 +840,10 @@ MALFORMED = [
                              ("short-pair", "[[1]]"), ("long-pair", "[[1,2,3]]"))
     ),
     # the input sizes that would take a command minutes are refused at once
-    _row("surface-genus-above-the-bound", ("surface", "info", "--genus", "101"),
-         "genus must be <= 100"),
+    _row("surface-genus-above-the-bound", ("surface", "info", "--genus", "36"),
+         "genus must be <= 35"),
     _row("detect-batch-genus-1000001", ("detect", "--batch", '[{"curve": "0,1", "genus": 1000001}]'),
-         "genus must be <= 100"),
+         "genus must be <= 35"),
     _row("rep-moment-order-above-the-bound",
          ("rep", "moment", "--rep",
           '{"genus":1,"images":[[{"order":100000000,"coeffs":[[1,1]]},0,0,1],[1,0,0,1]]}'),
@@ -832,6 +851,18 @@ MALFORMED = [
     _row("leaf-field-order-above-the-bound",
          ("leaf", "classify", "--mat", "[1, 1, 0, 1]", "--field-order", "721"),
          "cyclotomic order must be in 1..720, not 721"),
+    # a field and entry orders that are each in bounds, but whose lcm is not
+    _row("rep-moment-field-lcm-above-the-bound",
+         ("rep", "moment", "--rep",
+          '{"genus":1,"field":{"cyclotomicOrder":720},'
+          '"images":[[{"order":7,"coeffs":[[1,1]]},0,0,1],[1,0,0,1]]}'),
+         "the field order 720 and the entry orders [7] have lcm 5040, "
+         "above the largest cyclotomic order 720"),
+    _row("leaf-field-lcm-above-the-bound",
+         ("leaf", "classify", "--field-order", "720", "--mat",
+          '[{"order":7,"coeffs":[[1,1]]},0,0,1]'),
+         "the field order 720 and the entry orders [7] have lcm 5040, "
+         "above the largest cyclotomic order 720"),
 ]
 
 
@@ -939,7 +970,7 @@ def test_failed_reverification_is_not_a_usage_error(monkeypatch):
     def fail(*args):
         raise AssertionError("re-verification failed")
 
-    monkeypatch.setattr(detect, "_reverify_witness", fail)
+    monkeypatch.setattr(recount, "reverify_witness", fail)
     request = {"curve": "0,1", "phi": [[1, 1], [0, 1]]}
     for argv in (
         ("detect", "--curve", "0,1", "--phi", json.dumps(request["phi"])),
@@ -974,7 +1005,9 @@ assert "numpy" not in sys.modules
     assert '"verdict": "certified-nontrivial"' in proc.stdout
 
 
-PIPELINE = ("skeinlab.detect", "skeinlab.mcg", "skeinlab.repvar", "dataclasses")
+PIPELINE = (
+    "skeinlab.detect", "skeinlab.recount", "skeinlab.mcg", "skeinlab.repvar", "dataclasses"
+)
 TORUS = ("skeinlab.qtorus", "skeinlab.cyclotomic")
 # (a command, the modules it must not import)
 IMPORT_CASES = [

@@ -402,7 +402,7 @@ def test_walks_equal_piece_walks_of_the_recount():
     """The geometry's walks and the re-verifier's independent walks meet
     the same points in the same cyclic order, and read every piece with
     the same orientation: every genus-2 curve with m <= 14 points."""
-    from skeinlab.detect import _piece_walks
+    from skeinlab.recount import _piece_walks
 
     tri = build_sigma_g_star(2)
     checked = 0

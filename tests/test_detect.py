@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -25,12 +26,12 @@ from skeinlab.detect import (
     _CosetProjector,
     _coset_states,
     _find_witness,
-    _ResidueRecount,
     detect_support,
     detect_theorem2,
 )
 from skeinlab.intlinalg import solve_integer, transpose
 from skeinlab.mcg import MappingClass, act_on_curve
+from skeinlab.recount import ResidueRecount
 from skeinlab.surface import build_sigma_g_star
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
@@ -375,7 +376,7 @@ def _assert_recount_matches_bruteforce(curve, projector):
     state count of the coset, distinct cosets have distinct residues, and
     the count is 0 at the first few cosets next to them that no state
     reaches; the number of those cosets."""
-    recount = _ResidueRecount(projector)
+    recount = ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell)
     by_coset = {}
     fibers = enumerate_admissible_states_bruteforce(curve).fibers
     for coset, n in zip(projector.project_all(list(fibers)), fibers.values()):
@@ -419,7 +420,7 @@ def test_residue_recount_matches_bruteforce(N, cell):
     assert sum(unreached) > 2 * len(curves)
     doubled = NormalCurve(projector.lattice.tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
-        _ResidueRecount(projector).count(doubled, 0)
+        ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell).count(doubled, 0)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -428,6 +429,45 @@ def test_residue_recount_matches_bruteforce_genus_two(cell):
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     assert curve.is_connected() and curve.geometry().n_points == 12
     assert _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell)) > 0
+
+
+def _imported_modules(source):
+    """The modules that Python source imports anywhere in its tree, lazy
+    imports too, each with the names it takes from them: a relative import
+    is one of skeinlab, and `from skeinlab import x` imports skeinlab.x."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["skeinlab" if node.level else None, node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Name) and node.id == "__import__":
+            names.add("__import__")
+    return names
+
+
+def _imports_beyond_intlinalg(source):
+    """The imports of skeinlab modules other than intlinalg in source, and
+    of anything that imports by name."""
+    return sorted(
+        name for name in _imported_modules(source)
+        if name.split(".")[0] in ("skeinlab", "importlib", "__import__")
+        and ".".join(name.split(".")[:2]) not in ("skeinlab", "skeinlab.intlinalg")
+    )
+
+
+def test_the_recount_imports_nothing_of_skeinlab_but_intlinalg():
+    # the recount re-verifies what the walk DP and the coset projection
+    # found, so it must not reach their code, not even through a lazy import
+    source = (Path(__file__).parents[1] / "src" / "skeinlab" / "recount.py").read_text()
+    assert "skeinlab.intlinalg" in _imported_modules(source)
+    assert _imports_beyond_intlinalg(source) == []
+    lazy = "def f():\n    from .curves import _CurveGeometry\n    import importlib\n"
+    assert _imports_beyond_intlinalg(lazy) == [
+        "importlib", "skeinlab.curves", "skeinlab.curves._CurveGeometry"
+    ]
 
 
 def _project_one_at_a_time(kvecs, projector, coords_of):

@@ -5,6 +5,7 @@ import pytest
 from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.lattice import SkewLattice
 from skeinlab.qtorus import (
+    IRREP_DIM_CAP,
     CentralCharacter,
     MonomialMatrix,
     QuantumTorus,
@@ -143,9 +144,13 @@ def test_irrep_balanced_lattice():
 
 
 def test_irrep_dimension_cap():
+    # 241^2 at genus 1 is the cap itself; 9^5 at genus 2 is the next
+    # dimension above it
+    torus = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
+    assert build_irrep(torus, 241).dimension == IRREP_DIM_CAP == 58081
     L = BalancedLattice(build_sigma_g_star(2)).skew_lattice()
-    with pytest.raises(ValueError):
-        build_irrep(L, 7)  # 7^5 exceeds the cap
+    with pytest.raises(ValueError, match="^irrep dimension 59049 exceeds cap 58081$"):
+        build_irrep(L, 9)
 
 
 def test_irrep_multiplicative_on_random_monomials():

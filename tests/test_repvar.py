@@ -209,7 +209,7 @@ def test_one_genus_rule():
     for genus, message in (
         (0, "genus must be >= 1"),
         (True, "genus must be an integer"),
-        (101, "genus must be <= 100"),
+        (36, "genus must be <= 35"),
     ):
         with pytest.raises(ValueError, match=message):
             SL2Rep(genus, [])
@@ -218,7 +218,7 @@ def test_one_genus_rule():
         with pytest.raises(ValueError, match=message):
             build_sigma_g_star(genus)
     # the bound itself is a genus
-    assert w_dimension(100, "big", 3, 1) == 3**300
+    assert w_dimension(35, "big", 3, 1) == 3**105
 
 
 def test_orbit_generators_act_in_the_representations_genus():
