@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from functools import lru_cache
 
 from .curves import (
     DEFAULT_STATE_CAP,
@@ -25,10 +24,9 @@ from .curves import (
     class_curve,
     enumerate_admissible_states,
     support_bounds_check,
-    torus_table,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, check_root_order
-from .surface import check_decimal, check_fields, check_genus, check_int, pi_degree_report
+from .surface import check_decimal, check_fields, check_int, pi_degree_report
 
 
 def _emit(obj):
@@ -101,16 +99,6 @@ def _parse_rep(obj):
     order = check_int(field.get("cyclotomicOrder", 4), "cyclotomicOrder")
     images = [_parse_sl2(m, order) for m in obj["images"]]
     return SL2Rep(obj["genus"], images)
-
-
-@lru_cache(maxsize=8)
-def _curve_surface(genus):
-    """The triangulation that curves of this genus live on, one per genus
-    per process: detection contexts are cached per triangulation object,
-    so requests on one surface share them. Genus one shares the torus
-    table's, so that class shorthand curves and explicit-coordinate curves
-    can be compared."""
-    return torus_table().tri if genus == 1 else build_sigma_g_star(genus)
 
 
 def _curve_from_json(obj, tri, flag):
@@ -207,7 +195,7 @@ def cmd_lattice(args):
     B = BalancedLattice(tri)
     N = args.N
     definitional, formula, equal = B.central_sublattice(N)
-    pd = pi_degree_report(definitional, B.rank, N)
+    pd = B.pi_degree(N)
     out = {
         "genus": args.genus,
         "N": N,
@@ -251,7 +239,7 @@ def cmd_qtorus(args):
 
 
 def cmd_qtrace(args):
-    tri = _curve_surface(args.genus)
+    tri = build_sigma_g_star(args.genus)
     curve = _curve_from_json(_curve_arg(args.curve, "--curve"), tri, "--curve")
     sup = enumerate_admissible_states(curve, cap=args.cap)
     out = {
@@ -341,8 +329,7 @@ def _run_one_detect(obj):
     if not isinstance(method, str) or method not in DETECT_METHODS:
         raise ValueError(f"method must be one of {', '.join(DETECT_METHODS)}, not {method!r}")
     genus = obj.get("genus", DetectionRequest.genus)
-    check_genus(genus)  # before the per-genus cache, which would take True for 1
-    tri = _curve_surface(genus)
+    tri = build_sigma_g_star(genus)
     phi = obj.get("phi")
     if isinstance(phi, list):  # a bare [[a, b], [c, d]] is a matrix mapping class
         phi = {"matrix": phi}

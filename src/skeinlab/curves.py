@@ -19,7 +19,6 @@ route runs.
 
 from __future__ import annotations
 
-import threading
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 
@@ -94,12 +93,12 @@ class NormalCurve:
     def __eq__(self, other):
         return (
             isinstance(other, NormalCurve)
-            and other.tri is self.tri
+            and other.tri == self.tri
             and other.coords == self.coords
         )
 
     def __hash__(self):
-        return hash((id(self.tri), self.coords))
+        return hash((self.tri, self.coords))
 
     def __repr__(self):
         return f"NormalCurve({list(self.coords)})"
@@ -477,24 +476,18 @@ class TorusCurveTable:
         return (p, q)
 
 
-_table = None
-_table_lock = threading.Lock()
+# built at import, so Python's import lock makes it one table on every thread
+TORUS_TABLE = TorusCurveTable()
 
 
 def torus_table() -> TorusCurveTable:
-    """The shared Delta_1 table; callers on any thread must all get the same
-    one, since curves from different tables live on different triangulations."""
-    global _table
-    if _table is None:
-        with _table_lock:
-            if _table is None:
-                _table = TorusCurveTable()
-    return _table
+    """The shared Delta_1 table."""
+    return TORUS_TABLE
 
 
 def class_curve(genus, p, q) -> NormalCurve:
-    """The torus curve of class (p, q): class shorthand names curves on the
-    shared Delta_1 only."""
+    """The torus curve of class (p, q): class shorthand names curves on
+    Delta_1 only."""
     if genus != 1:
         raise ValueError("(p, q) curve input is genus-1 only")
     return torus_table().curve(p, q)

@@ -107,7 +107,7 @@ def _resolve_curves(req: DetectionRequest):
         if req.phi is None:
             raise ValueError("request needs a mapping class or explicit beta")
         beta = act_on_curve(req.phi, alpha)  # refuses a word class
-    if alpha.tri is not beta.tri:
+    if alpha.tri != beta.tri:
         raise ValueError("alpha and beta live on different triangulations")
     # a homeomorphism maps a connected curve to a connected curve; an empty
     # curve has no component
@@ -141,9 +141,8 @@ class _CosetProjector:
 @lru_cache(maxsize=32)
 def _detection_context(tri, N, cell):
     """The coset projector and the residue recount of (tri, N, cell), built
-    once: neither depends on the curves. The cache holds the Triangulation
-    itself and hashes it by identity, so separately built triangulations
-    never share a context."""
+    once: neither depends on the curves. Triangulations compare by their
+    faces, so equal ones share a context."""
     projector = _CosetProjector(tri, N, cell)
     return projector, recount.ResidueRecount(projector.lattice.basis, projector.kernel, cell)
 

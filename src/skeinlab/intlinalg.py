@@ -5,7 +5,7 @@ the skew normal form used to split quantum tori into Weyl pairs. Ranks,
 sublattice indices and inverses of unimodular matrices are read off an
 HNF. The Smith normal form serves only the jobs that read its diagonal or
 transforms: kernels of forms mod N, the residue group of the witness
-recount in `detect`, and the reference solver `solve_integer`.
+recount in `recount`, and the reference solver `solve_integer`.
 
 Matrices are lists of lists of Python ints; all arithmetic is exact. HNF,
 SNF and the skew form share one elimination step, `_eliminator`: an

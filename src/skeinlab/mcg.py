@@ -168,7 +168,7 @@ def act_on_curve(phi: MappingClass, curve: NormalCurve) -> NormalCurve:
             "a word mapping class has no curve action: supply the image curve as beta"
         )
     table = torus_table()
-    if curve.tri is not table.tri:
+    if curve.tri != table.tri:
         raise ValueError("matrix action is defined on the built-in Delta_1")
     p, q = table.class_of(curve)
     # (p, q) and (-p, -q) are one unoriented curve with the same coordinates

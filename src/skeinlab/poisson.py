@@ -10,9 +10,11 @@ to tau(1 + hbar r+) and friends at first order in hbar.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .cyclotomic import DualNumber
+from .intlinalg import mat_mul
 
 _NAMES = "abcd"
 _ONE = (0, 0, 0, 0)
@@ -158,13 +160,6 @@ class PoissonAlgebra:
 # Matrices over any ring (int, Fraction, DualNumber, Poly) and the r-matrices
 
 
-def _mul(*Ms):
-    out = Ms[0]
-    for M in Ms[1:]:
-        out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*M)] for row in out]
-    return out
-
-
 def _add(*Ms):
     return [[sum(xs) for xs in zip(*rows)] for rows in zip(*Ms)]
 
@@ -175,10 +170,6 @@ def _scale(t, A):
 
 def _kron(A, B):
     return [[x * y for x in ra for y in rb] for ra in A for rb in B]
-
-
-def _eq(A, B):
-    return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
 E = [[0, 0], [1, 0]]
@@ -217,14 +208,14 @@ def bracket_tables_from_r_matrix():
         sign_flipped = all(s + r == 0 or s == 0 for s, r in pairs)
         return exact, sign_flipped
 
-    d_derived = _add(_mul(R_PLUS, NN), _scale(-1, _mul(NN, R_PLUS)))
+    d_derived = _add(mat_mul(R_PLUS, NN), _scale(-1, mat_mul(NN, R_PLUS)))
     d_exact, _ = compare(d_derived, D_TABLE)
 
     sts_derived = _add(
-        _scale(-1, _mul(one_N, R_PLUS, N_one)),
-        _mul(TAU, NN, TAU, R_PLUS),
-        _scale(-1, _mul(R_MINUS, NN)),
-        _mul(N_one, R_MINUS, one_N),
+        _scale(-1, reduce(mat_mul, (one_N, R_PLUS, N_one))),
+        reduce(mat_mul, (TAU, NN, TAU, R_PLUS)),
+        _scale(-1, mat_mul(R_MINUS, NN)),
+        reduce(mat_mul, (N_one, R_MINUS, one_N)),
     )
     sts_exact, sts_flip = compare(sts_derived, STS_TABLE)
     return {
@@ -250,14 +241,14 @@ def verify_r_matrix_expansion():
     Dq = [[s, 0, 0, 0], [0, s_inv, 0, 0], [0, 0, s_inv, 0], [0, 0, 0, s]]
     hbar = DualNumber(0, 1)
     coupling = _add(I4, _scale(2 * hbar, _kron(E, F)))
-    R = _mul(TAU, Dq, coupling)
+    R = reduce(mat_mul, (TAU, Dq, coupling))
     checks = {
-        "eq31_first": _eq(R, _mul(TAU, _add(I4, _scale(hbar, R_PLUS)))),
-        "eq31_second": _eq(R, _mul(_add(I4, _scale(hbar, R_MINUS)), TAU)),
-        "eq32_first": _eq(_mul(R, _add(I4, _scale(-1 * hbar, R_PLUS)), TAU), I4),
-        "eq32_second": _eq(_mul(R, TAU, _add(I4, _scale(-1 * hbar, R_MINUS))), I4),
-        "tau_squared_identity": _eq(_mul(TAU, TAU), I4),
-        "r_plus_tau_conjugate": _eq(_mul(TAU, R_PLUS, TAU), R_MINUS),
+        "eq31_first": R == mat_mul(TAU, _add(I4, _scale(hbar, R_PLUS))),
+        "eq31_second": R == mat_mul(_add(I4, _scale(hbar, R_MINUS)), TAU),
+        "eq32_first": reduce(mat_mul, (R, _add(I4, _scale(-1 * hbar, R_PLUS)), TAU)) == I4,
+        "eq32_second": reduce(mat_mul, (R, TAU, _add(I4, _scale(-1 * hbar, R_MINUS)))) == I4,
+        "tau_squared_identity": mat_mul(TAU, TAU) == I4,
+        "r_plus_tau_conjugate": reduce(mat_mul, (TAU, R_PLUS, TAU)) == R_MINUS,
     }
     checks["all"] = all(checks.values())
     return checks

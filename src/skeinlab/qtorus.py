@@ -285,11 +285,9 @@ class TorusIrrep:
     zeta_field_order. All invariants are verified after construction.
     """
 
-    def __init__(self, torus: QuantumTorus, character: CentralCharacter):
-        if character.torus is not torus:
-            raise ValueError("character belongs to a different torus")
-        self.torus = torus
-        self.character = character
+    def __init__(self, torus: QuantumTorus, character: CentralCharacter | None = None):
+        """character=None is the trivial character, built only once the
+        dimension is known to be within the cap."""
         L = torus.lattice
         N = torus.N
         P, blocks = intlinalg.skew_normal_form(L.form)
@@ -300,6 +298,11 @@ class TorusIrrep:
             dim *= m
         if dim > IRREP_DIM_CAP:
             raise ValueError(f"irrep dimension {dim} exceeds cap {IRREP_DIM_CAP}")
+        character = character or CentralCharacter.trivial(torus)
+        if character.torus is not torus:
+            raise ValueError("character belongs to a different torus")
+        self.torus = torus
+        self.character = character
         index = intlinalg.full_rank_index(character.kernel_basis, L.rank)
         if intlinalg.perfect_square_root(index) != dim:
             raise AssertionError("kernel index is not the square of the dimension")
@@ -379,8 +382,6 @@ class TorusIrrep:
                 raise AssertionError("monomial inverse failed")
 
 
-def build_irrep(lattice: SkewLattice, N: int, character=None) -> TorusIrrep:
-    torus = QuantumTorus(lattice, N)
-    if character is None:
-        character = CentralCharacter.trivial(torus)
-    return TorusIrrep(torus, character)
+def build_irrep(lattice: SkewLattice, N: int) -> TorusIrrep:
+    """The irrep of the trivial central character."""
+    return TorusIrrep(QuantumTorus(lattice, N))

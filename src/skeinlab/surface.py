@@ -20,8 +20,11 @@ from .lattice import SkewLattice
 
 
 class Triangulation:
+    """A triangulation is its faces: every other attribute is derived from
+    them, so triangulations with equal faces are equal. The name is a label."""
+
     def __init__(self, faces, genus=None, name=""):
-        self.faces = [tuple(f) for f in faces]
+        self.faces = tuple(tuple(f) for f in faces)
         self.name = name
         for f in self.faces:
             if len(f) != 3:
@@ -46,6 +49,12 @@ class Triangulation:
         if genus is not None and genus != self.genus:
             raise ValueError(f"expected genus {genus}, built genus {self.genus}")
         self._check_connected()
+
+    def __eq__(self, other):
+        return isinstance(other, Triangulation) and other.faces == self.faces
+
+    def __hash__(self):
+        return hash(self.faces)
 
     # -- combinatorial structure ----------------------------------------
 
@@ -218,8 +227,8 @@ def check_fields(obj, what, fields):
 
 
 # The largest genus: the mod-N kernels grow about as the cube of the genus,
-# and at genus 35 the slowest command, `lattice info --refined`, takes about
-# 2 s on a 2-CPU Xeon host.
+# and at genus 35 the slowest command, `lattice info --refined`, takes
+# 2.3 s on a 2-CPU Xeon host (2.8 s when it computed K^0 twice).
 MAX_GENUS = 35
 
 
@@ -310,6 +319,7 @@ class BalancedLattice:
         wp = wp_form(tri)
         self.ambient_form = wp
         self.form = intlinalg.gram(self.basis, wp)
+        self._kernels = {}
 
     @property
     def rank(self):
@@ -327,11 +337,18 @@ class BalancedLattice:
     def pairing(self, vec1, vec2) -> int:
         return intlinalg.bilinear(vec1, self.ambient_form, vec2)
 
+    def kernel_mod(self, N):
+        """K^0: the mod-N kernel of the WP form on K, as an HNF basis in
+        K-coordinates, computed once per N."""
+        if N not in self._kernels:
+            self._kernels[N] = intlinalg.kernel_mod(self.form, N)
+        return self._kernels[N]
+
     def central_sublattice(self, N):
         """Mod-N kernel of the WP form on K, vs the closed formula
         N*K + Z*k_boundary. Returns (definitional, formula, equal), both
         as HNF bases in K-coordinates."""
-        definitional = intlinalg.kernel_mod(self.form, N)
+        definitional = self.kernel_mod(N)
         kb = self.coordinates(k_boundary(self.tri))
         formula_gens = [[N if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
         formula_gens.append(kb)
@@ -340,7 +357,7 @@ class BalancedLattice:
 
     def pi_degree(self, N):
         """PI-degree sqrt([K : K^0]) of the associated quantum torus."""
-        return pi_degree_report(intlinalg.kernel_mod(self.form, N), self.rank, N)
+        return pi_degree_report(self.kernel_mod(N), self.rank, N)
 
 
 def pi_degree_report(kernel, rank, N):
@@ -400,7 +417,7 @@ class RefinedLattice:
         """Side-by-side report: definitional Kbar^0 vs the closed formula
         K^0 ⊕ N Z k̂, and the displayed (non-bilinear) pairing formula."""
         definitional = self.kernel_mod(N)
-        formula_gens = [row + [0] for row in intlinalg.kernel_mod(self.base.form, N)]
+        formula_gens = [row + [0] for row in self.base.kernel_mod(N)]
         formula_gens.append([0] * self.base.rank + [N])
         formula = intlinalg.hnf(formula_gens)
         # the closed pairing formula under scrutiny:

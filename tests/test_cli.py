@@ -14,7 +14,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from skeinlab import cli, detect, recount
+from skeinlab import cli, detect, intlinalg, recount
+from skeinlab.surface import BalancedLattice, build_sigma_g_star
 
 
 def run_cli(*argv):
@@ -78,6 +79,21 @@ def test_lattice_info_refined():
     obj = json.loads(out)
     assert obj["refined"]["piDegree"] == 27
     assert obj["refined"]["kernelFormulaMatches"] is False
+
+
+def test_lattice_info_refined_computes_k0_once(monkeypatch):
+    form = BalancedLattice(build_sigma_g_star(2)).form
+    kernel_mod = intlinalg.kernel_mod
+    on_form = []
+
+    def counting(M, N):
+        on_form.append(M == form)
+        return kernel_mod(M, N)
+
+    monkeypatch.setattr(intlinalg, "kernel_mod", counting)
+    code, _, _ = run_cli("lattice", "info", "--genus", "2", "--N", "3", "--refined")
+    assert code == 0
+    assert on_form.count(True) == 1
 
 
 @pytest.mark.parametrize(
@@ -281,8 +297,8 @@ def test_detect_batch(tmp_path):
 
 
 def test_detect_batch_genus_two_requests_share_one_context():
-    # one triangulation per genus per process, so the detection context
-    # (keyed on the triangulation object) is built once for the three
+    # the three requests build three equal triangulations, which share one
+    # detection context
     request = {
         "genus": 2, "N": 3, "cell": "big",
         "curve": {"2": 1, "3": 1}, "beta": {"7": 1, "8": 1},

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,6 @@ from skeinlab.curves import (
     CLASS_BASIS,
     NormalCurve,
     StateCapExceeded,
-    TorusCurveTable,
     TraceSupport,
     enumerate_admissible_states,
     enumerate_admissible_states_bruteforce,
@@ -437,15 +435,9 @@ def test_curve_json():
     assert all(isinstance(k, str) for k in obj["coords"])
 
 
-def test_torus_table_built_once_under_threads(monkeypatch):
-    monkeypatch.setattr(curves, "_table", None)
-    original_init = TorusCurveTable.__init__
-
-    def slow_init(self, *args, **kwargs):
-        time.sleep(0.05)
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TorusCurveTable, "__init__", slow_init)
+def test_torus_table_built_once_under_threads():
+    # the table is built when curves is imported: there is no lazy path
+    assert not hasattr(curves, "_table")
     start = threading.Barrier(4, timeout=30)
     tables = []
 
@@ -460,4 +452,11 @@ def test_torus_table_built_once_under_threads(monkeypatch):
         t.join(timeout=30)
         assert not t.is_alive()
     assert len(tables) == 4
-    assert all(t is tables[0] for t in tables)
+    assert all(t is curves.TORUS_TABLE for t in tables)
+
+
+def test_curves_on_equal_triangulations_are_equal():
+    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    a, b = NormalCurve(first, {2: 1, 3: 1}), NormalCurve(second, {2: 1, 3: 1})
+    assert a == b and hash(a) == hash(b)
+    assert a != NormalCurve(first, {7: 1, 8: 1})

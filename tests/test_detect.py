@@ -657,9 +657,10 @@ def test_detection_context_is_built_once(monkeypatch):
     assert detect._detection_context(tri, 5, "reduced") is context
     assert detect._detection_context(tri, 5, "big") is not context
     assert detect._detection_context(tri, 7, "reduced") is not context
-    # two builds of one surface are two keys, however equal they look
+    # two builds of one surface are equal, so they share one context
     first, second = build_sigma_g_star(2), build_sigma_g_star(2)
     assert first is not second
+    detect._detection_context.cache_clear()
     built = []
 
     class CountingProjector(_CosetProjector):
@@ -676,9 +677,26 @@ def test_detection_context_is_built_once(monkeypatch):
         )
         assert detect_support(req).verdict == "certified-nontrivial"
         contexts.append(detect._detection_context(t2, 3, "big"))
-    assert built == [first, second]
-    assert contexts[0] is contexts[2] is not contexts[1]
-    assert contexts[0][0].lattice.tri is first and contexts[1][0].lattice.tri is second
+    assert len(built) == 1
+    assert contexts[0] is contexts[1] is contexts[2]
+
+
+def test_a_curve_on_a_separate_build_of_delta_1_certifies_like_the_class_shorthand():
+    tri = build_sigma_g_star(1)
+    assert tri is not torus_table().tri
+    curve = NormalCurve(tri, torus_table().predicted_coords(0, 1))
+    phi = MappingClass(1, matrix=TWIST)
+    explicit = detect_theorem2(DetectionRequest(N=5, curve=curve, phi=phi)).to_json()
+    shorthand = detect_theorem2(DetectionRequest(N=5, curve=(0, 1), phi=phi)).to_json()
+    assert explicit["verdict"] == "certified-nontrivial"
+    assert json.dumps(explicit, sort_keys=True) == json.dumps(shorthand, sort_keys=True)
+
+
+def test_alpha_and_beta_on_two_builds_of_delta_2_certify():
+    alpha = NormalCurve(build_sigma_g_star(2), {2: 1, 3: 1})
+    beta = NormalCurve(build_sigma_g_star(2), {7: 1, 8: 1})
+    req = DetectionRequest(genus=2, N=3, cell="big", curve=alpha, beta=beta)
+    assert detect_support(req).verdict == "certified-nontrivial"
 
 
 def test_corrupted_projection_fails_reverification_with_a_warm_context(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skeinlab import intlinalg
 from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.lattice import SkewLattice
 from skeinlab.qtorus import (
@@ -151,6 +152,21 @@ def test_irrep_dimension_cap():
     L = BalancedLattice(build_sigma_g_star(2)).skew_lattice()
     with pytest.raises(ValueError, match="^irrep dimension 59049 exceeds cap 58081$"):
         build_irrep(L, 9)
+
+
+def test_an_irrep_over_the_cap_is_refused_before_its_kernel(monkeypatch):
+    L = BalancedLattice(build_sigma_g_star(2)).skew_lattice()
+    kernel_mod = intlinalg.kernel_mod
+    forms = []
+
+    def counting(M, N):
+        forms.append(M)
+        return kernel_mod(M, N)
+
+    monkeypatch.setattr(intlinalg, "kernel_mod", counting)
+    with pytest.raises(ValueError, match="^irrep dimension 59049 exceeds cap 58081$"):
+        build_irrep(L, 9)
+    assert forms == []
 
 
 def test_irrep_multiplicative_on_random_monomials():

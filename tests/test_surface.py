@@ -194,6 +194,15 @@ def test_triangulation_json():
     assert len(obj["gluing"]) == 4
 
 
+def test_equal_triangulations_are_equal_and_hash_equal():
+    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    # the name is a label: the faces are the triangulation
+    assert Triangulation(first.faces, name="other") == first
+    assert first != build_sigma_g_star(1)
+
+
 def test_bad_gluing_rejected():
     with pytest.raises(ValueError):
         Triangulation([(0, 0, 0), (0, 1, 2)])  # edge 0 in four slots
