@@ -26,7 +26,7 @@ from .curves import (
     support_bounds_check,
 )
 from .surface import BalancedLattice, RefinedLattice, build_sigma_g_star, check_root_order
-from .surface import check_decimal, check_fields, check_int, pi_degree_report
+from .surface import check_decimal, check_fields, check_genus, check_int, pi_degree_report
 
 
 def _emit(obj):
@@ -215,13 +215,18 @@ def cmd_lattice(args):
 
 
 def cmd_qtorus(args):
-    from .qtorus import build_irrep
+    from .qtorus import build_irrep, check_irrep_dimension
 
+    check_genus(args.genus)
+    check_root_order(args.N)
+    # the irrep's dimension is the PI-degree N^(3g-1): refuse one over the
+    # cap before building K and its skew normal form
+    check_irrep_dimension(args.N ** (3 * args.genus - 1))
     tri = build_sigma_g_star(args.genus)
     B = BalancedLattice(tri)
     L = B.skew_lattice()
     irr = build_irrep(L, args.N)
-    pd = pi_degree_report(irr.character.kernel_basis, L.rank, args.N)
+    pd = pi_degree_report(irr.character.kernel_basis, args.N)
     _emit(
         {
             "genus": args.genus,

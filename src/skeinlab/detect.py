@@ -144,7 +144,7 @@ def _detection_context(tri, N, cell):
     once: neither depends on the curves. Triangulations compare by their
     faces, so equal ones share a context."""
     projector = _CosetProjector(tri, N, cell)
-    return projector, recount.ResidueRecount(projector.lattice.basis, projector.kernel, cell)
+    return projector, recount.ResidueRecount(projector.lattice.basis, projector.kernel, cell, N)
 
 
 def _coset_states(support, projector):

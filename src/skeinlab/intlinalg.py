@@ -3,19 +3,19 @@ an integer form (`gram`, `bilinear`), coordinates in an echelon (e.g. HNF)
 basis by back-substitution and their cosets modulo an HNF sublattice, and
 the skew normal form used to split quantum tori into Weyl pairs. Ranks,
 sublattice indices and inverses of unimodular matrices are read off an
-HNF. The Smith normal form serves only the jobs that read its diagonal or
-transforms: kernels of forms mod N, the residue group of the witness
-recount in `recount`, and the reference solver `solve_integer`.
+HNF. A lattice that contains m*Z^n is eliminated with its entries mod m:
+`hnf_mod` for its HNF, `diagonalize_mod` for kernels of forms mod N
+(`kernel_mod`) and the residue group of the witness recount in `recount`.
+The Smith normal form over Z serves only the reference solver
+`solve_integer`.
 
-Matrices are lists of lists of Python ints; all arithmetic is exact. HNF,
-SNF and the skew form share one elimination step, `_eliminator`: an
-extended-gcd (Blankinship) two-row/two-column unimodular transform, which
-keeps coefficient growth tame at the <=60x60 scale used here.
-"""
+Matrices are lists of lists of Python ints; all arithmetic is exact. Every
+elimination shares one step, `_eliminator`: an extended-gcd (Blankinship)
+two-row/two-column unimodular transform."""
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress, count, product
 from math import gcd, isqrt, prod
 
 
@@ -75,8 +75,8 @@ def _egcd(a, b):
 def _eliminator(p, x):
     """The unimodular (a, b, c, d) with (a*p + b*x, c*p + d*x) == (g, 0):
     a swap when p == 0, a shear when p divides x, else the extended-gcd
-    step. It is the one elimination step of `hnf`, `smith_normal_form` and
-    `skew_normal_form`."""
+    step. It is the one elimination step of `hnf`, `hnf_mod`,
+    `diagonalize_mod`, `smith_normal_form` and `skew_normal_form`."""
     if p == 0:
         return 0, 1, 1, 0
     if x % p == 0:
@@ -171,27 +171,6 @@ def smith_normal_form(M):
     nc = len(A[0]) if nr else 0
     U = identity(nr)
     V = identity(nc)
-
-    def rows_mix(i, j, *step):
-        _mix_rows((A, U), i, j, *step)
-
-    def cols_mix(i, j, *step):
-        _mix_cols((*A, *V), i, j, *step)
-
-    def clear_position(t):
-        """Make column t and row t zero outside (t, t)."""
-        changed = True
-        while changed:
-            changed = False
-            for i in range(t + 1, nr):
-                if A[i][t]:
-                    rows_mix(t, i, *_eliminator(A[t][t], A[i][t]))
-                    changed = True
-            for j in range(t + 1, nc):
-                if A[t][j]:
-                    cols_mix(t, j, *_eliminator(A[t][t], A[t][j]))
-                    changed = True
-
     t = 0
     while t < min(nr, nc):
         # bring some nonzero entry into (t, t)
@@ -199,22 +178,35 @@ def smith_normal_form(M):
         if piv is None:
             break
         if piv[0] != t:
-            rows_mix(t, piv[0], 0, 1, 1, 0)
+            _mix_rows((A, U), t, piv[0], 0, 1, 1, 0)
         if piv[1] != t:
-            cols_mix(t, piv[1], 0, 1, 1, 0)
-        clear_position(t)
-        # enforce divisibility of the trailing block
+            _mix_cols((*A, *V), t, piv[1], 0, 1, 1, 0)
         offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if A[i][j] % A[t][t] != 0:
-                    offender = (i, j)
-                    break
+        while True:
+            # make column t and row t zero outside (t, t)
+            changed = True
+            while changed:
+                changed = False
+                for i in range(t + 1, nr):
+                    if A[i][t]:
+                        _mix_rows((A, U), t, i, *_eliminator(A[t][t], A[i][t]))
+                        changed = True
+                for j in range(t + 1, nc):
+                    if A[t][j]:
+                        _mix_cols((*A, *V), t, j, *_eliminator(A[t][t], A[t][j]))
+                        changed = True
             if offender is not None:
                 break
+            # add to row t the first row of the trailing block that (t, t)
+            # does not divide, clear again and pick the pivot anew
+            for i, j in product(range(t + 1, nr), range(t + 1, nc)):
+                if A[i][j] % A[t][t]:
+                    offender = i
+                    break
+            else:
+                break
+            _mix_rows((A, U), t, offender, 1, 1, 0, 1)
         if offender is not None:
-            rows_mix(t, offender[0], 1, 1, 0, 1)
-            clear_position(t)
             continue
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
@@ -230,41 +222,102 @@ def int_rank(M):
 def solve_integer(M, b):
     """One integer solution x of M x = b, or None."""
     D, U, V = smith_normal_form(M)
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    c = mat_vec(U, b)
-    y = [0] * nc
-    for i in range(nr):
-        d = D[i][i] if i < min(nr, nc) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
+    y = [0] * len(V)
+    for i, c in enumerate(mat_vec(U, b)):
+        d = D[i][i] if i < len(V) else 0
+        if c % d if d else c:
+            return None
+        if d:
+            y[i] = c // d
     return mat_vec(V, y)
 
 
 # ---------------------------------------------------------------------------
-# Kernels of integer maps modulo N
+# Lattices containing m*Z^n: elimination with every entry kept mod m
+
+
+def _clear_column(P, rows, c, m):
+    """Row steps mod m that clear column c of rows into the pivot row P:
+    the new P and the rows left nonzero. A shear changes R only where P is
+    nonzero."""
+    left = []
+    for R in rows:
+        if R[c]:
+            a, b, e, f = _eliminator(P[c], R[c])
+            if b:
+                P, R = [(a * u + b * v) % m for u, v in zip(P, R)], [
+                    (e * u + f * v) % m for u, v in zip(P, R)
+                ]
+            else:
+                for j in compress(count(), P):
+                    R[j] = (R[j] + e * P[j]) % m
+            if not any(R):
+                continue
+        left.append(R)
+    return P, left
+
+
+def diagonalize_mod(A, m):
+    """(d, V) with U*A*V == diag(d) mod m for some U, V invertible mod m:
+    d[j] is the diagonal entry in column j (0 when no pivot lies there)
+    and V the column transform, every entry in [0, m). Each pivot is the
+    first nonzero entry of the first row left, made 1 when it is a unit;
+    the d[j] form no divisibility chain."""
+    rows = [r for r in ([x % m for x in row] for row in A) if any(r)]
+    V = identity(len(A[0]) if A else 0)
+    d = [0] * len(V)
+    while rows:
+        P = rows.pop(0)
+        c = next(compress(count(), P))
+        while True:
+            if P[c] != 1 and gcd(P[c], m) == 1:
+                inv = pow(P[c], -1, m)
+                P = [x * inv % m for x in P]
+            P, rows = _clear_column(P, rows, c, m)
+            # column steps clear row P; one other than a shear refills column c
+            bad = [j for j in compress(count(), P) if P[j] % P[c]]
+            if not bad:
+                break
+            for j in bad:
+                a, b, e, f = _eliminator(P[c], P[j])
+                for R in (P, *rows, *V):
+                    R[c], R[j] = (a * R[c] + b * R[j]) % m, (e * R[c] + f * R[j]) % m
+        # the shears that clear row P change no other row
+        shears = [(j, P[j] // P[c]) for j in compress(count(), P) if j != c]
+        for R in V:
+            if R[c]:
+                t = R[c]
+                for j, q in shears:
+                    R[j] = (R[j] - t * q) % m
+        d[c] = P[c]
+    return d, V
+
+
+def hnf_mod(rows, m, n):
+    """The HNF basis of span(rows) + m*Z^n, which equals `hnf` of the rows
+    stacked on m*I: n rows with pivots dividing m, every entry in [0, m)."""
+    work = [r for r in ([x % m for x in row] for row in rows) if any(r)]
+    H = []
+    for c in range(n):
+        # clearing column c into m*e_c leaves the pivot gcd(m, column c)
+        P, work = _clear_column([m if j == c else 0 for j in range(n)], work, c, m)
+        H.append(P)
+    for c, P in enumerate(H):
+        for R in H[:c]:
+            q = R[c] // P[c]
+            if q:
+                R[c:] = [(u - q * v) % m for u, v in zip(R[c:], P[c:])]
+    return H
 
 
 def kernel_mod(M, N):
-    """HNF basis (rows) of {a in Z^c : M a == 0 mod N}. Contains N*Z^c."""
+    """HNF basis (rows) of {a in Z^c : M a == 0 mod N}: N*Z^c and the
+    columns (N / gcd(d_j, N)) * V_j of `diagonalize_mod(M, N)` span it."""
     if N < 1:
         raise ValueError("modulus must be >= 1")
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    if nc == 0:
-        return []
-    D, _, V = smith_normal_form(M)
-    gens = []
-    for j in range(nc):
-        d = D[j][j] if j < min(nr, nc) else 0
-        scale = N // gcd(d, N)
-        gens.append([V[i][j] * scale for i in range(nc)])
-    return hnf(gens)
+    d, V = diagonalize_mod(M, N)
+    gens = [[N // gcd(x, N) * row[j] % N for row in V] for j, x in enumerate(d) if gcd(x, N) > 1]
+    return hnf_mod(gens, N, len(V))
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +408,6 @@ def sublattice_index(big_rows, sub_rows):
     return prod(H[i][i] for i in range(len(H)))
 
 
-def full_rank_index(rows, n):
-    """Index [Z^n : span(rows)], or None when the rows span less than rank n."""
-    return sublattice_index(identity(n), rows)
-
-
 def perfect_square_root(n):
     r = isqrt(n)
     return r if r * r == n else None
@@ -437,15 +485,9 @@ def skew_normal_form(F):
         t += 2
 
     # verify the congruence exactly
-    check = gram(transpose(P), F)
-    for i in range(n):
-        for j in range(n):
-            expect = 0
-            if i < 2 * len(blocks) and j < 2 * len(blocks) and i // 2 == j // 2:
-                if j == i + 1:
-                    expect = blocks[i // 2]
-                elif j == i - 1:
-                    expect = -blocks[j // 2]
-            if check[i][j] != expect:
-                raise AssertionError("skew normal form verification failed")
+    expect = [[0] * n for _ in range(n)]
+    for k, d in enumerate(blocks):
+        expect[2 * k][2 * k + 1], expect[2 * k + 1][2 * k] = d, -d
+    if gram(transpose(P), F) != expect:
+        raise AssertionError("skew normal form verification failed")
     return P, blocks

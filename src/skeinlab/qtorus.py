@@ -22,8 +22,15 @@ from .surface import check_int, check_root_order
 IRREP_DIM_CAP = 241**2
 
 
+def check_irrep_dimension(dim):
+    """An irrep is built only when its dimension is within IRREP_DIM_CAP."""
+    if dim > IRREP_DIM_CAP:
+        raise ValueError(f"irrep dimension {dim} exceeds cap {IRREP_DIM_CAP}")
+
+
 class QuantumTorus:
-    """T_q(E) for a skew lattice E at an odd root of unity of order N."""
+    """T_q(E) for a skew lattice E at an odd root of unity of order N. Tori
+    with equal forms and equal N are equal."""
 
     def __init__(self, lattice: SkewLattice, N: int):
         check_root_order(N)
@@ -31,6 +38,14 @@ class QuantumTorus:
         self.N = N
         self._half = (N + 1) // 2          # exponent with 2 * half == 1 mod N
         self._quarter = pow(self._half, 2, N)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, QuantumTorus) and other.N == self.N and other.lattice == self.lattice
+        )
+
+    def __hash__(self):
+        return hash((self.lattice, self.N))
 
     def A_exponent(self, k, quarters=0) -> int:
         """The e in [0, N) with A^k * (A^(1/4))^quarters == zeta_N^e."""
@@ -85,7 +100,7 @@ class TorusElement:
         self.terms = terms
 
     def _check_same(self, other):
-        if not isinstance(other, TorusElement) or other.torus is not self.torus:
+        if not isinstance(other, TorusElement) or other.torus != self.torus:
             raise ValueError("elements live in different quantum tori")
 
     def __add__(self, other):
@@ -123,7 +138,7 @@ class TorusElement:
     def __eq__(self, other):
         return (
             isinstance(other, TorusElement)
-            and other.torus is self.torus
+            and other.torus == self.torus
             and other.terms == self.terms
         )
 
@@ -296,14 +311,13 @@ class TorusIrrep:
         dim = 1
         for m in self.pair_orders:
             dim *= m
-        if dim > IRREP_DIM_CAP:
-            raise ValueError(f"irrep dimension {dim} exceeds cap {IRREP_DIM_CAP}")
+        check_irrep_dimension(dim)
         character = character or CentralCharacter.trivial(torus)
-        if character.torus is not torus:
+        if character.torus != torus:
             raise ValueError("character belongs to a different torus")
         self.torus = torus
         self.character = character
-        index = intlinalg.full_rank_index(character.kernel_basis, L.rank)
+        index = intlinalg.sublattice_index(intlinalg.identity(L.rank), character.kernel_basis)
         if intlinalg.perfect_square_root(index) != dim:
             raise AssertionError("kernel index is not the square of the dimension")
         self.dimension = dim

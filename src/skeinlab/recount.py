@@ -1,18 +1,21 @@
 """State counts of a curve at one residue class of Z^E/L, where L is
 the sublattice of edge vectors that the witness coset is taken modulo.
 
-Reduced cell: L = K^0. Big cell: L = {x in K : (coords(x), 0) in
-Kbar^0}, which is not K^0 in general. L has full rank, so from one
-Smith form D = U L V the residue of v is (v V) mod diag(D): a finite
-group whose size does not grow with the curve. Walks over the curve's
-corner pieces count states by (state of the current point, residue of
-the partial k-vector). They share no code with the walk DP or the
-coset projection, and use no K-coordinates or full k-vectors: this
-module imports nothing of skeinlab but `intlinalg`, and is built from
-the basis rows of K, the kernel rows and the cell alone.
-"""
+Reduced cell: L = K^0 = N*K + Z*k_boundary. Big cell: L = {x in K :
+(coords(x), 0) in Kbar^0} = N*K, which is not K^0. The kernel rows must
+span that closed form, or nothing is counted. L contains N*K, hence
+2N*Z^E, so from one diagonalization U L V == diag(d) mod 2N the residue
+of v is (v V)_i mod gcd(d_i, 2N): a finite group whose size does not
+grow with the curve. Walks over the curve's corner pieces count states
+by (state of the current point, residue of the partial k-vector). They
+share no code with the walk DP or the coset projection, and use no
+K-coordinates or full k-vectors: this module imports nothing of skeinlab
+but `intlinalg`, and is built from the basis rows of K, the kernel rows,
+the cell and N alone."""
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from . import intlinalg
 
@@ -32,46 +35,58 @@ def reverify_witness(alpha, beta, coset, witness, recount):
 
 class ResidueRecount:
     """The residue group of L, from the rows of a basis of K and of the
-    mod-N kernel (of K, or of Kbar on the big cell) in its coordinates."""
+    mod-N kernel (of K, or of Kbar on the big cell) in its coordinates,
+    checked against L's closed form before anything is counted."""
 
-    def __init__(self, basis, kernel, cell):
+    def __init__(self, basis, kernel, cell, N):
         self.basis = basis
         self.khat_row = None
+        n = len(basis)
         if cell == "reduced":
             rows = kernel
+            closed = [intlinalg.lattice_coordinates(basis, [2] * len(basis[0]))]
         else:
             # an echelon basis of Kbar^0 with the khat column first: its
             # first row is the only one with khat != 0
             echelon = intlinalg.hnf([[r[-1], *r[:-1]] for r in kernel])
             self.khat_row = echelon[0]
             rows = [r[1:] for r in echelon[1:]]
-        D, _, V = intlinalg.smith_normal_form(intlinalg.mat_mul(rows, basis))
-        moduli = [D[i][i] for i in range(len(V))]
-        assert all(moduli), "the witness sublattice must have full rank"
-        # components with d_i = 1 are always 0
-        keep = [i for i, d in enumerate(moduli) if d > 1]
+            closed = []
+        # L is N*K + Z*k_boundary on the reduced cell and N*K on the big
+        # one (an echelon mod N would add N*Kbar to a kernel that lacks it)
+        if rows != intlinalg.hnf_mod(closed, N, n):
+            raise AssertionError(
+                "certificate re-verification failed: the kernel does not span "
+                f"the witness lattice of the {cell} cell"
+            )
+        # L contains N*K, which contains 2N*Z^E, so the residue of v is
+        # (v V)_i mod gcd(d_i, 2N) for the diagonalization mod 2N
+        d, V = intlinalg.diagonalize_mod(intlinalg.mat_mul(rows, basis), 2 * N)
+        moduli = [gcd(x, 2 * N) for x in d]
+        # components with modulus 1 are always 0
+        keep = [i for i, x in enumerate(moduli) if x > 1]
         V = [[row[i] for i in keep] for row in V]
         moduli = [moduli[i] for i in keep]
-        n = len(moduli)
-        # Every d_i divides the largest, M, so component i is stored as
-        # c_i * M / d_i mod M, in its own field of `width` bits of one int.
+        k = len(moduli)
+        # Every modulus divides their lcm M, so component i is stored as
+        # c_i * M / m_i mod M, in its own field of `width` bits of one int.
         # Adding two residues leaves every field below 2M <= 2**width with
         # no carry between fields; `_reduce` then takes M off the fields
         # that reached it by adding 2**(width-1) - M and reading their top
         # bits.
-        self.modulus = m = max(moduli)
+        self.modulus = m = lcm(*moduli)
         self.width = w = m.bit_length() + 1
-        self.scale = [m // d for d in moduli]
-        self.lift = sum(((1 << (w - 1)) - m) << (w * i) for i in range(n))
-        self.top = sum(1 << (w * i + w - 1) for i in range(n))
-        self.full = sum(m << (w * i) for i in range(n))
+        self.scale = [m // x for x in moduli]
+        self.lift = sum(((1 << (w - 1)) - m) << (w * i) for i in range(k))
+        self.top = sum(1 << (w * i + w - 1) for i in range(k))
+        self.full = sum(m << (w * i) for i in range(k))
         self.transform = V
         # residues of the unit edge vectors and of their negatives
         self.plus = [self.pack(row) for row in V]
         self.minus = [self.pack([-x for x in row]) for row in V]
 
     def pack(self, components):
-        """The residue whose i-th component is components[i] mod d_i."""
+        """The residue whose i-th component is components[i] mod m_i."""
         m, w = self.modulus, self.width
         return sum((c * k % m) << (w * i) for i, (c, k) in enumerate(zip(components, self.scale)))
 
@@ -85,7 +100,10 @@ class ResidueRecount:
             if r:
                 return None
             coords = [c - q * x for c, x in zip(coords, self.khat_row[1:])]
-        vec = intlinalg.mat_mul([coords], self.basis)[0]
+        return self.residue(intlinalg.mat_mul([coords], self.basis)[0])
+
+    def residue(self, vec):
+        """The residue of an edge vector."""
         return self.pack(intlinalg.mat_mul([vec], self.transform)[0])
 
     def count(self, curve, target):

@@ -15,6 +15,8 @@ integer flags) and a JSON object (`check_fields`: known fields, none null).
 
 from __future__ import annotations
 
+from math import prod
+
 from . import intlinalg
 from .lattice import SkewLattice
 
@@ -226,9 +228,10 @@ def check_fields(obj, what, fields):
     return obj
 
 
-# The largest genus: the mod-N kernels grow about as the cube of the genus,
-# and at genus 35 the slowest command, `lattice info --refined`, takes
-# 2.3 s on a 2-CPU Xeon host (2.8 s when it computed K^0 twice).
+# The largest genus. At genus 35 the slowest command, `lattice info
+# --refined`, takes 0.7 s on a 2-CPU Xeon host, about half of it encoding
+# 2.2 MB of JSON (2.3 s when the mod-N kernels took Smith forms over Z);
+# a detect request takes 0.3 s on either cell.
 MAX_GENUS = 35
 
 
@@ -349,20 +352,18 @@ class BalancedLattice:
         N*K + Z*k_boundary. Returns (definitional, formula, equal), both
         as HNF bases in K-coordinates."""
         definitional = self.kernel_mod(N)
-        kb = self.coordinates(k_boundary(self.tri))
-        formula_gens = [[N if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
-        formula_gens.append(kb)
-        formula = intlinalg.hnf(formula_gens)
+        formula = intlinalg.hnf_mod([self.coordinates(k_boundary(self.tri))], N, self.rank)
         return definitional, formula, definitional == formula
 
     def pi_degree(self, N):
         """PI-degree sqrt([K : K^0]) of the associated quantum torus."""
-        return pi_degree_report(self.kernel_mod(N), self.rank, N)
+        return pi_degree_report(self.kernel_mod(N), N)
 
 
-def pi_degree_report(kernel, rank, N):
-    """The PI-degree report of a rank-`rank` lattice from its mod-N kernel."""
-    index = intlinalg.full_rank_index(kernel, rank)
+def pi_degree_report(kernel, N):
+    """The PI-degree report of a lattice from the HNF of its mod-N kernel."""
+    # the kernel contains N*Z^r, so its HNF is square and upper triangular
+    index = prod(row[i] for i, row in enumerate(kernel))
     root = intlinalg.perfect_square_root(index)
     return {
         "index": index,
@@ -411,15 +412,13 @@ class RefinedLattice:
         return intlinalg.kernel_mod(self.form, N)
 
     def pi_degree(self, N):
-        return pi_degree_report(self.kernel_mod(N), self.rank, N)
+        return pi_degree_report(self.kernel_mod(N), N)
 
     def lemma_comparison(self, N):
         """Side-by-side report: definitional Kbar^0 vs the closed formula
         K^0 ⊕ N Z k̂, and the displayed (non-bilinear) pairing formula."""
         definitional = self.kernel_mod(N)
-        formula_gens = [row + [0] for row in self.base.kernel_mod(N)]
-        formula_gens.append([0] * self.base.rank + [N])
-        formula = intlinalg.hnf(formula_gens)
+        formula = intlinalg.hnf_mod([row + [0] for row in self.base.kernel_mod(N)], N, self.rank)
         # the closed pairing formula under scrutiny:
         #   (k1,k2)^WP + n1*k1(a_d) - n2*k2(a_d)
         # evaluated on basis pairs, against the definitional form. A basis
@@ -432,7 +431,7 @@ class RefinedLattice:
             for i in range(self.rank)
             for j in range(self.rank)
         )
-        report = pi_degree_report(definitional, self.rank, N)
+        report = pi_degree_report(definitional, N)
         report.update(
             {
                 "definitionalKernel": definitional,

@@ -2,6 +2,7 @@
 or selftest check needs them, so they live here rather than in `src`."""
 
 import itertools
+from math import gcd
 
 from skeinlab import intlinalg
 from skeinlab.curves import NormalCurve
@@ -17,6 +18,23 @@ def row_span_equal(rows_a, rows_b) -> bool:
 
 def lattice_contains(basis_rows, vec) -> bool:
     return intlinalg.lattice_coordinates(basis_rows, vec) is not None
+
+
+def smith_kernel_mod(M, N, smith=None):
+    """HNF basis of {a in Z^c : M a == 0 mod N} from the Smith form
+    D = U M V over Z, which `smith` passes in to reuse it across N: the
+    columns (N / gcd(d_j, N)) * V_j span it."""
+    D, _, V = smith or intlinalg.smith_normal_form(M)
+    scales = [N // gcd(D[j][j] if j < len(D) else 0, N) for j in range(len(V))]
+    return intlinalg.hnf([[row[j] * s for row in V] for j, s in enumerate(scales)])
+
+
+def smith_residues(rows):
+    """The residue map v -> (v V) mod diag(D) of Z^n onto Z^n/L, for the
+    Smith form D = U L V of a full-rank lattice L given by its rows."""
+    D, _, V = intlinalg.smith_normal_form(rows)
+    moduli = [D[i][i] for i in range(len(V))]
+    return lambda v: tuple(x % d for x, d in zip(intlinalg.mat_mul([v], V)[0], moduli))
 
 
 def lone_triangle() -> Triangulation:

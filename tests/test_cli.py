@@ -143,6 +143,22 @@ def test_qtorus_selftest():
         assert obj["dimensionMatchesPiDegree"] is True
 
 
+def test_qtorus_selftest_refuses_an_irrep_over_the_cap_before_building_k(monkeypatch):
+    # the PI-degree N^(3g-1) is the irrep's dimension: 3^8 at genus 3 is
+    # within the cap, 243^2 at genus 1 and 3^11 at genus 4 are the least
+    # dimensions above it at their genus
+    built = []
+    balanced = cli.BalancedLattice
+    monkeypatch.setattr(cli, "BalancedLattice", lambda tri: built.append(tri) or balanced(tri))
+    for genus, N, dim in (("1", "243", 243**2), ("4", "3", 3**11), ("35", "3", 3**104)):
+        refusal = f"error: irrep dimension {dim} exceeds cap 58081\n"
+        assert run_cli("qtorus", "selftest", "--genus", genus, "--N", N) == (2, "", refusal)
+    assert built == []
+    code, out, _ = run_cli("qtorus", "selftest", "--genus", "3", "--N", "3")
+    assert code == 0 and json.loads(out)["irrepDimension"] == 3**8
+    assert len(built) == 1
+
+
 def test_qtrace_support():
     code, out, _ = run_cli("qtrace", "support", "--curve", "0,1")
     obj = json.loads(out)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skeinlab import detect
+from skeinlab import detect, intlinalg
 from skeinlab.curves import (
     NormalCurve,
     TraceSupport,
@@ -29,10 +29,12 @@ from skeinlab.detect import (
     detect_support,
     detect_theorem2,
 )
-from skeinlab.intlinalg import solve_integer, transpose
+from skeinlab.intlinalg import hnf, identity, lattice_coordinates, mat_mul, solve_integer, transpose
 from skeinlab.mcg import MappingClass, act_on_curve
 from skeinlab.recount import ResidueRecount
 from skeinlab.surface import build_sigma_g_star
+
+from oracles import smith_residues
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -371,12 +373,12 @@ def _genus_one_curves(max_points, max_weight=4):
     return [c for c in curves if 0 < c.geometry().n_points <= max_points]
 
 
-def _assert_recount_matches_bruteforce(curve, projector):
+def _assert_recount_matches_bruteforce(curve, projector, N):
     """The targeted count at every coset's residue equals the brute-force
     state count of the coset, distinct cosets have distinct residues, and
     the count is 0 at the first few cosets next to them that no state
     reaches; the number of those cosets."""
-    recount = ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell)
+    recount = ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N)
     by_coset = {}
     fibers = enumerate_admissible_states_bruteforce(curve).fibers
     for coset, n in zip(projector.project_all(list(fibers)), fibers.values()):
@@ -415,12 +417,12 @@ def test_residue_recount_matches_bruteforce(N, cell):
     projector = _CosetProjector(torus_table().tri, N, cell)
     # the recount counts one component: alpha and beta are connected
     curves = [curve for curve in _genus_one_curves(17, max_weight=8) if curve.is_connected()]
-    unreached = [_assert_recount_matches_bruteforce(curve, projector) for curve in curves]
+    unreached = [_assert_recount_matches_bruteforce(curve, projector, N) for curve in curves]
     assert len(curves) > 100
     assert sum(unreached) > 2 * len(curves)
     doubled = NormalCurve(projector.lattice.tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
-        ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell).count(doubled, 0)
+        ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N).count(doubled, 0)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -428,7 +430,68 @@ def test_residue_recount_matches_bruteforce_genus_two(cell):
     tri = build_sigma_g_star(2)
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     assert curve.is_connected() and curve.geometry().n_points == 12
-    assert _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell)) > 0
+    assert _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell), 3) > 0
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+@pytest.mark.parametrize("genus", [1, 2, 35])
+def test_recount_residues_match_the_smith_residues(genus, cell):
+    # the residue group read mod 2N names the classes of Z^E/L that the
+    # Smith form of L over Z names, pairwise, lattice shifts included
+    N = 3
+    projector = _CosetProjector(build_sigma_g_star(genus), N, cell)
+    basis = projector.lattice.basis
+    recount = ResidueRecount(basis, projector.kernel, cell, N)
+    rows = projector.kernel if cell == "reduced" else [[N * x for x in r] for r in identity(len(basis))]
+    lattice = mat_mul(rows, basis)
+    smith = smith_residues(lattice)
+    rng = random.Random(genus)
+    vecs = [[rng.randint(-4, 4) for _ in basis] for _ in range(8)]
+    vecs += [
+        [x + y for x, y in zip(v, mat_mul([[rng.randint(-3, 3) for _ in lattice]], lattice)[0])]
+        for v in vecs
+    ]
+    residues = [recount.residue(v) for v in vecs]
+    classes = [smith(v) for v in vecs]
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            assert (residues[i] == residues[j]) == (classes[i] == classes[j]), (i, j)
+    assert len(set(classes)) == 8
+
+
+def _wrong_kernel(monkeypatch, wrong):
+    """Patch `intlinalg.kernel_mod` to return `wrong(K^0, N)` for odd N, with
+    no detection context cached from before."""
+    kernel_mod = intlinalg.kernel_mod
+    monkeypatch.setattr(
+        intlinalg, "kernel_mod", lambda M, N: wrong(kernel_mod(M, N), N) if N % 2 else kernel_mod(M, N)
+    )
+    detect._detection_context.cache_clear()
+
+
+def _too_small(kernel, N):
+    """N^2 times the whole lattice, inside N^2*K (or N^2*Kbar)."""
+    return [[N * N * x for x in row] for row in identity(len(kernel))]
+
+
+def _too_large(kernel, N):
+    """The kernel and the first unit vector outside it."""
+    unit = next(e for e in identity(len(kernel)) if lattice_coordinates(kernel, e) is None)
+    return hnf(kernel + [unit])
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+@pytest.mark.parametrize("wrong", [_too_small, _too_large])
+def test_a_wrong_kernel_makes_detect_raise(monkeypatch, wrong, cell):
+    # under N^2*K^0, (1,3) under [[2,1],[1,1]] at N 3 came out certified
+    # when the recount counted modulo the projector's own kernel
+    req = DetectionRequest(N=3, cell=cell, curve=(1, 3), phi=MappingClass(1, matrix=[[2, 1], [1, 1]]))
+    _wrong_kernel(monkeypatch, wrong)
+    try:
+        with pytest.raises(AssertionError, match="the kernel does not span the witness lattice"):
+            detect_support(req)
+    finally:
+        detect._detection_context.cache_clear()
 
 
 def _imported_modules(source):

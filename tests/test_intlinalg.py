@@ -8,8 +8,11 @@ import pytest
 
 from skeinlab.intlinalg import (
     bilinear,
+    diagonalize_mod,
     gram,
     hnf,
+    hnf_mod,
+    identity,
     int_rank,
     is_unimodular,
     kernel_mod,
@@ -28,7 +31,7 @@ from skeinlab.intlinalg import (
 )
 from skeinlab.lattice import SkewLattice
 
-from oracles import lattice_contains
+from oracles import lattice_contains, smith_kernel_mod
 
 
 def test_snf_examples():
@@ -81,6 +84,55 @@ def test_kernel_mod_vs_bruteforce():
                 for coeffs in itertools.product(range(N), repeat=len(K))
             }
             assert got == expect
+
+
+def _sparse_matrix(rng, nr, nc):
+    """A random matrix, mostly zeros, with a zero row and a zero column
+    now and then."""
+    M = [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(nc)] for _ in range(nr)]
+    if nr and rng.random() < 0.3:
+        M[rng.randrange(nr)] = [0] * nc
+    if rng.random() < 0.3:
+        j = rng.randrange(nc)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+COMPOSITE_MODULI = (1, 2, 4, 6, 9, 12, 15, 27, 45, 60)
+
+
+def test_kernel_mod_matches_the_smith_oracle_on_random_matrices():
+    rng = random.Random(26)
+    for _ in range(400):
+        M = _sparse_matrix(rng, rng.randint(0, 8), rng.randint(1, 8))
+        N = rng.choice(COMPOSITE_MODULI)
+        assert kernel_mod(M, N) == smith_kernel_mod(M, N), (M, N)
+
+
+def test_diagonalize_mod_diagonalizes_with_an_invertible_transform():
+    rng = random.Random(27)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        M = _sparse_matrix(rng, nr, nc)
+        m = rng.choice(COMPOSITE_MODULI[1:])
+        d, V = diagonalize_mod(M, m)
+        assert all(0 <= x < m for row in V for x in row) and all(0 <= x < m for x in d)
+        # V is invertible mod m, and M V spans what diag(d) spans mod m
+        assert hnf_mod(V, m, nc) == identity(nc)
+        diagonal = [[x if i == j else 0 for j in range(nc)] for i, x in enumerate(d)]
+        assert hnf_mod(mat_mul(M, V), m, nc) == hnf_mod(diagonal, m, nc), (M, m)
+
+
+def test_hnf_mod_is_the_hnf_of_the_rows_stacked_on_m_times_identity():
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        rows = _sparse_matrix(rng, rng.randint(0, 6), n) if n else []
+        m = rng.choice(COMPOSITE_MODULI)
+        H = hnf_mod(rows, m, n)
+        assert H == hnf(rows + [[m * (i == j) for j in range(n)] for i in range(n)]), (rows, m)
+        assert all(0 <= x < m for i, row in enumerate(H) for x in row[i + 1:])
 
 
 def test_sublattice_index():

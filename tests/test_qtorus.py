@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -167,6 +168,41 @@ def test_an_irrep_over_the_cap_is_refused_before_its_kernel(monkeypatch):
     with pytest.raises(ValueError, match="^irrep dimension 59049 exceeds cap 58081$"):
         build_irrep(L, 9)
     assert forms == []
+
+
+def test_the_pi_degree_formula_is_the_irrep_dimension_within_the_cap():
+    # the dimension N^(3g-1) that `qtorus selftest` refuses by is the one
+    # the skew normal form gives, at every genus and N whose irrep the cap
+    # admits, and that a built irrep has
+    admitted = []
+    for g in (1, 2, 3, 4):
+        _, blocks = intlinalg.skew_normal_form(BalancedLattice(build_sigma_g_star(g)).form)
+        for N in range(3, 245, 2):
+            dim = prod(N // gcd(d, N) for d in blocks)
+            assert (dim <= IRREP_DIM_CAP) == (N ** (3 * g - 1) <= IRREP_DIM_CAP)
+            if dim <= IRREP_DIM_CAP:
+                assert dim == N ** (3 * g - 1)
+                admitted.append((g, N))
+    assert (3, 3) in admitted and (4, 3) not in admitted and (1, 243) not in admitted
+    for g, N in ((1, 3), (1, 5), (1, 241), (2, 3), (2, 5)):
+        L = BalancedLattice(build_sigma_g_star(g)).skew_lattice()
+        assert build_irrep(L, N).dimension == N ** (3 * g - 1)
+
+
+def test_tori_with_equal_forms_and_order_are_equal():
+    first, second = QuantumTorus(WEYL, 3), QuantumTorus(SkewLattice([[0, 1], [-1, 0]]), 3)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first.one() == second.one()
+    assert first.monomial([1, 0]) + second.monomial([0, 1]) == second.monomial([0, 1]) + first.monomial([1, 0])
+    # the character may live on an equal torus
+    assert TorusIrrep(first, CentralCharacter.trivial(second)).dimension == 3
+    for other in (QuantumTorus(WEYL, 5), QuantumTorus(SkewLattice([[0, 2], [-2, 0]]), 3)):
+        assert other != first
+        with pytest.raises(ValueError, match="^elements live in different quantum tori$"):
+            first.one() + other.one()
+        with pytest.raises(ValueError, match="^character belongs to a different torus$"):
+            TorusIrrep(first, CentralCharacter.trivial(other))
 
 
 def test_irrep_multiplicative_on_random_monomials():

@@ -28,6 +28,7 @@ EXEMPT = ("__repr__", "__eq__", "__hash__")
 
 # "module.qualified name": why it stays although no command runs it
 ALLOWED = {
+    "intlinalg.smith_normal_form": "a perfbench/tracer.py target (intlinalg.snf)",
     "intlinalg.solve_integer": "a perfbench/tracer.py target (intlinalg.solve_integer)",
     "intlinalg.reduce_mod_rows": "a perfbench/tracer.py target (intlinalg.reduce_calls)",
     "surface.RefinedLattice.pi_degree": "a perfbench/tracer.py target (surface.refined.pi_degree)",

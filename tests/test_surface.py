@@ -6,6 +6,7 @@ import pytest
 
 from skeinlab import intlinalg
 from skeinlab.surface import (
+    MAX_GENUS,
     BalancedLattice,
     RefinedLattice,
     Triangulation,
@@ -15,7 +16,7 @@ from skeinlab.surface import (
     wp_form,
 )
 
-from oracles import lattice_contains, lone_triangle, row_span_equal
+from oracles import lattice_contains, lone_triangle, row_span_equal, smith_kernel_mod
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -148,6 +149,19 @@ def test_central_sublattice_eq_k0():
     B = BalancedLattice(build_sigma_g_star(1))
     definitional, _, _ = B.central_sublattice(1)
     assert definitional == intlinalg.identity(B.rank)
+
+
+@pytest.mark.parametrize("g", range(1, MAX_GENUS + 1))
+def test_the_kernels_match_the_smith_oracle_at_every_genus(g):
+    # K^0 and Kbar^0 at N 3 and 45, more N at small genus, and the parity
+    # kernel behind K; one Smith form per matrix serves every N
+    B = BalancedLattice(build_sigma_g_star(g))
+    for form in (B.form, RefinedLattice(B).form):
+        smith = intlinalg.smith_normal_form(form)
+        for N in (3, 5, 9, 15, 45) if g <= 6 else (3, 45):
+            assert intlinalg.kernel_mod(form, N) == smith_kernel_mod(form, N, smith), N
+    parity = [[f.count(e) for e in range(B.tri.n_edges)] for f in B.tri.faces]
+    assert B.basis == intlinalg.kernel_mod(parity, 2) == smith_kernel_mod(parity, 2)
 
 
 def test_pi_degrees():
