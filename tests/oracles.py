@@ -82,3 +82,18 @@ def torus_classes(table, max_total):
         if curve.is_connected():
             classes.setdefault(tuple(curve.intersection_vector()), []).append(curve)
     return classes
+
+
+def ordered_pair_commutation_holds(irrep) -> bool:
+    """Z_i Z_j == A^(-(e_i,e_j)/2) Z_j Z_i by MonomialMatrix products for
+    every ordered generator pair (i, j), (i, i) and both orders included:
+    rank^2 products where TorusIrrep._verify compares rank(rank-1)/2 pairs
+    on the perm/exps arrays."""
+    torus, form = irrep.torus, irrep.torus.lattice.form
+    step = irrep.field_order // torus.N
+    gens = irrep.generator_images
+    return all(
+        gi * gj == (gj * gi).scale(torus.A_exponent(0, quarters=-2 * form[i][j]) * step)
+        for i, gi in gens.items()
+        for j, gj in gens.items()
+    )

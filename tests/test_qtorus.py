@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from skeinlab.qtorus import (
     frobenius,
 )
 from skeinlab.surface import BalancedLattice, build_sigma_g_star, k_boundary
+
+from oracles import ordered_pair_commutation_holds
 
 WEYL = SkewLattice([[0, 1], [-1, 0]], name="weyl")
 
@@ -312,3 +316,103 @@ def test_character_multiplicativity():
     a, b = basis
     ab = [x + y for x, y in zip(a, b)]
     assert chi.exponent_of(ab) == (chi.exponent_of(a) + chi.exponent_of(b)) % chi.order
+
+
+def _balanced(g):
+    return BalancedLattice(build_sigma_g_star(g)).skew_lattice()
+
+
+def _algebra_workload_irreps():
+    """The (genus, N) of every irrep the algebra benchmark builds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Algebra.IRREPS
+
+
+def _corrupted(mm, kind):
+    """mm with its first exponent raised by 1, or its first two perm entries swapped."""
+    perm, exps = list(mm.perm), list(mm.exps)
+    if kind == "exponent":
+        exps[0] += 1
+    else:
+        perm[0], perm[1] = perm[1], perm[0]
+    return MonomialMatrix(mm.dim, mm.order, perm, exps)
+
+
+CORRUPTIONS = [
+    (g, N, index, kind)
+    for g, N in ((1, 3), (1, 5), (2, 3))
+    for index in range(_balanced(g).rank)
+    for kind in ("exponent", "swap")
+]
+
+
+def test_the_pair_check_agrees_with_the_ordered_pair_oracle_on_sound_irreps():
+    for g, N in sorted(set(_algebra_workload_irreps()) | {(2, 5), (3, 3)}):
+        irr = build_irrep(_balanced(g), N)
+        assert irr.dimension == N ** (3 * g - 1)
+        assert ordered_pair_commutation_holds(irr), (g, N)
+
+
+@pytest.mark.parametrize("g, N, index, kind", CORRUPTIONS)
+def test_a_corrupted_generator_image_fails_both_checks(monkeypatch, g, N, index, kind):
+    # the image is corrupted after it is built and before _verify runs
+    verify, rejected = TorusIrrep._verify, []
+
+    def corrupt_then_verify(self):
+        self.generator_images[index] = _corrupted(self.generator_images[index], kind)
+        rejected.append(not ordered_pair_commutation_holds(self))
+        verify(self)
+
+    monkeypatch.setattr(TorusIrrep, "_verify", corrupt_then_verify)
+    with pytest.raises(AssertionError, match="^generator commutation relation failed$"):
+        build_irrep(_balanced(g), N)
+    assert rejected == [True]
+
+
+@pytest.mark.parametrize("g, N", [(1, 3), (1, 5), (2, 3)])
+def test_a_corrupted_kernel_basis_image_fails_the_character_check(monkeypatch, g, N):
+    # only the images that _verify itself computes are corrupted: those of
+    # E^0's basis and of the inverse of generator 0
+    verify, image = TorusIrrep._verify, TorusIrrep.image_of_monomial
+
+    def corrupt_then_verify(self):
+        first = list(self.character.kernel_basis[0])
+
+        def corrupted_image(vec):
+            out = image(self, vec)
+            return _corrupted(out, "exponent") if list(vec) == first else out
+
+        self.image_of_monomial = corrupted_image
+        verify(self)
+
+    monkeypatch.setattr(TorusIrrep, "_verify", corrupt_then_verify)
+    with pytest.raises(AssertionError, match="^central character not realized on E\\^0$"):
+        build_irrep(_balanced(g), N)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_the_pair_check_covers_every_pair_of_generators(monkeypatch, pair):
+    # the images of the form with (e_i, e_j) = 2 satisfy every relation of
+    # the form with (e_i, e_j) = 1 but that of the pair (i, j)
+    def form(d):
+        rows = [[0] * 3 for _ in range(3)]
+        i, j = pair
+        rows[i][j], rows[j][i] = d, -d
+        return SkewLattice(rows)
+
+    images = build_irrep(form(2), 3).generator_images
+    verify, rejected = TorusIrrep._verify, []
+
+    def swap_then_verify(self):
+        assert [m.order for m in images.values()] == [self.field_order] * 3
+        self.generator_images = images
+        rejected.append(not ordered_pair_commutation_holds(self))
+        verify(self)
+
+    monkeypatch.setattr(TorusIrrep, "_verify", swap_then_verify)
+    with pytest.raises(AssertionError, match="^generator commutation relation failed$"):
+        build_irrep(form(1), 3)
+    assert rejected == [True]
