@@ -86,13 +86,22 @@ class Certificate(SimpleNamespace):
         }
 
 
+def _check_connected(name, curve):
+    # a homeomorphism maps a connected curve to a connected curve; an empty
+    # curve has no component
+    if not curve.is_connected():
+        raise ValueError(f"{name} must be a connected essential curve")
+
+
 def _resolve_curves(req: DetectionRequest):
     """alpha and beta. A matrix class maps alpha, and an explicit beta must
     be that image; a word class maps no curve, so its beta is taken on
-    trust (the assumption "beta-is-image")."""
+    trust (the assumption "beta-is-image"). alpha is checked to be
+    connected before a class acts on it."""
     alpha = req.curve
     if not isinstance(alpha, NormalCurve):
         alpha = class_curve(req.genus, *alpha)
+    _check_connected("alpha", alpha)
     beta = req.beta
     if req.phi is not None and req.phi.matrix is not None:
         image = act_on_curve(req.phi, alpha)
@@ -109,11 +118,7 @@ def _resolve_curves(req: DetectionRequest):
         beta = act_on_curve(req.phi, alpha)  # refuses a word class
     if alpha.tri != beta.tri:
         raise ValueError("alpha and beta live on different triangulations")
-    # a homeomorphism maps a connected curve to a connected curve; an empty
-    # curve has no component
-    for name, curve in (("alpha", alpha), ("beta", beta)):
-        if not curve.is_connected():
-            raise ValueError(f"{name} must be a connected essential curve")
+    _check_connected("beta", beta)
     return alpha, beta
 
 

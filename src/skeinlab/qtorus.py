@@ -212,7 +212,10 @@ class CentralCharacter:
                 f"need {len(self.kernel_basis)} exponents on the kernel HNF basis"
             )
         self.order = lcm(torus.N, M)
-        self.exponents = [k * (self.order // M) % self.order for k in exponents]
+        self.exponents = [
+            check_int(k, "a character exponent") * (self.order // M) % self.order
+            for k in exponents
+        ]
         # the twist A^(-(a,b)/4) is trivial on E^0 by definition of the kernel
         for row in intlinalg.gram(self.kernel_basis, torus.lattice.form):
             if any(x % torus.N for x in row):
@@ -232,59 +235,6 @@ class CentralCharacter:
 
 
 # ---------------------------------------------------------------------------
-# Monomial matrices (generalized permutation matrices)
-
-
-class MonomialMatrix:
-    """dim x dim matrix with one nonzero per column: col j carries
-    zeta_order^exps[j] at row perm[j]. Closed under products."""
-
-    __slots__ = ("dim", "order", "perm", "exps")
-
-    def __init__(self, dim, order, perm, exps):
-        self.dim = dim
-        self.order = order
-        self.perm = tuple(perm)
-        self.exps = tuple([e % order for e in exps])
-
-    @staticmethod
-    def identity(dim, order):
-        return MonomialMatrix(dim, order, range(dim), [0] * dim)
-
-    def __mul__(self, other):
-        if other.dim != self.dim or other.order != self.order:
-            raise ValueError("dimension or order mismatch")
-        perm = [self.perm[p] for p in other.perm]
-        exps = [self.exps[p] + e for p, e in zip(other.perm, other.exps)]
-        return MonomialMatrix(self.dim, self.order, perm, exps)
-
-    def scale(self, e):
-        """zeta_order^e times this matrix."""
-        return MonomialMatrix(self.dim, self.order, self.perm, [x + e for x in self.exps])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialMatrix)
-            and self.dim == other.dim
-            and self.order == other.order
-            and self.perm == other.perm
-            and self.exps == other.exps
-        )
-
-    def is_scalar(self, e) -> bool:
-        """True iff this matrix is zeta_order^e times the identity."""
-        return self.perm == tuple(range(self.dim)) and self.exps == (e % self.order,) * self.dim
-
-    def kron(self, other):
-        if other.order != self.order:
-            raise ValueError("order mismatch")
-        d = other.dim
-        perm = [p1 * d + p2 for p1 in self.perm for p2 in other.perm]
-        exps = [e1 + e2 for e1 in self.exps for e2 in other.exps]
-        return MonomialMatrix(self.dim * d, self.order, perm, exps)
-
-
-# ---------------------------------------------------------------------------
 # Irreducible representations (Azumaya by dimension)
 
 
@@ -294,7 +244,9 @@ class TorusIrrep:
     Generators go to tensor products of clock and shift matrices in the
     Weyl normalization, scaled by a homomorphism chosen to hit the
     character on E^0. Every root of unity is an exponent of
-    zeta_field_order. All invariants are verified after construction.
+    zeta_field_order, and generator_images maps each generator's index to
+    its image as image_of_monomial gives it. All invariants are verified
+    after construction.
     """
 
     def __init__(self, torus: QuantumTorus, character: CentralCharacter | None = None):
@@ -347,25 +299,28 @@ class TorusIrrep:
         }
         self._verify()
 
-    def image_of_monomial(self, vec) -> MonomialMatrix:
+    def image_of_monomial(self, vec):
+        """The image of Z_vec, a generalized permutation matrix, as a pair
+        (perm, exps) of tuples: column k holds zeta_F^exps[k] at row perm[k]."""
         coords = intlinalg.mat_vec(self._P_inv, list(vec))
         n_pairs = len(self.pair_invariants)
-        F = self.field_order
         scalar = 0
-        out = MonomialMatrix.identity(1, F)
+        perm, exps = [0], [0]
         for i in range(n_pairs):
             x, y = coords[2 * i], coords[2 * i + 1]
             m = self.pair_orders[i]
             eta = self._eta[i]
-            # Weyl-normalized eta^(-xy) X^x Y^y with X = diag(omega^r), Y = shift
+            # Weyl-normalized eta^(-xy) X^x Y^y with X = diag(omega^r), Y = shift,
+            # whose column q holds omega^(x * rows[q]) at row rows[q]; the lists
+            # become its Kronecker product with the pairs before it
             scalar += -x * y * eta + x * self._scale_u[i] + y * self._scale_v[i]
-            perm = [(r + y) % m for r in range(m)]
-            # column j holds omega^(x * perm[j]) at row perm[j]
-            exps = [2 * eta * x * p for p in perm]
-            out = out.kron(MonomialMatrix(m, F, perm, exps))
+            rows = [(r + y) % m for r in range(m)]
+            perm = [p * m + q for p in perm for q in rows]
+            exps = [e + 2 * eta * x * q for e in exps for q in rows]
         for j, z in enumerate(coords[2 * n_pairs :]):
             scalar += z * self._scale_w[j]
-        return out.scale(scalar)
+        F = self.field_order
+        return tuple(perm), tuple([(e + scalar) % F for e in exps])
 
     def _verify(self):
         L = self.torus.lattice
@@ -374,24 +329,27 @@ class TorusIrrep:
         # Z_i Z_j = A^(-(e_i,e_j)/2) Z_j Z_i for i < j: the form is skew, so (i, i) holds and
         # (j, i) is its inverse. Column k of Z_i Z_j is zeta^(Ei[Pj[k]] + Ej[k]) at row Pi[Pj[k]]
         for i in range(L.rank):
-            Pi, Ei = gens[i].perm, gens[i].exps
+            Pi, Ei = gens[i]
             for j in range(i + 1, L.rank):
-                Pj, Ej = gens[j].perm, gens[j].exps
+                Pj, Ej = gens[j]
                 phase = self.torus.A_exponent(0, quarters=-2 * L.form[i][j]) * self._A_step
                 if any(
                     Pi[b] != Pj[a] or (Ei[b] + ej - Ej[a] - ei - phase) % F
                     for a, b, ei, ej in zip(Pi, Pj, Ei, Ej)
                 ):
                     raise AssertionError("generator commutation relation failed")
-        # the kernel sublattice acts by the character
+        # the kernel sublattice acts by the character, as scalar matrices
+        identity = tuple(range(self.dimension))
         for kvec in self.character.kernel_basis:
-            img = self.image_of_monomial(kvec)
-            if not img.is_scalar(self.character.exponent_of(kvec) * self._chi_step):
+            e = self.character.exponent_of(kvec) * self._chi_step
+            if self.image_of_monomial(kvec) != (identity, (e,) * self.dimension):
                 raise AssertionError("central character not realized on E^0")
-        # invertibility sanity on generator 0: Z_a Z_{-a} = Z_0 = 1 (self-pairing vanishes)
+        # invertibility sanity on generator 0: Z_a Z_{-a} = Z_0 = 1 (self-pairing
+        # vanishes). Column k of the product is zeta^(E0[Q[k]] + D[k]) at row P0[Q[k]]
         if L.rank:
-            inv = self.image_of_monomial([-1] + [0] * (L.rank - 1))
-            if not (gens[0] * inv).is_scalar(0):
+            P0, E0 = gens[0]
+            Q, D = self.image_of_monomial([-1] + [0] * (L.rank - 1))
+            if any(P0[q] != k or (E0[q] + d) % F for k, (q, d) in enumerate(zip(Q, D))):
                 raise AssertionError("monomial inverse failed")
 
 

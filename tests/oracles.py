@@ -84,16 +84,24 @@ def torus_classes(table, max_total):
     return classes
 
 
+def monomial_product(a, b, order):
+    """The product of two (perm, exps) generalized permutation matrices."""
+    (pa, ea), (pb, eb) = a, b
+    return tuple(pa[p] for p in pb), tuple((ea[p] + e) % order for p, e in zip(pb, eb))
+
+
 def ordered_pair_commutation_holds(irrep) -> bool:
-    """Z_i Z_j == A^(-(e_i,e_j)/2) Z_j Z_i by MonomialMatrix products for
-    every ordered generator pair (i, j), (i, i) and both orders included:
-    rank^2 products where TorusIrrep._verify compares rank(rank-1)/2 pairs
-    on the perm/exps arrays."""
-    torus, form = irrep.torus, irrep.torus.lattice.form
-    step = irrep.field_order // torus.N
+    """Z_i Z_j == A^(-(e_i,e_j)/2) Z_j Z_i by monomial products for every
+    ordered generator pair (i, j), (i, i) and both orders included: rank^2
+    products where TorusIrrep._verify compares rank(rank-1)/2 pairs on the
+    perm/exps arrays."""
+    torus, form, F = irrep.torus, irrep.torus.lattice.form, irrep.field_order
+    step = F // torus.N
     gens = irrep.generator_images
-    return all(
-        gi * gj == (gj * gi).scale(torus.A_exponent(0, quarters=-2 * form[i][j]) * step)
-        for i, gi in gens.items()
-        for j, gj in gens.items()
-    )
+    for i, gi in gens.items():
+        for j, gj in gens.items():
+            phase = torus.A_exponent(0, quarters=-2 * form[i][j]) * step
+            perm, exps = monomial_product(gj, gi, F)
+            if monomial_product(gi, gj, F) != (perm, tuple((e + phase) % F for e in exps)):
+                return False
+    return True

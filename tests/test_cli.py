@@ -861,6 +861,14 @@ MALFORMED = [
         for name, beta in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[0,0,2,2,0]"))
         for suffix, flags in (("", ()), ("-word-class", ("--phi", '{"words":{"a1":"a","b1":"ba"}}')))
     ),
+    # so is alpha, and it is checked before a matrix class acts on it
+    *(
+        _row(f"detect-alpha-{name}",
+             ("detect", "--N", "5", "--curve", alpha, "--phi", "[[1,1],[0,1]]"),
+             "alpha must be a connected essential curve",
+             batch={"curve": json.loads(alpha), "phi": [[1, 1], [0, 1]], "N": 5})
+        for name, alpha in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[2,2,0,2,0]"))
+    ),
     # coeffs is a list of [numerator, denominator] pairs
     *(
         _row(f"rep-moment-coeffs-{name}",

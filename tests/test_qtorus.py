@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import random
+import re
 from math import gcd, prod
 from pathlib import Path
 
@@ -11,7 +13,6 @@ from skeinlab.lattice import SkewLattice
 from skeinlab.qtorus import (
     IRREP_DIM_CAP,
     CentralCharacter,
-    MonomialMatrix,
     QuantumTorus,
     TorusIrrep,
     build_irrep,
@@ -20,7 +21,7 @@ from skeinlab.qtorus import (
 )
 from skeinlab.surface import BalancedLattice, build_sigma_g_star, k_boundary
 
-from oracles import ordered_pair_commutation_holds
+from oracles import monomial_product, ordered_pair_commutation_holds
 
 WEYL = SkewLattice([[0, 1], [-1, 0]], name="weyl")
 
@@ -114,27 +115,14 @@ def test_centrality():
         assert frobenius(T.monomial([1, 0, 0, 0, 0]) + T.one()).is_central()
 
 
-def test_monomial_matrix_algebra():
-    # clock X = diag(1, z, z^2) and shift Y over Q(zeta_3), as exponents
-    X = MonomialMatrix(3, 3, [0, 1, 2], [0, 1, 2])
-    Y = MonomialMatrix(3, 3, [1, 2, 0], [0, 0, 0])
-    XY = X * Y
-    YX = Y * X
-    assert XY.perm == (1, 2, 0)
-    # XY = omega YX for the clock and shift
-    assert XY == YX.scale(1)
-    assert MonomialMatrix.identity(3, 3).is_scalar(0)
-    assert (X.kron(Y)).dim == 9
-
-
 def test_irrep_weyl_pair():
     irr = build_irrep(WEYL, 3)
     assert irr.dimension == 3
     assert irr.pair_orders == [3]
     # generator images are 3x3 clock/shift up to scalars
-    g0, g1 = irr.generator_images[0], irr.generator_images[1]
-    assert g0.perm == (0, 1, 2)
-    assert sorted(g1.perm) == [0, 1, 2] and g1.perm != (0, 1, 2)
+    (p0, _), (p1, _) = irr.generator_images[0], irr.generator_images[1]
+    assert p0 == (0, 1, 2)
+    assert sorted(p1) == [0, 1, 2] and p1 != (0, 1, 2)
 
 
 def test_irrep_trivial_form():
@@ -214,14 +202,14 @@ def test_irrep_multiplicative_on_random_monomials():
     L = BalancedLattice(build_sigma_g_star(1)).skew_lattice()
     T = QuantumTorus(L, 3)
     irr = TorusIrrep(T, CentralCharacter.trivial(T))
-    step = irr.field_order // T.N
+    F = irr.field_order
     for _ in range(25):
         u = [rng.randint(-2, 2) for _ in range(L.rank)]
         v = [rng.randint(-2, 2) for _ in range(L.rank)]
-        lhs = irr.image_of_monomial(u) * irr.image_of_monomial(v)
-        twist = T.A_exponent(0, quarters=-L.pairing(u, v)) * step
-        rhs = irr.image_of_monomial([x + y for x, y in zip(u, v)]).scale(twist)
-        assert lhs == rhs
+        lhs = monomial_product(irr.image_of_monomial(u), irr.image_of_monomial(v), F)
+        twist = T.A_exponent(0, quarters=-L.pairing(u, v)) * (F // T.N)
+        perm, exps = irr.image_of_monomial([x + y for x, y in zip(u, v)])
+        assert lhs == (perm, tuple((e + twist) % F for e in exps))
 
 
 def test_irrep_nontrivial_character():
@@ -234,17 +222,19 @@ def test_irrep_nontrivial_character():
     assert irr.dimension == 9
     F = irr.field_order
     for k, kvec in enumerate(chi.kernel_basis):
-        img = irr.image_of_monomial(kvec)
-        assert img.is_scalar(chi.exponent_of(kvec) * (F // chi.order))
-        assert Cyclotomic.zeta(F, img.exps[0]) == Cyclotomic.zeta(3, k % 3).embed(F)
+        perm, exps = irr.image_of_monomial(kvec)
+        assert perm == tuple(range(9))
+        assert exps == (chi.exponent_of(kvec) * (F // chi.order),) * 9
+        assert Cyclotomic.zeta(F, exps[0]) == Cyclotomic.zeta(3, k % 3).embed(F)
 
 
-def _dense(mm):
-    """The monomial matrix as a dense list of Cyclotomic rows."""
-    zero = Cyclotomic.rational(mm.order, 0)
-    rows = [[zero] * mm.dim for _ in range(mm.dim)]
-    for j, (p, e) in enumerate(zip(mm.perm, mm.exps)):
-        rows[p][j] = Cyclotomic.zeta(mm.order, e)
+def _dense(image, order):
+    """The (perm, exps) image as a dense list of Cyclotomic rows over zeta_order."""
+    perm, exps = image
+    zero = Cyclotomic.rational(order, 0)
+    rows = [[zero] * len(perm) for _ in perm]
+    for j, (p, e) in enumerate(zip(perm, exps)):
+        rows[p][j] = Cyclotomic.zeta(order, e)
     return rows
 
 
@@ -265,6 +255,12 @@ def _dense_scaled(c, A):
     return [[x if x.is_zero() else c * x for x in row] for row in A]
 
 
+def _minus_zeta_character(T):
+    """chi(b_k) = -zeta_N^(k+1) = zeta_2N^(N + 2(k+1)) on the k-th kernel basis vector."""
+    N = T.N
+    return CentralCharacter(T, 2 * N, [N + 2 * (k + 1) for k in range(len(T.kernel_sublattice()))])
+
+
 def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
     # rebuild the generator images as dense Cyclotomic matrices and check
     # the relations with Cyclotomic products, independent of the exponents
@@ -272,11 +268,9 @@ def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
     for N in (3, 5):
         T = QuantumTorus(L, N)
         basis = T.kernel_sublattice()
-        # chi(b_k) = -zeta_N^(k+1) = zeta_2N^(N + 2(k+1))
-        chi = CentralCharacter(T, 2 * N, [N + 2 * (k + 1) for k in range(len(basis))])
-        irr = TorusIrrep(T, chi)
+        irr = TorusIrrep(T, _minus_zeta_character(T))
         F = irr.field_order
-        gens = [_dense(irr.generator_images[i]) for i in range(L.rank)]
+        gens = [_dense(irr.generator_images[i], F) for i in range(L.rank)]
         for i in range(L.rank):
             for j in range(L.rank):
                 phase = T.A_power(0, quarters=-2 * L.form[i][j]).embed(F)
@@ -299,6 +293,27 @@ def test_irrep_cross_checked_with_dense_cyclotomic_matrices():
             assert img == _dense_scaled((-Cyclotomic.zeta(N, k + 1)).embed(F), one)
 
 
+# sha256 of repr([(perm, exps) of generator 0, 1, ...]) for the trivial
+# character at (genus, N), and for the -zeta_3^(k+1) character at genus 1
+IMAGE_DIGESTS = {
+    (1, 3): "d4b97971568aa1c6194e169d3a904703e8f203b5bcde61b54cd1988d251ac8d0",
+    (1, 5): "a2b5858eecb65956103adcaf40ec34049d0e043362e97b5c3f87a4331cb27ed0",
+    (2, 3): "ea21a4c08dd63da9977183d8a2720e3f1168e482754f8d8409a0239a9629c134",
+    "minus-zeta": "49e8cb0ee88abc8dc7b9f0b2c7fb8d4b5a50ed9410fe7bb79905035b21a4cda6",
+}
+
+
+def test_generator_images_are_pinned():
+    def digest(irr):
+        images = [irr.generator_images[i] for i in range(len(irr.generator_images))]
+        return hashlib.sha256(repr(images).encode()).hexdigest()
+
+    T = QuantumTorus(_balanced(1), 3)
+    found = {(g, N): digest(build_irrep(_balanced(g), N)) for g, N in ((1, 3), (1, 5), (2, 3))}
+    found["minus-zeta"] = digest(TorusIrrep(T, _minus_zeta_character(T)))
+    assert found == IMAGE_DIGESTS
+
+
 def test_character_rejects_a_bad_order_or_exponent_count():
     T = QuantumTorus(WEYL, 3)
     for M in (0, -3, True, 3.0):
@@ -307,6 +322,11 @@ def test_character_rejects_a_bad_order_or_exponent_count():
     for exponents in ([], [1], [1, 2, 0]):
         with pytest.raises(ValueError, match="need 2 exponents"):
             CentralCharacter(T, 3, exponents)
+    # an exponent is an int: not a float, a bool, text or null
+    for bad in (1.5, True, "1", None):
+        message = f"a character exponent must be an integer, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CentralCharacter(T, 3, [0, bad])
 
 
 def test_character_multiplicativity():
@@ -331,14 +351,14 @@ def _algebra_workload_irreps():
     return module.Algebra.IRREPS
 
 
-def _corrupted(mm, kind):
-    """mm with its first exponent raised by 1, or its first two perm entries swapped."""
-    perm, exps = list(mm.perm), list(mm.exps)
+def _corrupted(image, kind):
+    """The image with its first exponent raised by 1, or its first two perm entries swapped."""
+    perm, exps = list(image[0]), list(image[1])
     if kind == "exponent":
         exps[0] += 1
     else:
         perm[0], perm[1] = perm[1], perm[0]
-    return MonomialMatrix(mm.dim, mm.order, perm, exps)
+    return tuple(perm), tuple(exps)
 
 
 CORRUPTIONS = [
@@ -403,12 +423,12 @@ def test_the_pair_check_covers_every_pair_of_generators(monkeypatch, pair):
         rows[i][j], rows[j][i] = d, -d
         return SkewLattice(rows)
 
-    images = build_irrep(form(2), 3).generator_images
+    other = build_irrep(form(2), 3)
     verify, rejected = TorusIrrep._verify, []
 
     def swap_then_verify(self):
-        assert [m.order for m in images.values()] == [self.field_order] * 3
-        self.generator_images = images
+        assert other.field_order == self.field_order
+        self.generator_images = other.generator_images
         rejected.append(not ordered_pair_commutation_holds(self))
         verify(self)
 
