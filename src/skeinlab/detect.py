@@ -128,8 +128,8 @@ class _CosetProjector:
     def __init__(self, tri, N, cell):
         self.lattice = BalancedLattice(tri)
         self.cell = cell
-        form = self.lattice.form if cell == "reduced" else RefinedLattice(self.lattice).form
-        self.kernel = intlinalg.kernel_mod(form, N)
+        lattice = self.lattice if cell == "reduced" else RefinedLattice(self.lattice)
+        self.kernel = lattice.kernel_mod(N)
 
     def project_all(self, kvecs):
         """The canonical coset of each k-vector: K-coordinates and their

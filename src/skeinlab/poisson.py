@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
-from .cyclotomic import DualNumber
 from .intlinalg import mat_mul
 
 _NAMES = "abcd"
@@ -22,12 +21,12 @@ _ONE = (0, 0, 0, 0)
 
 class Poly:
     """Exact polynomial over Q in a, b, c, d: a dict from exponent tuple to
-    nonzero Fraction, so that equal polynomials have equal dicts."""
+    nonzero int or Fraction, so that equal polynomials have equal dicts."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = {e: Fraction(k) for e, k in dict(terms).items() if k}
+        self.terms = {e: k for e, k in dict(terms).items() if k}
 
     @staticmethod
     def _wrap(x):
@@ -68,6 +67,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals the number it is, so hashes as it
+        if self.terms.keys() <= {_ONE}:
+            return hash(self.terms.get(_ONE, 0))
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
@@ -154,6 +156,46 @@ class PoissonAlgebra:
     def preserves_determinant(self):
         det = a * d - b * c
         return all(self.bracket(x, det) == 0 for x in GENERATORS)
+
+
+class DualNumber:
+    """Element of Q[hbar]/(hbar^2): value + eps*hbar, exact rationals."""
+
+    __slots__ = ("value", "eps")
+
+    def __init__(self, value, eps=0):
+        self.value = value
+        self.eps = eps
+
+    def __add__(self, other):
+        other = DualNumber._wrap(other)
+        return DualNumber(self.value + other.value, self.eps + other.eps)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = DualNumber._wrap(other)
+        return DualNumber(
+            self.value * other.value,
+            self.value * other.eps + self.eps * other.value,
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = DualNumber._wrap(other)
+        return self.value == other.value and self.eps == other.eps
+
+    def __hash__(self):
+        # without an hbar term it equals the number it is, so hashes as it
+        return hash(self.value) if self.eps == 0 else hash((self.value, self.eps))
+
+    def __repr__(self):
+        return f"DualNumber({self.value}, {self.eps}*h)"
+
+    @staticmethod
+    def _wrap(x):
+        return x if isinstance(x, DualNumber) else DualNumber(x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,9 @@ Z[zeta_N]. Monomials are Weyl-normalized: Z_a Z_b = A^(-(a,b)/4) Z_{a+b}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlinalg
-from .cyclotomic import Cyclotomic, root_of_unity_root
 from .lattice import SkewLattice
 from .surface import check_int, check_root_order
 
@@ -53,6 +51,8 @@ class QuantumTorus:
 
     def A_power(self, k, quarters=0):
         """A^k * (A^(1/4))^quarters as an exact cyclotomic."""
+        from .cyclotomic import Cyclotomic
+
         return Cyclotomic.zeta(self.N, self.A_exponent(k, quarters))
 
     def twist(self, a, b):
@@ -68,6 +68,8 @@ class QuantumTorus:
         return self.monomial([0] * self.lattice.rank)
 
     def monomial(self, vec, coeff=1):
+        from .cyclotomic import Cyclotomic
+
         vec = tuple(vec)
         if len(vec) != self.lattice.rank:
             raise ValueError("exponent vector has wrong rank")
@@ -117,6 +119,10 @@ class TorusElement:
         return self + (-other)
 
     def __mul__(self, other):
+        from fractions import Fraction
+
+        from .cyclotomic import Cyclotomic
+
         if isinstance(other, (int, Fraction, Cyclotomic)):
             if not isinstance(other, Cyclotomic):
                 other = Cyclotomic.rational(self.torus.N, other)
@@ -236,6 +242,19 @@ class CentralCharacter:
 
 # ---------------------------------------------------------------------------
 # Irreducible representations (Azumaya by dimension)
+
+
+def root_of_unity_root(M: int, k: int, n: int):
+    """(M', t) with (zeta_M'^t)^n == zeta_M^k.
+
+    Stays in mu_M when possible, otherwise enlarges to mu_{M n}.
+    """
+    g = gcd(n, M)
+    if k % g == 0:
+        # solve t*n == k (mod M)
+        Mg, ng, kg = M // g, n // g, k // g
+        return M, (kg * pow(ng, -1, Mg)) % Mg
+    return M * n, k
 
 
 class TorusIrrep:

@@ -1053,7 +1053,7 @@ TORUS = ("skeinlab.qtorus", "skeinlab.cyclotomic")
 IMPORT_CASES = [
     (["surface", "info"], PIPELINE + TORUS),
     (["lattice", "info"], PIPELINE + TORUS),
-    (["qtorus", "selftest"], PIPELINE),
+    (["qtorus", "selftest"], PIPELINE + ("skeinlab.cyclotomic", "fractions")),
     (["qtrace", "support", "--curve=2,3"], PIPELINE + TORUS),
     (["detect", "--curve=2,1", "--phi", '{"matrix": [[1, 1], [0, 1]]}'],
      ("skeinlab.qtorus", "skeinlab.cyclotomic", "skeinlab.repvar", "fractions", "dataclasses")),

@@ -4,6 +4,7 @@ from skeinlab.poisson import (
     D_TABLE,
     GENERATORS,
     STS_TABLE,
+    DualNumber,
     PoissonAlgebra,
     a,
     b,
@@ -75,6 +76,14 @@ def test_r_matrix_expansion():
     assert checks["tau_squared_identity"]
     assert checks["r_plus_tau_conjugate"]
     assert checks["all"]
+
+
+def test_dual_numbers():
+    one = DualNumber(1)
+    h = DualNumber(0, 1)
+    assert (one + h) * (one + -1 * h) == one
+    assert h * h == DualNumber(0)
+    assert 2 * DualNumber(2, 3) + 1 == DualNumber(5, 6)
 
 
 def test_brackets_agree_with_sympy():

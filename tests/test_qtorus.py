@@ -18,6 +18,7 @@ from skeinlab.qtorus import (
     build_irrep,
     chebyshev_apply,
     frobenius,
+    root_of_unity_root,
 )
 from skeinlab.surface import BalancedLattice, build_sigma_g_star, k_boundary
 
@@ -113,6 +114,17 @@ def test_centrality():
         assert T.monomial(B.coordinates(k_boundary(tri))).is_central()
         assert not T.monomial([1, 0, 0, 0, 0]).is_central()
         assert frobenius(T.monomial([1, 0, 0, 0, 0]) + T.one()).is_central()
+
+
+def test_root_of_unity_root():
+    # (zeta_M'^t)^n == zeta_M^k, with M' = M when t exists there, else M n
+    for M, k, n, expect_M in [
+        (5, 1, 3, 5), (5, 1, 5, 25), (7, 1, 3, 7), (4, 1, 5, 4), (3, 0, 7, 3),
+        (6, 3, 3, 6), (9, 2, 3, 27), (9, 3, 3, 9),
+    ]:
+        M2, t = root_of_unity_root(M, k, n)
+        assert M2 == expect_M
+        assert Cyclotomic.zeta(M2, t * n) == Cyclotomic.zeta(M, k).embed(M2)
 
 
 def test_irrep_weyl_pair():
