@@ -8,8 +8,7 @@ the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 The points and pieces of a curve are walked once per component, in one
 loop: a walk is its points in order and the piece from each point to the
 next, and a step's orientation is whether it leaves through its piece's
-a-point. Intersection vectors, component counts and the walk DP all read
-these walks.
+a-point. Component counts and the walk DP read these walks.
 
 Two enumeration routes are kept deliberately independent: the walk DP
 (default) and the 2^m brute-force kernel in _kernels (the reference route
@@ -22,7 +21,6 @@ from __future__ import annotations
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 
-from . import intlinalg
 from .surface import Triangulation, build_sigma_g_star, check_int
 
 DEFAULT_STATE_CAP = 24
@@ -85,10 +83,6 @@ class NormalCurve:
 
     def is_connected(self):
         return self.component_count() == 1
-
-    def intersection_vector(self):
-        """Algebraic edge-crossing sums of the oriented components."""
-        return self.geometry().intersection_vector()
 
     def __eq__(self, other):
         return (
@@ -195,22 +189,6 @@ class _CurveGeometry:
                 q = other(p, q)
             walks.append((points, steps))
         return walks
-
-    def intersection_vector(self):
-        """Each point that a walk passes through adds +1 to its edge when
-        the walk enters it through the edge's primary slot, else -1; the
-        ends of an open walk add nothing."""
-        vec = [0] * self.tri.n_edges
-        pieces, point_edge, edge_slots = self.pieces, self.point_edge, self.tri.edge_slots
-        for points, steps in self.walks:
-            # the step into points[t] is steps[t - 1], which for t = 0 is
-            # the closing step of a closed walk
-            for t in range(0 if len(steps) == len(points) else 1, len(steps)):
-                pa, _, sa, sb = pieces[steps[t - 1]]
-                slot_in = sb if pa == points[t - 1] else sa
-                e = point_edge[points[t]]
-                vec[e] += 1 if slot_in == edge_slots[e][0] else -1
-        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +441,13 @@ class TorusCurveTable:
         return c
 
     def class_of(self, curve: NormalCurve):
-        """(p, q) of a connected curve, canonical up to overall sign."""
-        ivec = curve.intersection_vector()
-        coords = intlinalg.lattice_coordinates(self.basis, ivec)
-        if coords is None:
-            raise ValueError("curve class is outside the class basis lattice")
-        p, q = coords
-        if (p, q) == (0, 0):
-            return (0, 0)
-        if p < 0 or (p == 0 and q < 0):
-            p, q = -p, -q
+        """(p, q) of the curve of a torus class, with p >= 0 and q >= 0
+        when p = 0: the inverse of `predicted_coords`, whose edges 0, 2 and
+        3 read |p|, |q| and |p + q|."""
+        c = curve.coords
+        p, q = c[0], c[2] if c[3] == c[0] + c[2] else -c[2]
+        if gcd(p, q) != 1 or self.predicted_coords(p, q) != list(c):
+            raise ValueError(f"{list(c)} is the curve of no torus class (p, q)")
         return (p, q)
 
 

@@ -87,17 +87,17 @@ class Certificate(SimpleNamespace):
 
 
 def _check_connected(name, curve):
-    # a homeomorphism maps a connected curve to a connected curve; an empty
-    # curve has no component
-    if not curve.is_connected():
+    # a homeomorphism maps a connected closed curve to one; an empty curve
+    # has no component, and an arc ends on the boundary
+    if any(curve.coords[e] for e in curve.tri.boundary_edges) or not curve.is_connected():
         raise ValueError(f"{name} must be a connected essential curve")
 
 
 def _resolve_curves(req: DetectionRequest):
     """alpha and beta. A matrix class maps alpha, and an explicit beta must
     be that image; a word class maps no curve, so its beta is taken on
-    trust (the assumption "beta-is-image"). alpha is checked to be
-    connected before a class acts on it."""
+    trust (the assumption "beta-is-image"). alpha is checked to be a
+    connected closed curve before a class acts on it."""
     alpha = req.curve
     if not isinstance(alpha, NormalCurve):
         alpha = class_curve(req.genus, *alpha)

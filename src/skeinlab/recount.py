@@ -107,9 +107,9 @@ class ResidueRecount:
         return self.pack(intlinalg.mat_mul([vec], self.transform)[0])
 
     def count(self, curve, target):
-        """The number of admissible states of the connected curve whose
-        k-vector has residue `target` (0 for None, a coset with no curve
-        state).
+        """The number of admissible states of the connected closed curve
+        whose k-vector has residue `target` (0 for None, a coset with no
+        curve state).
 
         The states are met in the middle: a walk forward from the curve's
         first point and a walk backward from its last point, each keeping
@@ -125,8 +125,11 @@ class ResidueRecount:
         edges = [geo.point_edge[p] for p in points]
         h = (len(edges) - 1) // 2
         middle = 0 if forward[h] else 1
+        # the closing piece forbids `close` at the last point with the
+        # other state at the first: one walk per first state
+        close = 0 if forward[-1] else 1
         total = 0
-        for first, last in _walk_ends(forward, len(edges)):
+        for first, last in (((close,), (0, 1)), ((1 - close,), (1 - close,))):
             ahead = self._walk(first, edges, forward, h, back=False)
             behind = self._walk(last, edges, forward, h, back=True)
             total += self._join(ahead, behind, middle, target)
@@ -192,33 +195,23 @@ class ResidueRecount:
         return self._reduce(a + self.full - b)
 
 
-def _walk_ends(forward, n):
-    """(states at the first point, states allowed at the last point) of the
-    walks that make up one component of n points: one walk for an open
-    component, one per first state for a closed one, whose closing piece
-    forbids `close` at the last point with the other state at the first."""
-    if len(forward) < n:
-        return [((0, 1), (0, 1))]
-    close = 0 if forward[-1] else 1
-    return [((close,), (0, 1)), ((1 - close,), (1 - close,))]
-
-
 def _piece_walks(n_points, pieces):
-    """Curve components from the corner pieces alone: (points, forward)
-    per component, with points in walk order and forward[t] telling
-    whether the piece from points[t] to the next point starts at its
-    a-point. A closed component has one piece per point, an open one a
-    piece fewer."""
+    """The closed curve components from the corner pieces alone: (points,
+    forward) per component, with points in walk order and forward[t]
+    telling whether the piece from points[t] to the next point starts at
+    its a-point; the last piece returns to points[0]. Every point must lie
+    on two pieces: the ends of an open component lie on one."""
     at = [[] for _ in range(n_points)]
     for q, (pa, pb, *_) in enumerate(pieces):
         at[pa].append(q)
         at[pb].append(q)
+    if any(len(qs) != 2 for qs in at):
+        raise ValueError("the recount counts closed curves, and this one has open ends")
     used = [False] * len(pieces)
     walks = []
-    # open paths from their endpoints first, then the closed cycles; a
-    # walk uses up every piece of its points, so a point's pieces are all
-    # used or all unused, and the next piece is the other one at a point
-    for start in [p for p in range(n_points) if len(at[p]) == 1] + list(range(n_points)):
+    # a walk uses up both pieces of each of its points, and the next piece
+    # is the other one at a point
+    for start in range(n_points):
         q = at[start][0]
         if used[q]:
             continue
@@ -234,7 +227,5 @@ def _piece_walks(n_points, pieces):
             points.append(p)
             here = at[p]
             q = here[-1] if here[0] == q else here[0]
-            if used[q]:  # the end of an open path
-                break
         walks.append((points, forward))
     return walks

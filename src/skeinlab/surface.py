@@ -229,9 +229,9 @@ def check_fields(obj, what, fields):
 
 
 # The largest genus. At genus 35 the slowest command, `lattice info
-# --refined`, takes 0.7 s on a 2-CPU Xeon host, about half of it encoding
-# 2.2 MB of JSON (2.3 s when the mod-N kernels took Smith forms over Z);
-# a detect request takes 0.3 s on either cell.
+# --refined`, takes about 0.4 s wall on a 2-CPU Xeon host (0.31-0.54 s,
+# median 0.36 s, over 11 runs), about a third of it encoding 2.2 MB of
+# JSON; a detect request takes 0.2-0.3 s wall on either cell.
 MAX_GENUS = 35
 
 
@@ -401,7 +401,6 @@ class RefinedLattice:
             out[a2] = 0
             return out
 
-        self.embed = lambda vec: embed(vec[:-1], vec[-1])
         # basis of Kbar: K-basis with khat-component 0, then khat = (0,..,0,2)
         ext_vectors = [embed(b, 0) for b in base.basis] + [embed([0] * tri.n_edges, 2)]
         for v in ext_vectors:

@@ -5,7 +5,7 @@ import itertools
 from math import gcd
 
 from skeinlab import intlinalg
-from skeinlab.curves import NormalCurve
+from skeinlab.curves import CLASS_BASIS, NormalCurve
 from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.mcg import FreeGroupEndo
 from skeinlab.repvar import SL2Mat, SL2Rep, _capped_closure
@@ -80,8 +80,38 @@ def torus_classes(table, max_total):
         except ValueError:
             continue
         if curve.is_connected():
-            classes.setdefault(tuple(curve.intersection_vector()), []).append(curve)
+            classes.setdefault(tuple(intersection_vector(curve)), []).append(curve)
     return classes
+
+
+def intersection_vector(curve):
+    """Algebraic edge-crossing sums of the oriented components, read off
+    the geometry's walks: each point that a walk passes through adds +1 to
+    its edge when the walk enters it through the edge's primary slot, else
+    -1; the ends of an open walk add nothing."""
+    geo = curve.geometry()
+    vec = [0] * curve.tri.n_edges
+    pieces, point_edge, edge_slots = geo.pieces, geo.point_edge, curve.tri.edge_slots
+    for points, steps in geo.walks:
+        # the step into points[t] is steps[t - 1], which for t = 0 is the
+        # closing step of a closed walk
+        for t in range(0 if len(steps) == len(points) else 1, len(steps)):
+            pa, _, sa, sb = pieces[steps[t - 1]]
+            slot_in = sb if pa == points[t - 1] else sa
+            e = point_edge[points[t]]
+            vec[e] += 1 if slot_in == edge_slots[e][0] else -1
+    return vec
+
+
+def homology_class(curve):
+    """(p, q) of a connected curve on Delta_1, its intersection vector's
+    coordinates in CLASS_BASIS up to overall sign (p > 0, or p = 0 and
+    q >= 0); None when the vector lies outside the class lattice."""
+    pq = intlinalg.lattice_coordinates(CLASS_BASIS, intersection_vector(curve))
+    if pq is None:
+        return None
+    p, q = pq
+    return (-p, -q) if p < 0 or (p == 0 and q < 0) else (p, q)
 
 
 def monomial_product(a, b, order):

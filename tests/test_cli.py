@@ -858,7 +858,8 @@ MALFORMED = [
              "beta must be a connected essential curve",
              batch={"curve": "1,0", "beta": json.loads(beta), "N": 5,
                     **({"phi": json.loads(flags[1])} if flags else {})})
-        for name, beta in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[0,0,2,2,0]"))
+        for name, beta in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[0,0,2,2,0]"),
+                           ("arc", "[1,1,0,1,2]"))
         for suffix, flags in (("", ()), ("-word-class", ("--phi", '{"words":{"a1":"a","b1":"ba"}}')))
     ),
     # so is alpha, and it is checked before a matrix class acts on it
@@ -869,6 +870,27 @@ MALFORMED = [
              batch={"curve": json.loads(alpha), "phi": [[1, 1], [0, 1]], "N": 5})
         for name, alpha in (("empty", "[0,0,0,0,0]"), ("two-parallel-copies", "[2,2,0,2,0]"))
     ),
+    # an arc ends on the boundary arc: it is no closed curve, so no class,
+    # the identity included, maps it
+    *(
+        _row(f"detect-alpha-arc-{name}",
+             ("detect", "--N", "5", "--curve", "[1,1,0,1,2]", "--phi", phi),
+             "alpha must be a connected essential curve",
+             batch={"curve": [1, 1, 0, 1, 2], "phi": json.loads(phi), "N": 5})
+        for name, phi in (("identity", "[[1,0],[0,1]]"), ("twist", "[[1,1],[0,1]]"))
+    ),
+    _row("detect-alpha-arc-genus-two",
+         ("detect", "--genus", "2", "--N", "5", "--curve", "[0,0,0,0,0,2,4,1,3,2,2]",
+          "--beta", "[0,2,1,1,2,0,2,1,1,2,0]"),
+         "alpha must be a connected essential curve",
+         batch={"genus": 2, "curve": [0, 0, 0, 0, 0, 2, 4, 1, 3, 2, 2],
+                "beta": [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0], "N": 5}),
+    # the boundary-parallel curve is closed and connected, but the curve of
+    # no class (p, q) that a matrix could map
+    _row("detect-alpha-boundary-parallel",
+         ("detect", "--N", "5", "--curve", "[2,2,2,2,0]", "--phi", "[[1,1],[0,1]]"),
+         "[2, 2, 2, 2, 0] is the curve of no torus class (p, q)",
+         batch={"curve": [2, 2, 2, 2, 0], "phi": [[1, 1], [0, 1]], "N": 5}),
     # coeffs is a list of [numerator, denominator] pairs
     *(
         _row(f"rep-moment-coeffs-{name}",

@@ -20,7 +20,7 @@ from skeinlab.curves import (
 from skeinlab.intlinalg import hnf
 from skeinlab.surface import build_sigma_g_star, is_balanced
 
-from oracles import lone_triangle, torus_classes
+from oracles import homology_class, intersection_vector, lone_triangle, torus_classes
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -71,9 +71,11 @@ def test_dp_equals_bruteforce_small():
     assert tested > 10
 
 
-def _normal_coord_vectors(tri, max_total):
-    """Every nonzero normal coordinate vector of total weight <= max_total;
-    a face's parity and corner constraints prune as soon as it is filled."""
+def _normal_coord_vectors(tri, max_total, max_weight=None):
+    """Every nonzero normal coordinate vector of total weight <= max_total
+    and edge weights <= max_weight; a face's parity and corner constraints
+    prune as soon as it is filled."""
+    max_weight = max_total if max_weight is None else max_weight
     last_edge = {}
     for f in tri.faces:
         last_edge.setdefault(max(f), []).append(f)
@@ -88,7 +90,7 @@ def _normal_coord_vectors(tri, max_total):
             if any(part):
                 yield list(part)
             return
-        for v in range(left + 1):
+        for v in range(min(left, max_weight) + 1):
             part.append(v)
             if all(face_ok([part[i] for i in f]) for f in last_edge.get(e, ())):
                 yield from rec(e + 1, left - v, part)
@@ -296,6 +298,30 @@ def test_torus_curves_connected_and_classed():
         assert table.class_of(c) == pq
 
 
+def test_class_of_is_the_homology_class_of_each_closed_curve():
+    """class_of reads a class off the coordinates of its curve, and the
+    oracle reads it off the intersection vector: they agree on every
+    connected closed curve on Delta_1 of edge weights <= 12. Arcs and the
+    boundary-parallel curve, whose class is (0, 0), are no class's curve."""
+    table = torus_table()
+    bd = table.tri.boundary_arc
+    closed, arcs, refused = 0, 0, []
+    for vec in _normal_coord_vectors(table.tri, 60, max_weight=12):
+        c = NormalCurve(table.tri, vec)
+        if not c.is_connected():
+            continue
+        pq = None if vec[bd] else homology_class(c)
+        if pq in (None, (0, 0)):
+            with pytest.raises(ValueError, match=r"is the curve of no torus class \(p, q\)$"):
+                table.class_of(c)
+            refused += [] if vec[bd] else [vec]
+        else:
+            assert table.class_of(c) == pq, vec
+        closed += not vec[bd]
+        arcs += bool(vec[bd])
+    assert (closed, arcs, refused) == (139, 662, [[2, 2, 2, 2, 0]])
+
+
 def test_predicted_coords_match_wide_oracle():
     # every connected curve of weight <= 11, grouped by intersection vector:
     # those vectors span the constant class basis, and each class's
@@ -381,7 +407,7 @@ def test_component_count():
 )
 def test_walks_give_intersection_vector_and_components(genus, coords, ivec, components):
     c = NormalCurve(build_sigma_g_star(genus), coords)
-    assert c.intersection_vector() == ivec
+    assert intersection_vector(c) == ivec
     assert c.component_count() == components
 
 
@@ -399,16 +425,19 @@ def _walk_shape(points, pieces_out):
 def test_walks_equal_piece_walks_of_the_recount():
     """The geometry's walks and the re-verifier's independent walks meet
     the same points in the same cyclic order, and read every piece with
-    the same orientation: every genus-2 curve with m <= 14 points."""
+    the same orientation: every closed genus-2 curve with m <= 16 points,
+    the recount counting closed curves only."""
     from skeinlab.recount import _piece_walks
 
     tri = build_sigma_g_star(2)
     checked = 0
-    for vec in _normal_coord_vectors(tri, 14):
+    for vec in _normal_coord_vectors(tri, 16):
+        if vec[tri.boundary_arc]:
+            continue
         geo = NormalCurve(tri, vec).geometry()
         ours = []
         for points, steps in geo.walks:
-            assert len(steps) in (len(points), len(points) - 1)
+            assert len(steps) == len(points)
             pairs = []
             for t, q in enumerate(steps):
                 here, there = points[t], points[(t + 1) % len(points)]

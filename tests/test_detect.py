@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import signal
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -415,14 +416,45 @@ def _assert_recount_matches_bruteforce(curve, projector, N):
 @pytest.mark.parametrize("N", [3, 11])
 def test_residue_recount_matches_bruteforce(N, cell):
     projector = _CosetProjector(torus_table().tri, N, cell)
-    # the recount counts one component: alpha and beta are connected
-    curves = [curve for curve in _genus_one_curves(17, max_weight=8) if curve.is_connected()]
+    # the recount counts one closed component: alpha and beta are connected
+    # and off the boundary arc
+    bd = projector.lattice.tri.boundary_arc
+    curves = [
+        curve
+        for curve in _genus_one_curves(20, max_weight=10)
+        if curve.is_connected() and not curve.coords[bd]
+    ]
     unreached = [_assert_recount_matches_bruteforce(curve, projector, N) for curve in curves]
     assert len(curves) > 100
     assert sum(unreached) > 2 * len(curves)
     doubled = NormalCurve(projector.lattice.tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
         ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N).count(doubled, 0)
+
+
+@pytest.mark.parametrize(
+    "genus, coords", [(1, [1, 1, 0, 1, 2]), (2, [0, 0, 0, 0, 0, 2, 4, 1, 3, 2, 2])]
+)
+def test_residue_recount_refuses_an_arc(genus, coords):
+    # an arc has two ends on the boundary arc, where the recount's walk
+    # would find no next piece: it is refused before any walk, not looped on
+    tri = build_sigma_g_star(genus)
+    arc = NormalCurve(tri, coords)
+    assert arc.is_connected()
+    projector = _CosetProjector(tri, 3, "reduced")
+    recount = ResidueRecount(projector.lattice.basis, projector.kernel, "reduced", 3)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the recount of an arc did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="^the recount counts closed curves, "):
+            recount.count(arc, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])

@@ -5,8 +5,8 @@ A fresh interpreter, whose caches no other test has filled, runs the user
 corpus through `cli.main` under `sys.setprofile`: every README CLI example
 with its files, the golden `detect --batch`, `selftest`, and every
 MALFORMED row of test_cli.py, as argv and, where it has one, as a batch
-slot. The test then names each function or method defined in `src` (nested
-ones too) whose code never ran. Objects are matched, not names, so one
+slot. The test then names each function, method or lambda defined in `src`
+(nested ones too) whose code never ran. Objects are matched, not names, so one
 reached method of a name reaches no other method of that name."""
 
 import ast
@@ -88,12 +88,13 @@ def _corpus(tmp_path):
 
 
 def _definitions(node, prefix=""):
-    """(qualified name, as in co_qualname) of each function and method under
-    node, at any depth."""
+    """(qualified name, as in co_qualname) of each function, method and
+    lambda under node, at any depth."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.FunctionDef):
-            yield prefix + child.name
-            yield from _definitions(child, f"{prefix}{child.name}.<locals>.")
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(child, "name", "<lambda>")
+            yield prefix + name
+            yield from _definitions(child, f"{prefix}{name}.<locals>.")
         elif isinstance(child, ast.ClassDef):
             yield from _definitions(child, f"{prefix}{child.name}.")
         else:
