@@ -19,7 +19,7 @@ route runs.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, repeat
-from math import gcd
+from math import gcd, prod
 
 from .surface import Triangulation, build_sigma_g_star, check_int
 
@@ -36,6 +36,14 @@ def check_state_cap(cap):
 
 class StateCapExceeded(RuntimeError):
     pass
+
+
+def check_point_cap(curve, cap):
+    """Refuse a curve with more intersection points than the cap, before
+    any enumeration is paid for."""
+    n = curve.geometry().n_points
+    if n > cap:
+        raise StateCapExceeded(f"{n} intersection points exceed the cap {cap}")
 
 
 class NormalCurve:
@@ -221,12 +229,9 @@ def enumerate_admissible_states(
     to multiply): keys add, and values multiply as polynomials in their
     slots. The product is decoded by `_decode`."""
     check_state_cap(cap)
+    check_point_cap(curve, cap)
     geo = curve.geometry()
-    if geo.n_points > cap:
-        raise StateCapExceeded(
-            f"{geo.n_points} intersection points exceed the cap {cap}"
-        )
-    layout = _Layout(curve.coords)
+    layout = _Layout(curve.coords, [len(points) for points, _ in geo.walks])
     parts = [_component_states(geo, walk, layout) for walk in geo.walks]
     total = parts[0] if parts else {0: 1}
     for part in parts[1:]:
@@ -246,29 +251,49 @@ def _field_bits(width):
     return (2 * width).bit_length()
 
 
+def _fibonacci(n):
+    """F(n), with F(1) = F(2) = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 class _Layout:
-    """Where the walk DP keeps each edge of a curve with these weights.
+    """Where the walk DP keeps each edge of a curve with these weights,
+    whose components have these numbers of points.
 
     The heavy edge h is the edge of largest weight w_h, the first one on
     ties. Every other edge e is a field of b bits of a table's keys, field
     e - (e > h), with 2**b >= 2W + 1 for the largest weight W of those
     edges: a key is sum k_e * 2**(b*f), and as every partial or total
     |k_e| is at most W, the packing is one-to-one and adding vectors adds
-    their ints. The edge h lives in a table's values: w_h + 1 slots of
-    s = m + 1 bits, slot j counting the partial states with j plus-signs on
-    h so far, so that k_h = 2j - w_h once the walk is done. A slot counts
-    distinct sign assignments of at most m points, at most 2**m < 2**s of
-    them, so no sum or product of values carries from one slot into the
-    next."""
+    their ints. The edge h lives in a table's values: w_h + 1 slots of s
+    bits, slot j counting the partial states with j plus-signs on h so
+    far, so that k_h = 2j - w_h once the walk is done.
 
-    def __init__(self, coords):
+    No slot may carry into the next, so s bits must hold any count. Along
+    a walk each piece forbids one ordered pair of states, so if p and n
+    admissible states of the first t points end in + and in -, a step
+    leaves (p + n, n) or (p, p + n). Either way both new counts are at
+    most the old total, so the totals obey s_{t+1} <= s_t + s_{t-1}, with
+    s_1 = 2 and s_2 = 3: a walk of n points, open or closed (closing only
+    forbids more), has at most F(n + 2) admissible states. Components are
+    independent, so a curve has at most the product of F(m_i + 2) over
+    its components' point counts m_i, and s is that product's bit length.
+    Any slot of any table, a component's or their product, counts some of
+    these states (a walk's first points have fewer), so no sum or product
+    of values carries from one slot into the next: one walk of 64 points
+    needs 45 bits."""
+
+    def __init__(self, coords, sizes):
         self.n_edges = len(coords)
         self.heavy_weight = max(coords)
         self.heavy = h = coords.index(self.heavy_weight)
         rest = coords[:h] + coords[h + 1 :]
         self.width = max(rest, default=0)
         self.bits = b = _field_bits(self.width)
-        self.slot_bits = sum(coords) + 1
+        self.slot_bits = prod(_fibonacci(n + 2) for n in sizes).bit_length()
         # what a + on a point of each edge adds to a key; 0 on h only
         self.units = [1 << (b * f) for f in range(len(rest))]
         self.units.insert(h, 0)
@@ -314,41 +339,49 @@ def _component_states(geo, walk, layout):
     pass that folds one table into the other. The walk is (points, steps),
     steps[t] being the piece from points[t] to the next point; a closed
     walk's last step returns to points[0]. A step forbids (+, -) along it
-    when it leaves through its piece's a-point, else (-, +)."""
+    when it leaves through its piece's a-point, else (-, +).
+
+    Both states of the first point share one pass. On a closed walk the
+    runs that began with - sit `half` bits up in every value, above the
+    w_h + 1 slots of those that began with +, until the close tells them
+    apart; an open walk has no close, so its half is 0."""
     points, steps = walk
     n = len(points)
     closed = len(steps) == n
     units, point_edge = layout.units, geo.point_edge
     unit = [units[point_edge[p]] for p in points]
     slot_bits = layout.slot_bits
+    half = slot_bits * (layout.heavy_weight + 1) if closed else 0
     a_first = [geo.pieces[q][0] == p for p, q in zip(points, steps)]
+    plus, minus = {0: 1 if unit[0] else 1 << slot_bits}, {0: 1 << half}
+    off_plus, off_minus = unit[0], -unit[0]
+    for t in range(1, n):
+        # with + then - forbidden, either state may be followed by +,
+        # so - folds into +; with - then + forbidden, + folds into -
+        if a_first[t - 1]:
+            dst, src, delta = plus, minus, off_minus - off_plus
+        else:
+            dst, src, delta = minus, plus, off_plus - off_minus
+        get_dst = dst.get
+        for k, c in src.items():
+            k += delta
+            dst[k] = get_dst(k, 0) + c
+        if not unit[t]:  # a point on h
+            plus = {k: c << slot_bits for k, c in plus.items()}
+        off_plus += unit[t]
+        off_minus -= unit[t]
+    if closed:
+        # a closed walk closes from its lowest piece's a-point
+        # (`_walk_components`), which forbids + at the last point after -
+        # at the first: + keeps the runs that began with +, - takes both
+        low = (1 << half) - 1
+        plus = {k: c & low for k, c in plus.items()}
+        minus = {k: (c & low) + (c >> half) for k, c in minus.items()}
     results = {}
     get = results.get
-    for first in (1, 0):
-        plus, minus = ({0: 1 if unit[0] else 1 << slot_bits}, {}) if first else ({}, {0: 1})
-        off_plus, off_minus = unit[0], -unit[0]
-        for t in range(1, n):
-            # with + then - forbidden, either state may be followed by +,
-            # so - folds into +; with - then + forbidden, + folds into -
-            if a_first[t - 1]:
-                dst, src, delta = plus, minus, off_minus - off_plus
-            else:
-                dst, src, delta = minus, plus, off_plus - off_minus
-            get_dst = dst.get
-            for k, c in src.items():
-                k += delta
-                dst[k] = get_dst(k, 0) + c
-            if not unit[t]:  # a point on h
-                plus = {k: c << slot_bits for k, c in plus.items()}
-            off_plus += unit[t]
-            off_minus -= unit[t]
-        ends = [(plus, off_plus), (minus, off_minus)]
-        if closed and not first:
-            # a closed walk closes from its lowest piece's a-point
-            # (`_walk_components`), which forbids + then the first point's -
-            ends = [(minus, off_minus)]
-        for states, off in ends:
-            for k, c in states.items():
+    for states, off in ((plus, off_plus), (minus, off_minus)):
+        for k, c in states.items():
+            if c:
                 k += off
                 results[k] = get(k, 0) + c
     return results
@@ -361,12 +394,8 @@ def enumerate_admissible_states_bruteforce(
     from . import _kernels
 
     check_state_cap(cap)
+    check_point_cap(curve, min(cap, BRUTE_FORCE_MAX_POINTS))
     geo = curve.geometry()
-    limit = min(cap, BRUTE_FORCE_MAX_POINTS)
-    if geo.n_points > limit:
-        raise StateCapExceeded(
-            f"{geo.n_points} intersection points exceed the cap {limit}"
-        )
     if geo.n_points == 0:
         return TraceSupport(curve, {tuple([0] * curve.tri.n_edges): 1})
     pa = [q[0] for q in geo.pieces]

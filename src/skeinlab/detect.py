@@ -24,6 +24,7 @@ from .curves import (
     DEFAULT_STATE_CAP,
     NormalCurve,
     StateCapExceeded,
+    check_point_cap,
     check_state_cap,
     class_curve,
     enumerate_admissible_states,
@@ -87,22 +88,30 @@ class Certificate(SimpleNamespace):
 
 
 def _check_connected(name, curve):
-    # a homeomorphism maps a connected closed curve to one; an empty curve
-    # has no component, and an arc ends on the boundary
-    if any(curve.coords[e] for e in curve.tri.boundary_edges) or not curve.is_connected():
+    # a homeomorphism maps a connected essential curve to one; an empty
+    # curve has no component, an arc ends on the boundary, and every
+    # mapping class fixes the boundary-parallel curve
+    if (
+        curve.coords == curve.tri.boundary_parallel
+        or any(curve.coords[e] for e in curve.tri.boundary_edges)
+        or not curve.is_connected()
+    ):
         raise ValueError(f"{name} must be a connected essential curve")
 
 
 def _resolve_curves(req: DetectionRequest):
     """alpha and beta. A matrix class maps alpha, and an explicit beta must
     be that image; a word class maps no curve, so its beta is taken on
-    trust (the assumption "beta-is-image"). alpha is checked to be a
-    connected closed curve before a class acts on it."""
+    trust (the assumption "beta-is-image"). alpha, and an explicit beta,
+    are checked to be connected essential curves before a class acts on
+    alpha; the image of one under a matrix class is a class curve."""
     alpha = req.curve
     if not isinstance(alpha, NormalCurve):
         alpha = class_curve(req.genus, *alpha)
     _check_connected("alpha", alpha)
     beta = req.beta
+    if beta is not None:
+        _check_connected("beta", beta)
     if req.phi is not None and req.phi.matrix is not None:
         image = act_on_curve(req.phi, alpha)
         if beta is None:
@@ -118,7 +127,6 @@ def _resolve_curves(req: DetectionRequest):
         beta = act_on_curve(req.phi, alpha)  # refuses a word class
     if alpha.tri != beta.tri:
         raise ValueError("alpha and beta live on different triangulations")
-    _check_connected("beta", beta)
     return alpha, beta
 
 
@@ -179,8 +187,9 @@ def detect_support(req: DetectionRequest) -> Certificate:
 
 
 def _certify(req, alpha, beta, method):
-    """The support criterion on resolved curves: enumerate both supports,
-    project them to cosets, look for a witness and re-verify it."""
+    """The support criterion on resolved curves: check both against the
+    point cap, enumerate both supports, project them to cosets, look for a
+    witness and re-verify it."""
     word_class = req.phi is not None and req.phi.endo is not None
     base = Certificate(
         verdict="inconclusive",
@@ -197,11 +206,14 @@ def _certify(req, alpha, beta, method):
         base.reasons.append("isotopic-curves")
         return base
     try:
-        sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
-        sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
+        # both curves, before either DP: a refused beta wastes no alpha DP
+        check_point_cap(alpha, req.state_cap)
+        check_point_cap(beta, req.state_cap)
     except StateCapExceeded:
         base.reasons.append("cap-exceeded")
         return base
+    sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
+    sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
     projector, counter = _detection_context(alpha.tri, req.N, req.cell)
     cosets_a, fib_a = _coset_states(sup_a, projector)
     cosets_b, fib_b = _coset_states(sup_b, projector)

@@ -47,6 +47,7 @@ class Triangulation:
         self._vertex_classes = self._glue_corners()
         self.n_vertices = len(set(self._vertex_classes.values()))
         self.boundary_circles = self._boundary_walk()
+        self.boundary_parallel = self._boundary_parallel()
         self.genus = self._genus()
         if genus is not None and genus != self.genus:
             raise ValueError(f"expected genus {genus}, built genus {self.genus}")
@@ -115,6 +116,23 @@ class Triangulation:
                     break
             circles.append(tuple(circle))
         return circles
+
+    def _boundary_parallel(self):
+        """Normal coordinates of the curve parallel to the boundary: the
+        link of the boundary's vertices, pushed off the boundary arcs. It
+        meets each inner edge once per end of that edge on the boundary,
+        and no boundary arc; on Delta_g, whose one vertex lies on the
+        boundary, it is 2 on every inner edge."""
+        # the edge in slot (f, k) runs from corner (f, k - 1) to (f, k)
+        ends = {
+            e: (self.corner(f, k - 1), self.corner(f, k))
+            for e, ((f, k), *_) in self.edge_slots.items()
+        }
+        on_boundary = {v for e in self.boundary_edges for v in ends[e]}
+        return tuple(
+            0 if e in self.boundary_edges else sum(v in on_boundary for v in ends[e])
+            for e in range(self.n_edges)
+        )
 
     def _genus(self):
         chi = self.n_vertices - self.n_edges + len(self.faces)

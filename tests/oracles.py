@@ -68,6 +68,34 @@ def quaternion_generators():
     return [SL2Mat(0, 1, -1, 0), SL2Mat(i, 0, 0, -i)]
 
 
+def normal_coord_vectors(tri, max_total, max_weight=None):
+    """Every nonzero normal coordinate vector of total weight <= max_total
+    and edge weights <= max_weight; a face's parity and corner constraints
+    prune as soon as it is filled."""
+    max_weight = max_total if max_weight is None else max_weight
+    last_edge = {}
+    for f in tri.faces:
+        last_edge.setdefault(max(f), []).append(f)
+
+    def face_ok(x):
+        return sum(x) % 2 == 0 and all(
+            x[k] + x[(k + 1) % 3] >= x[(k + 2) % 3] for k in range(3)
+        )
+
+    def rec(e, left, part):
+        if e == tri.n_edges:
+            if any(part):
+                yield list(part)
+            return
+        for v in range(min(left, max_weight) + 1):
+            part.append(v)
+            if all(face_ok([part[i] for i in f]) for f in last_edge.get(e, ())):
+                yield from rec(e + 1, left - v, part)
+            part.pop()
+
+    yield from rec(0, max_total, [])
+
+
 def torus_classes(table, max_total):
     """{intersection vector: connected curves} over every normal curve on
     the table's Delta_1 of total weight <= max_total."""

@@ -885,12 +885,32 @@ MALFORMED = [
          "alpha must be a connected essential curve",
          batch={"genus": 2, "curve": [0, 0, 0, 0, 0, 2, 4, 1, 3, 2, 2],
                 "beta": [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0], "N": 5}),
-    # the boundary-parallel curve is closed and connected, but the curve of
-    # no class (p, q) that a matrix could map
-    _row("detect-alpha-boundary-parallel",
-         ("detect", "--N", "5", "--curve", "[2,2,2,2,0]", "--phi", "[[1,1],[0,1]]"),
-         "[2, 2, 2, 2, 0] is the curve of no torus class (p, q)",
-         batch={"curve": [2, 2, 2, 2, 0], "phi": [[1, 1], [0, 1]], "N": 5}),
+    # the boundary-parallel curve is closed and connected, but every mapping
+    # class fixes it: as alpha or beta it is refused before any class acts,
+    # under a matrix class, a word class or none
+    *(
+        _row(f"detect-{who}-boundary-parallel-genus-{genus}-{kind}",
+             ("detect", "--genus", str(genus), "--N", "5",
+              "--curve", json.dumps(alpha), *(("--beta", json.dumps(beta)) if beta else ()),
+              *(("--phi", json.dumps(phi)) if phi else ())),
+             f"{who} must be a connected essential curve",
+             batch={"genus": genus, "curve": alpha, "N": 5, **({"beta": beta} if beta else {}),
+                    **({"phi": phi} if phi else {})})
+        for genus, essential, parallel in (
+            (1, [1, 1, 0, 1, 0], [2, 2, 2, 2, 0]),
+            (2, {"2": 1, "3": 1}, [2] * 10 + [0]),
+        )
+        for kind, phi in (
+            ("matrix-class", [[1, 1], [0, 1]]),
+            ("word-class", {"genus": genus, "words": {"a1": "a1", "b1": "b1a1"}}),
+            ("no-phi", None),
+        )
+        if genus == 1 or kind != "matrix-class"  # matrix classes are genus-1 only
+        for who, alpha, beta in (
+            ("alpha", parallel, None if kind == "matrix-class" else essential),
+            ("beta", essential, parallel),
+        )
+    ),
     # coeffs is a list of [numerator, denominator] pairs
     *(
         _row(f"rep-moment-coeffs-{name}",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import threading
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,13 @@ from skeinlab.curves import (
 from skeinlab.intlinalg import hnf
 from skeinlab.surface import build_sigma_g_star, is_balanced
 
-from oracles import homology_class, intersection_vector, lone_triangle, torus_classes
+from oracles import (
+    homology_class,
+    intersection_vector,
+    lone_triangle,
+    normal_coord_vectors,
+    torus_classes,
+)
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -71,40 +78,12 @@ def test_dp_equals_bruteforce_small():
     assert tested > 10
 
 
-def _normal_coord_vectors(tri, max_total, max_weight=None):
-    """Every nonzero normal coordinate vector of total weight <= max_total
-    and edge weights <= max_weight; a face's parity and corner constraints
-    prune as soon as it is filled."""
-    max_weight = max_total if max_weight is None else max_weight
-    last_edge = {}
-    for f in tri.faces:
-        last_edge.setdefault(max(f), []).append(f)
-
-    def face_ok(x):
-        return sum(x) % 2 == 0 and all(
-            x[k] + x[(k + 1) % 3] >= x[(k + 2) % 3] for k in range(3)
-        )
-
-    def rec(e, left, part):
-        if e == tri.n_edges:
-            if any(part):
-                yield list(part)
-            return
-        for v in range(min(left, max_weight) + 1):
-            part.append(v)
-            if all(face_ok([part[i] for i in f]) for f in last_edge.get(e, ())):
-                yield from rec(e + 1, left - v, part)
-            part.pop()
-
-    yield from rec(0, max_total, [])
-
-
 def test_dp_equals_bruteforce_genus_two():
     """Closed and open walks (points on the boundary arc), one or several
     components: every genus-2 curve with m <= 14 points."""
     tri = build_sigma_g_star(2)
     kinds = set()
-    for vec in _normal_coord_vectors(tri, 14):
+    for vec in normal_coord_vectors(tri, 14):
         c = NormalCurve(tri, vec)
         walks = c.geometry().walks
         is_open = any(len(steps) < len(points) for points, steps in walks)
@@ -170,20 +149,31 @@ def test_qtrace_support_large_curve_stdout_pinned(capsys):
     )
 
 
+def _fibonacci_upto(n):
+    """F(0), ..., F(n), with F(1) = F(2) = 1."""
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 @pytest.mark.parametrize("n_edges", [5, 11])
 def test_decode_inverts_heavy_edge_layout(n_edges):
     """The heavy edge h first, in the middle and last; every other edge's
     width W = 2^k - 1 and 2^k up to 40, where its field width steps up; and
-    counts up to 2^m, the most that an (m + 1)-bit slot must hold."""
+    counts up to F(m + 2), the most states of one walk of m points and so
+    the most that a slot must hold."""
     rng = random.Random(n_edges)
+    fib = _fibonacci_upto(11 * 45)
     for h in (0, n_edges // 2, n_edges - 1):
         for width in range(41):
             # h is the first edge of largest weight: a tie only when first
             coords = [width] * n_edges
             coords[h] = width + (h > 0) + rng.randrange(3)
-            layout = curves._Layout(coords)
-            assert layout.heavy == h
             w_h, m = coords[h], sum(coords)
+            layout = curves._Layout(coords, [m])
+            assert layout.heavy == h
+            assert layout.slot_bits == fib[m + 2].bit_length()
             bits = curves._field_bits(width)
             assert 1 << bits >= 2 * width + 1
             digits = (-width, 0, width)
@@ -191,25 +181,69 @@ def test_decode_inverts_heavy_edge_layout(n_edges):
             for _ in range(200):
                 kvec = [rng.choice(digits) for _ in range(n_edges)]
                 kvec[h] = rng.choice((-w_h, w_h, 2 * rng.randrange(w_h + 1) - w_h))
-                fibers[tuple(kvec)] = rng.choice((1, 3, 2**m))
+                fibers[tuple(kvec)] = rng.choice((1, 3, fib[m + 2]))
             table = {}
             for kvec, count in fibers.items():
                 rest = kvec[:h] + kvec[h + 1 :]
                 key = sum(k << (bits * f) for f, k in enumerate(rest))
                 slot = (kvec[h] + w_h) // 2
-                table[key] = table.get(key, 0) + (count << ((m + 1) * slot))
+                table[key] = table.get(key, 0) + (count << (layout.slot_bits * slot))
             assert curves._decode(table, layout) == fibers
 
 
 def test_slot_width_holds_on_eight_component_curves():
-    """Slots of m + 1 bits hold every count: two genus-2 curves of 8
-    components and 16 points, whose product of component tables overflows
-    slots sized from one component's state count."""
+    """Two genus-2 curves of 8 components and 16 points, each with exactly
+    the product bound F(4)^8 = 6561 states: more than F(m + 2) = F(18), so
+    slots sized for one walk of all m points would carry."""
     tri = build_sigma_g_star(2)
     for coords in ({7: 8, 8: 8}, {2: 8, 3: 8}):
         c = NormalCurve(tri, coords)
+        walks = c.geometry().walks
         assert c.component_count() == 8 and c.geometry().n_points == 16
-        assert enumerate_admissible_states(c) == enumerate_admissible_states_bruteforce(c)
+        sup = enumerate_admissible_states(c)
+        assert sup == enumerate_admissible_states_bruteforce(c)
+        assert sup.state_count == 3**8 == 6561
+        layout = curves._Layout(c.coords, [len(points) for points, _ in walks])
+        assert 1 << layout.slot_bits > sup.state_count > _fibonacci_upto(18)[18]
+
+
+def test_dp_slots_stay_below_their_width_on_torus_classes():
+    """Every torus class with m <= 64 points. An independent transfer count
+    of each prefix of its walk, from both first states, stays within
+    F(t + 2) for t points and below 2**slot_bits; the slots of its DP table
+    add up to the count of the closed walk, so no slot carried, and no value
+    reaches past the top slot."""
+    table = torus_table()
+    fib = _fibonacci_upto(66)
+    classes = 0
+    for p in range(33):
+        for q in range(-64, 65):
+            if gcd(p, q) != 1 or (p == 0 and q < 0) or sum(table.predicted_coords(p, q)) > 64:
+                continue
+            curve = table.curve(p, q)
+            geo = curve.geometry()
+            [walk] = geo.walks
+            points, steps = walk
+            layout = curves._Layout(curve.coords, [len(points)])
+            s, top = layout.slot_bits, layout.slot_bits * (layout.heavy_weight + 1)
+            # (+, -) counts from a first + and from a first -
+            runs = [[1, 0], [0, 1]]
+            for t, (point, step) in enumerate(zip(points, steps)):
+                assert sum(map(sum, runs)) <= fib[t + 3] < 1 << s
+                for run in runs:
+                    if geo.pieces[step][0] == point:  # forbids (+, -)
+                        run[0] += run[1]
+                    else:
+                        run[1] += run[0]
+            # the closing step returns to the first point, in its first state
+            closed_count = runs[0][0] + runs[1][1]
+            dp = curves._component_states(geo, walk, layout)
+            assert all(v >> top == 0 for v in dp.values())
+            mask = (1 << s) - 1
+            slots = [(v >> j) & mask for v in dp.values() for j in range(0, top, s)]
+            assert sum(slots) == closed_count
+            classes += 1
+    assert classes > 100
 
 
 def test_state_cap():
@@ -257,7 +291,7 @@ def test_closed_walks_close_from_an_a_point():
         except ValueError:
             continue
     tri = build_sigma_g_star(2)
-    genus_two = [NormalCurve(tri, vec) for vec in _normal_coord_vectors(tri, 14)]
+    genus_two = [NormalCurve(tri, vec) for vec in normal_coord_vectors(tri, 14)]
     closed = 0
     for c in genus_one + genus_two:
         geo = c.geometry()
@@ -306,7 +340,7 @@ def test_class_of_is_the_homology_class_of_each_closed_curve():
     table = torus_table()
     bd = table.tri.boundary_arc
     closed, arcs, refused = 0, 0, []
-    for vec in _normal_coord_vectors(table.tri, 60, max_weight=12):
+    for vec in normal_coord_vectors(table.tri, 60, max_weight=12):
         c = NormalCurve(table.tri, vec)
         if not c.is_connected():
             continue
@@ -431,7 +465,7 @@ def test_walks_equal_piece_walks_of_the_recount():
 
     tri = build_sigma_g_star(2)
     checked = 0
-    for vec in _normal_coord_vectors(tri, 16):
+    for vec in normal_coord_vectors(tri, 16):
         if vec[tri.boundary_arc]:
             continue
         geo = NormalCurve(tri, vec).geometry()

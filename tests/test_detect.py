@@ -35,7 +35,7 @@ from skeinlab.mcg import MappingClass, act_on_curve
 from skeinlab.recount import ResidueRecount
 from skeinlab.surface import build_sigma_g_star
 
-from oracles import smith_residues
+from oracles import homology_class, normal_coord_vectors, smith_residues
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -114,6 +114,24 @@ def test_cap_exceeded_reason():
     cert = detect_support(_req(state_cap=3))
     assert cert.verdict == "inconclusive"
     assert "cap-exceeded" in cert.reasons
+
+
+@pytest.mark.parametrize("small_alpha", [True, False])
+def test_cap_is_checked_on_both_curves_before_any_dp(monkeypatch, small_alpha):
+    # one curve under the cap and one over it: no support is enumerated,
+    # and the verdict is still cap-exceeded
+    calls = []
+
+    def counting(curve, cap):
+        calls.append(curve)
+        return enumerate_admissible_states(curve, cap)
+
+    monkeypatch.setattr(detect, "enumerate_admissible_states", counting)
+    small, large = torus_table().curve(0, 1), torus_table().curve(5, 4)
+    assert small.geometry().n_points <= 10 < large.geometry().n_points
+    alpha, beta = (small, large) if small_alpha else (large, small)
+    cert = detect_support(DetectionRequest(curve=alpha, beta=beta, state_cap=10))
+    assert (cert.verdict, cert.reasons, calls) == ("inconclusive", ["cap-exceeded"], [])
 
 
 def test_explicit_beta_supplied():
@@ -319,6 +337,40 @@ def test_sweep_witness_kvec_is_the_singleton_state():
     assert checked > 2000
 
 
+def test_every_small_curve_certifies_only_what_the_oracles_allow():
+    """detect on every normal coordinate vector of Delta_1 with edge weights
+    <= 6, under I, -I, T and S, at N = 3, 5 and 11. A certificate's alpha
+    and beta are closed connected curves of a nonzero homology class, so
+    neither is boundary-parallel; beta is the oracle's image of alpha; and
+    +-I, which fix every curve, certify nothing."""
+    table = torus_table()
+    bd = table.tri.boundary_arc
+    outcomes = Counter()
+    for vec, mat, N in product(
+        normal_coord_vectors(table.tri, 6 * table.tri.n_edges, max_weight=6),
+        (IDENTITY, [[-1, 0], [0, -1]], TWIST, [[0, -1], [1, 0]]),
+        (3, 5, 11),
+    ):
+        alpha = NormalCurve(table.tri, vec)
+        try:
+            cert = detect_theorem2(DetectionRequest(N=N, curve=alpha, phi=MappingClass(1, mat)))
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        outcomes[cert.verdict] += 1
+        if cert.verdict != "certified-nontrivial":
+            continue
+        assert mat[0][1] or mat[1][0], (vec, mat, N)
+        for coords in (cert.alpha_coords, cert.beta_coords):
+            curve = NormalCurve(table.tri, coords)
+            assert not coords[bd] and curve.is_connected(), (vec, mat, N)
+            assert homology_class(curve) not in (None, (0, 0)), (vec, mat, N)
+        (a, b), (c, d) = mat
+        p, q = homology_class(alpha)
+        assert tuple(table.predicted_coords(a * p + b * q, c * p + d * q)) == cert.beta_coords
+    assert outcomes == {"certified-nontrivial": 190, "inconclusive": 242, "refused": 8568}
+
+
 def test_disconnected_alpha_rejected():
     table = torus_table()
     doubled = NormalCurve(table.tri, [2 * v for v in table.curve(0, 1).coords])
@@ -358,20 +410,18 @@ def test_genus_two_explicit_coordinates():
 
 
 def _genus_one_curves(max_points, max_weight=4):
-    """Closed, open (points on the boundary arc) and multi-component curves
-    of edge weights up to max_weight, then the torus classes, up to
-    max_points points."""
+    """Distinct closed, open (points on the boundary arc) and
+    multi-component curves of edge weights up to max_weight, then the torus
+    classes, up to max_points points."""
     table = torus_table()
-    curves = []
-    for vec in product(range(max_weight + 1), repeat=table.tri.n_edges):
-        try:
-            curves.append(NormalCurve(table.tri, vec))
-        except ValueError:
-            pass
+    curves = [
+        NormalCurve(table.tri, vec)
+        for vec in normal_coord_vectors(table.tri, table.tri.n_edges * max_weight, max_weight)
+    ]
     curves += [
         table.curve(p, q) for p in range(-6, 7) for q in range(7) if gcd(p, q) == 1
     ]
-    return [c for c in curves if 0 < c.geometry().n_points <= max_points]
+    return [c for c in dict.fromkeys(curves) if c.geometry().n_points <= max_points]
 
 
 def _assert_recount_matches_bruteforce(curve, projector, N):
@@ -412,22 +462,30 @@ def _assert_recount_matches_bruteforce(curve, projector, N):
     return len(unreached)
 
 
+def _closed_connected(curves):
+    # the recount counts one closed component: alpha and beta are connected
+    # and off the boundary arc
+    return [c for c in curves if c.is_connected() and not c.coords[c.tri.boundary_arc]]
+
+
 @pytest.mark.parametrize("cell", ["reduced", "big"])
 @pytest.mark.parametrize("N", [3, 11])
 def test_residue_recount_matches_bruteforce(N, cell):
-    projector = _CosetProjector(torus_table().tri, N, cell)
-    # the recount counts one closed component: alpha and beta are connected
-    # and off the boundary arc
-    bd = projector.lattice.tri.boundary_arc
-    curves = [
-        curve
-        for curve in _genus_one_curves(20, max_weight=10)
-        if curve.is_connected() and not curve.coords[bd]
+    """Every distinct closed connected curve of Delta_1 with m <= 20 points
+    and of Delta_2 with m <= 12."""
+    tri_two = build_sigma_g_star(2)
+    corpus = [
+        _closed_connected(_genus_one_curves(20, max_weight=10)),
+        _closed_connected(NormalCurve(tri_two, vec) for vec in normal_coord_vectors(tri_two, 12)),
     ]
-    unreached = [_assert_recount_matches_bruteforce(curve, projector, N) for curve in curves]
-    assert len(curves) > 100
-    assert sum(unreached) > 2 * len(curves)
-    doubled = NormalCurve(projector.lattice.tri, [2 * v for v in curves[0].coords])
+    unreached = []
+    for curves in corpus:
+        projector = _CosetProjector(curves[0].tri, N, cell)
+        unreached += [_assert_recount_matches_bruteforce(c, projector, N) for c in curves]
+    distinct = {curve for curves in corpus for curve in curves}
+    assert len(distinct) == len(unreached) > 100
+    assert sum(unreached) > 2 * len(unreached)
+    doubled = NormalCurve(curves[0].tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
         ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N).count(doubled, 0)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from skeinlab import intlinalg
+from skeinlab.curves import NormalCurve
 from skeinlab.surface import (
     MAX_GENUS,
     BalancedLattice,
@@ -16,7 +17,13 @@ from skeinlab.surface import (
     wp_form,
 )
 
-from oracles import lattice_contains, lone_triangle, row_span_equal, smith_kernel_mod
+from oracles import (
+    intersection_vector,
+    lattice_contains,
+    lone_triangle,
+    row_span_equal,
+    smith_kernel_mod,
+)
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -52,6 +59,21 @@ def test_sigma_g_star_counts():
         assert t.validate_sigma_g_star()
     with pytest.raises(ValueError):
         build_sigma_g_star(0)
+
+
+@pytest.mark.parametrize("g", [1, 2, 35])
+def test_boundary_parallel_curve_is_one_closed_component(g):
+    """The link of Delta_g's one vertex, pushed off the boundary arc: 2 on
+    every inner edge, one closed null-homologous component of 12g - 4
+    points."""
+    tri = build_sigma_g_star(g)
+    bp = tri.boundary_parallel
+    assert bp == tuple(0 if e == tri.boundary_arc else 2 for e in range(tri.n_edges))
+    curve = NormalCurve(tri, bp)
+    [(points, steps)] = curve.geometry().walks
+    assert len(steps) == len(points) == curve.geometry().n_points == 12 * g - 4
+    assert not any(intersection_vector(curve))
+    assert lone_triangle().boundary_parallel == (0, 0, 0)
 
 
 def test_wp_form_lone_triangle():
