@@ -1,17 +1,20 @@
 """Exact integer lattice algorithms: HNF, the Gram matrix and pairing of
 an integer form (`gram`, `bilinear`), coordinates in an echelon (e.g. HNF)
 basis by back-substitution and their cosets modulo an HNF sublattice, and
-the skew normal form used to split quantum tori into Weyl pairs. Ranks,
-sublattice indices and inverses of unimodular matrices are read off an
-HNF. A lattice that contains m*Z^n is eliminated with its entries mod m:
+the skew normal form used to split quantum tori into Weyl pairs.
+Sublattice indices and inverses of unimodular matrices are read off an
+HNF; a rank over Q (`int_rank`) comes from an elimination of sparse rows.
+A lattice that contains m*Z^n is eliminated with its entries mod m:
 `hnf_mod` for its HNF, `diagonalize_mod` for kernels of forms mod N
 (`kernel_mod`) and the residue group of the witness recount in `recount`.
 The Smith normal form over Z serves only the reference solver
 `solve_integer`.
 
-Matrices are lists of lists of Python ints; all arithmetic is exact. Every
-elimination shares one step, `_eliminator`: an extended-gcd (Blankinship)
-two-row/two-column unimodular transform."""
+Matrices are lists of lists of Python ints; all arithmetic is exact. The
+products (`mat_mul`, `gram`) and the row steps touch only nonzero entries
+where they can. Every elimination over Z or mod m shares one step,
+`_eliminator`: an extended-gcd (Blankinship) two-row/two-column unimodular
+transform."""
 
 from __future__ import annotations
 
@@ -20,22 +23,23 @@ from math import gcd, isqrt, prod
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
+    """A * B, from the nonzero entries of A's rows and of B's rows."""
     m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
+    out = []
+    for Ai in A:
+        row = [0] * m
+        for t in compress(count(), Ai):
+            a, Bt = Ai[t], B[t]
+            for j in compress(count(), Bt):
+                row[j] += a * Bt[j]
+        out.append(row)
     return out
 
 
@@ -47,9 +51,36 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
+def _nonzero(row):
+    """(j, row[j]) for each nonzero entry of a dense row."""
+    return [(j, row[j]) for j in compress(count(), row)]
+
+
 def gram(rows, W):
-    """Gram matrix rows * W * rows^T of the form W on the given vectors."""
-    return mat_mul(mat_mul(rows, W), transpose(rows))
+    """Gram matrix rows * W * rows^T of the form W on the given vectors,
+    from nonzero entries alone: row i of rows * W sums the rows of W at the
+    nonzero entries of row i, and meets the rows through an index of their
+    nonzero entries by column."""
+    sparse = [_nonzero(row) for row in rows]
+    by_column = {}
+    for j, row in enumerate(sparse):
+        for q, y in row:
+            by_column.setdefault(q, []).append((j, y))
+    W_rows = {}
+    out = []
+    for row in sparse:
+        rW = {}
+        for p, x in row:
+            if p not in W_rows:
+                W_rows[p] = _nonzero(W[p])
+            for q, w in W_rows[p]:
+                rW[q] = rW.get(q, 0) + x * w
+        G = [0] * len(rows)
+        for q, v in rW.items():
+            for j, y in by_column.get(q, ()):
+                G[j] += v * y
+        out.append(G)
+    return out
 
 
 def bilinear(a, W, b):
@@ -86,9 +117,13 @@ def _eliminator(p, x):
 
 
 def _mix_rows(mats, i, j, a, b, c, d):
-    """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j) in each matrix."""
+    """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j) in each
+    matrix; a swap exchanges the row lists."""
     for M in mats:
         Mi, Mj = M[i], M[j]
+        if (a, b, c, d) == (0, 1, 1, 0):
+            M[i], M[j] = Mj, Mi
+            continue
         M[i] = [a * u + b * v for u, v in zip(Mi, Mj)]
         M[j] = [c * u + d * v for u, v in zip(Mi, Mj)]
 
@@ -215,8 +250,33 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def int_rank(M):
-    return len(hnf(M))
+def int_rank(rows):
+    """Rank over Q of the rows, each a {column: entry} mapping (columns
+    comparable, zero entries allowed). Each row is reduced at its least
+    column by the pivot row kept for that column, with an exact integer
+    step, until that column has none; then it becomes the pivot row there,
+    divided by the gcd of its entries. Only nonzero entries are touched."""
+    pivots = {}
+    for row in rows:
+        r = {j: x for j, x in row.items() if x}
+        while r:
+            c = min(r)
+            P = pivots.get(c)
+            if P is None:
+                g = gcd(*r.values())
+                pivots[c] = {j: x // g for j, x in r.items()}
+                break
+            # p * r - x * P with p = P[c] and x = r[c] over their gcd has no column c
+            g = gcd(P[c], r[c])
+            p, x = P[c] // g, r[c] // g
+            r = {j: p * y for j, y in r.items()}
+            for j, y in P.items():
+                v = r.get(j, 0) - x * y
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+    return len(pivots)
 
 
 def solve_integer(M, b):
@@ -236,76 +296,93 @@ def solve_integer(M, b):
 # Lattices containing m*Z^n: elimination with every entry kept mod m
 
 
+def _mod_rows(rows, m):
+    """Copies of the rows with each nonzero entry reduced mod m."""
+    out = [list(row) for row in rows]
+    for row in out:
+        for j in compress(count(), row):
+            row[j] %= m
+    return out
+
+
 def _clear_column(P, rows, c, m):
-    """Row steps mod m that clear column c of rows into the pivot row P:
-    the new P and the rows left nonzero. A shear changes R only where P is
-    nonzero."""
-    left = []
-    for R in rows:
-        if R[c]:
-            a, b, e, f = _eliminator(P[c], R[c])
-            if b:
-                P, R = [(a * u + b * v) % m for u, v in zip(P, R)], [
-                    (e * u + f * v) % m for u, v in zip(P, R)
-                ]
-            else:
-                for j in compress(count(), P):
-                    R[j] = (R[j] + e * P[j]) % m
-            if not any(R):
-                continue
-        left.append(R)
-    return P, left
+    """Row steps mod m that clear column c of rows into the pivot row P,
+    which it returns. Only the rows nonzero in column c change, in place,
+    and some may become zero; a shear changes R only where P is nonzero."""
+    for R in [R for R in rows if R[c]]:
+        a, b, e, f = _eliminator(P[c], R[c])
+        if b:
+            P, R[:] = [(a * u + b * v) % m for u, v in zip(P, R)], [
+                (e * u + f * v) % m for u, v in zip(P, R)
+            ]
+        else:
+            for j in compress(count(), P):
+                R[j] = (R[j] + e * P[j]) % m
+    return P
 
 
 def diagonalize_mod(A, m):
-    """(d, V) with U*A*V == diag(d) mod m for some U, V invertible mod m:
-    d[j] is the diagonal entry in column j (0 when no pivot lies there)
-    and V the column transform, every entry in [0, m). Each pivot is the
-    first nonzero entry of the first row left, made 1 when it is a unit;
-    the d[j] form no divisibility chain."""
-    rows = [r for r in ([x % m for x in row] for row in A) if any(r)]
-    V = identity(len(A[0]) if A else 0)
-    d = [0] * len(V)
-    while rows:
-        P = rows.pop(0)
+    """(d, columns) with U*A*V == diag(d) mod m for some U, V invertible
+    mod m: d[j] is the diagonal entry in column j (0 when no pivot lies
+    there) and columns[j] is column j of the column transform V, every
+    entry in [0, m). V is kept as its columns, so that a column step is a
+    step on two lists. Each pivot is the first nonzero entry of the first
+    row left, made 1 when it is a unit; the d[j] form no divisibility
+    chain."""
+    rows = _mod_rows(A, m)
+    columns = identity(len(A[0]) if A else 0)
+    d = [0] * len(columns)
+    for t, P in enumerate(rows):
+        if not any(P):
+            continue  # zero from the start, or cleared by the pivots before it
+        rest = rows[t + 1 :]
         c = next(compress(count(), P))
         while True:
             if P[c] != 1 and gcd(P[c], m) == 1:
                 inv = pow(P[c], -1, m)
                 P = [x * inv % m for x in P]
-            P, rows = _clear_column(P, rows, c, m)
+            P = _clear_column(P, rest, c, m)
             # column steps clear row P; one other than a shear refills column c
             bad = [j for j in compress(count(), P) if P[j] % P[c]]
             if not bad:
                 break
             for j in bad:
                 a, b, e, f = _eliminator(P[c], P[j])
-                for R in (P, *rows, *V):
+                for R in (P, *rest):
                     R[c], R[j] = (a * R[c] + b * R[j]) % m, (e * R[c] + f * R[j]) % m
+                Vc, Vj = columns[c], columns[j]
+                columns[c] = [(a * u + b * v) % m for u, v in zip(Vc, Vj)]
+                columns[j] = [(e * u + f * v) % m for u, v in zip(Vc, Vj)]
         # the shears that clear row P change no other row
-        shears = [(j, P[j] // P[c]) for j in compress(count(), P) if j != c]
-        for R in V:
-            if R[c]:
-                t = R[c]
-                for j, q in shears:
-                    R[j] = (R[j] - t * q) % m
+        Vc = columns[c]
+        for j in compress(count(), P):
+            if j != c:
+                q, Vj = P[j] // P[c], columns[j]
+                for k in compress(count(), Vc):
+                    Vj[k] = (Vj[k] - q * Vc[k]) % m
         d[c] = P[c]
-    return d, V
+    return d, columns
 
 
 def hnf_mod(rows, m, n):
     """The HNF basis of span(rows) + m*Z^n, which equals `hnf` of the rows
     stacked on m*I: n rows with pivots dividing m, every entry in [0, m)."""
-    work = [r for r in ([x % m for x in row] for row in rows) if any(r)]
+    work = _mod_rows(rows, m)
     H = []
     for c in range(n):
         # clearing column c into m*e_c leaves the pivot gcd(m, column c)
-        P, work = _clear_column([m if j == c else 0 for j in range(n)], work, c, m)
-        H.append(P)
-    for c, P in enumerate(H):
-        for R in H[:c]:
-            q = R[c] // P[c]
-            if q:
+        P = [0] * n
+        P[c] = m
+        H.append(_clear_column(P, work, c, m))
+    # reduce each row at the nonzero entries right of its pivot, left to
+    # right, by the rows below it, which are not yet reduced; the iteration
+    # reads each entry after the steps at the columns before it
+    for r, R in enumerate(H):
+        for c in compress(count(), R):
+            P = H[c]
+            # entries lie in [0, m), so q is nonzero when R[c] >= P[c]
+            if c > r and R[c] >= P[c]:
+                q = R[c] // P[c]
                 R[c:] = [(u - q * v) % m for u, v in zip(R[c:], P[c:])]
     return H
 
@@ -315,9 +392,9 @@ def kernel_mod(M, N):
     columns (N / gcd(d_j, N)) * V_j of `diagonalize_mod(M, N)` span it."""
     if N < 1:
         raise ValueError("modulus must be >= 1")
-    d, V = diagonalize_mod(M, N)
-    gens = [[N // gcd(x, N) * row[j] % N for row in V] for j, x in enumerate(d) if gcd(x, N) > 1]
-    return hnf_mod(gens, N, len(V))
+    d, columns = diagonalize_mod(M, N)
+    scales = [(N // gcd(x, N), V_j) for x, V_j in zip(d, columns) if gcd(x, N) > 1]
+    return hnf_mod([[s * v % N for v in V_j] for s, V_j in scales], N, len(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ the cell and N alone."""
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd, lcm
 
 from . import intlinalg
@@ -61,11 +62,12 @@ class ResidueRecount:
             )
         # L contains N*K, which contains 2N*Z^E, so the residue of v is
         # (v V)_i mod gcd(d_i, 2N) for the diagonalization mod 2N
-        d, V = intlinalg.diagonalize_mod(intlinalg.mat_mul(rows, basis), 2 * N)
+        d, columns = intlinalg.diagonalize_mod(intlinalg.mat_mul(rows, basis), 2 * N)
         moduli = [gcd(x, 2 * N) for x in d]
-        # components with modulus 1 are always 0
+        # components with modulus 1 are always 0; K, hence L, has index > 1
+        # in Z^E, so some component is kept
         keep = [i for i, x in enumerate(moduli) if x > 1]
-        V = [[row[i] for i in keep] for row in V]
+        V = intlinalg.transpose([columns[i] for i in keep])
         moduli = [moduli[i] for i in keep]
         k = len(moduli)
         # Every modulus divides their lcm M, so component i is stored as
@@ -87,8 +89,8 @@ class ResidueRecount:
 
     def pack(self, components):
         """The residue whose i-th component is components[i] mod m_i."""
-        m, w = self.modulus, self.width
-        return sum((c * k % m) << (w * i) for i, (c, k) in enumerate(zip(components, self.scale)))
+        m, w, scale = self.modulus, self.width, self.scale
+        return sum((components[i] * scale[i] % m) << (w * i) for i in compress(count(), components))
 
     def target(self, coset):
         """The residue of the edge vectors in the witness coset, or None

