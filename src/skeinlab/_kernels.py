@@ -3,8 +3,9 @@
 The 2^m reference route of curves: every full state of a curve is tested
 against every corner piece. All 2^m states form one int used as a bitset,
 in which bit x stands for the state whose bitmask is x, so a piece clears
-its bad states from all of them in a few big-int operations. Only the
-brute-force reference route in curves imports this module.
+its bad states from all of them in a few big-int operations. In skeinlab
+only the brute-force reference route in curves imports this module;
+perfbench/worker.py imports it too, to report `USE_NUMBA`.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from .surface import check_decimal, check_fields, check_genus, check_int, pi_deg
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump would hand the stream one chunk per token
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _log(msg):

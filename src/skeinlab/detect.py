@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import SimpleNamespace
 
-from . import intlinalg, recount
+from . import recount
 from .curves import (
     DEFAULT_STATE_CAP,
     NormalCurve,
@@ -29,6 +29,7 @@ from .curves import (
     class_curve,
     enumerate_admissible_states,
 )
+from .intlinalg import lattice_cosets_many
 from .mcg import act_on_curve
 from .surface import BalancedLattice, RefinedLattice, check_cell, check_genus, check_root_order
 
@@ -130,40 +131,26 @@ def _resolve_curves(req: DetectionRequest):
     return alpha, beta
 
 
-class _CosetProjector:
-    """Projection of balanced maps to K/K^0 (or Kbar/Kbar^0 on the big cell)."""
-
-    def __init__(self, tri, N, cell):
-        self.lattice = BalancedLattice(tri)
-        self.cell = cell
-        lattice = self.lattice if cell == "reduced" else RefinedLattice(self.lattice)
-        self.kernel = lattice.kernel_mod(N)
-
-    def project_all(self, kvecs):
-        """The canonical coset of each k-vector: K-coordinates and their
-        reduction in one column-wise pass over the batch. On the big cell
-        the khat-coordinate of a curve's k-vectors is 0."""
-        cosets = intlinalg.lattice_cosets_many(
-            self.lattice.basis, self.kernel, kvecs, pad=1 if self.cell == "big" else 0
-        )
-        if cosets is None:
-            raise ValueError("vector is not balanced")
-        return cosets
-
-
 @lru_cache(maxsize=32)
 def _detection_context(tri, N, cell):
-    """The coset projector and the residue recount of (tri, N, cell), built
-    once: neither depends on the curves. Triangulations compare by their
+    """The basis rows of K, the mod-N kernel (of K, or of Kbar on the big
+    cell) in K-coordinates and the residue recount of (tri, N, cell), built
+    once: none depends on the curves. Triangulations compare by their
     faces, so equal ones share a context."""
-    projector = _CosetProjector(tri, N, cell)
-    return projector, recount.ResidueRecount(projector.lattice.basis, projector.kernel, cell, N)
+    base = BalancedLattice(tri)
+    kernel = (base if cell == "reduced" else RefinedLattice(base)).kernel_mod(N)
+    return base.basis, kernel, recount.ResidueRecount(base.basis, kernel, cell, N)
 
 
-def _coset_states(support, projector):
-    """The coset of each k-vector of the support, in fiber order, and
-    {coset: number of states}."""
-    cosets = projector.project_all(list(support.fibers))
+def _coset_states(support, basis, kernel, cell):
+    """The canonical coset of each k-vector of the support, in fiber order,
+    and {coset: number of states}. K-coordinates and their reduction mod
+    the kernel come in one column-wise pass over the batch; on the big cell
+    the khat-coordinate of a curve's k-vectors is 0."""
+    pad = 1 if cell == "big" else 0
+    cosets = lattice_cosets_many(basis, kernel, list(support.fibers), pad)
+    if cosets is None:
+        raise ValueError("vector is not balanced")
     states = {}
     for coset, n in zip(cosets, support.fibers.values()):
         states[coset] = states.get(coset, 0) + n
@@ -214,9 +201,9 @@ def _certify(req, alpha, beta, method):
         return base
     sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
     sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
-    projector, counter = _detection_context(alpha.tri, req.N, req.cell)
-    cosets_a, fib_a = _coset_states(sup_a, projector)
-    cosets_b, fib_b = _coset_states(sup_b, projector)
+    basis, kernel, counter = _detection_context(alpha.tri, req.N, req.cell)
+    cosets_a, fib_a = _coset_states(sup_a, basis, kernel, req.cell)
+    cosets_b, fib_b = _coset_states(sup_b, basis, kernel, req.cell)
     coset, swapped = _find_witness(fib_a, fib_b)
     if coset is None:
         base.reasons.append("fibers-ambiguous")

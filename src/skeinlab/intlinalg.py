@@ -1,7 +1,8 @@
 """Exact integer lattice algorithms: HNF, the Gram matrix and pairing of
 an integer form (`gram`, `bilinear`), coordinates in an echelon (e.g. HNF)
-basis by back-substitution and their cosets modulo an HNF sublattice, and
-the skew normal form used to split quantum tori into Weyl pairs.
+basis by back-substitution and their cosets modulo an HNF sublattice (one
+routine, `lattice_cosets_many`, gives both), and the skew normal form
+used to split quantum tori into Weyl pairs.
 Sublattice indices and inverses of unimodular matrices are read off an
 HNF; a rank over Q (`int_rank`) comes from an elimination of sparse rows.
 A lattice that contains m*Z^n is eliminated with its entries mod m:
@@ -405,20 +406,8 @@ def lattice_coordinates(basis_rows, vec):
     """Integer coordinates of vec in an echelon row basis (pivot columns
     strictly increasing, as from `hnf` or `kernel_mod`), or None when vec
     is outside the lattice. Raises ValueError for a non-echelon basis."""
-    return lattice_coordinates_many(basis_rows, [vec])[0]
-
-
-def lattice_coordinates_many(basis_rows, vecs):
-    """`lattice_coordinates` of each vector of a batch, in one sweep over
-    the batch's columns."""
-    if not vecs:
-        return []
-    cols = [list(c) for c in zip(*vecs)]
-    quotients = _floor_sweep(basis_rows, cols, echelon=True)
-    # back-substitution leaves a nonzero residue exactly off the lattice
-    outside = [any(r) for r in zip(*cols)] if cols else [False] * len(vecs)
-    coords = zip(*quotients) if quotients else [()] * len(vecs)
-    return [None if off else list(c) for off, c in zip(outside, coords)]
+    coords = lattice_cosets_many(basis_rows, [], [vec])
+    return None if coords is None else list(coords[0])
 
 
 def lattice_cosets_many(basis_rows, sub_rows, vecs, pad=0):
@@ -427,7 +416,9 @@ def lattice_cosets_many(basis_rows, sub_rows, vecs, pad=0):
     sub_rows to the canonical coset representative (as `reduce_mod_rows`).
     None when some vector lies outside the lattice of basis_rows. The
     batch is transposed to columns once, swept by both bases and
-    transposed back once."""
+    transposed back once. This is the one coordinate solve: with sub_rows
+    empty the cosets are the coordinates (`lattice_coordinates`,
+    `sublattice_index`), and detection passes the mod-N kernel."""
     if not vecs:
         return []
     cols = [list(c) for c in zip(*vecs)]
@@ -475,8 +466,8 @@ def sublattice_index(big_rows, sub_rows):
     Returns a positive int, or None (infinite index) when rank drops.
     Raises ValueError when S is not contained in L.
     """
-    coords = lattice_coordinates_many(big_rows, sub_rows)
-    if any(c is None for c in coords):
+    coords = lattice_cosets_many(big_rows, [], sub_rows)
+    if coords is None:
         raise ValueError("sublattice basis vector outside the ambient lattice")
     # at full rank the HNF is square and upper triangular
     H = hnf(coords)

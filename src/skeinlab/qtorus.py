@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 from . import intlinalg
 from .lattice import SkewLattice
-from .surface import check_int, check_root_order
+from .surface import check_int, check_root_order, pi_degree_report
 
 # The largest irrep dimension: 241^2, the largest below 9^5. The slowest
 # irreps it admits (7^5 at genus 2, 241^2 at genus 1) build and verify in
@@ -285,8 +285,8 @@ class TorusIrrep:
             raise ValueError("character belongs to a different torus")
         self.torus = torus
         self.character = character
-        index = intlinalg.sublattice_index(intlinalg.identity(L.rank), character.kernel_basis)
-        if intlinalg.perfect_square_root(index) != dim:
+        # the index [Z^r : E^0] must be dim^2
+        if pi_degree_report(character.kernel_basis, N)["piDegree"] != dim:
             raise AssertionError("kernel index is not the square of the dimension")
         self.dimension = dim
         self._P_inv = intlinalg.unimodular_inverse(P)

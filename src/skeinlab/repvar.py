@@ -155,10 +155,10 @@ def classify_double_leaf(g1: SL2Mat, g2: SL2Mat):
 # Finite orbits
 
 
-def _capped_closure(seeds, generators, cap, what):
-    """Breadth-first closure of the seeds under right multiplication by the
-    generators, in the order the points are found; more than cap points,
-    seeds included, is an error."""
+def _capped_closure(seeds, steps, cap, what):
+    """Breadth-first closure of the seeds under the step functions, in the
+    order the points are found; more than cap points, seeds included, is
+    an error."""
     check_state_cap(cap)
     seen = {}
     found = seeds
@@ -170,7 +170,7 @@ def _capped_closure(seeds, generators, cap, what):
                     raise ValueError(f"{what} closure exceeded cap")
                 seen[y] = None
                 frontier.append(y)
-        found = [x * gen for x in frontier for gen in generators]
+        found = [step(x) for x in frontier for step in steps]
     return list(seen)
 
 
@@ -195,19 +195,11 @@ def act_on_rep(phi: FreeGroupEndo, rep: SL2Rep) -> SL2Rep:
     return SL2Rep(g, images)
 
 
-class _OrbitStep:
-    """One mapping class acting on representations as right multiplication,
-    rho * step = phi . rho, refusing an image whose moment is not mu."""
-
-    def __init__(self, endo, mu):
-        self.endo = endo
-        self.mu = mu
-
-    def __rmul__(self, rep):
-        img = act_on_rep(self.endo, rep)
-        if moment_map(img) != self.mu:
-            raise AssertionError("moment map changed along the orbit: invalid generator")
-        return img
+def _same_moment(rep, mu):
+    """rep, refused when its moment is not mu."""
+    if moment_map(rep) != mu:
+        raise AssertionError("moment map changed along the orbit: invalid generator")
+    return rep
 
 
 def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
@@ -228,7 +220,7 @@ def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
                 f"an orbit generator of genus {mc.genus} cannot act on a "
                 f"representation of genus {genus}"
             )
-        steps.append(_OrbitStep(mc.endo, mu))
+        steps.append(lambda rep, endo=mc.endo: _same_moment(act_on_rep(endo, rep), mu))
     points = _capped_closure(seeds, steps, cap, "orbit")
     return OrbitData(points, mu, moment_cell(mu))
 

@@ -19,7 +19,8 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .detect import DetectionRequest, _CosetProjector, detect_support, detect_theorem2
+from .detect import DetectionRequest, _coset_states, _detection_context
+from .detect import detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
 from .poisson import PoissonAlgebra, bracket_tables_from_r_matrix, verify_r_matrix_expansion
 from .qtorus import QuantumTorus, build_irrep, chebyshev_apply, frobenius
@@ -142,15 +143,16 @@ def check_injectivity_lemma():
     table = torus_table()
     N = 7
     # the projection that detect runs, so that this check covers it
-    projector = _CosetProjector(table.tri, N, "reduced")
+    basis, kernel, _ = _detection_context(table.tri, N, "reduced")
     bad = []
     for pq in FIXTURE_CLASSES:
         c = table.curve(*pq)
         if c.max_edge_weight() > N - 1:
             continue
-        kvecs = list(enumerate_admissible_states(c).fibers)
+        support = enumerate_admissible_states(c)
+        cosets, _ = _coset_states(support, basis, kernel, "reduced")
         seen = {}
-        for k, red in zip(kvecs, projector.project_all(kvecs)):
+        for k, red in zip(support.fibers, cosets):
             if red in seen:
                 bad.append((pq, k, seen[red]))
             seen[red] = k

@@ -89,7 +89,8 @@ def validate_automorphism(genus, images) -> bool:
 def group_closure(generators, cap=10**4):
     """Multiplicative closure of a set of SL2 matrices."""
     identity = SL2Mat.identity(order=generators[0].order)
-    return set(_capped_closure([identity], generators, cap, "group"))
+    steps = [lambda x, g=g: x * g for g in generators]
+    return set(_capped_closure([identity], steps, cap, "group"))
 
 
 def enumerate_hom_to_finite(generators, genus):

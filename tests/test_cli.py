@@ -56,6 +56,15 @@ def make_validator(name):
         return jsonschema.Draft202012Validator(schema)
 
 
+def test_emit_writes_each_document_once(monkeypatch):
+    # json.dump would hand the stream one small chunk per token
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Stdout", (), {"write": writes.append})())
+    obj = {"b": [1, {"c": None}], "a": "x"}
+    cli._emit(obj)
+    assert writes == [json.dumps(obj, sort_keys=True, indent=2) + "\n"]
+
+
 def test_surface_info():
     code, out, _ = run_cli("surface", "info", "--genus", "1")
     assert code == 0

@@ -9,7 +9,6 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -24,16 +23,22 @@ from skeinlab.curves import (
 )
 from skeinlab.detect import (
     DetectionRequest,
-    _CosetProjector,
     _coset_states,
     _find_witness,
     detect_support,
     detect_theorem2,
 )
-from skeinlab.intlinalg import hnf, identity, lattice_coordinates, mat_mul, solve_integer, transpose
+from skeinlab.intlinalg import (
+    hnf,
+    identity,
+    lattice_coordinates,
+    lattice_cosets_many,
+    mat_mul,
+    solve_integer,
+    transpose,
+)
 from skeinlab.mcg import MappingClass, act_on_curve
-from skeinlab.recount import ResidueRecount
-from skeinlab.surface import build_sigma_g_star
+from skeinlab.surface import BalancedLattice, build_sigma_g_star
 
 from oracles import homology_class, normal_coord_vectors, smith_residues
 
@@ -41,6 +46,18 @@ FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read
 
 TWIST = [[1, 1], [0, 1]]
 IDENTITY = [[1, 0], [0, 1]]
+
+
+def _projection(tri, N, cell):
+    """What `_coset_states` takes after the support: the basis of K and the
+    mod-N kernel of the detection context of (tri, N, cell), and the cell."""
+    basis, kernel, _ = detect._detection_context(tri, N, cell)
+    return basis, kernel, cell
+
+
+def _project(kvecs, basis, kernel, cell):
+    """The coset of each k-vector, by the routine that `_coset_states` calls."""
+    return lattice_cosets_many(basis, kernel, kvecs, 1 if cell == "big" else 0)
 
 
 def _req(**kw):
@@ -331,8 +348,8 @@ def test_sweep_witness_kvec_is_the_singleton_state():
         assert witness["swapped"] == (curve is alpha)
         kvec = tuple(witness["kvec"][0])
         assert kvec in enumerate_admissible_states(curve, cap=cap).fibers
-        projector = detect._detection_context(table.tri, N, cell)[0]
-        assert projector.project_all([kvec]) == [tuple(witness["coset"])]
+        cosets, _ = _coset_states(TraceSupport(curve, {kvec: 1}), *_projection(table.tri, N, cell))
+        assert cosets == [tuple(witness["coset"])]
         checked += 1
     assert checked > 2000
 
@@ -424,16 +441,16 @@ def _genus_one_curves(max_points, max_weight=4):
     return [c for c in dict.fromkeys(curves) if c.geometry().n_points <= max_points]
 
 
-def _assert_recount_matches_bruteforce(curve, projector, N):
-    """The targeted count at every coset's residue equals the brute-force
-    state count of the coset, distinct cosets have distinct residues, and
-    the count is 0 at the first few cosets next to them that no state
-    reaches; the number of those cosets."""
-    recount = ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N)
-    by_coset = {}
-    fibers = enumerate_admissible_states_bruteforce(curve).fibers
-    for coset, n in zip(projector.project_all(list(fibers)), fibers.values()):
-        by_coset[coset] = by_coset.get(coset, 0) + n
+def _assert_recount_matches_bruteforce(curve, N, cell):
+    """The targeted count of the detection context's recount at every
+    coset's residue equals the brute-force state count of the coset,
+    distinct cosets have distinct residues, and the count is 0 at the first
+    few cosets next to them that no state reaches; the number of those
+    cosets."""
+    basis, kernel, recount = detect._detection_context(curve.tri, N, cell)
+    support = enumerate_admissible_states_bruteforce(curve)
+    fibers = support.fibers
+    _, by_coset = _coset_states(support, basis, kernel, cell)
     targets = {coset: recount.target(coset) for coset in by_coset}
     assert len(set(targets.values())) == len(by_coset)
     for coset, n in by_coset.items():
@@ -446,16 +463,16 @@ def _assert_recount_matches_bruteforce(curve, projector, N):
         for i in range(n_edges)
         for step in (2, -2)
     ]
-    unreached = sorted(set(projector.project_all(near)) - set(by_coset))[:4]
+    unreached = sorted(set(_project(near, basis, kernel, cell)) - set(by_coset))[:4]
     for coset in unreached:
         target = recount.target(coset)
         assert target not in targets.values()
         assert recount.count(curve, target) == 0, (curve, coset)
     assert recount.count(curve, None) == 0
-    if projector.cell == "big":
+    if cell == "big":
         # any representative of a coset names it; one with khat off the
         # lattice names no curve state
-        khat = projector.kernel[-1]
+        khat = kernel[-1]
         for coset, target in targets.items():
             assert recount.target([a + b for a, b in zip(coset, khat)]) == target
             assert recount.target([*coset[:-1], coset[-1] + 1]) is None
@@ -480,14 +497,13 @@ def test_residue_recount_matches_bruteforce(N, cell):
     ]
     unreached = []
     for curves in corpus:
-        projector = _CosetProjector(curves[0].tri, N, cell)
-        unreached += [_assert_recount_matches_bruteforce(c, projector, N) for c in curves]
+        unreached += [_assert_recount_matches_bruteforce(c, N, cell) for c in curves]
     distinct = {curve for curves in corpus for curve in curves}
     assert len(distinct) == len(unreached) > 100
     assert sum(unreached) > 2 * len(unreached)
     doubled = NormalCurve(curves[0].tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
-        ResidueRecount(projector.lattice.basis, projector.kernel, projector.cell, N).count(doubled, 0)
+        detect._detection_context(doubled.tri, N, cell)[2].count(doubled, 0)
 
 
 @pytest.mark.parametrize(
@@ -499,8 +515,7 @@ def test_residue_recount_refuses_an_arc(genus, coords):
     tri = build_sigma_g_star(genus)
     arc = NormalCurve(tri, coords)
     assert arc.is_connected()
-    projector = _CosetProjector(tri, 3, "reduced")
-    recount = ResidueRecount(projector.lattice.basis, projector.kernel, "reduced", 3)
+    recount = detect._detection_context(tri, 3, "reduced")[2]
 
     def timeout(signum, frame):
         raise TimeoutError("the recount of an arc did not return")
@@ -520,7 +535,7 @@ def test_residue_recount_matches_bruteforce_genus_two(cell):
     tri = build_sigma_g_star(2)
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     assert curve.is_connected() and curve.geometry().n_points == 12
-    assert _assert_recount_matches_bruteforce(curve, _CosetProjector(tri, 3, cell), 3) > 0
+    assert _assert_recount_matches_bruteforce(curve, 3, cell) > 0
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -529,10 +544,8 @@ def test_recount_residues_match_the_smith_residues(genus, cell):
     # the residue group read mod 2N names the classes of Z^E/L that the
     # Smith form of L over Z names, pairwise, lattice shifts included
     N = 3
-    projector = _CosetProjector(build_sigma_g_star(genus), N, cell)
-    basis = projector.lattice.basis
-    recount = ResidueRecount(basis, projector.kernel, cell, N)
-    rows = projector.kernel if cell == "reduced" else [[N * x for x in r] for r in identity(len(basis))]
+    basis, kernel, recount = detect._detection_context(build_sigma_g_star(genus), N, cell)
+    rows = kernel if cell == "reduced" else [[N * x for x in r] for r in identity(len(basis))]
     lattice = mat_mul(rows, basis)
     smith = smith_residues(lattice)
     rng = random.Random(genus)
@@ -574,7 +587,7 @@ def _too_large(kernel, N):
 @pytest.mark.parametrize("wrong", [_too_small, _too_large])
 def test_a_wrong_kernel_makes_detect_raise(monkeypatch, wrong, cell):
     # under N^2*K^0, (1,3) under [[2,1],[1,1]] at N 3 came out certified
-    # when the recount counted modulo the projector's own kernel
+    # when the recount counted modulo the projection's own kernel
     req = DetectionRequest(N=3, cell=cell, curve=(1, 3), phi=MappingClass(1, matrix=[[2, 1], [1, 1]]))
     _wrong_kernel(monkeypatch, wrong)
     try:
@@ -623,15 +636,15 @@ def test_the_recount_imports_nothing_of_skeinlab_but_intlinalg():
     ]
 
 
-def _project_one_at_a_time(kvecs, projector, coords_of):
+def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
     """The canonical coset of each k-vector, one vector at a time: K-coordinates
     from the general SNF solver, then a row-by-row floor reduction."""
     out = []
     for kvec in kvecs:
         if kvec not in coords_of:
-            coords_of[kvec] = solve_integer(transpose(projector.lattice.basis), list(kvec))
-        v = coords_of[kvec] + ([0] if projector.cell == "big" else [])
-        for row in projector.kernel:
+            coords_of[kvec] = solve_integer(transpose(basis), list(kvec))
+        v = coords_of[kvec] + ([0] if cell == "big" else [])
+        for row in kernel:
             piv = next(i for i, x in enumerate(row) if x)
             q = v[piv] // row[piv]
             v = [a - q * b for a, b in zip(v, row)]
@@ -639,9 +652,9 @@ def _project_one_at_a_time(kvecs, projector, coords_of):
     return out
 
 
-def _grouped_one_at_a_time(support, projector, coords_of):
+def _grouped_one_at_a_time(support, projection, coords_of):
     kvecs = list(support.fibers)
-    cosets = _project_one_at_a_time(kvecs, projector, coords_of)
+    cosets = _project_one_at_a_time(kvecs, *projection, coords_of)
     states = {}
     for kvec, key in zip(kvecs, cosets):
         states[key] = states.get(key, 0) + support.fibers[kvec]
@@ -655,23 +668,24 @@ def test_batched_projection_matches_one_vector_at_a_time(cell):
     assert len(supports) > 100
     coords_of = {}
     for N in (3, 5, 11):
-        projector = _CosetProjector(table.tri, N, cell)
+        projection = _projection(table.tri, N, cell)
         for sup in supports:
-            assert _coset_states(sup, projector) == _grouped_one_at_a_time(
-                sup, projector, coords_of
+            assert _coset_states(sup, *projection) == _grouped_one_at_a_time(
+                sup, projection, coords_of
             )
     t2 = build_sigma_g_star(2)
     for coords in ({2: 1, 3: 1}, {7: 1, 8: 1}, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0]):
         sup = enumerate_admissible_states(NormalCurve(t2, coords))
         for N in (3, 5):
-            projector = _CosetProjector(t2, N, cell)
-            assert _coset_states(sup, projector) == _grouped_one_at_a_time(sup, projector, {})
+            projection = _projection(t2, N, cell)
+            assert _coset_states(sup, *projection) == _grouped_one_at_a_time(sup, projection, {})
 
 
 def test_projection_rejects_unbalanced_vectors():
-    projector = _CosetProjector(torus_table().tri, 5, "reduced")
-    with pytest.raises(ValueError, match="not balanced"):
-        projector.project_all([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+    table = torus_table()
+    support = TraceSupport(table.curve(0, 1), {(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="^vector is not balanced$"):
+        _coset_states(support, *_projection(table.tri, 5, "reduced"))
 
 
 def _fibers_with_pieces(curve, pieces):
@@ -689,7 +703,7 @@ def _fibers_with_pieces(curve, pieces):
     return out
 
 
-def _false_witness_supports(alpha, beta, projector):
+def _false_witness_supports(alpha, beta, projection):
     """(kind, curve, fibers): one curve's support with one walk constraint
     flipped ("flip") or one fiber count moved by one ("bump"), on which the
     support criterion finds a witness whose true fibers differ from the
@@ -697,7 +711,7 @@ def _false_witness_supports(alpha, beta, projector):
     true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
 
     def projected(fibers_of):
-        return [_coset_states(TraceSupport(c, fibers_of[c]), projector)[1] for c in (alpha, beta)]
+        return [_coset_states(TraceSupport(c, fibers_of[c]), *projection)[1] for c in (alpha, beta)]
 
     def states(fib, coset):
         return [side.get(coset, 0) for side in fib]
@@ -729,7 +743,7 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
     beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
     req = DetectionRequest(genus=1, N=5, cell=cell, curve=alpha, beta=beta)
     assert detect_support(req).verdict == "certified-nontrivial"
-    corrupted = list(_false_witness_supports(alpha, beta, _CosetProjector(table.tri, 5, cell)))
+    corrupted = list(_false_witness_supports(alpha, beta, _projection(table.tri, 5, cell)))
     expected = {"reduced": {"flip": 2}, "big": {"flip": 8, "bump": 2}}[cell]
     assert Counter(kind for kind, _, _ in corrupted) == expected
     for _, bad_curve, fibers in corrupted:
@@ -744,20 +758,28 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
             detect_support(req)
 
 
-def _false_witness_projections(alpha, beta, projector):
+def _states(fibers, coset_of):
+    """{coset: number of states} of fibers, each k-vector in its coset_of."""
+    states = {}
+    for kvec, n in fibers.items():
+        states[coset_of[kvec]] = states.get(coset_of[kvec], 0) + n
+    return states
+
+
+def _false_witness_projections(alpha, beta, projection):
     """(kind, moved): projections that send every k-vector of one coset to
     another coset ("merge"), or one k-vector of a coset of several to
     another coset ("drop"), as {k-vector: wrong coset}, on which the
     support criterion finds a witness whose true fibers differ from the
     claimed ones."""
     supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
-    true_fib = [_coset_states(sup, projector)[1] for sup in supports]
+    true_fib = [_coset_states(sup, *projection)[1] for sup in supports]
     kvecs = sorted(set().union(*(sup.fibers for sup in supports)))
-    coset_of = dict(zip(kvecs, projector.project_all(kvecs)))
+    coset_of = dict(zip(kvecs, _project(kvecs, *projection)))
     # the cosets hit, and their neighbours k + 2 e_i (2 e_i is balanced)
     n = len(kvecs[0])
     shifted = [tuple(x + 2 * (i == j) for j, x in enumerate(k)) for k in kvecs for i in range(n)]
-    cosets = sorted(set(coset_of.values()) | set(projector.project_all(shifted)))
+    cosets = sorted(set(coset_of.values()) | set(_project(shifted, *projection)))
 
     def states(fib, coset):
         return [side.get(coset, 0) for side in fib]
@@ -771,13 +793,21 @@ def _false_witness_projections(alpha, beta, projector):
             if len(members) > 1:
                 candidates += [("drop", {k: target}) for k in members]
             for kind, moved in candidates:
-                corrupted = SimpleNamespace(
-                    project_all=lambda vs, moved=moved: [moved.get(v, coset_of[v]) for v in vs]
-                )
-                fib = [_coset_states(sup, corrupted)[1] for sup in supports]
+                fib = [_states(sup.fibers, {**coset_of, **moved}) for sup in supports]
                 coset, _ = _find_witness(*fib)
                 if coset is not None and states(fib, coset) != states(true_fib, coset):
                     yield kind, moved
+
+
+def _moving(moved):
+    """The projection that detect calls, with each k-vector of `moved` sent
+    to its coset there."""
+
+    def project(basis, kernel, kvecs, pad):
+        cosets = lattice_cosets_many(basis, kernel, kvecs, pad)
+        return [moved.get(k, c) for k, c in zip(kvecs, cosets)]
+
+    return project
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -790,16 +820,11 @@ def test_corrupted_projection_fails_reverification(cell, monkeypatch):
     beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
     req = DetectionRequest(genus=1, N=3, cell=cell, curve=alpha, beta=beta)
     assert detect_support(req).verdict == "certified-nontrivial"
-    project_all = _CosetProjector.project_all
-    corrupted = list(_false_witness_projections(alpha, beta, _CosetProjector(table.tri, 3, cell)))
+    corrupted = list(_false_witness_projections(alpha, beta, _projection(table.tri, 3, cell)))
     expected = {"reduced": {"merge": 32, "drop": 32}, "big": {"merge": 31, "drop": 30}}[cell]
     assert Counter(kind for kind, _ in corrupted) == expected
     for _, moved in corrupted:
-
-        def project_corrupted(self, kvecs, moved=moved):
-            return [moved.get(v, c) for v, c in zip(kvecs, project_all(self, kvecs))]
-
-        monkeypatch.setattr(_CosetProjector, "project_all", project_corrupted)
+        monkeypatch.setattr(detect, "lattice_cosets_many", _moving(moved))
         with pytest.raises(AssertionError, match="re-verification failed"):
             detect_support(req)
 
@@ -816,12 +841,12 @@ def test_detection_context_is_built_once(monkeypatch):
     detect._detection_context.cache_clear()
     built = []
 
-    class CountingProjector(_CosetProjector):
-        def __init__(self, tri, N, cell):
+    class CountingLattice(BalancedLattice):
+        def __init__(self, tri):
             built.append(tri)
-            super().__init__(tri, N, cell)
+            super().__init__(tri)
 
-    monkeypatch.setattr(detect, "_CosetProjector", CountingProjector)
+    monkeypatch.setattr(detect, "BalancedLattice", CountingLattice)
     contexts = []
     for t2 in (first, second, first):
         req = DetectionRequest(
@@ -854,20 +879,15 @@ def test_alpha_and_beta_on_two_builds_of_delta_2_certify():
 
 def test_corrupted_projection_fails_reverification_with_a_warm_context(monkeypatch):
     # a clean certification builds and caches the context first; the
-    # projection bug must still be caught through the cached projector
+    # projection bug must still be caught through the cached context
     table = torus_table()
     alpha = table.curve(2, 1)
     beta = act_on_curve(MappingClass(1, matrix=TWIST), alpha)
     req = DetectionRequest(genus=1, N=3, cell="reduced", curve=alpha, beta=beta)
     assert detect_support(req).verdict == "certified-nontrivial"
-    projector, _ = detect._detection_context(table.tri, 3, "reduced")
-    _, moved = next(_false_witness_projections(alpha, beta, projector))
-    project_all = _CosetProjector.project_all
-
-    def project_corrupted(self, kvecs):
-        return [moved.get(v, c) for v, c in zip(kvecs, project_all(self, kvecs))]
-
-    monkeypatch.setattr(_CosetProjector, "project_all", project_corrupted)
-    assert detect._detection_context(table.tri, 3, "reduced")[0] is projector
+    context = detect._detection_context(table.tri, 3, "reduced")
+    _, moved = next(_false_witness_projections(alpha, beta, _projection(table.tri, 3, "reduced")))
+    monkeypatch.setattr(detect, "lattice_cosets_many", _moving(moved))
+    assert detect._detection_context(table.tri, 3, "reduced") is context
     with pytest.raises(AssertionError, match="re-verification failed"):
         detect_support(req)

@@ -17,7 +17,6 @@ from skeinlab.intlinalg import (
     is_unimodular,
     kernel_mod,
     lattice_coordinates,
-    lattice_coordinates_many,
     lattice_cosets_many,
     mat_mul,
     perfect_square_root,
@@ -239,9 +238,11 @@ def test_batched_helpers_match_one_vector():
                 vecs.append(mat_mul([[rng.randint(-4, 4) for _ in H]], H)[0])
             else:
                 vecs.append([rng.randint(-9, 9) for _ in range(n)])
-        coords = lattice_coordinates_many(H, vecs)
-        assert coords == [lattice_coordinates(H, v) for v in vecs]
+        coords = [lattice_coordinates(H, v) for v in vecs]
         assert coords == [_rowwise_coordinates(H, v) for v in vecs]
+        # one batch is None exactly when some vector is off the lattice
+        batch = None if None in coords else [tuple(c) for c in coords]
+        assert lattice_cosets_many(H, [], vecs) == batch
         inside += sum(c is not None for c in coords)
         outside += sum(c is None for c in coords)
         reduced = [reduce_mod_rows(v, H) for v in vecs]
@@ -270,9 +271,7 @@ def test_lattice_cosets_are_coordinates_then_reduction():
             + [[m * (i == j) for j in range(n + pad)] for i in range(n + pad)]
         )
         vecs = [mat_mul([[rng.randint(-6, 6) for _ in B]], B)[0] for _ in range(rng.randint(1, 9))]
-        expected = [
-            reduce_mod_rows(c + [0] * pad, S) for c in lattice_coordinates_many(B, vecs)
-        ]
+        expected = [reduce_mod_rows(lattice_coordinates(B, v) + [0] * pad, S) for v in vecs]
         assert lattice_cosets_many(B, S, vecs, pad) == expected
         for _ in range(10):
             outside = [rng.randint(-9, 9) for _ in range(n)]
@@ -286,11 +285,15 @@ def test_lattice_cosets_are_coordinates_then_reduction():
 
 def test_batched_helpers_edge_cases():
     H = [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
-    assert lattice_coordinates_many(H, []) == []
-    assert lattice_coordinates_many([], [[0, 0], [1, 0]]) == [[], None]
+    assert lattice_cosets_many(H, [], []) == []
+    assert lattice_cosets_many(H, [[2, 0, 0], [0, 1, 0], [0, 0, 1]], []) == []
+    assert lattice_coordinates([], [0, 0]) == []
+    assert lattice_coordinates([], [1, 0]) is None
+    assert lattice_cosets_many([], [], [[0, 0], [0, 0]]) == [(), ()]
+    assert lattice_cosets_many([], [], [[0, 0], [1, 0]]) is None
     for basis in ([[0, 1], [1, 0]], [[1, 0], [2, 1]], [[1, 0], [0, 0]]):
         with pytest.raises(ValueError):
-            lattice_coordinates_many(basis, [[1, 1], [0, 0]])
+            lattice_cosets_many(basis, [], [[1, 1], [0, 0]])
 
 
 def test_gram_and_bilinear():
