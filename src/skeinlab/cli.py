@@ -50,7 +50,7 @@ def _error_text(exc):
     return str(exc)
 
 
-def _parse_scalar(x, order=4):
+def _parse_scalar(x, order):
     """A matrix entry: a rational as a number or text ("1/2"), or a
     cyclotomic number {"order": ..., "coeffs": [[num, den], ...]} of ints."""
     from fractions import Fraction
@@ -78,7 +78,7 @@ def _parse_scalar(x, order=4):
     raise ValueError(f"matrix entry {x!r} is not a rational or cyclotomic number")
 
 
-def _parse_sl2(entries, order=4):
+def _parse_sl2(entries, order):
     from .repvar import SL2Mat
 
     if not isinstance(entries, list) or len(entries) != 4:

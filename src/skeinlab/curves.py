@@ -18,6 +18,7 @@ route runs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
 
@@ -40,14 +41,15 @@ class StateCapExceeded(RuntimeError):
 
 def check_point_cap(curve, cap):
     """Refuse a curve with more intersection points than the cap, before
-    any enumeration is paid for."""
-    n = curve.geometry().n_points
+    any walk or enumeration is paid for."""
+    n = curve.n_points
     if n > cap:
         raise StateCapExceeded(f"{n} intersection points exceed the cap {cap}")
 
 
 class NormalCurve:
-    """A multicurve given by edge intersection numbers on a triangulation."""
+    """A multicurve given by edge intersection numbers on a triangulation:
+    its points, corner pieces and component walks are built on first read."""
 
     def __init__(self, tri: Triangulation, coords):
         n = tri.n_edges
@@ -69,6 +71,7 @@ class NormalCurve:
             raise ValueError("negative intersection number")
         self.tri = tri
         self.coords = tuple(coords)
+        self.n_points = sum(coords)
         for fi, f in enumerate(tri.faces):
             x = [coords[e] for e in f]
             if sum(x) % 2 != 0:
@@ -76,18 +79,12 @@ class NormalCurve:
             for k in range(3):
                 if x[k] + x[(k + 1) % 3] - x[(k + 2) % 3] < 0:
                     raise ValueError(f"corner count negative on face {fi}")
-        self._geometry = None
 
     def max_edge_weight(self):
         return max(self.coords) if self.coords else 0
 
-    def geometry(self):
-        if self._geometry is None:
-            self._geometry = _CurveGeometry(self.tri, self.coords)
-        return self._geometry
-
     def component_count(self):
-        return len(self.geometry().walks)
+        return len(self.walks)
 
     def is_connected(self):
         return self.component_count() == 1
@@ -111,20 +108,18 @@ class NormalCurve:
             "coords": {str(e): v for e, v in enumerate(self.coords) if v},
         }
 
+    @cached_property
+    def point_edge(self):
+        return [e for e, w in enumerate(self.coords) for _ in range(w)]
 
-class _CurveGeometry:
-    """Points, corner pieces, and curve components of a normal curve."""
-
-    def __init__(self, tri, coords):
-        self.tri = tri
-        self.coords = coords
+    @cached_property
+    def pieces(self):
+        """(point_a, point_b, slot_a, slot_b) per corner piece; the
+        forbidden state pair is (a: +, b: -), and slot_b is the slot after
+        slot_a in the face."""
+        tri, coords = self.tri, self.coords
         offset = list(accumulate(coords, initial=0))
-        self.n_points = offset[-1]
-        self.point_edge = [e for e, w in enumerate(coords) for _ in range(w)]
-        # pieces: (point_a, point_b, slot_a, slot_b); the forbidden state
-        # pair is (a: +, b: -), and slot_b is the slot after slot_a in the
-        # face.
-        self.pieces = []
+        pieces = []
         for fi, f in enumerate(tri.faces):
             x = [coords[e] for e in f]
             # the point at position 0 of each side and the step to the next
@@ -144,15 +139,16 @@ class _CurveGeometry:
                 # piece i joins position x[k]-1-i of side k to position i
                 # of side k+1
                 a_last = a0 + da * (x[k] - 1)
-                self.pieces += [
+                pieces += [
                     (pa, pb, sa, sb)
                     for pa, pb in zip(
                         range(a_last, a_last - da * c, -da), range(b0, b0 + db * c, db)
                     )
                 ]
-        self.walks = self._walk_components()
+        return pieces
 
-    def _walk_components(self):
+    @cached_property
+    def walks(self):
         """Components as (points, steps) walks, in one loop: steps[t] is the
         piece from points[t] to the next point. A closed component has one
         step per point, the last one back to points[0]; an open one (its
@@ -206,8 +202,7 @@ class _CurveGeometry:
 class TraceSupport:
     """Support of the quantum trace: balanced maps with state fiber sizes."""
 
-    def __init__(self, curve: NormalCurve, fibers: dict):
-        self.curve = curve
+    def __init__(self, fibers: dict):
         self.fibers = fibers  # k-vector tuple -> number of admissible states
 
     @property
@@ -230,9 +225,8 @@ def enumerate_admissible_states(
     slots. The product is decoded by `_decode`."""
     check_state_cap(cap)
     check_point_cap(curve, cap)
-    geo = curve.geometry()
-    layout = _Layout(curve.coords, [len(points) for points, _ in geo.walks])
-    parts = [_component_states(geo, walk, layout) for walk in geo.walks]
+    layout = _Layout(curve.coords, [len(points) for points, _ in curve.walks])
+    parts = [_component_states(curve, walk, layout) for walk in curve.walks]
     total = parts[0] if parts else {0: 1}
     for part in parts[1:]:
         merged = {}
@@ -242,7 +236,7 @@ def enumerate_admissible_states(
                 k = k1 + k2
                 merged[k] = get(k, 0) + c1 * c2
         total = merged
-    return TraceSupport(curve, _decode(total, layout))
+    return TraceSupport(_decode(total, layout))
 
 
 def _field_bits(width):
@@ -328,7 +322,7 @@ def _decode(table, layout):
     return dict(zip(zip(*cols), filter(None, slots)))
 
 
-def _component_states(geo, walk, layout):
+def _component_states(curve, walk, layout):
     """DP over one component walk: {packed k-vector: slotted count}.
 
     One table per state of the current point (+ or -). Each holds its keys
@@ -348,11 +342,11 @@ def _component_states(geo, walk, layout):
     points, steps = walk
     n = len(points)
     closed = len(steps) == n
-    units, point_edge = layout.units, geo.point_edge
+    units, point_edge = layout.units, curve.point_edge
     unit = [units[point_edge[p]] for p in points]
     slot_bits = layout.slot_bits
     half = slot_bits * (layout.heavy_weight + 1) if closed else 0
-    a_first = [geo.pieces[q][0] == p for p, q in zip(points, steps)]
+    a_first = [curve.pieces[q][0] == p for p, q in zip(points, steps)]
     plus, minus = {0: 1 if unit[0] else 1 << slot_bits}, {0: 1 << half}
     off_plus, off_minus = unit[0], -unit[0]
     for t in range(1, n):
@@ -372,7 +366,7 @@ def _component_states(geo, walk, layout):
         off_minus -= unit[t]
     if closed:
         # a closed walk closes from its lowest piece's a-point
-        # (`_walk_components`), which forbids + at the last point after -
+        # (`NormalCurve.walks`), which forbids + at the last point after -
         # at the first: + keeps the runs that began with +, - takes both
         low = (1 << half) - 1
         plus = {k: c & low for k, c in plus.items()}
@@ -395,14 +389,13 @@ def enumerate_admissible_states_bruteforce(
 
     check_state_cap(cap)
     check_point_cap(curve, min(cap, BRUTE_FORCE_MAX_POINTS))
-    geo = curve.geometry()
-    if geo.n_points == 0:
-        return TraceSupport(curve, {tuple([0] * curve.tri.n_edges): 1})
-    pa = [q[0] for q in geo.pieces]
-    pb = [q[1] for q in geo.pieces]
-    masks = _kernels.admissible_masks(geo.n_points, pa, pb)
-    fibers = _kernels.support_from_masks(masks, geo.point_edge, curve.tri.n_edges)
-    return TraceSupport(curve, fibers)
+    if curve.n_points == 0:
+        return TraceSupport({tuple([0] * curve.tri.n_edges): 1})
+    pa = [q[0] for q in curve.pieces]
+    pb = [q[1] for q in curve.pieces]
+    masks = _kernels.admissible_masks(curve.n_points, pa, pb)
+    fibers = _kernels.support_from_masks(masks, curve.point_edge, curve.tri.n_edges)
+    return TraceSupport(fibers)
 
 
 def support_bounds_check(support: TraceSupport, curve: NormalCurve) -> bool:
@@ -465,9 +458,7 @@ class TorusCurveTable:
             raise ValueError("(0, 0) is not a curve class")
         if gcd(p, q) != 1:
             raise ValueError("torus curve class must be primitive (coprime p, q)")
-        c = NormalCurve(self.tri, self.predicted_coords(p, q))
-        assert c.is_connected(), "predicted torus curve is not connected"
-        return c
+        return NormalCurve(self.tri, self.predicted_coords(p, q))
 
     def class_of(self, curve: NormalCurve):
         """(p, q) of the curve of a torus class, with p >= 0 and q >= 0

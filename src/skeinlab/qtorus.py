@@ -45,19 +45,19 @@ class QuantumTorus:
     def __hash__(self):
         return hash((self.lattice, self.N))
 
-    def A_exponent(self, k, quarters=0) -> int:
-        """The e in [0, N) with A^k * (A^(1/4))^quarters == zeta_N^e."""
-        return (k + self._quarter * quarters) % self.N
+    def A_exponent(self, quarters) -> int:
+        """The e in [0, N) with (A^(1/4))^quarters == zeta_N^e."""
+        return self._quarter * quarters % self.N
 
-    def A_power(self, k, quarters=0):
-        """A^k * (A^(1/4))^quarters as an exact cyclotomic."""
+    def A_power(self, quarters):
+        """(A^(1/4))^quarters as an exact cyclotomic."""
         from .cyclotomic import Cyclotomic
 
-        return Cyclotomic.zeta(self.N, self.A_exponent(k, quarters))
+        return Cyclotomic.zeta(self.N, self.A_exponent(quarters))
 
     def twist(self, a, b):
         """A^(-(a,b)/4), the product twist of the defining relation."""
-        return self.A_power(0, quarters=-self.lattice.pairing(a, b))
+        return self.A_power(-self.lattice.pairing(a, b))
 
     # -- elements -------------------------------------------------------
 
@@ -312,7 +312,7 @@ class TorusIrrep:
         self._scale_v = [t * (F // M) for M, t in v_roots]
         self._scale_w = [chi.exponent_of(w) * self._chi_step for w in radical]
         # eta_i = A^(-d_i/4) for the pair's invariant d_i; omega_i = eta_i^2
-        self._eta = [torus.A_exponent(0, quarters=-d) * self._A_step for d in blocks]
+        self._eta = [torus.A_exponent(-d) * self._A_step for d in blocks]
         self.generator_images = {
             i: self.image_of_monomial([int(j == i) for j in range(L.rank)]) for i in range(L.rank)
         }
@@ -351,7 +351,7 @@ class TorusIrrep:
             Pi, Ei = gens[i]
             for j in range(i + 1, L.rank):
                 Pj, Ej = gens[j]
-                phase = self.torus.A_exponent(0, quarters=-2 * L.form[i][j]) * self._A_step
+                phase = self.torus.A_exponent(-2 * L.form[i][j]) * self._A_step
                 if any(
                     Pi[b] != Pj[a] or (Ei[b] + ej - Ej[a] - ei - phase) % F
                     for a, b, ei, ej in zip(Pi, Pj, Ei, Ej)

@@ -117,14 +117,13 @@ class ResidueRecount:
         first point and a walk backward from its last point, each keeping
         {residue: states} per state of its current point, are joined across
         the middle piece with one lookup per forward residue."""
-        geo = curve.geometry()
-        walks = _piece_walks(geo.n_points, geo.pieces)
+        walks = _piece_walks(curve.n_points, curve.pieces)
         if len(walks) != 1:
             raise ValueError(f"the recount counts one curve component, not {len(walks)}")
         if target is None:
             return 0
         points, forward = walks[0]
-        edges = [geo.point_edge[p] for p in points]
+        edges = [curve.point_edge[p] for p in points]
         h = (len(edges) - 1) // 2
         middle = 0 if forward[h] else 1
         # the closing piece forbids `close` at the last point with the

@@ -95,7 +95,7 @@ class SL2Rep:
         return self.images[2 * (gid - g - 1) + 1]
 
     def evaluate_word(self, word):
-        out = SL2Mat.identity(order=self.images[0].order if self.images else 4)
+        out = SL2Mat.identity(order=self.images[0].order)
         for t in word:
             m = self.image_of_generator(abs(t))
             out = out * (m if t > 0 else m.inverse())

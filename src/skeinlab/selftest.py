@@ -172,7 +172,7 @@ def check_oracle_equivalence():
             c = NormalCurve(table.tri, vec)
         except ValueError:
             continue
-        if c.geometry().n_points > 12:
+        if c.n_points > 12:
             continue
         tested += 1
         if enumerate_admissible_states(c).fibers != (

@@ -152,13 +152,12 @@ def torus_classes(table, max_total):
 
 def intersection_vector(curve):
     """Algebraic edge-crossing sums of the oriented components, read off
-    the geometry's walks: each point that a walk passes through adds +1 to
+    the curve's walks: each point that a walk passes through adds +1 to
     its edge when the walk enters it through the edge's primary slot, else
     -1; the ends of an open walk add nothing."""
-    geo = curve.geometry()
     vec = [0] * curve.tri.n_edges
-    pieces, point_edge, edge_slots = geo.pieces, geo.point_edge, curve.tri.edge_slots
-    for points, steps in geo.walks:
+    pieces, point_edge, edge_slots = curve.pieces, curve.point_edge, curve.tri.edge_slots
+    for points, steps in curve.walks:
         # the step into points[t] is steps[t - 1], which for t = 0 is the
         # closing step of a closed walk
         for t in range(0 if len(steps) == len(points) else 1, len(steps)):
@@ -196,7 +195,7 @@ def ordered_pair_commutation_holds(irrep) -> bool:
     gens = irrep.generator_images
     for i, gi in gens.items():
         for j, gj in gens.items():
-            phase = torus.A_exponent(0, quarters=-2 * form[i][j]) * step
+            phase = torus.A_exponent(-2 * form[i][j]) * step
             perm, exps = monomial_product(gj, gi, F)
             if monomial_product(gi, gj, F) != (perm, tuple((e + phase) % F for e in exps)):
                 return False

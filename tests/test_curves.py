@@ -68,7 +68,7 @@ def test_dp_equals_bruteforce_small():
             c = NormalCurve(table.tri, vec)
         except ValueError:
             continue
-        if c.geometry().n_points > 12:
+        if c.n_points > 12:
             continue
         assert (
             enumerate_admissible_states(c).fibers
@@ -85,7 +85,7 @@ def test_dp_equals_bruteforce_genus_two():
     kinds = set()
     for vec in normal_coord_vectors(tri, 14):
         c = NormalCurve(tri, vec)
-        walks = c.geometry().walks
+        walks = c.walks
         is_open = any(len(steps) < len(points) for points, steps in walks)
         kinds.add((len(walks) > 1, is_open))
         assert (
@@ -127,7 +127,7 @@ def test_large_curve_supports_pinned(pq, points, states, support_size, digest):
     (21,13) to the tuple-keyed one, (34,21) to the one that kept every edge
     in its keys. (34,21)'s slots are wider than 64 bits."""
     c = torus_table().curve(*pq)
-    assert c.geometry().n_points == points
+    assert c.n_points == points
     sup = enumerate_admissible_states(c, cap=points)
     assert sup.state_count == states
     assert len(sup.fibers) == support_size
@@ -198,8 +198,8 @@ def test_slot_width_holds_on_eight_component_curves():
     tri = build_sigma_g_star(2)
     for coords in ({7: 8, 8: 8}, {2: 8, 3: 8}):
         c = NormalCurve(tri, coords)
-        walks = c.geometry().walks
-        assert c.component_count() == 8 and c.geometry().n_points == 16
+        walks = c.walks
+        assert c.component_count() == 8 and c.n_points == 16
         sup = enumerate_admissible_states(c)
         assert sup == enumerate_admissible_states_bruteforce(c)
         assert sup.state_count == 3**8 == 6561
@@ -221,8 +221,7 @@ def test_dp_slots_stay_below_their_width_on_torus_classes():
             if gcd(p, q) != 1 or (p == 0 and q < 0) or sum(table.predicted_coords(p, q)) > 64:
                 continue
             curve = table.curve(p, q)
-            geo = curve.geometry()
-            [walk] = geo.walks
+            [walk] = curve.walks
             points, steps = walk
             layout = curves._Layout(curve.coords, [len(points)])
             s, top = layout.slot_bits, layout.slot_bits * (layout.heavy_weight + 1)
@@ -231,13 +230,13 @@ def test_dp_slots_stay_below_their_width_on_torus_classes():
             for t, (point, step) in enumerate(zip(points, steps)):
                 assert sum(map(sum, runs)) <= fib[t + 3] < 1 << s
                 for run in runs:
-                    if geo.pieces[step][0] == point:  # forbids (+, -)
+                    if curve.pieces[step][0] == point:  # forbids (+, -)
                         run[0] += run[1]
                     else:
                         run[1] += run[0]
             # the closing step returns to the first point, in its first state
             closed_count = runs[0][0] + runs[1][1]
-            dp = curves._component_states(geo, walk, layout)
+            dp = curves._component_states(curve, walk, layout)
             assert all(v >> top == 0 for v in dp.values())
             mask = (1 << s) - 1
             slots = [(v >> j) & mask for v in dp.values() for j in range(0, top, s)]
@@ -249,7 +248,7 @@ def test_dp_slots_stay_below_their_width_on_torus_classes():
 def test_state_cap():
     table = torus_table()
     c = table.curve(5, 4)
-    assert c.geometry().n_points > 10
+    assert c.n_points > 10
     with pytest.raises(StateCapExceeded):
         enumerate_admissible_states(c, cap=10)
 
@@ -258,13 +257,13 @@ def test_bruteforce_cap_above_kernel_limit():
     # a cap above the kernel's own limit must still stop at that limit;
     # the walk DP is not bound by it
     c = torus_table().curve(8, 3)
-    assert c.geometry().n_points > curves.BRUTE_FORCE_MAX_POINTS
+    assert c.n_points > curves.BRUTE_FORCE_MAX_POINTS
     with pytest.raises(StateCapExceeded):
         enumerate_admissible_states_bruteforce(c, cap=40)
     assert enumerate_admissible_states(c, cap=40).fibers
     # at exactly the limit the brute force still runs, and agrees
     c = torus_table().curve(1, -12)
-    assert c.geometry().n_points == curves.BRUTE_FORCE_MAX_POINTS
+    assert c.n_points == curves.BRUTE_FORCE_MAX_POINTS
     brute = enumerate_admissible_states_bruteforce(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
     assert brute == enumerate_admissible_states(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
     assert brute.state_count == 114628
@@ -294,10 +293,9 @@ def test_closed_walks_close_from_an_a_point():
     genus_two = [NormalCurve(tri, vec) for vec in normal_coord_vectors(tri, 14)]
     closed = 0
     for c in genus_one + genus_two:
-        geo = c.geometry()
-        for points, steps in geo.walks:
+        for points, steps in c.walks:
             if len(steps) == len(points):
-                pa, pb = geo.pieces[steps[-1]][:2]
+                pa, pb = c.pieces[steps[-1]][:2]
                 assert (pa, pb) == (points[-1], points[0]), c
                 assert steps[-1] == min(steps), c
                 closed += 1
@@ -325,11 +323,33 @@ def test_torus_curve_validation():
 
 
 def test_torus_curves_connected_and_classed():
+    """Every primitive class (p, q) with |p|, |q| <= 25 gives one closed
+    component, and class_of reads (p, q) back up to sign."""
     table = torus_table()
-    for pq in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (5, 1)]:
-        c = table.curve(*pq)
-        assert c.is_connected()
-        assert table.class_of(c) == pq
+    classes = 0
+    for p in range(-25, 26):
+        for q in range(-25, 26):
+            if gcd(p, q) != 1:
+                continue
+            c = table.curve(p, q)
+            assert c.is_connected(), (p, q)
+            assert table.class_of(c) in ((p, q), (-p, -q)), (p, q)
+            classes += 1
+    assert classes == 1600
+
+
+def test_a_cap_refusal_walks_nothing(capsys):
+    # the cap is decided from the coordinates alone: no point, piece or
+    # walk of a 999998-point curve is built to refuse it
+    c = torus_table().curve(200000, 199999)
+    with pytest.raises(StateCapExceeded, match="^999998 intersection points exceed the cap 24$"):
+        curves.check_point_cap(c, 24)
+    # none of pieces, walks or point_edge is cached on the curve
+    assert vars(c).keys() == {"tri", "coords", "n_points"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qtrace", "support", "--curve", "200000,199999"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: 999998 intersection points exceed the cap 24\n"
 
 
 def test_class_of_is_the_homology_class_of_each_closed_curve():
@@ -395,7 +415,7 @@ def test_support_bounds():
         for edge, k in ((e, w + 2), (e, w - 1), (table.tri.boundary_arc, 2)):
             corrupt = list(good)
             corrupt[edge] = k
-            bad = TraceSupport(c, {**sup.fibers, tuple(corrupt): 1})
+            bad = TraceSupport({**sup.fibers, tuple(corrupt): 1})
             assert not support_bounds_check(bad, c), (pq, edge, k)
 
 
@@ -457,7 +477,7 @@ def _walk_shape(points, pieces_out):
 
 
 def test_walks_equal_piece_walks_of_the_recount():
-    """The geometry's walks and the re-verifier's independent walks meet
+    """A curve's walks and the re-verifier's independent walks meet
     the same points in the same cyclic order, and read every piece with
     the same orientation: every closed genus-2 curve with m <= 16 points,
     the recount counting closed curves only."""
@@ -468,19 +488,19 @@ def test_walks_equal_piece_walks_of_the_recount():
     for vec in normal_coord_vectors(tri, 16):
         if vec[tri.boundary_arc]:
             continue
-        geo = NormalCurve(tri, vec).geometry()
+        c = NormalCurve(tri, vec)
         ours = []
-        for points, steps in geo.walks:
+        for points, steps in c.walks:
             assert len(steps) == len(points)
             pairs = []
             for t, q in enumerate(steps):
                 here, there = points[t], points[(t + 1) % len(points)]
-                assert {here, there} == set(geo.pieces[q][:2])
-                forward = geo.pieces[q][0] == here
+                assert {here, there} == set(c.pieces[q][:2])
+                forward = c.pieces[q][0] == here
                 pairs.append((here, there) if forward else (there, here))
             ours.append(_walk_shape(points, pairs))
         theirs = []
-        for points, forward in _piece_walks(geo.n_points, geo.pieces):
+        for points, forward in _piece_walks(c.n_points, c.pieces):
             pairs = [
                 (here, there) if f else (there, here)
                 for f, here, there in zip(forward, points, points[1:] + points[:1])

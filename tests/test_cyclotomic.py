@@ -89,7 +89,7 @@ def test_embedding():
 def test_json_round_trip():
     # the CLI's matrix-entry reader is the one reader of a cyclotomic number
     x = Cyclotomic(5, [Fraction(1, 2), -2, 0, Fraction(7, 3)])
-    assert _parse_scalar(x.to_json()) == x
+    assert _parse_scalar(x.to_json(), x.order) == x
 
 
 def _corpus():

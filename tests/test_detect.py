@@ -145,7 +145,7 @@ def test_cap_is_checked_on_both_curves_before_any_dp(monkeypatch, small_alpha):
 
     monkeypatch.setattr(detect, "enumerate_admissible_states", counting)
     small, large = torus_table().curve(0, 1), torus_table().curve(5, 4)
-    assert small.geometry().n_points <= 10 < large.geometry().n_points
+    assert small.n_points <= 10 < large.n_points
     alpha, beta = (small, large) if small_alpha else (large, small)
     cert = detect_support(DetectionRequest(curve=alpha, beta=beta, state_cap=10))
     assert (cert.verdict, cert.reasons, calls) == ("inconclusive", ["cap-exceeded"], [])
@@ -348,7 +348,7 @@ def test_sweep_witness_kvec_is_the_singleton_state():
         assert witness["swapped"] == (curve is alpha)
         kvec = tuple(witness["kvec"][0])
         assert kvec in enumerate_admissible_states(curve, cap=cap).fibers
-        cosets, _ = _coset_states(TraceSupport(curve, {kvec: 1}), *_projection(table.tri, N, cell))
+        cosets, _ = _coset_states(TraceSupport({kvec: 1}), *_projection(table.tri, N, cell))
         assert cosets == [tuple(witness["coset"])]
         checked += 1
     assert checked > 2000
@@ -438,7 +438,7 @@ def _genus_one_curves(max_points, max_weight=4):
     curves += [
         table.curve(p, q) for p in range(-6, 7) for q in range(7) if gcd(p, q) == 1
     ]
-    return [c for c in dict.fromkeys(curves) if c.geometry().n_points <= max_points]
+    return [c for c in dict.fromkeys(curves) if c.n_points <= max_points]
 
 
 def _assert_recount_matches_bruteforce(curve, N, cell):
@@ -534,7 +534,7 @@ def test_residue_recount_refuses_an_arc(genus, coords):
 def test_residue_recount_matches_bruteforce_genus_two(cell):
     tri = build_sigma_g_star(2)
     curve = NormalCurve(tri, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
-    assert curve.is_connected() and curve.geometry().n_points == 12
+    assert curve.is_connected() and curve.n_points == 12
     assert _assert_recount_matches_bruteforce(curve, 3, cell) > 0
 
 
@@ -630,9 +630,9 @@ def test_the_recount_imports_nothing_of_skeinlab_but_intlinalg():
     source = (Path(__file__).parents[1] / "src" / "skeinlab" / "recount.py").read_text()
     assert "skeinlab.intlinalg" in _imported_modules(source)
     assert _imports_beyond_intlinalg(source) == []
-    lazy = "def f():\n    from .curves import _CurveGeometry\n    import importlib\n"
+    lazy = "def f():\n    from .curves import NormalCurve\n    import importlib\n"
     assert _imports_beyond_intlinalg(lazy) == [
-        "importlib", "skeinlab.curves", "skeinlab.curves._CurveGeometry"
+        "importlib", "skeinlab.curves", "skeinlab.curves.NormalCurve"
     ]
 
 
@@ -683,7 +683,7 @@ def test_batched_projection_matches_one_vector_at_a_time(cell):
 
 def test_projection_rejects_unbalanced_vectors():
     table = torus_table()
-    support = TraceSupport(table.curve(0, 1), {(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): 1})
+    support = TraceSupport({(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): 1})
     with pytest.raises(ValueError, match="^vector is not balanced$"):
         _coset_states(support, *_projection(table.tri, 5, "reduced"))
 
@@ -691,14 +691,13 @@ def test_projection_rejects_unbalanced_vectors():
 def _fibers_with_pieces(curve, pieces):
     """{k-vector: count} over the full states that no (a, b) in `pieces`
     forbids with a: +, b: -."""
-    geo = curve.geometry()
     out = {}
-    for states in product((1, -1), repeat=geo.n_points):
+    for states in product((1, -1), repeat=curve.n_points):
         if any(states[a] == 1 and states[b] == -1 for a, b in pieces):
             continue
         kvec = [0] * curve.tri.n_edges
         for p, s in enumerate(states):
-            kvec[geo.point_edge[p]] += s
+            kvec[curve.point_edge[p]] += s
         out[tuple(kvec)] = out.get(tuple(kvec), 0) + 1
     return out
 
@@ -711,14 +710,14 @@ def _false_witness_supports(alpha, beta, projection):
     true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
 
     def projected(fibers_of):
-        return [_coset_states(TraceSupport(c, fibers_of[c]), *projection)[1] for c in (alpha, beta)]
+        return [_coset_states(TraceSupport(fibers_of[c]), *projection)[1] for c in (alpha, beta)]
 
     def states(fib, coset):
         return [side.get(coset, 0) for side in fib]
 
     true_fib = projected(true)
     for curve in (alpha, beta):
-        pieces = [q[:2] for q in curve.geometry().pieces]
+        pieces = [q[:2] for q in curve.pieces]
         candidates = []
         for i in range(len(pieces)):
             flipped = list(pieces)
@@ -750,7 +749,7 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
 
         def enumerate_corrupted(curve, cap, bad_curve=bad_curve, fibers=fibers):
             if curve == bad_curve:
-                return TraceSupport(curve, fibers)
+                return TraceSupport(fibers)
             return enumerate_admissible_states(curve, cap=cap)
 
         monkeypatch.setattr(detect, "enumerate_admissible_states", enumerate_corrupted)

@@ -80,8 +80,8 @@ def test_boundary_parallel_curve_is_one_closed_component(g):
     bp = tri.boundary_parallel
     assert bp == tuple(0 if e == tri.boundary_arc else 2 for e in range(tri.n_edges))
     curve = NormalCurve(tri, bp)
-    [(points, steps)] = curve.geometry().walks
-    assert len(steps) == len(points) == curve.geometry().n_points == 12 * g - 4
+    [(points, steps)] = curve.walks
+    assert len(steps) == len(points) == curve.n_points == 12 * g - 4
     assert not any(intersection_vector(curve))
     assert lone_triangle().boundary_parallel == (0, 0, 0)
 
