@@ -78,12 +78,18 @@ def _parse_scalar(x, order):
     raise ValueError(f"matrix entry {x!r} is not a rational or cyclotomic number")
 
 
-def _parse_sl2(entries, order):
-    from .repvar import SL2Mat
+def _parse_sl2s(matrices, order):
+    """The SL2 matrices of one input, all over the one field that holds
+    every entry (repvar.field_order)."""
+    from .repvar import SL2Mat, field_order
 
-    if not isinstance(entries, list) or len(entries) != 4:
-        raise ValueError(f"an SL2 matrix needs 4 entries [a, b, c, d], not {entries!r}")
-    return SL2Mat(*(_parse_scalar(x, order) for x in entries), order=order)
+    rows = []
+    for entries in matrices:
+        if not isinstance(entries, list) or len(entries) != 4:
+            raise ValueError(f"an SL2 matrix needs 4 entries [a, b, c, d], not {entries!r}")
+        rows.append([_parse_scalar(x, order) for x in entries])
+    order = field_order(order, [x for row in rows for x in row])
+    return [SL2Mat(*row, order=order) for row in rows]
 
 
 def _parse_rep(obj):
@@ -97,8 +103,7 @@ def _parse_rep(obj):
     check_fields(obj, "representation", ("genus", "images", "field"))
     field = check_fields(obj.get("field", {}), '"field"', ("cyclotomicOrder",))
     order = check_int(field.get("cyclotomicOrder", 4), "cyclotomicOrder")
-    images = [_parse_sl2(m, order) for m in obj["images"]]
-    return SL2Rep(obj["genus"], images)
+    return SL2Rep(obj["genus"], _parse_sl2s(obj["images"], order))
 
 
 def _curve_from_json(obj, tri, flag):
@@ -282,14 +287,15 @@ def cmd_orbit(args):
 def cmd_leaf(args):
     from .repvar import classify_double_leaf, classify_sts_leaf
 
-    order = args.field_order
-    m = _parse_sl2(_parse_json(args.mat, f"--mat {args.mat!r} is not valid JSON"), order)
+    matrices = [_parse_json(args.mat, f"--mat {args.mat!r} is not valid JSON")]
     if args.double:
-        m2 = _parse_json(args.double, f"--double {args.double!r} is not valid JSON")
-        i, j = classify_double_leaf(m, _parse_sl2(m2, order))
+        matrices.append(_parse_json(args.double, f"--double {args.double!r} is not valid JSON"))
+    ms = _parse_sl2s(matrices, args.field_order)
+    if args.double:
+        i, j = classify_double_leaf(*ms)
         _emit({"double": True, "leaf": [i, j]})
     else:
-        _emit(classify_sts_leaf(m))
+        _emit(classify_sts_leaf(*ms))
 
 
 def cmd_rep_dims(args):

@@ -431,24 +431,6 @@ class TorusCurveTable:
         self.tri = build_sigma_g_star(1)
         self.basis = CLASS_BASIS
 
-    def _iter_coord_vectors(self, max_total):
-        tri = self.tri
-        inner = tri.inner_edges
-        bd = tri.boundary_arc
-
-        def rec(idx, left, partial):
-            if idx == len(inner):
-                vec = [0] * tri.n_edges
-                for e, v in zip(inner, partial):
-                    vec[e] = v
-                vec[bd] = 0
-                yield vec
-                return
-            for v in range(left + 1):
-                yield from rec(idx + 1, left - v, partial + [v])
-
-        yield from rec(0, max_total, [])
-
     def predicted_coords(self, p, q):
         h1, h2 = self.basis
         return [abs(p * a + q * b) for a, b in zip(h1, h2)]

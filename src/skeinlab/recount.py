@@ -15,8 +15,7 @@ the cell and N alone."""
 
 from __future__ import annotations
 
-from itertools import compress, count
-from math import gcd, lcm
+from math import gcd
 
 from . import intlinalg
 
@@ -48,7 +47,9 @@ class ResidueRecount:
             closed = [intlinalg.lattice_coordinates(basis, [2] * len(basis[0]))]
         else:
             # an echelon basis of Kbar^0 with the khat column first: its
-            # first row is the only one with khat != 0
+            # first row is the only one with khat != 0. It is taken over Z,
+            # not mod N: stacking the rows on N*Z^(n+1) would fill in a
+            # kernel that is too small, and the check below would pass it
             echelon = intlinalg.hnf([[r[-1], *r[:-1]] for r in kernel])
             self.khat_row = echelon[0]
             rows = [r[1:] for r in echelon[1:]]
@@ -61,24 +62,24 @@ class ResidueRecount:
                 f"the witness lattice of the {cell} cell"
             )
         # L contains N*K, which contains 2N*Z^E, so the residue of v is
-        # (v V)_i mod gcd(d_i, 2N) for the diagonalization mod 2N
+        # (v V)_i mod m_i = gcd(d_i, 2N) for the diagonalization mod 2N.
+        # Component i is stored as (v V)_i * 2N / m_i mod M = 2N, in its own
+        # field of `width` bits of one int; components with m_i = 1 are
+        # always 0 and are dropped (K, hence L, has index > 1 in Z^E, so
+        # some component is kept). Adding two residues leaves every field
+        # below 2M <= 2**width with no carry between fields; `_reduce` then
+        # takes M off the fields that reached it by adding 2**(width-1) - M
+        # and reading their top bits.
         d, columns = intlinalg.diagonalize_mod(intlinalg.mat_mul(rows, basis), 2 * N)
-        moduli = [gcd(x, 2 * N) for x in d]
-        # components with modulus 1 are always 0; K, hence L, has index > 1
-        # in Z^E, so some component is kept
-        keep = [i for i, x in enumerate(moduli) if x > 1]
-        V = intlinalg.transpose([columns[i] for i in keep])
-        moduli = [moduli[i] for i in keep]
-        k = len(moduli)
-        # Every modulus divides their lcm M, so component i is stored as
-        # c_i * M / m_i mod M, in its own field of `width` bits of one int.
-        # Adding two residues leaves every field below 2M <= 2**width with
-        # no carry between fields; `_reduce` then takes M off the fields
-        # that reached it by adding 2**(width-1) - M and reading their top
-        # bits.
-        self.modulus = m = lcm(*moduli)
+        self.modulus = m = 2 * N
         self.width = w = m.bit_length() + 1
-        self.scale = [m // x for x in moduli]
+        scaled = [
+            [x * s % m for x in col]
+            for s, col in zip((m // gcd(x, m) for x in d), columns)
+            if s < m
+        ]
+        k = len(scaled)
+        V = intlinalg.transpose(scaled)
         self.lift = sum(((1 << (w - 1)) - m) << (w * i) for i in range(k))
         self.top = sum(1 << (w * i + w - 1) for i in range(k))
         self.full = sum(m << (w * i) for i in range(k))
@@ -88,9 +89,9 @@ class ResidueRecount:
         self.minus = [self.pack([-x for x in row]) for row in V]
 
     def pack(self, components):
-        """The residue whose i-th component is components[i] mod m_i."""
-        m, w, scale = self.modulus, self.width, self.scale
-        return sum((components[i] * scale[i] % m) << (w * i) for i in compress(count(), components))
+        """The residue whose i-th component is components[i] mod M."""
+        m, w = self.modulus, self.width
+        return sum((c % m) << (w * i) for i, c in enumerate(components))
 
     def target(self, coset):
         """The residue of the edge vectors in the witness coset, or None

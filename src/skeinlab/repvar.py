@@ -3,8 +3,10 @@
 Points are 2g-tuples of exact SL2 matrices (the surface group is free).
 The moment map evaluates at the boundary loop, the product of commutators;
 its upper-left entry splits the variety into the big and reduced cells.
-Matrix entries live in a cyclotomic field, Q(zeta_4) by default, which
-hosts the finite subgroups used for finite orbits.
+The matrices of one input live in one cyclotomic field, whose order
+`field_order` decides once: the lcm of the given order (4, for Q(zeta_4),
+which hosts the finite subgroups used for finite orbits, by default) and
+the orders of all the entries.
 """
 
 from __future__ import annotations
@@ -17,28 +19,32 @@ from .mcg import FreeGroupEndo, boundary_word
 from .surface import check_cell, check_genus
 
 
+def field_order(order, entries):
+    """The order of the one cyclotomic field that holds every entry of an
+    input: the lcm of the field order and the entries' orders."""
+    orders = sorted({x.order for x in entries} - {order})
+    target = lcm(order, *orders)
+    if target > MAX_ORDER:
+        raise ValueError(
+            f"the field order {order} and the entry orders {orders} have lcm {target}, "
+            f"above the largest cyclotomic order {MAX_ORDER}"
+        )
+    return target
+
+
 class SL2Mat:
+    """A determinant-1 matrix over Q(zeta_order); a cyclotomic entry's order
+    must divide order (see field_order)."""
+
     __slots__ = ("order", "a", "b", "c", "d")
 
     def __init__(self, a, b, c, d, order=4):
-        orders = sorted({x.order for x in (a, b, c, d) if isinstance(x, Cyclotomic)} - {order})
-        target = lcm(order, *orders)
-        if target > MAX_ORDER:
-            raise ValueError(
-                f"the field order {order} and the entry orders {orders} have lcm {target}, "
-                f"above the largest cyclotomic order {MAX_ORDER}"
-            )
-        vals = []
-        for x in (a, b, c, d):
-            if not isinstance(x, Cyclotomic):
-                x = Cyclotomic.rational(target, x)
-            elif x.order != target:
-                x = x.embed(target)
-            vals.append(x)
-        self.order = target
-        self.a, self.b, self.c, self.d = vals
-        det = self.a * self.d - self.b * self.c
-        if det != 1:
+        self.order = order
+        self.a, self.b, self.c, self.d = (
+            x.embed(order) if isinstance(x, Cyclotomic) else Cyclotomic.rational(order, x)
+            for x in (a, b, c, d)
+        )
+        if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix determinant must be 1")
 
     @staticmethod
@@ -77,27 +83,22 @@ class SL2Mat:
 
 
 class SL2Rep:
-    """A representation of the free surface group: images of a1..ag, b1..bg."""
+    """A representation of the free surface group, given by the images of
+    a1, b1, ..., ag, bg in that order."""
 
     def __init__(self, genus, images):
         check_genus(genus)
         if len(images) != 2 * genus:
             raise ValueError("need 2g images (a1, b1, ..., ag, bg)")
         self.genus = genus
-        # stored interleaved as given: (A1, B1, A2, B2, ...)
-        self.images = tuple(images)
-
-    def image_of_generator(self, gid):
-        # generator ids: 1..g alphas, g+1..2g betas (as in mcg.parse_word)
-        g = self.genus
-        if 1 <= gid <= g:
-            return self.images[2 * (gid - 1)]
-        return self.images[2 * (gid - g - 1) + 1]
+        # stored by generator id (as in mcg.parse_word): image gid - 1 is
+        # that of a1..ag for gid 1..g and of b1..bg for gid g+1..2g
+        self.images = tuple(images[0::2] + images[1::2])
 
     def evaluate_word(self, word):
         out = SL2Mat.identity(order=self.images[0].order)
         for t in word:
-            m = self.image_of_generator(abs(t))
+            m = self.images[abs(t) - 1]
             out = out * (m if t > 0 else m.inverse())
         return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from itertools import product
 
 from .curves import (
     NormalCurve,
@@ -164,15 +165,19 @@ def check_injectivity_lemma():
 
 
 def check_oracle_equivalence():
-    table = torus_table()
+    tri = torus_table().tri
     bad = []
     tested = 0
-    for vec in table._iter_coord_vectors(12):
-        try:
-            c = NormalCurve(table.tri, vec)
-        except ValueError:
+    # every vector on the inner edges with m = sum <= 12 points, in order
+    for weights in product(range(13), repeat=len(tri.inner_edges)):
+        if sum(weights) > 12:
             continue
-        if c.n_points > 12:
+        vec = [0] * tri.n_edges
+        for e, w in zip(tri.inner_edges, weights):
+            vec[e] = w
+        try:
+            c = NormalCurve(tri, vec)
+        except ValueError:
             continue
         tested += 1
         if enumerate_admissible_states(c).fibers != (

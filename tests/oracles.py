@@ -134,11 +134,23 @@ def normal_coord_vectors(tri, max_total, max_weight=None):
     yield from rec(0, max_total, [])
 
 
+def torus_coord_vectors(tri, max_total):
+    """Every vector on the inner edges of Delta_1 of total weight <=
+    max_total, lexicographically, with the boundary arc at 0."""
+    inner = tri.inner_edges
+    for weights in itertools.product(range(max_total + 1), repeat=len(inner)):
+        if sum(weights) <= max_total:
+            vec = [0] * tri.n_edges
+            for e, w in zip(inner, weights):
+                vec[e] = w
+            yield vec
+
+
 def torus_classes(table, max_total):
     """{intersection vector: connected curves} over every normal curve on
     the table's Delta_1 of total weight <= max_total."""
     classes = {}
-    for vec in table._iter_coord_vectors(max_total):
+    for vec in torus_coord_vectors(table.tri, max_total):
         if sum(vec) == 0:
             continue
         try:

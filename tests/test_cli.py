@@ -236,6 +236,39 @@ def test_orbit_command(tmp_path):
     assert obj["dimW"] == 27 * 12
 
 
+# the images need Q(zeta_8): zeta_8 and its inverse -zeta_8^3
+MIXED = [
+    {"order": 8, "coeffs": [[0, 1], [1, 1]]}, 0, 0,
+    {"order": 8, "coeffs": [[0, 1], [0, 1], [0, 1], [-1, 1]]},
+]
+MIXED_REP = {"genus": 1, "images": [MIXED, [0, 1, -1, 0]]}
+ORBIT_GENS = '[{"words":{"a1":"a","b1":"ba"}},{"words":{"a1":"aB","b1":"b"}}]'
+
+
+@pytest.mark.parametrize(
+    "argv, explicit",
+    [
+        (("rep", "moment", "--rep", json.dumps(MIXED_REP)),
+         ("rep", "moment", "--rep", json.dumps({**MIXED_REP, "field": {"cyclotomicOrder": 8}}))),
+        (("orbit", "--rep", json.dumps(MIXED_REP), "--gens", ORBIT_GENS, "--N", "3"),
+         ("orbit", "--rep", json.dumps({**MIXED_REP, "field": {"cyclotomicOrder": 8}}),
+          "--gens", ORBIT_GENS, "--N", "3")),
+        (("leaf", "classify", "--mat", json.dumps(MIXED), "--double", "[0, 1, -1, 0]"),
+         ("leaf", "classify", "--mat", json.dumps(MIXED), "--double", "[0, 1, -1, 0]",
+          "--field-order", "8")),
+    ],
+    ids=["rep-moment", "orbit", "leaf-double"],
+)
+def test_one_input_lives_in_the_field_of_all_its_entries(argv, explicit):
+    """Matrices whose entries need Q(zeta_8), with the field left at its
+    default Q(zeta_4), read as if the field were given as Q(zeta_8)."""
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(*explicit)[1]
+    if argv[0] == "orbit":
+        assert json.loads(out)["size"] == 48
+
+
 def test_detect_command_and_schema():
     code, out, _ = run_cli(
         "detect", "--genus", "1", "--N", "5", "--curve", "0,1", "--phi", "[[1,1],[0,1]]"

@@ -27,6 +27,7 @@ from oracles import (
     lone_triangle,
     normal_coord_vectors,
     torus_classes,
+    torus_coord_vectors,
 )
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
@@ -63,7 +64,7 @@ def test_empty_curve_support():
 def test_dp_equals_bruteforce_small():
     table = torus_table()
     tested = 0
-    for vec in table._iter_coord_vectors(10):
+    for vec in torus_coord_vectors(table.tri, 10):
         try:
             c = NormalCurve(table.tri, vec)
         except ValueError:
@@ -284,7 +285,7 @@ def test_closed_walks_close_from_an_a_point():
     weight <= 10 and every genus-2 curve with m <= 14 points."""
     table = torus_table()
     genus_one = []
-    for vec in table._iter_coord_vectors(10):
+    for vec in torus_coord_vectors(table.tri, 10):
         try:
             genus_one.append(NormalCurve(table.tri, vec))
         except ValueError:

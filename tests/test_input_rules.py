@@ -1,8 +1,10 @@
 """Each input rule is written once. An `ast` scan of `src` fails on a JSON
 parse outside `cli._parse_json` (the one place that refuses repeated
-keys), on `isinstance(..., int)`, which takes true for 1, and on an
-exact type test `type(...) is ...` outside `surface.check_int`, since a
-test against a type held in a variable may be a second integer rule."""
+keys), on `isinstance(..., int)`, which takes true for 1, on an exact
+type test `type(...) is ...` outside `surface.check_int`, since a test
+against a type held in a variable may be a second integer rule, and on a
+comparison with `MAX_ORDER` outside `repvar.field_order`, the one place
+that decides the field of an input."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
 
 # the one site of each rule
-HOMES = {"json parse": ("cli", "_parse_json"), "type is": ("surface", "check_int")}
+HOMES = {
+    "json parse": ("cli", "_parse_json"),
+    "type is": ("surface", "check_int"),
+    "order bound": ("repvar", "field_order"),
+}
 
 # (module, enclosing function, rule): why the site stays
 ALLOWED = {
@@ -18,6 +24,8 @@ ALLOWED = {
         "an edge label is an int or its decimal text, so that no two labels name one edge",
     ("cli", "_config_default", "type is"):
         "a --config value has its flag's type (int, str or bool) exactly, as argparse would give",
+    ("cyclotomic", "cyclotomic_polynomial", "order bound"):
+        "it bounds the order of one number, not the field of an input",
     ("cyclotomic", "Cyclotomic._coerce", "isinstance int"):
         "arithmetic with a Python number, where True is the number 1 by Python's rule",
     ("cyclotomic", "Cyclotomic.__eq__", "isinstance int"):
@@ -61,6 +69,10 @@ def _rule(node):
             kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
             if any(_is_name(kind, "int") for kind in kinds):
                 return "isinstance int"
+    if isinstance(node, ast.Compare) and any(
+        _is_name(x, "MAX_ORDER") for x in [node.left, *node.comparators]
+    ):
+        return "order bound"
     if (
         isinstance(node, ast.Compare)
         and isinstance(node.left, ast.Call)

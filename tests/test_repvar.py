@@ -13,6 +13,7 @@ from skeinlab.repvar import (
     act_on_rep,
     classify_double_leaf,
     classify_sts_leaf,
+    field_order,
     moment_cell,
     moment_map,
     orbit_closure,
@@ -44,6 +45,29 @@ def test_moment_map_fixture():
     mu = moment_map(SL2Rep(1, (A, B)))
     [[a, b], [c, d]] = FIXTURES["classical"]["momentFixture"]
     assert mu == SL2Mat(a, b, c, d)
+
+
+def test_images_are_stored_by_generator_id():
+    # given interleaved (A1, B1, A2, B2); [A1, B1] = [[3, -1], [1, 0]] and
+    # [A2, B2] = [[-3, 14], [-2, 9]], multiplied out by hand
+    A1, B1 = SL2Mat(1, 1, 0, 1), SL2Mat(1, 0, 1, 1)
+    A2, B2 = SL2Mat(2, 1, 1, 1), SL2Mat(1, 2, 0, 1)
+    rep = SL2Rep(2, (A1, B1, A2, B2))
+    assert rep.images == (A1, A2, B1, B2)
+    assert moment_map(rep) == SL2Mat(-7, 33, -3, 14)
+
+
+def test_the_field_of_an_input_is_decided_once():
+    z8 = Cyclotomic.zeta(8)
+    assert field_order(4, [z8, Cyclotomic.rational(4, 1)]) == 8
+    assert field_order(8, [Cyclotomic.zeta(4), z8]) == 8
+    with pytest.raises(ValueError, match=r"entry orders \[7\] have lcm 5040"):
+        field_order(720, [Cyclotomic.rational(7, 1)])
+    # a matrix keeps its order: an entry it does not hold is refused
+    m = SL2Mat(z8, 0, 0, Cyclotomic.zeta(8, 7), order=8)
+    assert m.order == 8 and (m * m.inverse()).order == 8
+    with pytest.raises(ValueError, match="target order must be a multiple"):
+        SL2Mat(z8, 0, 0, Cyclotomic.zeta(8, 7), order=4)
 
 
 def test_moment_map_trivial_and_abelian():
