@@ -6,7 +6,9 @@ identical inputs give byte-identical output. A --config file supplies
 defaults for the chosen command's flags. Bad input exits 2 with one
 "error: ..." line on stderr; detect --batch instead gives each bad request an
 {"error": ...} slot. Each command imports only the modules it runs, so only
-detect loads the detection pipeline.
+detect loads the detection pipeline; the one exception is `curves`, which
+every command loads, as this module binds the trace-support functions that
+perfbench's tracer wraps in each namespace that holds them.
 """
 
 from __future__ import annotations
@@ -50,9 +52,38 @@ def _error_text(exc):
     return str(exc)
 
 
+class _JSONFloat(float):
+    """A JSON number with a fraction or exponent: its float, which every
+    other reader sees as before, and the text it was written as, which a
+    matrix entry reads exactly."""
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+
+def _rational_entry(x):
+    """The rational that a matrix entry writes, or None: an int, or text
+    ("1/2", "0.1"); a JSON number with a fraction or exponent is the
+    decimal it was written as. An exponent of more than four digits is
+    refused, since its power of ten alone could take any time to build."""
+    from fractions import Fraction
+
+    text = getattr(x, "text", x)
+    try:
+        if not isinstance(text, str):
+            return Fraction(check_int(text, "matrix entry"))  # JSON true is not the entry 1
+        if len(text.lower().partition("e")[2].lstrip("+-0")) <= 4:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # no int, no rational's text, or "1/0"
+        pass
+    return None
+
+
 def _parse_scalar(x, order):
-    """A matrix entry: a rational as a number or text ("1/2"), or a
-    cyclotomic number {"order": ..., "coeffs": [[num, den], ...]} of ints."""
+    """A matrix entry: a rational (`_rational_entry`), or a cyclotomic
+    number {"order": ..., "coeffs": [[num, den], ...]} of ints."""
     from fractions import Fraction
 
     from .cyclotomic import Cyclotomic
@@ -71,11 +102,13 @@ def _parse_scalar(x, order):
                 )
             coeffs = [Fraction(check_int(n, what), check_int(d, what)) for n, d in pairs]
             return Cyclotomic(check_int(x["order"], what), coeffs)
-        if not isinstance(x, bool):  # JSON true is not the entry 1
-            return Cyclotomic.rational(order, x)
-    except (ZeroDivisionError, OverflowError):  # "1/0", a zero denominator, Infinity
+        value = _rational_entry(x)
+        if value is not None:
+            return Cyclotomic.rational(order, value)
+    except ZeroDivisionError:  # a zero denominator
         pass
-    raise ValueError(f"matrix entry {x!r} is not a rational or cyclotomic number")
+    shown = getattr(x, "text", None) or repr(x)
+    raise ValueError(f"matrix entry {shown} is not a rational or cyclotomic number")
 
 
 def _parse_sl2s(matrices, order):
@@ -154,7 +187,7 @@ def _unique_keys(pairs):
 def _parse_json(text, refusal):
     """The JSON value of text; bad JSON or a repeated key raises "refusal: reason"."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_float=_JSONFloat)
     except ValueError as exc:  # json.JSONDecodeError, or a repeated key
         raise ValueError(f"{refusal}: {exc}") from None
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
+from operator import itemgetter
 
 from .surface import Triangulation, build_sigma_g_star, check_int
 
@@ -258,13 +259,17 @@ class _Layout:
     whose components have these numbers of points.
 
     The heavy edge h is the edge of largest weight w_h, the first one on
-    ties. Every other edge e is a field of b bits of a table's keys, field
-    e - (e > h), with 2**b >= 2W + 1 for the largest weight W of those
-    edges: a key is sum k_e * 2**(b*f), and as every partial or total
-    |k_e| is at most W, the packing is one-to-one and adding vectors adds
-    their ints. The edge h lives in a table's values: w_h + 1 slots of s
-    bits, slot j counting the partial states with j plus-signs on h so
-    far, so that k_h = 2j - w_h once the walk is done.
+    ties. Every other edge is a field of b bits of a table's keys, with
+    2**b >= 2W + 1 for the largest weight W of those edges, and the first
+    of them in the top field: with F fields, the i-th edge other than h is
+    field F - 1 - i. A key is sum k_e * 2**(b*f), and as every partial or
+    total |k_e| is at most W, the packing is one-to-one and adding vectors
+    adds their ints. With W added to every field no field borrows from the
+    next, so keys compare as their vectors without k_h do, lexicographically
+    in edge order (`_decode` relies on it). The edge h lives in a table's
+    values: w_h + 1 slots of s bits, slot j counting the partial states
+    with j plus-signs on h so far, so that k_h = 2j - w_h once the walk is
+    done.
 
     No slot may carry into the next, so s bits must hold any count. Along
     a walk each piece forbids one ordered pair of states, so if p and n
@@ -289,17 +294,23 @@ class _Layout:
         self.bits = b = _field_bits(self.width)
         self.slot_bits = prod(_fibonacci(n + 2) for n in sizes).bit_length()
         # what a + on a point of each edge adds to a key; 0 on h only
-        self.units = [1 << (b * f) for f in range(len(rest))]
+        self.units = [1 << (b * f) for f in reversed(range(len(rest)))]
         self.units.insert(h, 0)
 
 
 def _decode(table, layout):
-    """{k-vector tuple: count} of a walk-DP table. Slot j of every value is
-    read in one pass, giving k_h = 2j - w_h; every other edge is decoded one
-    column at a time over the distinct keys (with W added to every field,
-    field f of a key is a shift and a mask) and spread to the nonzero
-    slots."""
-    values = list(table.values())
+    """{k-vector tuple: count} of a walk-DP table, in at most w_h + 1
+    ascending runs, so that sorting it is a cheap merge of runs.
+
+    The distinct keys are read in ascending order, which is the
+    lexicographic order of their vectors without k_h (`_Layout`). Slot j
+    of every value is read in one pass, giving k_h = 2j - w_h, so slot j's
+    k-vectors, which share k_h, come out as one ascending run. Every other
+    edge is decoded one column at a time over the keys (with W added to
+    every field, field f of a key is a shift and a mask) and spread to the
+    nonzero slots."""
+    keys = sorted(table)
+    values = list(map(table.__getitem__, keys))
     w_h, slot_bits, n = layout.heavy_weight, layout.slot_bits, len(values)
     slot_mask = (1 << slot_bits) - 1
     # slot j of every value, for j = 0..w_h in turn: each nonzero slot is
@@ -312,11 +323,11 @@ def _decode(table, layout):
     width, bits = layout.width, layout.bits
     n_fields = layout.n_edges - 1
     shift = width * sum(1 << (bits * f) for f in range(n_fields))
-    keys = [key + shift for key in table]
+    keys = [key + shift for key in keys]
     mask = (1 << bits) - 1
     cols = [
         map([((x >> (bits * f)) & mask) - width for x in keys].__getitem__, rows)
-        for f in range(n_fields)
+        for f in reversed(range(n_fields))
     ]
     cols.insert(layout.heavy, compress(k_heavy, slots))
     return dict(zip(zip(*cols), filter(None, slots)))
@@ -400,12 +411,11 @@ def enumerate_admissible_states_bruteforce(
 
 def support_bounds_check(support: TraceSupport, curve: NormalCurve) -> bool:
     """The three support constraints: |k(e)| <= |γ∩e|, matching parity,
-    and k = 0 on the boundary arc. Each edge column is checked over its
-    distinct values."""
+    and k = 0 on the boundary arc. Each edge is checked over its distinct
+    values, read off the k-vectors with no transposed copy of them."""
     bd = curve.tri.boundary_edges
-    for e, column in enumerate(zip(*support.fibers)):
-        w = curve.coords[e]
-        for k in set(column):
+    for e, w in enumerate(curve.coords):
+        for k in set(map(itemgetter(e), support.fibers)):
             if abs(k) > w or (k - w) % 2 or (k and e in bd):
                 return False
     return True

@@ -28,6 +28,7 @@ from .curves import (
     check_state_cap,
     class_curve,
     enumerate_admissible_states,
+    torus_table,
 )
 from .intlinalg import lattice_cosets_many
 from .mcg import act_on_curve
@@ -91,8 +92,16 @@ class Certificate(SimpleNamespace):
 def _check_connected(name, curve):
     # a homeomorphism maps a connected essential curve to one; an empty
     # curve has no component, an arc ends on the boundary, and every
-    # mapping class fixes the boundary-parallel curve
-    if (
+    # mapping class fixes the boundary-parallel curve. On Delta_1 these are
+    # exactly the curves of a torus class, read off the coordinates with
+    # no walk; on any other triangulation the curve is walked.
+    table = torus_table()
+    if curve.tri == table.tri:
+        try:
+            table.class_of(curve)
+        except ValueError:
+            raise ValueError(f"{name} must be a connected essential curve") from None
+    elif (
         curve.coords == curve.tri.boundary_parallel
         or any(curve.coords[e] for e in curve.tri.boundary_edges)
         or not curve.is_connected()
@@ -103,13 +112,15 @@ def _check_connected(name, curve):
 def _resolve_curves(req: DetectionRequest):
     """alpha and beta. A matrix class maps alpha, and an explicit beta must
     be that image; a word class maps no curve, so its beta is taken on
-    trust (the assumption "beta-is-image"). alpha, and an explicit beta,
-    are checked to be connected essential curves before a class acts on
-    alpha; the image of one under a matrix class is a class curve."""
+    trust (the assumption "beta-is-image"). alpha given by coordinates,
+    and an explicit beta, are checked to be connected essential curves
+    before a class acts on alpha; a class curve, and so the image of one
+    under a matrix class, is one by construction."""
     alpha = req.curve
-    if not isinstance(alpha, NormalCurve):
+    if isinstance(alpha, NormalCurve):
+        _check_connected("alpha", alpha)
+    else:
         alpha = class_curve(req.genus, *alpha)
-    _check_connected("alpha", alpha)
     beta = req.beta
     if beta is not None:
         _check_connected("beta", beta)

@@ -186,6 +186,24 @@ def test_leaf_classify():
     assert json.loads(out)["leaf"] == [1, 1]
 
 
+def test_decimal_entries_are_read_as_written():
+    # a JSON number with a fraction or exponent is the decimal it writes, not
+    # the nearest double: 0.1 is 1/10, so [0.1, 0, 0, 10] has determinant 1
+    for decimals, fractions in (
+        ("[0.1, 0, 0, 10]", '["1/10", 0, 0, 10]'),
+        ("[0.5, 0, 0, 2.0]", '["1/2", 0, 0, 2]'),
+        ("[2.5E-1, 0, 0, 4e0]", '["1/4", 0, 0, 4]'),
+        ("[1, 0.3, 0, 1]", '[1, "3/10", 0, 1]'),
+    ):
+        expected = run_cli("leaf", "classify", "--mat", fractions)
+        assert expected[0] == 0
+        assert run_cli("leaf", "classify", "--mat", decimals) == expected
+        rep = '{"genus": 1, "images": [%s, [0, 1, -1, 0]]}'
+        expected = run_cli("rep", "moment", "--rep", rep % fractions)
+        assert expected[0] == 0
+        assert run_cli("rep", "moment", "--rep", rep % decimals) == expected
+
+
 def test_rep_dims():
     code, out, _ = run_cli(
         "rep", "dims", "--genus", "1", "--N", "3", "--cell", "big", "--orbit-size", "1"
@@ -682,6 +700,18 @@ MALFORMED = [
          ("orbit", "--rep", '{"genus": 1, "images": [["1/0", 0, 0, 1], [1, 0, 0, 1]]}',
           "--gens", "[]"),
          "matrix entry '1/0' is not a rational or cyclotomic number"),
+    *(
+        _row(f"leaf-mat-{name}-entry", ("leaf", "classify", "--mat", f"[2, {entry}, 0, 0.5]"),
+             f"matrix entry {shown} is not a rational or cyclotomic number")
+        for name, entry, shown in (("text", '"x"', "'x'"), ("null", "null", "None"),
+                                   ("list", "[1]", "[1]"))
+    ),
+    # a decimal is read exactly, so its power of ten is bounded
+    _row("leaf-mat-long-exponent", ("leaf", "classify", "--mat", "[1e-99999, 0, 0, 1]"),
+         "matrix entry 1e-99999 is not a rational or cyclotomic number"),
+    _row("rep-moment-long-exponent-text",
+         ("rep", "moment", "--rep", '{"genus": 1, "images": [["1e99999", 0, 0, 1], [1, 0, 0, 1]]}'),
+         "matrix entry '1e99999' is not a rational or cyclotomic number"),
     _row("lattice-even-N", ("lattice", "info", "--N", "4"), "N must be odd and >= 3"),
     _row("lattice-refined-even-N", ("lattice", "info", "--N", "4", "--refined"),
          "N must be odd and >= 3"),
@@ -1156,6 +1186,22 @@ assert loaded == [], loaded
 """
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_genus_one_cap_refusal_stays_small():
+    # a 999998-point curve is refused from its coordinates: no point, piece
+    # or walk of it is built, so the process stays small
+    script = """
+import resource, sys
+from skeinlab import cli
+cli.main(["detect", "--curve", "200000,199999", "--phi", '{"matrix": [[1, 1], [0, 1]]}'])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert '"cap-exceeded"' in proc.stdout
+    maxrss_kb = int(proc.stderr.splitlines()[-1])
+    assert maxrss_kb < 100 * 1024, maxrss_kb
 
 
 def test_selftest_runs_without_sympy_or_numpy():

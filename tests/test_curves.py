@@ -150,6 +150,28 @@ def test_qtrace_support_large_curve_stdout_pinned(capsys):
     )
 
 
+def _ascending_runs(seq):
+    """The number of maximal strictly ascending runs of seq."""
+    return sum(a >= b for a, b in zip(seq, seq[1:])) + (len(seq) > 0)
+
+
+def test_support_iterates_in_few_ascending_runs():
+    """Every primitive Delta_1 class with m <= 64: the decoded support
+    comes in at most w_h + 1 ascending runs, one per k_h, so sorting it is
+    a merge of runs."""
+    table = torus_table()
+    classes = 0
+    for p in range(33):
+        for q in range(-64, 65):
+            if gcd(p, q) != 1 or (p == 0 and q < 0) or sum(table.predicted_coords(p, q)) > 64:
+                continue
+            c = table.curve(p, q)
+            kvecs = list(enumerate_admissible_states(c, cap=96).fibers)
+            assert _ascending_runs(kvecs) <= max(c.coords) + 1, (p, q)
+            classes += 1
+    assert classes == 558
+
+
 def _fibonacci_upto(n):
     """F(0), ..., F(n), with F(1) = F(2) = 1."""
     fib = [0, 1]
@@ -185,11 +207,12 @@ def test_decode_inverts_heavy_edge_layout(n_edges):
                 fibers[tuple(kvec)] = rng.choice((1, 3, fib[m + 2]))
             table = {}
             for kvec, count in fibers.items():
-                rest = kvec[:h] + kvec[h + 1 :]
-                key = sum(k << (bits * f) for f, k in enumerate(rest))
+                key = sum(k * u for k, u in zip(kvec, layout.units))
                 slot = (kvec[h] + w_h) // 2
                 table[key] = table.get(key, 0) + (count << (layout.slot_bits * slot))
-            assert curves._decode(table, layout) == fibers
+            decoded = curves._decode(table, layout)
+            assert decoded == fibers
+            assert _ascending_runs(list(decoded)) <= w_h + 1
 
 
 def test_slot_width_holds_on_eight_component_curves():

@@ -388,6 +388,65 @@ def test_every_small_curve_certifies_only_what_the_oracles_allow():
     assert outcomes == {"certified-nontrivial": 190, "inconclusive": 242, "refused": 8568}
 
 
+def _walk_rule(curve):
+    """The walk's verdict on whether a curve is connected and essential."""
+    tri = curve.tri
+    return not (
+        curve.coords == tri.boundary_parallel
+        or any(curve.coords[e] for e in tri.boundary_edges)
+        or not curve.is_connected()
+    )
+
+
+def test_genus_one_connectivity_agrees_with_the_walk():
+    """Every normal vector of Delta_1 with coordinate sum <= 40, the empty
+    one included: the check reads the torus class off the coordinates, walks
+    nothing, and agrees with the walk, kept here as the oracle."""
+    tri = torus_table().tri
+    vectors = [[0] * tri.n_edges, *normal_coord_vectors(tri, 40)]
+    verdicts = Counter()
+    for vec in vectors:
+        curve = NormalCurve(tri, vec)
+        try:
+            detect._check_connected("alpha", curve)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "alpha must be a connected essential curve"
+            accepted = False
+        assert "walks" not in vars(curve) and "pieces" not in vars(curve), vec
+        assert accepted == _walk_rule(curve), vec
+        verdicts[accepted] += 1
+    assert len(vectors) == 9860 and verdicts[True] > 100
+
+
+def test_genus_one_cap_refusal_walks_no_curve():
+    """A 999998-point class curve and its twist image are refused on the
+    point cap with the certificate they always had, and neither curve, class
+    or explicit coordinates, is walked on the way."""
+    table = torus_table()
+    expected = {
+        "verdict": "inconclusive",
+        "method": "theorem2->support",
+        "N": 5,
+        "cell": "reduced",
+        "reasons": ["bound-exceeded", "cap-exceeded"],
+        "witness": None,
+        "assumptions": ["delta-liftable"],
+        "alpha": [200000, 200000, 199999, 399999, 0],
+        "beta": [399999, 399999, 199999, 599998, 0],
+    }
+    alpha = table.curve(200000, 199999)
+    beta = NormalCurve(table.tri, expected["beta"])
+    for req in (
+        DetectionRequest(curve=alpha, phi=MappingClass(1, matrix=TWIST)),
+        DetectionRequest(curve=(200000, 199999), phi=MappingClass(1, matrix=TWIST)),
+        DetectionRequest(curve=alpha, phi=MappingClass(1, matrix=TWIST), beta=beta),
+    ):
+        assert detect_theorem2(req).to_json() == expected
+    for curve in (alpha, beta):
+        assert vars(curve).keys() == {"tri", "coords", "n_points"}
+
+
 def test_disconnected_alpha_rejected():
     table = torus_table()
     doubled = NormalCurve(table.tri, [2 * v for v in table.curve(0, 1).coords])
