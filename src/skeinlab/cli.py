@@ -33,7 +33,18 @@ from .surface import check_decimal, check_fields, check_genus, check_int, pi_deg
 
 def _emit(obj):
     # one write: json.dump would hand the stream one chunk per token
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    except ValueError as exc:
+        # Python writes no int of more digits than its bound, and lifting
+        # the bound would let a bounded input take quadratic time to print
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(
+            f"the output has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "which is not printed"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 def _log(msg):

@@ -201,7 +201,9 @@ class NormalCurve:
 
 
 class TraceSupport:
-    """Support of the quantum trace: balanced maps with state fiber sizes."""
+    """Support of the quantum trace: balanced maps with state fiber sizes.
+    The walk DP's support (`WalkSupport`) decodes its fibers when they are
+    first read; the brute-force route builds them directly."""
 
     def __init__(self, fibers: dict):
         self.fibers = fibers  # k-vector tuple -> number of admissible states
@@ -214,6 +216,19 @@ class TraceSupport:
         return isinstance(other, TraceSupport) and self.fibers == other.fibers
 
 
+class WalkSupport(TraceSupport):
+    """The walk DP's support: its table of packed keys and slotted counts,
+    laid out as `layout` says (`_Layout`). Detection reads only the table
+    and the layout; `fibers` is decoded on first read."""
+
+    def __init__(self, table: dict, layout):
+        self.table, self.layout = table, layout
+
+    @cached_property
+    def fibers(self):
+        return _decode(self.table, self.layout)
+
+
 def enumerate_admissible_states(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
 ) -> TraceSupport:
@@ -223,7 +238,8 @@ def enumerate_admissible_states(
     one to that edge's counts in slots of one int (`_Layout`). The
     components' tables are multiplied (a one-component curve has nothing
     to multiply): keys add, and values multiply as polynomials in their
-    slots. The product is decoded by `_decode`."""
+    slots. The support keeps the product, which `_decode` turns into
+    fibers when they are first read."""
     check_state_cap(cap)
     check_point_cap(curve, cap)
     layout = _Layout(curve.coords, [len(points) for points, _ in curve.walks])
@@ -237,7 +253,7 @@ def enumerate_admissible_states(
                 k = k1 + k2
                 merged[k] = get(k, 0) + c1 * c2
         total = merged
-    return TraceSupport(_decode(total, layout))
+    return WalkSupport(total, layout)
 
 
 def _field_bits(width):
@@ -293,9 +309,27 @@ class _Layout:
         self.width = max(rest, default=0)
         self.bits = b = _field_bits(self.width)
         self.slot_bits = prod(_fibonacci(n + 2) for n in sizes).bit_length()
+        # each edge but h, with the shift of its field
+        others = [e for e in range(self.n_edges) if e != h]
+        self.shifts = [(e, b * (len(others) - 1 - i)) for i, e in enumerate(others)]
         # what a + on a point of each edge adds to a key; 0 on h only
-        self.units = [1 << (b * f) for f in reversed(range(len(rest)))]
-        self.units.insert(h, 0)
+        self.units = [0] * self.n_edges
+        for e, s in self.shifts:
+            self.units[e] = 1 << s
+
+    def fields(self, keys):
+        """{e: [k_e of each key]} for every edge e other than h. With W
+        added to every field of a key, field f is a shift and a mask."""
+        width, mask = self.width, (1 << self.bits) - 1
+        lift = width * sum(self.units)
+        keys = [key + lift for key in keys]
+        return {e: [((x >> s) & mask) - width for x in keys] for e, s in self.shifts}
+
+    def kvectors(self, keys, k_heavy):
+        """The k-vector of each key with its k_h, decoded column-wise."""
+        cols = list(self.fields(keys).values())
+        cols.insert(self.heavy, k_heavy)
+        return list(zip(*cols))
 
 
 def _decode(table, layout):
@@ -306,9 +340,8 @@ def _decode(table, layout):
     lexicographic order of their vectors without k_h (`_Layout`). Slot j
     of every value is read in one pass, giving k_h = 2j - w_h, so slot j's
     k-vectors, which share k_h, come out as one ascending run. Every other
-    edge is decoded one column at a time over the keys (with W added to
-    every field, field f of a key is a shift and a mask) and spread to the
-    nonzero slots."""
+    edge is decoded one column at a time over the keys (`_Layout.fields`)
+    and spread to the nonzero slots."""
     keys = sorted(table)
     values = list(map(table.__getitem__, keys))
     w_h, slot_bits, n = layout.heavy_weight, layout.slot_bits, len(values)
@@ -320,15 +353,7 @@ def _decode(table, layout):
     ]
     rows = list(compress(chain.from_iterable(repeat(range(n), w_h + 1)), slots))
     k_heavy = chain.from_iterable(map(repeat, range(-w_h, w_h + 1, 2), repeat(n)))
-    width, bits = layout.width, layout.bits
-    n_fields = layout.n_edges - 1
-    shift = width * sum(1 << (bits * f) for f in range(n_fields))
-    keys = [key + shift for key in keys]
-    mask = (1 << bits) - 1
-    cols = [
-        map([((x >> (bits * f)) & mask) - width for x in keys].__getitem__, rows)
-        for f in reversed(range(n_fields))
-    ]
+    cols = [map(col.__getitem__, rows) for col in layout.fields(keys).values()]
     cols.insert(layout.heavy, compress(k_heavy, slots))
     return dict(zip(zip(*cols), filter(None, slots)))
 

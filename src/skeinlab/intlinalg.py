@@ -418,7 +418,8 @@ def lattice_cosets_many(basis_rows, sub_rows, vecs, pad=0):
     batch is transposed to columns once, swept by both bases and
     transposed back once. This is the one coordinate solve: with sub_rows
     empty the cosets are the coordinates (`lattice_coordinates`,
-    `sublattice_index`), and detection passes the mod-N kernel."""
+    `sublattice_index`), and detection passes the mod-N kernel to put its
+    witness candidates in canonical form."""
     if not vecs:
         return []
     cols = [list(c) for c in zip(*vecs)]

@@ -6,9 +6,10 @@ Reduced cell: L = K^0 = N*K + Z*k_boundary. Big cell: L = {x in K :
 span that closed form, or nothing is counted. L contains N*K, hence
 2N*Z^E, so from one diagonalization U L V == diag(d) mod 2N the residue
 of v is (v V)_i mod gcd(d_i, 2N): a finite group whose size does not
-grow with the curve. Walks over the curve's corner pieces count states
-by (state of the current point, residue of the partial k-vector). They
-share no code with the walk DP or the coset projection, and use no
+grow with the curve. One walk forward and one back over the curve's
+corner pieces count states by (state of the current point, residue of
+the partial k-vector). They share no code with the walk DP or with
+detection's coset classes and canonical forms, and use no
 K-coordinates or full k-vectors: this module imports nothing of skeinlab
 but `intlinalg`, and is built from the basis rows of K, the kernel rows,
 the cell and N alone."""
@@ -22,7 +23,8 @@ from . import intlinalg
 
 def reverify_witness(alpha, beta, coset, witness, recount):
     """Recount both fibers of the witness coset with the independent
-    residue-class recount before emitting a certificate."""
+    residue-class recount before emitting a certificate: one walk pair per
+    curve (`ResidueRecount.count`)."""
     target = recount.target(coset)
     for curve, claimed in ((alpha, witness["fiberAlpha"]), (beta, witness["fiberBeta"])):
         states = recount.count(curve, target)
@@ -86,7 +88,7 @@ class ResidueRecount:
         self.transform = V
         # residues of the unit edge vectors and of their negatives
         self.plus = [self.pack(row) for row in V]
-        self.minus = [self.pack([-x for x in row]) for row in V]
+        self.minus = [self._diff(0, r) for r in self.plus]
 
     def pack(self, components):
         """The residue whose i-th component is components[i] mod M."""
@@ -117,7 +119,17 @@ class ResidueRecount:
         The states are met in the middle: a walk forward from the curve's
         first point and a walk backward from its last point, each keeping
         {residue: states} per state of its current point, are joined across
-        the middle piece with one lookup per forward residue."""
+        the middle piece with one lookup per forward residue.
+
+        The closing piece forbids `close` at the last point with the other
+        state at the first, so there are two runs: the first point at
+        `close` with any last state, and both at the other state. One walk
+        pair counts both, in fields of s = m + 2 bits of each count (m
+        points, so no field outgrows 2**(m + 1)): ahead, the first point at
+        `close` counts 1 and at the other state 2**s; behind, the last
+        point at `close` counts 2**s and at the other state 1 + 2**s. A
+        product's middle field then counts the pairs of one run, and the
+        join's sum holds the total there."""
         walks = _piece_walks(curve.n_points, curve.pieces)
         if len(walks) != 1:
             raise ValueError(f"the recount counts one curve component, not {len(walks)}")
@@ -127,19 +139,20 @@ class ResidueRecount:
         edges = [curve.point_edge[p] for p in points]
         h = (len(edges) - 1) // 2
         middle = 0 if forward[h] else 1
-        # the closing piece forbids `close` at the last point with the
-        # other state at the first: one walk per first state
         close = 0 if forward[-1] else 1
-        total = 0
-        for first, last in (((close,), (0, 1)), ((1 - close,), (1 - close,))):
-            ahead = self._walk(first, edges, forward, h, back=False)
-            behind = self._walk(last, edges, forward, h, back=True)
-            total += self._join(ahead, behind, middle, target)
-        return total
+        s = len(edges) + 2
+        field = 1 << s
 
-    def _walk(self, states, edges, forward, h, back):
-        """A walk that starts with one state in each of `states` (0 for +,
-        1 for -): forward from point 0 to point h, or back from the last
+        def starts(at_close, at_other):
+            return (at_close, at_other) if close == 0 else (at_other, at_close)
+
+        ahead = self._walk(starts(1, field), edges, forward, h, back=False)
+        behind = self._walk(starts(field, 1 + field), edges, forward, h, back=True)
+        return (self._join(ahead, behind, middle, target) >> s) & (field - 1)
+
+    def _walk(self, starts, edges, forward, h, back):
+        """A walk that starts with count starts[s] in state s (0 for +, 1
+        for -): forward from point 0 to point h, or back from the last
         point to point h + 1, adding negated residues. Returns one
         {key: states} table per state at the last point and the offset that
         its keys are relative to, so that a step moves offsets and folds one
@@ -147,7 +160,7 @@ class ResidueRecount:
         (+, -) from its a-point to its b-point: after its a-point - follows
         only -, after its b-point + only +."""
         up, down = (self.minus, self.plus) if back else (self.plus, self.minus)
-        tables = [{0: 1} if s in states else {} for s in (0, 1)]
+        tables = [{0: n} for n in starts]
         offsets = [up[edges[-back]], down[edges[-back]]]
         reduce = self._reduce
         # piece t joins points t and t + 1; a step enters the point across it

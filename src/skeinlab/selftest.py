@@ -20,7 +20,7 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .detect import DetectionRequest, _coset_states, _detection_context
+from .detect import DetectionRequest, _detection_context
 from .detect import detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
 from .poisson import PoissonAlgebra, bracket_tables_from_r_matrix, verify_r_matrix_expansion
@@ -143,20 +143,21 @@ def check_support_lemma():
 def check_injectivity_lemma():
     table = torus_table()
     N = 7
-    # the projection that detect runs, so that this check covers it
-    basis, kernel, _ = _detection_context(table.tri, N, "reduced")
     bad = []
     for pq in FIXTURE_CLASSES:
         c = table.curve(*pq)
         if c.max_edge_weight() > N - 1:
             continue
         support = enumerate_admissible_states(c)
-        cosets, _ = _coset_states(support, basis, kernel, "reduced")
+        # the class map that detect runs, so that this check covers it:
+        # each state entry is one k-vector, and equal ids are equal cosets
+        cmap = _detection_context(table.tri, N, "reduced").class_map((support.layout.heavy,))
+        entries = cmap.classes(support)
         seen = {}
-        for k, red in zip(support.fibers, cosets):
+        for red, kvec in zip(entries.ids, entries.kvectors()):
             if red in seen:
-                bad.append((pq, k, seen[red]))
-            seen[red] = k
+                bad.append((pq, kvec, seen[red]))
+            seen[red] = kvec
     return _result(
         "mod-K0 projection injective on supports (weights <= N-1, N=7)",
         not bad,

@@ -5,7 +5,7 @@ import itertools
 from math import gcd
 
 from skeinlab import intlinalg
-from skeinlab.curves import CLASS_BASIS, NormalCurve
+from skeinlab.curves import CLASS_BASIS, NormalCurve, WalkSupport
 from skeinlab.cyclotomic import Cyclotomic
 from skeinlab.mcg import FreeGroupEndo
 from skeinlab.repvar import SL2Mat, SL2Rep, _capped_closure
@@ -212,3 +212,32 @@ def ordered_pair_commutation_holds(irrep) -> bool:
             if monomial_product(gi, gj, F) != (perm, tuple((e + phase) % F for e in exps)):
                 return False
     return True
+
+
+def coset_states(support, basis, kernel, cell):
+    """The reference projection of a support: the canonical coset of each
+    k-vector, in fiber order (K-coordinates from the echelon basis of K,
+    with khat = 0 appended on the big cell, reduced modulo the kernel), and
+    {coset: number of states}."""
+    pad = 1 if cell == "big" else 0
+    cosets = intlinalg.lattice_cosets_many(basis, kernel, list(support.fibers), pad)
+    if cosets is None:
+        raise ValueError("vector is not balanced")
+    states = {}
+    for coset, n in zip(cosets, support.fibers.values()):
+        states[coset] = states.get(coset, 0) + n
+    return cosets, states
+
+
+def table_support(fibers, layout):
+    """The walk-DP support with these fibers in this layout: each k-vector
+    packed through `layout.units`, its count put in slot (k_h + w_h) / 2."""
+    h, w_h, bits = layout.heavy, layout.heavy_weight, layout.slot_bits
+    table = {}
+    for kvec, n in fibers.items():
+        j, odd = divmod(kvec[h] + w_h, 2)
+        assert not odd and 0 <= j <= w_h and 0 < n < 1 << bits, (kvec, n)
+        assert all(abs(k) <= layout.width for e, k in enumerate(kvec) if e != h), kvec
+        key = sum(k * u for k, u in zip(kvec, layout.units))
+        table[key] = table.get(key, 0) + (n << (bits * j))
+    return WalkSupport(table, layout)

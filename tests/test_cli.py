@@ -712,6 +712,11 @@ MALFORMED = [
     _row("rep-moment-long-exponent-text",
          ("rep", "moment", "--rep", '{"genus": 1, "images": [["1e99999", 0, 0, 1], [1, 0, 0, 1]]}'),
          "matrix entry '1e99999' is not a rational or cyclotomic number"),
+    # an accepted exponent can still give an output int that Python will
+    # not print
+    _row("leaf-mat-output-over-the-digit-bound",
+         ("leaf", "classify", "--mat", '["1e5000", 0, 0, "1e-5000"]'),
+         "the output has an integer of more than 4300 digits, which is not printed"),
     _row("lattice-even-N", ("lattice", "info", "--N", "4"), "N must be odd and >= 3"),
     _row("lattice-refined-even-N", ("lattice", "info", "--N", "4", "--refined"),
          "N must be odd and >= 3"),

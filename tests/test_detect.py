@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import detect, intlinalg
+from skeinlab import detect, intlinalg, recount
 from skeinlab.curves import (
     NormalCurve,
     TraceSupport,
@@ -23,7 +23,6 @@ from skeinlab.curves import (
 )
 from skeinlab.detect import (
     DetectionRequest,
-    _coset_states,
     _find_witness,
     detect_support,
     detect_theorem2,
@@ -40,7 +39,13 @@ from skeinlab.intlinalg import (
 from skeinlab.mcg import MappingClass, act_on_curve
 from skeinlab.surface import BalancedLattice, build_sigma_g_star
 
-from oracles import homology_class, normal_coord_vectors, smith_residues
+from oracles import (
+    coset_states,
+    homology_class,
+    normal_coord_vectors,
+    smith_residues,
+    table_support,
+)
 
 FIXTURES = json.loads((Path(__file__).parent / "fixtures" / "derived.json").read_text())
 
@@ -49,14 +54,16 @@ IDENTITY = [[1, 0], [0, 1]]
 
 
 def _projection(tri, N, cell):
-    """What `_coset_states` takes after the support: the basis of K and the
-    mod-N kernel of the detection context of (tri, N, cell), and the cell."""
+    """What the reference `coset_states` takes after the support: the basis
+    of K and the mod-N kernel of the detection context of (tri, N, cell),
+    and the cell."""
     basis, kernel, _ = detect._detection_context(tri, N, cell)
     return basis, kernel, cell
 
 
 def _project(kvecs, basis, kernel, cell):
-    """The coset of each k-vector, by the routine that `_coset_states` calls."""
+    """The canonical coset of each k-vector, by the routine that detect
+    calls on its witness candidates."""
     return lattice_cosets_many(basis, kernel, kvecs, 1 if cell == "big" else 0)
 
 
@@ -348,10 +355,57 @@ def test_sweep_witness_kvec_is_the_singleton_state():
         assert witness["swapped"] == (curve is alpha)
         kvec = tuple(witness["kvec"][0])
         assert kvec in enumerate_admissible_states(curve, cap=cap).fibers
-        cosets, _ = _coset_states(TraceSupport({kvec: 1}), *_projection(table.tri, N, cell))
-        assert cosets == [tuple(witness["coset"])]
+        assert _project([kvec], *_projection(table.tri, N, cell)) == [tuple(witness["coset"])]
         checked += 1
     assert checked > 2000
+
+
+# (class, N, cell) -> witness of the certificate of the class under T, whose
+# curves have up to 128 points and edge weights up to 47
+LARGE_WITNESSES = {
+    ((13, 8), 31, "reduced"): {
+        "coset": [0, 0, 1, 14, 14], "fiberAlpha": 0, "fiberBeta": 1,
+        "kvec": [[3, 3, 4, 1, 0]], "swapped": False,
+    },
+    ((13, 8), 31, "big"): {
+        "coset": [1, 5, 8, 0, 0, 0], "fiberAlpha": 0, "fiberBeta": 1,
+        "kvec": [[1, 11, 8, 9, 0]], "swapped": False,
+    },
+    ((21, 13), 49, "reduced"): {
+        "coset": [0, 0, 0, 24, 23], "fiberAlpha": 1, "fiberBeta": 0,
+        "kvec": [[3, 3, 3, 2, 0]], "swapped": True,
+    },
+    ((21, 13), 49, "big"): {
+        "coset": [2, 0, 3, 47, 0, 0], "fiberAlpha": 0, "fiberBeta": 1,
+        "kvec": [[2, 2, 3, 1, 0]], "swapped": False,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "pq, N, cell",
+    [
+        pytest.param(pq, N, cell, id=f"{pq[0]},{pq[1]}-N{N}-{cell}")
+        for pq, N, cell in LARGE_WITNESSES
+    ],
+)
+def test_large_curve_certificates_are_pinned(pq, N, cell):
+    # curves far above the default cap, with large edge weights
+    phi = MappingClass(1, matrix=TWIST)
+    req = DetectionRequest(N=N, cell=cell, curve=pq, phi=phi, state_cap=400)
+    alpha = list(torus_table().predicted_coords(*pq))
+    beta = list(torus_table().predicted_coords(pq[0] + pq[1], pq[1]))
+    assert detect_support(req).to_json() == {
+        "verdict": "certified-nontrivial",
+        "method": "support",
+        "N": N,
+        "cell": cell,
+        "reasons": [],
+        "witness": LARGE_WITNESSES[pq, N, cell],
+        "assumptions": ["delta-liftable"],
+        "alpha": alpha,
+        "beta": beta,
+    }
 
 
 def test_every_small_curve_certifies_only_what_the_oracles_allow():
@@ -509,7 +563,7 @@ def _assert_recount_matches_bruteforce(curve, N, cell):
     basis, kernel, recount = detect._detection_context(curve.tri, N, cell)
     support = enumerate_admissible_states_bruteforce(curve)
     fibers = support.fibers
-    _, by_coset = _coset_states(support, basis, kernel, cell)
+    _, by_coset = coset_states(support, basis, kernel, cell)
     targets = {coset: recount.target(coset) for coset in by_coset}
     assert len(set(targets.values())) == len(by_coset)
     for coset, n in by_coset.items():
@@ -563,6 +617,33 @@ def test_residue_recount_matches_bruteforce(N, cell):
     doubled = NormalCurve(curves[0].tri, [2 * v for v in curves[0].coords])
     with pytest.raises(ValueError, match="^the recount counts one curve component, not 2$"):
         detect._detection_context(doubled.tri, N, cell)[2].count(doubled, 0)
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_the_recount_walks_once_each_way(monkeypatch, cell):
+    """Both runs of the closing piece are counted in one walk forward and
+    one walk back, and the counts are still the brute force's."""
+    calls = []
+    walk = recount.ResidueRecount._walk
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs["back"])
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(recount.ResidueRecount, "_walk", counted)
+    tri_two = build_sigma_g_star(2)
+    curves = _closed_connected(_genus_one_curves(14, max_weight=6))
+    curves.append(NormalCurve(tri_two, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0]))
+    checked = 0
+    for curve in curves:
+        basis, kernel, counter = detect._detection_context(curve.tri, 3, cell)
+        support = enumerate_admissible_states_bruteforce(curve)
+        for coset, n in coset_states(support, basis, kernel, cell)[1].items():
+            calls.clear()
+            assert counter.count(curve, counter.target(coset)) == n, (curve, coset)
+            assert calls == [False, True]
+            checked += 1
+    assert checked > 200
 
 
 @pytest.mark.parametrize(
@@ -711,40 +792,87 @@ def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
     return out
 
 
-def _grouped_one_at_a_time(support, projection, coords_of):
-    kvecs = list(support.fibers)
-    cosets = _project_one_at_a_time(kvecs, *projection, coords_of)
-    states = {}
-    for kvec, key in zip(kvecs, cosets):
-        states[key] = states.get(key, 0) + support.fibers[kvec]
-    return cosets, states
+def _class_entries(cmap, support):
+    """(class id, k-vector, states) of each state entry of a support, by
+    the class map that detect runs."""
+    entries = cmap.classes(support)
+    return list(zip(entries.ids, entries.kvectors(), entries.counts))
+
+
+def _tail_shape(cmap, support):
+    """Where the support's heavy edge comes in the class map's columns."""
+    if len(cmap.heavy) == 1:
+        return "shared"
+    return "last" if support.layout.heavy == cmap.heavy[1] else "second-to-last"
+
+
+def _assert_classes_match_cosets(cmap, supports, projection, coords_of):
+    """Over the supports together, class ids and the reference's canonical
+    cosets name each other one to one, and each support has the reference's
+    states in each class; each support's entries are its fibers."""
+    coset_of_class, class_of_coset = {}, {}
+    for sup in supports:
+        entries = _class_entries(cmap, sup)
+        assert {kvec: n for _, kvec, n in entries} == sup.fibers
+        kvecs = [kvec for _, kvec, _ in entries]
+        cosets = _project_one_at_a_time(kvecs, *projection, coords_of)
+        states = {}
+        for (i, _, n), coset in zip(entries, cosets):
+            assert coset_of_class.setdefault(i, coset) == coset
+            assert class_of_coset.setdefault(coset, i) == i
+            states[coset] = states.get(coset, 0) + n
+        assert states == coset_states(sup, *projection)[1]
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
 def test_batched_projection_matches_one_vector_at_a_time(cell):
+    # the class map is built per pair of heavy edges, so every pair that
+    # the curves' heavy edges make is checked, with every curve of either
     table = torus_table()
     supports = [enumerate_admissible_states(c) for c in _genus_one_curves(16)]
     assert len(supports) > 100
+    by_heavy = {}
+    for sup in supports:
+        by_heavy.setdefault(sup.layout.heavy, []).append(sup)
+    shapes = Counter()
     coords_of = {}
     for N in (3, 5, 11):
         projection = _projection(table.tri, N, cell)
-        for sup in supports:
-            assert _coset_states(sup, *projection) == _grouped_one_at_a_time(
-                sup, projection, coords_of
-            )
+        for a, b in product(sorted(by_heavy), repeat=2):
+            heavy = tuple(dict.fromkeys((a, b)))
+            cmap = detect._detection_context(table.tri, N, cell).class_map(heavy)
+            group = by_heavy[a] + (by_heavy[b] if b != a else [])
+            _assert_classes_match_cosets(cmap, group, projection, coords_of)
+            shapes.update(_tail_shape(cmap, sup) for sup in group)
     t2 = build_sigma_g_star(2)
-    for coords in ({2: 1, 3: 1}, {7: 1, 8: 1}, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0]):
-        sup = enumerate_admissible_states(NormalCurve(t2, coords))
-        for N in (3, 5):
-            projection = _projection(t2, N, cell)
-            assert _coset_states(sup, *projection) == _grouped_one_at_a_time(sup, projection, {})
+    coords = ({2: 1, 3: 1}, {7: 1, 8: 1}, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
+    two = [enumerate_admissible_states(NormalCurve(t2, c)) for c in coords]
+    for N in (3, 5):
+        projection = _projection(t2, N, cell)
+        for sup_a, sup_b in product(two, repeat=2):
+            heavy = tuple(dict.fromkeys((sup_a.layout.heavy, sup_b.layout.heavy)))
+            cmap = detect._detection_context(t2, N, cell).class_map(heavy)
+            _assert_classes_match_cosets(cmap, [sup_a, sup_b], projection, {})
+            shapes.update(_tail_shape(cmap, sup) for sup in (sup_a, sup_b))
+    assert shapes.keys() == {"shared", "second-to-last", "last"}
+    assert min(shapes.values()) > 100, shapes
 
 
-def test_projection_rejects_unbalanced_vectors():
+def test_projection_rejects_unbalanced_vectors(monkeypatch):
+    # an unbalanced vector names a class that no balanced one does, so it
+    # is a witness candidate, and its canonical form refuses it
     table = torus_table()
-    support = TraceSupport({(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): 1})
+    alpha = table.curve(1, 1)
+    layout = enumerate_admissible_states(alpha).layout
+    support = table_support({(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): 1}, layout)
+
+    def enumerate_unbalanced(curve, cap):
+        return support if curve == alpha else enumerate_admissible_states(curve, cap=cap)
+
+    monkeypatch.setattr(detect, "enumerate_admissible_states", enumerate_unbalanced)
+    req = DetectionRequest(N=5, curve=alpha, beta=table.curve(1, 0))
     with pytest.raises(ValueError, match="^vector is not balanced$"):
-        _coset_states(support, *_projection(table.tri, 5, "reduced"))
+        detect_support(req)
 
 
 def _fibers_with_pieces(curve, pieces):
@@ -769,7 +897,7 @@ def _false_witness_supports(alpha, beta, projection):
     true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
 
     def projected(fibers_of):
-        return [_coset_states(TraceSupport(fibers_of[c]), *projection)[1] for c in (alpha, beta)]
+        return [coset_states(TraceSupport(fibers_of[c]), *projection)[1] for c in (alpha, beta)]
 
     def states(fib, coset):
         return [side.get(coset, 0) for side in fib]
@@ -805,10 +933,12 @@ def test_corrupted_support_fails_reverification(cell, monkeypatch):
     expected = {"reduced": {"flip": 2}, "big": {"flip": 8, "bump": 2}}[cell]
     assert Counter(kind for kind, _, _ in corrupted) == expected
     for _, bad_curve, fibers in corrupted:
+        # detect reads the walk-DP table, so the fibers are packed into one
+        bad = table_support(fibers, enumerate_admissible_states(bad_curve).layout)
 
-        def enumerate_corrupted(curve, cap, bad_curve=bad_curve, fibers=fibers):
+        def enumerate_corrupted(curve, cap, bad_curve=bad_curve, bad=bad):
             if curve == bad_curve:
-                return TraceSupport(fibers)
+                return bad
             return enumerate_admissible_states(curve, cap=cap)
 
         monkeypatch.setattr(detect, "enumerate_admissible_states", enumerate_corrupted)
@@ -831,7 +961,7 @@ def _false_witness_projections(alpha, beta, projection):
     support criterion finds a witness whose true fibers differ from the
     claimed ones."""
     supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
-    true_fib = [_coset_states(sup, *projection)[1] for sup in supports]
+    true_fib = [coset_states(sup, *projection)[1] for sup in supports]
     kvecs = sorted(set().union(*(sup.fibers for sup in supports)))
     coset_of = dict(zip(kvecs, _project(kvecs, *projection)))
     # the cosets hit, and their neighbours k + 2 e_i (2 e_i is balanced)
@@ -857,15 +987,36 @@ def _false_witness_projections(alpha, beta, projection):
                     yield kind, moved
 
 
-def _moving(moved):
-    """The projection that detect calls, with each k-vector of `moved` sent
-    to its coset there."""
+def _moving(monkeypatch, alpha, beta, N, cell, moved):
+    """Patch the class step and the canonical form of the candidates that
+    detect calls so that each k-vector of `moved` lands in its coset there:
+    its class becomes that coset's (a fresh one for a coset that no state
+    reaches), and its canonical form that coset."""
+    supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
+    heavy = tuple(dict.fromkeys(sup.layout.heavy for sup in supports))
+    cmap = detect._detection_context(alpha.tri, N, cell).class_map(heavy)
+    projection = _projection(alpha.tri, N, cell)
+    label = {}
+    for sup in supports:
+        entries = _class_entries(cmap, sup)
+        for (i, _, _), coset in zip(entries, _project([k for _, k, _ in entries], *projection)):
+            label[coset] = i
+    for coset in sorted(set(moved.values()) - set(label)):
+        label[coset] = -1 - len(label)
+    classes = detect._ClassMap.classes
+
+    def moved_classes(self, support):
+        entries = classes(self, support)
+        kvecs = entries.kvectors()
+        entries.ids = [label[moved[k]] if k in moved else i for i, k in zip(entries.ids, kvecs)]
+        return entries
 
     def project(basis, kernel, kvecs, pad):
         cosets = lattice_cosets_many(basis, kernel, kvecs, pad)
         return [moved.get(k, c) for k, c in zip(kvecs, cosets)]
 
-    return project
+    monkeypatch.setattr(detect._ClassMap, "classes", moved_classes)
+    monkeypatch.setattr(detect, "lattice_cosets_many", project)
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -882,7 +1033,8 @@ def test_corrupted_projection_fails_reverification(cell, monkeypatch):
     expected = {"reduced": {"merge": 32, "drop": 32}, "big": {"merge": 31, "drop": 30}}[cell]
     assert Counter(kind for kind, _ in corrupted) == expected
     for _, moved in corrupted:
-        monkeypatch.setattr(detect, "lattice_cosets_many", _moving(moved))
+        monkeypatch.undo()
+        _moving(monkeypatch, alpha, beta, 3, cell, moved)
         with pytest.raises(AssertionError, match="re-verification failed"):
             detect_support(req)
 
@@ -945,7 +1097,7 @@ def test_corrupted_projection_fails_reverification_with_a_warm_context(monkeypat
     assert detect_support(req).verdict == "certified-nontrivial"
     context = detect._detection_context(table.tri, 3, "reduced")
     _, moved = next(_false_witness_projections(alpha, beta, _projection(table.tri, 3, "reduced")))
-    monkeypatch.setattr(detect, "lattice_cosets_many", _moving(moved))
+    _moving(monkeypatch, alpha, beta, 3, "reduced", moved)
     assert detect._detection_context(table.tri, 3, "reduced") is context
     with pytest.raises(AssertionError, match="re-verification failed"):
         detect_support(req)

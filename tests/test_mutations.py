@@ -26,8 +26,9 @@ TWIST = {"a1": "a", "b1": "ba"}
 INT_FLAGS = ("--genus", "--N", "--cap", "--orbit-size", "--field-order")
 ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 # Python's own exception texts, which no refusal may carry: the first was
-# the one such text among the mutants' messages, the rest are what a
-# TypeError, AttributeError or int() of a stray value would say
+# the one such text among the mutants' messages, the last is what printing
+# an int of more than 4300 digits says, and the rest are what a TypeError,
+# AttributeError or int() of a stray value would say
 PYTHON_TEXTS = (
     "argument should be a string or a Rational instance",
     "Invalid literal for Fraction",
@@ -38,6 +39,7 @@ PYTHON_TEXTS = (
     "not supported between instances",
     "positional argument",
     "cannot unpack",
+    "integer string conversion",
 )
 
 
