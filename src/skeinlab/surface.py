@@ -4,7 +4,16 @@ A triangulation is a list of faces, each a triple of edge ids in
 counter-clockwise order. An edge occurring in two slots is an inner edge
 glued there (parameter-reversing, so orientations match); an edge in one
 slot is a boundary arc. The surfaces of interest are the genus-g surfaces
-with one boundary arc, built by fusing annuli with extra triangles.
+with one boundary arc, built by fusing annuli with extra triangles:
+`build_sigma_g_star(g)` returns one shared Delta_g per genus, to be read
+and never changed.
+
+A lattice's data that does not depend on the root order N is derived once
+per triangulation and shared by every lattice object on it: the basis of
+K and its Gram (`Triangulation.balanced_lattice_data`) and Kbar's extended
+triangulation and form (`Triangulation.refined_lattice_data`). What
+depends on N, the mod-N kernels and the reports built from them, belongs
+to each lattice object.
 
 The session's input rules live here, one routine each: the genus
 (`check_genus`, an integer in 1..35), the root order (`check_root_order`, odd
@@ -15,7 +24,7 @@ integer flags) and a JSON object (`check_fields`: known fields, none null).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from math import prod
 
@@ -135,6 +144,46 @@ class Triangulation:
             0 if e in self.boundary_edges else sum(v in on_boundary for v in ends[e])
             for e in range(self.n_edges)
         )
+
+    # -- lattice data: derived once per triangulation, shared read-only --
+
+    @cached_property
+    def balanced_lattice_data(self):
+        """(basis, WP form, Gram) of the balanced lattice K, for every
+        BalancedLattice on this triangulation: the basis is the mod-2
+        kernel of the face-parity matrix, the Gram is the WP form on it."""
+        parity = [[0] * self.n_edges for _ in self.faces]
+        for fi, f in enumerate(self.faces):
+            for e in f:
+                parity[fi][e] += 1
+        basis = intlinalg.kernel_mod(parity, 2)
+        assert len(basis) == self.n_edges, "balanced lattice must be full rank"
+        wp = wp_form(self)
+        return basis, wp, intlinalg.gram(basis, wp)
+
+    @cached_property
+    def refined_lattice_data(self):
+        """(extended triangulation, Gram) of Kbar = K ⊕ Z k̂, for every
+        RefinedLattice on this triangulation: the triangulation is extended
+        by the face (a_d, a'_d, a''_d) along the boundary arc a_d, K ⊕ Z k̂
+        embeds in its balanced lattice, and the form is the WP form there."""
+        bd = self.boundary_arc
+        basis = self.balanced_lattice_data[0]
+        a1, a2 = self.n_edges, self.n_edges + 1
+        extended = Triangulation(list(self.faces) + [(bd, a1, a2)], name=self.name + "*")
+
+        def embed(k_vec, khat):
+            out = list(k_vec) + [0, 0]
+            out[bd] = k_vec[bd] + khat
+            out[a1] = -k_vec[bd]
+            out[a2] = 0
+            return out
+
+        # basis of Kbar: K-basis with khat-component 0, then khat = (0,..,0,2)
+        ext_vectors = [embed(b, 0) for b in basis] + [embed([0] * self.n_edges, 2)]
+        for v in ext_vectors:
+            assert is_balanced(extended, v), "embedding left the balanced lattice"
+        return extended, intlinalg.gram(ext_vectors, wp_form(extended))
 
     def _genus(self):
         chi = self.n_vertices - self.n_edges + len(self.faces)
@@ -279,10 +328,16 @@ def build_sigma_g_star(g: int) -> Triangulation:
 
     Genus one is the annulus with its two boundary arcs fused through an
     extra triangle; higher genus wedges on one more copy per handle, again
-    through one fusion triangle each.
+    through one fusion triangle each. The genus is checked first, and then
+    every call at one genus gets the same Delta_g, with the lattice data
+    that it derives once: it is shared, so it is read, never changed.
     """
     check_genus(g)
+    return _sigma_g_star(g)
 
+
+@lru_cache(maxsize=MAX_GENUS)
+def _sigma_g_star(g):
     def sigma_1(offset):
         # edges: a=0+offset, b=1+offset, m=2, d=3, boundary arc 4
         a, b, m, d, bd = (offset + i for i in range(5))
@@ -336,15 +391,7 @@ class BalancedLattice:
 
     def __init__(self, tri: Triangulation):
         self.tri = tri
-        parity = [[0] * tri.n_edges for _ in tri.faces]
-        for fi, f in enumerate(tri.faces):
-            for e in f:
-                parity[fi][e] += 1
-        self.basis = intlinalg.kernel_mod(parity, 2)
-        assert len(self.basis) == tri.n_edges, "balanced lattice must be full rank"
-        wp = wp_form(tri)
-        self.ambient_form = wp
-        self.form = intlinalg.gram(self.basis, wp)
+        self.basis, self.ambient_form, self.form = tri.balanced_lattice_data
         self._kernels = {}
 
     @property
@@ -406,29 +453,10 @@ class RefinedLattice:
     """
 
     def __init__(self, base: BalancedLattice):
-        tri = base.tri
-        bd = tri.boundary_arc
         self.base = base
-        self.tri = tri
-        # extended triangulation: new face (a_d, a'_d, a''_d)
-        a1, a2 = tri.n_edges, tri.n_edges + 1
-        self.extended = Triangulation(
-            list(tri.faces) + [(bd, a1, a2)], name=tri.name + "*"
-        )
+        self.tri = base.tri
+        self.extended, self.form = base.tri.refined_lattice_data
         self.rank = base.rank + 1
-
-        def embed(k_vec, khat):
-            out = list(k_vec) + [0, 0]
-            out[bd] = k_vec[bd] + khat
-            out[a1] = -k_vec[bd]
-            out[a2] = 0
-            return out
-
-        # basis of Kbar: K-basis with khat-component 0, then khat = (0,..,0,2)
-        ext_vectors = [embed(b, 0) for b in base.basis] + [embed([0] * tri.n_edges, 2)]
-        for v in ext_vectors:
-            assert is_balanced(self.extended, v), "embedding left the balanced lattice"
-        self.form = intlinalg.gram(ext_vectors, wp_form(self.extended))
 
     def kernel_mod(self, N):
         return intlinalg.kernel_mod(self.form, N)

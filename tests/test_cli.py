@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from skeinlab import cli, detect, intlinalg, recount
-from skeinlab.surface import BalancedLattice, build_sigma_g_star
+from skeinlab.surface import BalancedLattice, Triangulation, build_sigma_g_star
 
 
 def run_cli(*argv):
@@ -166,6 +166,30 @@ def test_qtorus_selftest_refuses_an_irrep_over_the_cap_before_building_k(monkeyp
     code, out, _ = run_cli("qtorus", "selftest", "--genus", "3", "--N", "3")
     assert code == 0 and json.loads(out)["irrepDimension"] == 3**8
     assert len(built) == 1
+
+
+def test_commands_leave_the_shared_lattice_data_of_delta_g_intact():
+    # every command at one genus reads the one Delta_g and its K basis,
+    # Gram and Kbar form: after lattice, qtorus and detect commands on both
+    # cells they equal a fresh derivation on an unshared triangulation
+    for g in (1, 2, 3):
+        genus = ("--genus", str(g))
+        for refined in ((), ("--refined",)):
+            assert run_cli("lattice", "info", *genus, "--N", "3", *refined)[0] == 0
+        assert run_cli("qtorus", "selftest", *genus, "--N", "3")[0] == 0
+        if g == 1:
+            curves = ("--curve", "0,1", "--phi", "[[1,1],[0,1]]")
+        else:
+            n = 6 * g - 1
+            curves = ("--curve", json.dumps([int(e in (2, 3)) for e in range(n)]),
+                      "--beta", json.dumps([int(e in (7, 8)) for e in range(n)]))
+        for cell in ("reduced", "big"):
+            code, out, _ = run_cli("detect", *genus, "--N", "3", "--cell", cell, *curves)
+            assert code == 0 and json.loads(out)["verdict"] == "certified-nontrivial"
+    for g in (1, 2, 3):
+        shared, fresh = build_sigma_g_star(g), Triangulation(build_sigma_g_star(g).faces)
+        assert shared.balanced_lattice_data == fresh.balanced_lattice_data
+        assert shared.refined_lattice_data == fresh.refined_lattice_data
 
 
 def test_qtrace_support():
@@ -373,8 +397,8 @@ def test_detect_batch(tmp_path):
 
 
 def test_detect_batch_genus_two_requests_share_one_context():
-    # the three requests build three equal triangulations, which share one
-    # detection context
+    # the three requests read the one Delta_2, so they share one detection
+    # context
     request = {
         "genus": 2, "N": 3, "cell": "big",
         "curve": {"2": 1, "3": 1}, "beta": {"7": 1, "8": 1},

@@ -19,7 +19,7 @@ from skeinlab.curves import (
     torus_table,
 )
 from skeinlab.intlinalg import hnf
-from skeinlab.surface import build_sigma_g_star, is_balanced
+from skeinlab.surface import Triangulation, build_sigma_g_star, is_balanced
 
 from oracles import (
     homology_class,
@@ -563,7 +563,9 @@ def test_torus_table_built_once_under_threads():
 
 
 def test_curves_on_equal_triangulations_are_equal():
-    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    first = build_sigma_g_star(2)
+    second = Triangulation(first.faces, genus=2, name="Delta_2")
+    assert first is not second
     a, b = NormalCurve(first, {2: 1, 3: 1}), NormalCurve(second, {2: 1, 3: 1})
     assert a == b and hash(a) == hash(b)
     assert a != NormalCurve(first, {7: 1, 8: 1})

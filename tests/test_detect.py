@@ -37,7 +37,7 @@ from skeinlab.intlinalg import (
     transpose,
 )
 from skeinlab.mcg import MappingClass, act_on_curve
-from skeinlab.surface import BalancedLattice, build_sigma_g_star
+from skeinlab.surface import BalancedLattice, Triangulation, build_sigma_g_star
 
 from oracles import (
     coset_states,
@@ -1046,7 +1046,8 @@ def test_detection_context_is_built_once(monkeypatch):
     assert detect._detection_context(tri, 5, "big") is not context
     assert detect._detection_context(tri, 7, "reduced") is not context
     # two builds of one surface are equal, so they share one context
-    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    first = build_sigma_g_star(2)
+    second = Triangulation(first.faces, genus=2, name="Delta_2")
     assert first is not second
     detect._detection_context.cache_clear()
     built = []
@@ -1070,7 +1071,7 @@ def test_detection_context_is_built_once(monkeypatch):
 
 
 def test_a_curve_on_a_separate_build_of_delta_1_certifies_like_the_class_shorthand():
-    tri = build_sigma_g_star(1)
+    tri = Triangulation(build_sigma_g_star(1).faces, genus=1, name="Delta_1")
     assert tri is not torus_table().tri
     curve = NormalCurve(tri, torus_table().predicted_coords(0, 1))
     phi = MappingClass(1, matrix=TWIST)
@@ -1081,8 +1082,11 @@ def test_a_curve_on_a_separate_build_of_delta_1_certifies_like_the_class_shortha
 
 
 def test_alpha_and_beta_on_two_builds_of_delta_2_certify():
-    alpha = NormalCurve(build_sigma_g_star(2), {2: 1, 3: 1})
-    beta = NormalCurve(build_sigma_g_star(2), {7: 1, 8: 1})
+    first = build_sigma_g_star(2)
+    second = Triangulation(first.faces, genus=2, name="Delta_2")
+    assert first is not second
+    alpha = NormalCurve(first, {2: 1, 3: 1})
+    beta = NormalCurve(second, {7: 1, 8: 1})
     req = DetectionRequest(genus=2, N=3, cell="big", curve=alpha, beta=beta)
     assert detect_support(req).verdict == "certified-nontrivial"
 

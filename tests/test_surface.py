@@ -241,12 +241,46 @@ def test_triangulation_json():
 
 
 def test_equal_triangulations_are_equal_and_hash_equal():
-    first, second = build_sigma_g_star(2), build_sigma_g_star(2)
+    first = build_sigma_g_star(2)
+    second = Triangulation(first.faces, genus=2, name="Delta_2")
     assert first is not second
     assert first == second and hash(first) == hash(second)
     # the name is a label: the faces are the triangulation
     assert Triangulation(first.faces, name="other") == first
     assert first != build_sigma_g_star(1)
+
+
+def test_one_delta_g_per_genus_and_the_refusals_come_before_it():
+    for g in range(1, MAX_GENUS + 1):
+        assert build_sigma_g_star(g) is build_sigma_g_star(g)
+        assert build_sigma_g_star(g).name == f"Delta_{g}"
+    # a genus is checked before any lookup: [2] is not hashable, and
+    # True == 1 and 2.0 == 2 would name cached entries
+    refusals = (
+        ([2], "genus must be an integer, not [2]"),
+        (True, "genus must be an integer, not True"),
+        ("1", "genus must be an integer, not '1'"),
+        (0, "genus must be >= 1"),
+        (MAX_GENUS + 1, f"genus must be <= {MAX_GENUS}"),
+        (2.0, "genus must be an integer, not 2.0"),
+    )
+    for genus, text in refusals:
+        with pytest.raises(ValueError) as err:
+            build_sigma_g_star(genus)
+        assert str(err.value) == text
+
+
+def test_lattices_on_one_triangulation_share_its_data_and_keep_their_kernels():
+    tri = build_sigma_g_star(2)
+    first, second = BalancedLattice(tri), BalancedLattice(tri)
+    assert first.basis is second.basis and first.form is second.form
+    assert RefinedLattice(first).form is RefinedLattice(second).form
+    # per-N kernels belong to the lattice object
+    assert first.kernel_mod(3) == second.kernel_mod(3)
+    assert first.kernel_mod(3) is not second.kernel_mod(3)
+    # an equal but separate triangulation derives its own
+    other = BalancedLattice(Triangulation(tri.faces))
+    assert other.basis == first.basis and other.basis is not first.basis
 
 
 def test_bad_gluing_rejected():
