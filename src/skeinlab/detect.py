@@ -11,18 +11,19 @@ Because the state-sum coefficients of the quantum trace are not pinned
 down, only fibers of size one are treated as provably nonzero and empty
 fibers as zero; anything else is inconclusive, never "trivial". So the
 states of each walk-DP table are counted per coset class, straight from
-its keys and slots (`_ClassMap`), with no support decoded; only the
-k-vectors of the witness candidates, classes with one state on one side
-and none on the other, are decoded and put in canonical form, and the
-least candidate coset is the witness.
+its keys and slots, with no support decoded: a curve's k-vectors are in
+one coset exactly when they are equal mod N on every edge (`_classes`).
+Only the k-vectors of the witness candidates, classes with one state on
+one side and none on the other, are decoded and put in canonical form,
+and the least candidate coset is the witness.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count
+from functools import lru_cache
+from itertools import accumulate, compress, count, repeat
 from operator import add
 from types import SimpleNamespace
 
@@ -37,7 +38,7 @@ from .curves import (
     enumerate_admissible_states,
     torus_table,
 )
-from .intlinalg import _clear_column, lattice_cosets_many
+from .intlinalg import lattice_cosets_many
 from .mcg import act_on_curve
 from .surface import BalancedLattice, RefinedLattice, check_cell, check_genus, check_root_order
 
@@ -151,167 +152,61 @@ def _resolve_curves(req: DetectionRequest):
 
 @lru_cache(maxsize=32)
 def _detection_context(tri, N, cell):
-    """The basis rows of K, the mod-N kernel (of K, or of Kbar on the big
-    cell) in K-coordinates and the residue recount of (tri, N, cell), built
-    once: none depends on the curves. Triangulations compare by their
-    faces, so equal ones share a context."""
+    """(basis of K, kernel, recount): the basis rows of K, the mod-N kernel
+    (of K, or of Kbar on the big cell) in K-coordinates and the residue
+    recount of (tri, N, cell), built once: none depends on the curves.
+    Triangulations compare by their faces, so equal ones share a context."""
     base = BalancedLattice(tri)
     kernel = (base if cell == "reduced" else RefinedLattice(base)).kernel_mod(N)
-    counter = recount.ResidueRecount(base.basis, kernel, cell, N)
-    return _Context(base.basis, kernel, counter, N, cell)
+    return base.basis, kernel, recount.ResidueRecount(base.basis, kernel, cell, N)
 
 
-def _sparse(row):
-    """{column: entry} of the nonzero entries of a dense row."""
-    return {j: row[j] for j in compress(count(), row)}
+def _classes(support, N):
+    """The class of each state entry of a walk-DP support (a key and one of
+    its nonzero slots), as `_Entries`: the id of an entry is the residues
+    k_e mod N of its k-vector, read as a mixed-radix number in edge order.
+    A key's fields give every digit but the heavy edge h's, and slot j adds
+    h's, (2j - w_h) mod N; no k-vector is decoded.
 
+    Equal ids are equal cosets of L, the lattice that the witness coset is
+    taken modulo: L = N*K + Z*k_boundary on the reduced cell and N*K on the
+    big one, the closed forms that the recount checks the kernel against.
+    For x, y in K that are 0 on the boundary arc, and N odd,
 
-class _Context(tuple):
-    """A detection context: (basis of K, kernel, recount), which also keeps
-    the class maps of the pairs of heavy edges that its requests had, the
-    last MAX_CLASS_MAPS of them."""
+        x - y in N*K + Z*k_boundary  <=>  x - y in N*K  <=>  x ≡ y (mod N).
 
-    MAX_CLASS_MAPS = 64
-
-    def __new__(cls, basis, kernel, counter, N, cell):
-        self = super().__new__(cls, (basis, kernel, counter))
-        self.modulus, self.cell, self.class_maps = 2 * N, cell, {}
-        return self
-
-    @cached_property
-    def lattice_rows(self):
-        """An echelon basis of L, the lattice of edge vectors that the
-        witness coset is taken modulo, as sparse rows: row c has its pivot,
-        a divisor of m = 2N, in column c, and entries in [0, m) right of
-        it. In K-coordinates L is the kernel on the reduced cell and N*K on
-        the big one, the closed forms that the recount checks the kernel
-        against; each row of L is a combination of K's basis rows, and as
-        both factors are triangular, so is their product."""
-        basis, kernel, _ = self
-        m = self.modulus
-        sparse = [_sparse(row) for row in basis]
-        rows = []
-        for c, b in enumerate(sparse):
-            coeffs = _sparse(kernel[c]) if self.cell == "reduced" else {c: m // 2}
-            row = {}
-            for t, k in coeffs.items():
-                for j, x in sparse[t].items():
-                    row[j] = row.get(j, 0) + k * x
-            row = {j: x % m for j, x in row.items() if j != c and x % m}
-            row[c] = coeffs[c] * b[c]
-            rows.append(row)
-        return rows
-
-    def class_map(self, heavy):
-        """The class map for curves whose heavy edges are `heavy`, one edge
-        or two, built once."""
-        maps = self.class_maps
-        if heavy not in maps:
-            if len(maps) == self.MAX_CLASS_MAPS:
-                del maps[next(iter(maps))]
-            maps[heavy] = _ClassMap(self.lattice_rows, heavy, self.modulus)
-        return maps[heavy]
-
-
-class _ClassMap:
-    """The class in Z^E/L of each state of a walk-DP table, as an int,
-    with no k-vector decoded.
-
-    L has an echelon basis in the column order (other edges..., heavy
-    edges), taken from the one in edge order: the heavy edges' rows are
-    cleared mod m into the other rows, then into m*e_h. A floor sweep by a
-    triangular basis of L is one vector per coset, so its remainders,
-    packed as mixed-radix digits, are equal exactly when the cosets are.
-    A key carries no k_h, so the digits of the other edges are swept once
-    per key, column-wise over the keys; a slot j adds k_h = 2j - w_h to
-    column h, which is one of the last two, and so changes only the last
-    one or two digits."""
-
-    def __init__(self, rows, heavy, m):
-        self.heavy, self.modulus = heavy, m
-        n = len(rows)
-
-        def dense(row):
-            out = [0] * n
-            for j, x in row.items():
-                out[j] = x
-            return out
-
-        # clear the heavy edges' rows into the other rows, column by column,
-        # each pivot row turned dense while it changes
-        work = [dense(rows[h]) for h in heavy]
-        changed = {}
-        for c in range(n):
-            if c not in heavy and any(R[c] for R in work):
-                changed[c] = _sparse(_clear_column(dense(rows[c]), work, c, m))
-        # then into m*e_h, for the last one or two rows
-        self.tail = []
-        for h in heavy:
-            P = [0] * n
-            P[h] = m
-            self.tail.append(_sparse(_clear_column(P, work, h, m)))
-        # (column, pivot, the row's other entries) in sweep order
-        self.sweep = []
-        for c, row in enumerate(rows):
-            if c not in heavy:
-                P = changed.get(c, row)
-                self.sweep.append((c, P[c], [(j, x) for j, x in P.items() if j != c]))
-
-    def classes(self, support):
-        """The class id and state count of each state entry of a walk-DP
-        support (a key and one of its nonzero slots), as `_Entries`."""
-        table, layout = support.table, support.layout
-        keys, values = list(table), list(table.values())
-        m, h, w_h = self.modulus, layout.heavy, layout.heavy_weight
-        cols = layout.fields(keys)
-        cols[h] = [0] * len(keys)
-        lead = [0] * len(keys)
-        for c, p, rest in self.sweep:
-            col = cols[c]
-            if p != 1:
-                lead = [d * p + x % p for d, x in zip(lead, col)]
-            if p != m and rest:
-                q = [x % m // p for x in col]
-                for j, b in rest:
-                    cols[j] = [y - k * b for y, k in zip(cols[j], q)]
-        # the last digits, with k_h = 2j - w_h at slot j. With h last
-        # (alone, or after the other heavy edge, whose digit is then the
-        # key's) a slot moves one digit; with h second to last, a digit
-        # whose quotient moves the last one
-        entries = _Entries(keys, values, layout)
-        spans = entries.spans
-        a, d_a = self.heavy[0], self.tail[0][self.heavy[0]]
-        if len(self.heavy) == 1:
-            base, last, d = [x * d_a for x in lead], cols[a], d_a
-        else:
-            b = self.heavy[1]
-            d_b, e_ab = self.tail[1][b], self.tail[0].get(b, 0)
-            if h == b:
-                qr = [divmod(x, d_a) for x in cols[a]]
-                base = [(x * d_a + r) * d_b for x, (_, r) in zip(lead, qr)]
-                last, d = [y - q * e_ab for y, (q, _) in zip(cols[b], qr)], d_b
-        if h == self.heavy[-1]:
-            ids = [x + (t + 2 * j - w_h) % d for x, t, js in zip(base, last, spans) for j in js]
-        else:
-            ids = [
-                (x * d_a + r) * d_b + (y - q * e_ab) % d_b
-                for x, t, y, js in zip(lead, cols[a], cols[b], spans)
-                for j in js
-                for q, r in (divmod(t + 2 * j - w_h, d_a),)
-            ]
-        # a slot inside a span may be empty
-        entries.ids = list(compress(ids, entries.slots))
-        return entries
+    First: if x - y = N*v + t*k_boundary, with k_boundary = 2*(1, ..., 1)
+    in K, then N*v_d + 2t = 0 on the boundary arc d, so N | t and t*k_boundary
+    lies in N*K. Second: if x - y = N*w, each face sum of x - y is N times
+    that of w and is even, so w lies in K. A curve's k-vectors qualify:
+    k ≡ coords (mod 2), so k is balanced, and detection takes only curves
+    that are 0 on the boundary arc (`_check_connected`; class curves and
+    their images under a matrix class are too). The boundary condition is
+    needed: k_boundary and 0 are in one coset of the reduced cell, with
+    other residues."""
+    entries = _Entries(support)
+    layout = entries.layout
+    fields = layout.fields(entries.keys)
+    ids = [0] * len(entries.keys)
+    for e in range(layout.n_edges):
+        ids = [x * N + k % N for x, k in zip(ids, fields.get(e, repeat(0)))]
+    # the digit of h, 0 so far, at slot j
+    place, w_h = N ** (layout.n_edges - 1 - layout.heavy), layout.heavy_weight
+    ids = [x + (2 * j - w_h) % N * place for x, js in zip(ids, entries.spans) for j in js]
+    # a slot inside a span may be empty
+    entries.ids = list(compress(ids, entries.slots))
+    return entries
 
 
 class _Entries:
     """The state entries of a walk-DP table: each key with each of its
     nonzero slots, key by key, with their state counts, and their class
-    ids once the class map sets them. A value's nonzero slots lie between
+    ids once `_classes` sets them. A value's nonzero slots lie between
     its lowest and its highest set bit, so only the slots there are read."""
 
-    def __init__(self, keys, values, layout):
-        self.keys, self.layout = keys, layout
+    def __init__(self, support):
+        table, layout = support.table, support.layout
+        self.keys, values, self.layout = list(table), list(table.values()), layout
         bits = layout.slot_bits
         mask = (1 << bits) - 1
         # the slots j of each value, from its lowest to its highest set bit
@@ -321,7 +216,6 @@ class _Entries:
         ]
         self.slots = [(v >> (bits * j)) & mask for v, js in zip(values, self.spans) for j in js]
         self.counts = list(filter(None, self.slots))
-        self.ids = None
 
     def kvectors(self, selector=None):
         """The k-vectors of the entries that `selector` picks, or of all:
@@ -336,13 +230,13 @@ class _Entries:
         return self.layout.kvectors([self.keys[i] for i in rows], ks)
 
 
-def _candidates(cmap, sup_a, sup_b):
+def _candidates(sup_a, sup_b, N):
     """The k-vectors of the classes that hold one state of one support and
     none of the other, as {k-vector: True} for alpha's and {k-vector:
     False} for beta's. Such a class is named by one state entry of the two
     supports, whose count is 1: an entry whose count and number of names
     sum to 2."""
-    entries = [cmap.classes(sup) for sup in (sup_a, sup_b)]
+    entries = [_classes(sup, N) for sup in (sup_a, sup_b)]
     named = Counter()
     for side in entries:
         named.update(side.ids)
@@ -397,10 +291,8 @@ def _certify(req, alpha, beta, method):
         return base
     sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
     sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
-    context = _detection_context(alpha.tri, req.N, req.cell)
-    basis, kernel, counter = context
-    heavy = tuple(dict.fromkeys((sup_a.layout.heavy, sup_b.layout.heavy)))
-    found = _candidates(context.class_map(heavy), sup_a, sup_b)
+    basis, kernel, counter = _detection_context(alpha.tri, req.N, req.cell)
+    found = _candidates(sup_a, sup_b, req.N)
     # only the candidates' k-vectors are put in canonical form
     kvecs = list(found)
     cosets = lattice_cosets_many(basis, kernel, kvecs, 1 if req.cell == "big" else 0)

@@ -20,7 +20,7 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .detect import DetectionRequest, _detection_context
+from .detect import DetectionRequest, _classes
 from .detect import detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
 from .poisson import PoissonAlgebra, bracket_tables_from_r_matrix, verify_r_matrix_expansion
@@ -149,10 +149,9 @@ def check_injectivity_lemma():
         if c.max_edge_weight() > N - 1:
             continue
         support = enumerate_admissible_states(c)
-        # the class map that detect runs, so that this check covers it:
+        # the class step that detect runs, so that this check covers it:
         # each state entry is one k-vector, and equal ids are equal cosets
-        cmap = _detection_context(table.tri, N, "reduced").class_map((support.layout.heavy,))
-        entries = cmap.classes(support)
+        entries = _classes(support, N)
         seen = {}
         for red, kvec in zip(entries.ids, entries.kvectors()):
             if red in seen:

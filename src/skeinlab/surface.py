@@ -10,8 +10,10 @@ and never changed.
 
 A lattice's data that does not depend on the root order N is derived once
 per triangulation and shared by every lattice object on it: the basis of
-K and its Gram (`Triangulation.balanced_lattice_data`) and Kbar's extended
-triangulation and form (`Triangulation.refined_lattice_data`). What
+K, its Gram and the K-coordinates of k_boundary
+(`Triangulation.balanced_lattice_data`) and Kbar's extended triangulation
+and form (`Triangulation.refined_lattice_data`); the WP form on Z^E is
+summed over the faces where it is read (`BalancedLattice.pairing`). What
 depends on N, the mod-N kernels and the reports built from them, belongs
 to each lattice object.
 
@@ -149,17 +151,18 @@ class Triangulation:
 
     @cached_property
     def balanced_lattice_data(self):
-        """(basis, WP form, Gram) of the balanced lattice K, for every
-        BalancedLattice on this triangulation: the basis is the mod-2
-        kernel of the face-parity matrix, the Gram is the WP form on it."""
+        """(basis, Gram, coordinates of k_boundary) of the balanced lattice
+        K, for every BalancedLattice on this triangulation: the basis is the
+        mod-2 kernel of the face-parity matrix, the Gram is the WP form on
+        it, and k_boundary's coordinates are in that basis."""
         parity = [[0] * self.n_edges for _ in self.faces]
         for fi, f in enumerate(self.faces):
             for e in f:
                 parity[fi][e] += 1
         basis = intlinalg.kernel_mod(parity, 2)
         assert len(basis) == self.n_edges, "balanced lattice must be full rank"
-        wp = wp_form(self)
-        return basis, wp, intlinalg.gram(basis, wp)
+        gram = intlinalg.gram(basis, wp_form(self))
+        return basis, gram, intlinalg.lattice_coordinates(basis, k_boundary(self))
 
     @cached_property
     def refined_lattice_data(self):
@@ -391,7 +394,7 @@ class BalancedLattice:
 
     def __init__(self, tri: Triangulation):
         self.tri = tri
-        self.basis, self.ambient_form, self.form = tri.balanced_lattice_data
+        self.basis, self.form, self._k_boundary = tri.balanced_lattice_data
         self._kernels = {}
 
     @property
@@ -408,7 +411,11 @@ class BalancedLattice:
         return coords
 
     def pairing(self, vec1, vec2) -> int:
-        return intlinalg.bilinear(vec1, self.ambient_form, vec2)
+        """The WP form of two edge vectors: over the faces' ccw-consecutive
+        slot pairs (e, e'), the sum of vec1[e]*vec2[e'] - vec1[e']*vec2[e]
+        (`wp_form`)."""
+        pairs = ((e, e2) for f in self.tri.faces for e, e2 in zip(f, f[1:] + f[:1]))
+        return sum(vec1[e] * vec2[e2] - vec1[e2] * vec2[e] for e, e2 in pairs)
 
     def kernel_mod(self, N):
         """K^0: the mod-N kernel of the WP form on K, as an HNF basis in
@@ -422,7 +429,7 @@ class BalancedLattice:
         N*K + Z*k_boundary. Returns (definitional, formula, equal), both
         as HNF bases in K-coordinates."""
         definitional = self.kernel_mod(N)
-        formula = intlinalg.hnf_mod([self.coordinates(k_boundary(self.tri))], N, self.rank)
+        formula = intlinalg.hnf_mod([self._k_boundary], N, self.rank)
         return definitional, formula, definitional == formula
 
     def pi_degree(self, N):

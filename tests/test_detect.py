@@ -792,27 +792,20 @@ def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
     return out
 
 
-def _class_entries(cmap, support):
+def _class_entries(support, N):
     """(class id, k-vector, states) of each state entry of a support, by
-    the class map that detect runs."""
-    entries = cmap.classes(support)
+    the class step that detect runs."""
+    entries = detect._classes(support, N)
     return list(zip(entries.ids, entries.kvectors(), entries.counts))
 
 
-def _tail_shape(cmap, support):
-    """Where the support's heavy edge comes in the class map's columns."""
-    if len(cmap.heavy) == 1:
-        return "shared"
-    return "last" if support.layout.heavy == cmap.heavy[1] else "second-to-last"
-
-
-def _assert_classes_match_cosets(cmap, supports, projection, coords_of):
+def _assert_classes_match_cosets(N, supports, projection, coords_of):
     """Over the supports together, class ids and the reference's canonical
     cosets name each other one to one, and each support has the reference's
     states in each class; each support's entries are its fibers."""
     coset_of_class, class_of_coset = {}, {}
     for sup in supports:
-        entries = _class_entries(cmap, sup)
+        entries = _class_entries(sup, N)
         assert {kvec: n for _, kvec, n in entries} == sup.fibers
         kvecs = [kvec for _, kvec, _ in entries]
         cosets = _project_one_at_a_time(kvecs, *projection, coords_of)
@@ -826,36 +819,83 @@ def _assert_classes_match_cosets(cmap, supports, projection, coords_of):
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
 def test_batched_projection_matches_one_vector_at_a_time(cell):
-    # the class map is built per pair of heavy edges, so every pair that
-    # the curves' heavy edges make is checked, with every curve of either
+    # class ids do not depend on the curve, so the supports of all curves
+    # at one genus are checked together, whatever their heavy edges; the
+    # curves are 0 on the boundary arc, the ones that detection takes
     table = torus_table()
-    supports = [enumerate_admissible_states(c) for c in _genus_one_curves(16)]
-    assert len(supports) > 100
-    by_heavy = {}
-    for sup in supports:
-        by_heavy.setdefault(sup.layout.heavy, []).append(sup)
-    shapes = Counter()
+    one = [c for c in _genus_one_curves(16) if not c.coords[table.tri.boundary_arc]]
+    assert len(one) == 57
+    supports = [enumerate_admissible_states(c) for c in one]
+    assert len({sup.layout.heavy for sup in supports}) > 1
     coords_of = {}
     for N in (3, 5, 11):
-        projection = _projection(table.tri, N, cell)
-        for a, b in product(sorted(by_heavy), repeat=2):
-            heavy = tuple(dict.fromkeys((a, b)))
-            cmap = detect._detection_context(table.tri, N, cell).class_map(heavy)
-            group = by_heavy[a] + (by_heavy[b] if b != a else [])
-            _assert_classes_match_cosets(cmap, group, projection, coords_of)
-            shapes.update(_tail_shape(cmap, sup) for sup in group)
+        _assert_classes_match_cosets(N, supports, _projection(table.tri, N, cell), coords_of)
     t2 = build_sigma_g_star(2)
     coords = ({2: 1, 3: 1}, {7: 1, 8: 1}, [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0])
     two = [enumerate_admissible_states(NormalCurve(t2, c)) for c in coords]
     for N in (3, 5):
-        projection = _projection(t2, N, cell)
-        for sup_a, sup_b in product(two, repeat=2):
-            heavy = tuple(dict.fromkeys((sup_a.layout.heavy, sup_b.layout.heavy)))
-            cmap = detect._detection_context(t2, N, cell).class_map(heavy)
-            _assert_classes_match_cosets(cmap, [sup_a, sup_b], projection, {})
-            shapes.update(_tail_shape(cmap, sup) for sup in (sup_a, sup_b))
-    assert shapes.keys() == {"shared", "second-to-last", "last"}
-    assert min(shapes.values()) > 100, shapes
+        _assert_classes_match_cosets(N, two, _projection(t2, N, cell), {})
+    t3 = build_sigma_g_star(3)
+    coords = (
+        {2: 1, 3: 1},
+        {13: 1, 14: 1},
+        {2: 1, 3: 1, 7: 1, 8: 1},
+        [0, 2, 1, 1, 2, 0, 2, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0],
+        [0, 2, 1, 1, 2, 0, 0, 0, 0, 0, 2, 0, 2, 1, 1, 2, 0],
+    )
+    three = [enumerate_admissible_states(NormalCurve(t3, c)) for c in coords]
+    for N in (3, 5):
+        _assert_classes_match_cosets(N, three, _projection(t3, N, cell), {})
+
+
+def _balanced_off_the_boundary_arc(rng, basis, arc, count):
+    """count random vectors of K, by their basis rows, that are 0 on the
+    boundary arc: a vector even there is moved there by 2*e_arc, in K."""
+    out = []
+    while len(out) < count:
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)]
+        if vec[arc] % 2 == 0:
+            vec[arc] = 0
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("cell", ["reduced", "big"])
+def test_cosets_of_vectors_off_the_boundary_arc_are_their_residues_mod_n(cell):
+    # the lemma of `detect._classes`: for vectors of K that are 0 on the
+    # boundary arc, equal canonical cosets are equal residues mod N
+    rng = random.Random(20221)
+    for genus in (1, 2, 3):
+        tri = build_sigma_g_star(genus)
+        arc = tri.boundary_arc
+        for N in (3, 5, 7, 11):
+            basis, kernel, _ = detect._detection_context(tri, N, cell)
+            xs = _balanced_off_the_boundary_arc(rng, basis, arc, 30)
+            # x + N*w has x's residues, x + w mostly others
+            ws = _balanced_off_the_boundary_arc(rng, basis, arc, 60)
+            pool = xs + [[a + N * b for a, b in zip(x, w)] for x, w in zip(xs, ws)]
+            pool += [[a + b for a, b in zip(x, w)] for x, w in zip(xs, ws[30:])]
+            cosets = _project(pool, basis, kernel, cell)
+            residues = [tuple(x % N for x in vec) for vec in pool]
+            pairs = set(zip(cosets, residues))
+            assert len(pairs) == len(set(cosets)) == len(set(residues)) < len(pool)
+
+
+def test_a_nonzero_boundary_entry_can_share_a_coset_without_sharing_residues():
+    # why the lemma needs 0 on the boundary arc: on the reduced cell,
+    # k_boundary = 2*(1, ..., 1) lies in L, so two k-vectors of a curve with
+    # points on the boundary arc that differ by it share a coset, while
+    # their residues mod N differ on every edge
+    table = torus_table()
+    basis, kernel, _ = detect._detection_context(table.tri, 5, "reduced")
+    curve = NormalCurve(table.tri, [1, 1, 2, 3, 2])
+    assert curve.coords[table.tri.boundary_arc] and curve.is_connected()
+    x, y = (1, 1, 0, 1, 0), (-1, -1, -2, -1, -2)
+    assert {x, y} <= set(enumerate_admissible_states(curve).fibers)
+    first, second = _project([x, y], basis, kernel, "reduced")
+    assert first == second
+    assert all(a % 5 != b % 5 for a, b in zip(x, y))
 
 
 def test_projection_rejects_unbalanced_vectors(monkeypatch):
@@ -993,20 +1033,18 @@ def _moving(monkeypatch, alpha, beta, N, cell, moved):
     its class becomes that coset's (a fresh one for a coset that no state
     reaches), and its canonical form that coset."""
     supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
-    heavy = tuple(dict.fromkeys(sup.layout.heavy for sup in supports))
-    cmap = detect._detection_context(alpha.tri, N, cell).class_map(heavy)
     projection = _projection(alpha.tri, N, cell)
     label = {}
     for sup in supports:
-        entries = _class_entries(cmap, sup)
+        entries = _class_entries(sup, N)
         for (i, _, _), coset in zip(entries, _project([k for _, k, _ in entries], *projection)):
             label[coset] = i
     for coset in sorted(set(moved.values()) - set(label)):
         label[coset] = -1 - len(label)
-    classes = detect._ClassMap.classes
+    classes = detect._classes
 
-    def moved_classes(self, support):
-        entries = classes(self, support)
+    def moved_classes(support, N):
+        entries = classes(support, N)
         kvecs = entries.kvectors()
         entries.ids = [label[moved[k]] if k in moved else i for i, k in zip(entries.ids, kvecs)]
         return entries
@@ -1015,7 +1053,7 @@ def _moving(monkeypatch, alpha, beta, N, cell, moved):
         cosets = lattice_cosets_many(basis, kernel, kvecs, pad)
         return [moved.get(k, c) for k, c in zip(kvecs, cosets)]
 
-    monkeypatch.setattr(detect._ClassMap, "classes", moved_classes)
+    monkeypatch.setattr(detect, "_classes", moved_classes)
     monkeypatch.setattr(detect, "lattice_cosets_many", project)
 
 

@@ -34,6 +34,8 @@ ALLOWED = {
     "intlinalg.reduce_mod_rows": "a perfbench/tracer.py target (intlinalg.reduce_calls)",
     "intlinalg.sublattice_index": "a perfbench/tracer.py target (intlinalg.sublattice_index)",
     "surface.RefinedLattice.pi_degree": "a perfbench/tracer.py target (surface.refined.pi_degree)",
+    "surface.BalancedLattice.coordinates": "a perfbench/tracer.py target "
+    "(surface.balanced.coordinates)",
     "qtorus.QuantumTorus.zero": "keeps TorusElement free of zero terms: the product of a "
     "monomial with a zero coefficient or by the scalar 0",
 }

@@ -136,6 +136,37 @@ def test_k_boundary_balanced_and_central():
             assert B.pairing(kb, vec) == 0
 
 
+def test_pairing_is_the_wp_form_on_edge_vectors():
+    # the pairing sums over the faces' slot pairs; the dense WP form is the
+    # reference
+    rng = random.Random(38)
+    for g in (1, 2, 3):
+        tri = build_sigma_g_star(g)
+        B = BalancedLattice(tri)
+        wp = wp_form(tri)
+        for _ in range(20):
+            v1, v2 = ([rng.randint(-4, 4) for _ in range(tri.n_edges)] for _ in range(2))
+            assert B.pairing(v1, v2) == intlinalg.bilinear(v1, wp, v2)
+
+
+def test_k_boundary_coordinates_are_solved_once_per_triangulation(monkeypatch):
+    tri = Triangulation(build_sigma_g_star(2).faces)
+    B = BalancedLattice(tri)
+    solves = []
+    solve = intlinalg.lattice_coordinates
+
+    def counting(basis, vec):
+        solves.append(vec)
+        return solve(basis, vec)
+
+    monkeypatch.setattr(intlinalg, "lattice_coordinates", counting)
+    for N in (3, 5, 7):
+        assert B.central_sublattice(N)[2]
+        assert BalancedLattice(tri).central_sublattice(N)[2]
+    assert solves == []
+    assert B.coordinates(k_boundary(tri)) == tri.balanced_lattice_data[2]
+
+
 def test_gram_matches_double_sum():
     for g in (1, 2, 3):
         tri = build_sigma_g_star(g)
