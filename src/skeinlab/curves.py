@@ -8,7 +8,9 @@ the forbidden ordered pair (+ on the ccw-earlier edge, - on the later one).
 The points and pieces of a curve are walked once per component, in one
 loop: a walk is its points in order and the piece from each point to the
 next, and a step's orientation is whether it leaves through its piece's
-a-point. Component counts and the walk DP read these walks.
+a-point. Component counts and the walk DP read these walks. Only
+`WalkSupport` decodes a walk-DP table, once, into state entries: detection
+counts them per class, and `fibers` is decoded from them.
 
 Two enumeration routes are kept deliberately independent: the walk DP
 (default) and the 2^m brute-force kernel in _kernels (the reference route
@@ -21,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
-from operator import itemgetter
+from operator import and_, itemgetter, rshift
 
 from .surface import Triangulation, build_sigma_g_star, check_int
 
@@ -202,8 +204,8 @@ class NormalCurve:
 
 class TraceSupport:
     """Support of the quantum trace: balanced maps with state fiber sizes.
-    The walk DP's support (`WalkSupport`) decodes its fibers when they are
-    first read; the brute-force route builds them directly."""
+    The walk DP's support (`WalkSupport`) decodes its fibers from its state
+    entries on first read; the brute-force route builds them directly."""
 
     def __init__(self, fibers: dict):
         self.fibers = fibers  # k-vector tuple -> number of admissible states
@@ -217,16 +219,60 @@ class TraceSupport:
 
 
 class WalkSupport(TraceSupport):
-    """The walk DP's support: its table of packed keys and slotted counts,
-    laid out as `layout` says (`_Layout`). Detection reads only the table
-    and the layout; `fibers` is decoded on first read."""
+    """The walk DP's support, read once from its table of packed keys and
+    slotted counts (`_Layout`) into state entries, each key with each of
+    its nonzero slots: `rows`, `k_heavy` and `counts` give an entry's key,
+    k_h and states, and `fields` the keys' other edges, one column per
+    edge (`_Layout.fields`). `fibers` is decoded from them on first read.
+
+    The keys are read in ascending order, the lexicographic order of their
+    vectors without k_h (`_Layout`), and the values slot by slot, so slot
+    j's entries, which share k_h = 2j - w_h, form one ascending run. A
+    range of slots is halved, lower half first, until it has at most 8
+    slots, and a value is dropped from a half where it is 0, so a wide
+    value is split about log2((w_h + 1) / 8) times, not shifted once per
+    slot; a range of at most 8 slots is read in one pass."""
 
     def __init__(self, table: dict, layout):
-        self.table, self.layout = table, layout
+        self.layout = layout
+        keys = sorted(table)
+        bits, w_h, mask = layout.slot_bits, layout.heavy_weight, (1 << layout.slot_bits) - 1
+        self.rows, self.k_heavy, self.counts = [], [], []
+        # (rows, their nonzero values with slot lo at bit 0, lo, hi)
+        todo = [(list(range(len(keys))), list(map(table.__getitem__, keys)), 0, w_h + 1)]
+        while todo:
+            rows, values, lo, hi = todo.pop()
+            if hi - lo <= 8:  # few slots: one pass reads them all
+                slots = [(v >> s) & mask for s in range(0, bits * (hi - lo), bits) for v in values]
+                self.rows += compress(rows * (hi - lo), slots)
+                ks = map(repeat, range(2 * lo - w_h, 2 * hi - w_h, 2), repeat(len(rows)))
+                self.k_heavy += compress(chain.from_iterable(ks), slots)
+                self.counts += filter(None, slots)
+                continue
+            mid = (lo + hi) // 2
+            shift = bits * (mid - lo)
+            high = list(map(rshift, values, repeat(shift)))
+            low = list(map(and_, values, repeat((1 << shift) - 1)))
+            for half, a, b in ((high, mid, hi), (low, lo, mid)):  # pops the lower first
+                kept = list(compress(rows, half))
+                if kept:
+                    todo.append((kept, list(filter(None, half)), a, b))
+        self.fields = layout.fields(keys)
+
+    def kvectors(self, selector=None):
+        """The k-vectors of the entries that `selector` picks, or of all,
+        each key column spread to the picked entries' rows."""
+        rows, k_heavy = self.rows, self.k_heavy
+        if selector is not None:
+            selector = list(selector)
+            rows, k_heavy = list(compress(rows, selector)), compress(k_heavy, selector)
+        cols = [map(col.__getitem__, rows) for col in self.fields.values()]
+        cols.insert(self.layout.heavy, k_heavy)
+        return list(zip(*cols))
 
     @cached_property
     def fibers(self):
-        return _decode(self.table, self.layout)
+        return dict(zip(self.kvectors(), self.counts))
 
 
 def enumerate_admissible_states(
@@ -238,8 +284,8 @@ def enumerate_admissible_states(
     one to that edge's counts in slots of one int (`_Layout`). The
     components' tables are multiplied (a one-component curve has nothing
     to multiply): keys add, and values multiply as polynomials in their
-    slots. The support keeps the product, which `_decode` turns into
-    fibers when they are first read."""
+    slots. The support reads the product into its state entries
+    (`WalkSupport`)."""
     check_state_cap(cap)
     check_point_cap(curve, cap)
     layout = _Layout(curve.coords, [len(points) for points, _ in curve.walks])
@@ -282,7 +328,7 @@ class _Layout:
     total |k_e| is at most W, the packing is one-to-one and adding vectors
     adds their ints. With W added to every field no field borrows from the
     next, so keys compare as their vectors without k_h do, lexicographically
-    in edge order (`_decode` relies on it). The edge h lives in a table's
+    in edge order (`WalkSupport` relies on it). The edge h lives in a table's
     values: w_h + 1 slots of s bits, slot j counting the partial states
     with j plus-signs on h so far, so that k_h = 2j - w_h once the walk is
     done.
@@ -324,38 +370,6 @@ class _Layout:
         lift = width * sum(self.units)
         keys = [key + lift for key in keys]
         return {e: [((x >> s) & mask) - width for x in keys] for e, s in self.shifts}
-
-    def kvectors(self, keys, k_heavy):
-        """The k-vector of each key with its k_h, decoded column-wise."""
-        cols = list(self.fields(keys).values())
-        cols.insert(self.heavy, k_heavy)
-        return list(zip(*cols))
-
-
-def _decode(table, layout):
-    """{k-vector tuple: count} of a walk-DP table, in at most w_h + 1
-    ascending runs, so that sorting it is a cheap merge of runs.
-
-    The distinct keys are read in ascending order, which is the
-    lexicographic order of their vectors without k_h (`_Layout`). Slot j
-    of every value is read in one pass, giving k_h = 2j - w_h, so slot j's
-    k-vectors, which share k_h, come out as one ascending run. Every other
-    edge is decoded one column at a time over the keys (`_Layout.fields`)
-    and spread to the nonzero slots."""
-    keys = sorted(table)
-    values = list(map(table.__getitem__, keys))
-    w_h, slot_bits, n = layout.heavy_weight, layout.slot_bits, len(values)
-    slot_mask = (1 << slot_bits) - 1
-    # slot j of every value, for j = 0..w_h in turn: each nonzero slot is
-    # one k-vector, with its key's row, k_h = 2j - w_h and its count
-    slots = [
-        (v >> s) & slot_mask for s in range(0, slot_bits * (w_h + 1), slot_bits) for v in values
-    ]
-    rows = list(compress(chain.from_iterable(repeat(range(n), w_h + 1)), slots))
-    k_heavy = chain.from_iterable(map(repeat, range(-w_h, w_h + 1, 2), repeat(n)))
-    cols = [map(col.__getitem__, rows) for col in layout.fields(keys).values()]
-    cols.insert(layout.heavy, compress(k_heavy, slots))
-    return dict(zip(zip(*cols), filter(None, slots)))
 
 
 def _component_states(curve, walk, layout):

@@ -10,20 +10,19 @@ and is carried as an explicit assumption.
 Because the state-sum coefficients of the quantum trace are not pinned
 down, only fibers of size one are treated as provably nonzero and empty
 fibers as zero; anything else is inconclusive, never "trivial". So the
-states of each walk-DP table are counted per coset class, straight from
-its keys and slots, with no support decoded: a curve's k-vectors are in
-one coset exactly when they are equal mod N on every edge (`_classes`).
-Only the k-vectors of the witness candidates, classes with one state on
-one side and none on the other, are decoded and put in canonical form,
-and the least candidate coset is the witness.
+states of each walk-DP support are counted per coset class, straight from
+its state entries (`WalkSupport`) with no k-vector decoded: a curve's
+k-vectors are in one coset exactly when they are equal mod N on every
+edge (`_classes`). Only the k-vectors of the witness candidates, classes
+with one state on one side and none on the other, are decoded and put in
+canonical form, and the least candidate coset is the witness.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
+from itertools import chain, repeat
 from operator import add
 from types import SimpleNamespace
 
@@ -162,11 +161,11 @@ def _detection_context(tri, N, cell):
 
 
 def _classes(support, N):
-    """The class of each state entry of a walk-DP support (a key and one of
-    its nonzero slots), as `_Entries`: the id of an entry is the residues
-    k_e mod N of its k-vector, read as a mixed-radix number in edge order.
-    A key's fields give every digit but the heavy edge h's, and slot j adds
-    h's, (2j - w_h) mod N; no k-vector is decoded.
+    """The class of each state entry of a walk-DP support (`WalkSupport`),
+    in the order of its `counts`: the id of an entry is the residues k_e
+    mod N of its k-vector, read as a mixed-radix number in edge order. A
+    key's fields give every digit but the heavy edge h's, and the entry's
+    k_h gives h's; no k-vector is decoded.
 
     Equal ids are equal cosets of L, the lattice that the witness coset is
     taken modulo: L = N*K + Z*k_boundary on the reduced cell and N*K on the
@@ -184,76 +183,28 @@ def _classes(support, N):
     their images under a matrix class are too). The boundary condition is
     needed: k_boundary and 0 are in one coset of the reduced cell, with
     other residues."""
-    entries = _Entries(support)
-    layout = entries.layout
-    fields = layout.fields(entries.keys)
-    ids = [0] * len(entries.keys)
-    for e in range(layout.n_edges):
+    fields, n, h = support.fields, support.layout.n_edges, support.layout.heavy
+    # every edge but h is a field of every key; h's digit is 0 so far
+    ids = [0] * len(next(iter(fields.values())))
+    for e in range(n):
         ids = [x * N + k % N for x, k in zip(ids, fields.get(e, repeat(0)))]
-    # the digit of h, 0 so far, at slot j
-    place, w_h = N ** (layout.n_edges - 1 - layout.heavy), layout.heavy_weight
-    ids = [x + (2 * j - w_h) % N * place for x, js in zip(ids, entries.spans) for j in js]
-    # a slot inside a span may be empty
-    entries.ids = list(compress(ids, entries.slots))
-    return entries
+    place = N ** (n - 1 - h)
+    return [ids[row] + k % N * place for row, k in zip(support.rows, support.k_heavy)]
 
 
-class _Entries:
-    """The state entries of a walk-DP table: each key with each of its
-    nonzero slots, key by key, with their state counts, and their class
-    ids once `_classes` sets them. A value's nonzero slots lie between
-    its lowest and its highest set bit, so only the slots there are read."""
-
-    def __init__(self, support):
-        table, layout = support.table, support.layout
-        self.keys, values, self.layout = list(table), list(table.values()), layout
-        bits = layout.slot_bits
-        mask = (1 << bits) - 1
-        # the slots j of each value, from its lowest to its highest set bit
-        self.spans = [
-            range(((v & -v).bit_length() - 1) // bits, (v.bit_length() - 1) // bits + 1)
-            for v in values
-        ]
-        self.slots = [(v >> (bits * j)) & mask for v, js in zip(values, self.spans) for j in js]
-        self.counts = list(filter(None, self.slots))
-
-    def kvectors(self, selector=None):
-        """The k-vectors of the entries that `selector` picks, or of all:
-        an entry's position among the slots read gives its key's row, by
-        bisection on the spans' ends, and its slot."""
-        flat = compress(count(), self.slots)
-        flat = list(flat if selector is None else compress(flat, selector))
-        ends = list(accumulate(map(len, self.spans)))
-        rows = [bisect_right(ends, p) for p in flat]
-        w_h = self.layout.heavy_weight
-        ks = [2 * (self.spans[i].stop - ends[i] + p) - w_h for i, p in zip(rows, flat)]
-        return self.layout.kvectors([self.keys[i] for i in rows], ks)
-
-
-def _candidates(sup_a, sup_b, N):
-    """The k-vectors of the classes that hold one state of one support and
-    none of the other, as {k-vector: True} for alpha's and {k-vector:
-    False} for beta's. Such a class is named by one state entry of the two
+def _candidates(supports, N):
+    """The k-vectors of the classes that hold one state of one of the two
+    supports (alpha's, beta's) and none of the other, as {k-vector: True}
+    for alpha's and {k-vector: False} for beta's. Such a class is named by one state entry of the two
     supports, whose count is 1: an entry whose count and number of names
     sum to 2."""
-    entries = [_classes(sup, N) for sup in (sup_a, sup_b)]
-    named = Counter()
-    for side in entries:
-        named.update(side.ids)
+    ids = [_classes(sup, N) for sup in supports]
+    named = Counter(chain(*ids))
     found = {}
-    for swapped, side in zip((True, False), entries):
-        single = map((2).__eq__, map(add, map(named.__getitem__, side.ids), side.counts))
-        found.update(dict.fromkeys(side.kvectors(single), swapped))
+    for swapped, sup, side in zip((True, False), supports, ids):
+        single = map((2).__eq__, map(add, map(named.__getitem__, side), sup.counts))
+        found.update(dict.fromkeys(sup.kvectors(single), swapped))
     return found
-
-
-def _find_witness(fib_a, fib_b):
-    """The least coset with zero states on one side and exactly one on the
-    other, and whether alpha's is the one (swapped); (None, None) when no
-    coset qualifies. A missing coset has zero states."""
-    found = [(coset, True) for coset, n in fib_a.items() if n == 1 and not fib_b.get(coset)]
-    found += [(coset, False) for coset, n in fib_b.items() if n == 1 and not fib_a.get(coset)]
-    return min(found) if found else (None, None)
 
 
 def detect_support(req: DetectionRequest) -> Certificate:
@@ -292,22 +243,23 @@ def _certify(req, alpha, beta, method):
     sup_a = enumerate_admissible_states(alpha, cap=req.state_cap)
     sup_b = enumerate_admissible_states(beta, cap=req.state_cap)
     basis, kernel, counter = _detection_context(alpha.tri, req.N, req.cell)
-    found = _candidates(sup_a, sup_b, req.N)
+    found = _candidates((sup_a, sup_b), req.N)
     # only the candidates' k-vectors are put in canonical form
     kvecs = list(found)
     cosets = lattice_cosets_many(basis, kernel, kvecs, 1 if req.cell == "big" else 0)
     if cosets is None:
         raise ValueError("vector is not balanced")
-    sides = [{c: 1 for c, k in zip(cosets, kvecs) if found[k] is side} for side in (True, False)]
-    coset, swapped = _find_witness(*sides)
-    if coset is None:
+    if not cosets:
         base.reasons.append("fibers-ambiguous")
         return base
-    kvec = kvecs[cosets.index(coset)]
+    # distinct classes are distinct cosets (`_classes`), so the least
+    # candidate coset holds the one state of its class
+    coset, kvec = min(zip(cosets, kvecs))
+    swapped = found[kvec]
     witness = {
         "coset": list(coset),
-        "fiberAlpha": sides[0].get(coset, 0),
-        "fiberBeta": sides[1].get(coset, 0),
+        "fiberAlpha": int(swapped),
+        "fiberBeta": int(not swapped),
         "swapped": swapped,
         "kvec": [list(kvec)],
     }

@@ -151,9 +151,8 @@ def check_injectivity_lemma():
         support = enumerate_admissible_states(c)
         # the class step that detect runs, so that this check covers it:
         # each state entry is one k-vector, and equal ids are equal cosets
-        entries = _classes(support, N)
         seen = {}
-        for red, kvec in zip(entries.ids, entries.kvectors()):
+        for red, kvec in zip(_classes(support, N), support.kvectors()):
             if red in seen:
                 bad.append((pq, kvec, seen[red]))
             seen[red] = kvec

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import threading
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -210,9 +211,61 @@ def test_decode_inverts_heavy_edge_layout(n_edges):
                 key = sum(k * u for k, u in zip(kvec, layout.units))
                 slot = (kvec[h] + w_h) // 2
                 table[key] = table.get(key, 0) + (count << (layout.slot_bits * slot))
-            decoded = curves._decode(table, layout)
+            decoded = curves.WalkSupport(table, layout).fibers
             assert decoded == fibers
             assert _ascending_runs(list(decoded)) <= w_h + 1
+
+
+def _entry_test_curves():
+    """The 42 Delta_1 curves with m <= 12 that selftest compares with the
+    brute force (every inner-edge vector: closed multicurves, the empty
+    curve among them), the 25 Delta_1 curves with m <= 10 that hold an arc,
+    and the two genus-2 curves of 8 components."""
+    tri = torus_table().tri
+    closed, arcs = [], []
+    for vec in product(range(13), repeat=tri.n_edges):
+        if sum(vec) > 12 or (vec[tri.boundary_arc] and sum(vec) > 10):
+            continue
+        try:
+            c = NormalCurve(tri, vec)
+        except ValueError:
+            continue
+        if not vec[tri.boundary_arc]:
+            closed.append(c)
+        elif any(len(steps) < len(points) for points, steps in c.walks):
+            arcs.append(c)
+    assert (len(closed), len(arcs)) == (42, 25)
+    eight = [NormalCurve(build_sigma_g_star(2), c) for c in ({7: 8, 8: 8}, {2: 8, 3: 8})]
+    return closed + arcs + eight
+
+
+def test_walk_support_entries_are_the_fibers():
+    """A walk-DP support's state entries are its fibers, slot by slot: each
+    slot's entries share k_h and ascend, and a selector picks the same
+    k-vectors out of them as a slice of all of them does."""
+    rng = random.Random(40)
+    kinds, widest = set(), 0
+    for c in _entry_test_curves():
+        sup = enumerate_admissible_states(c)
+        kvecs = sup.kvectors()
+        assert len(kvecs) == len(sup.counts) == len(sup.rows) == len(sup.k_heavy)
+        assert dict(zip(kvecs, sup.counts)) == enumerate_admissible_states_bruteforce(c).fibers
+        assert sum(sup.counts) == sup.state_count
+        h = sup.layout.heavy
+        assert [k[h] for k in kvecs] == sup.k_heavy
+        assert sup.k_heavy == sorted(sup.k_heavy)
+        for a, b, ka, kb in zip(kvecs, kvecs[1:], sup.k_heavy, sup.k_heavy[1:]):
+            assert ka < kb or a < b
+        selector = [rng.random() < 0.4 for _ in kvecs]
+        assert sup.kvectors(iter(selector)) == [k for k, s in zip(kvecs, selector) if s]
+        assert sup.kvectors([False] * len(kvecs)) == []
+        kinds.add((c.tri.genus, c.component_count(), c.coords[c.tri.boundary_arc] > 0))
+        widest = max(widest, sup.layout.heavy_weight + 1)
+    # the empty curve, closed curves and arcs, one component and several
+    assert {(1, 0, False), (1, 1, False), (1, 3, False), (1, 1, True), (1, 3, True)} <= kinds
+    assert (2, 8, False) in kinds
+    # some values have more slots than one pass reads, so the read halves them
+    assert widest > 8
 
 
 def test_slot_width_holds_on_eight_component_curves():

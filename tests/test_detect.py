@@ -23,7 +23,6 @@ from skeinlab.curves import (
 )
 from skeinlab.detect import (
     DetectionRequest,
-    _find_witness,
     detect_support,
     detect_theorem2,
 )
@@ -267,7 +266,10 @@ def test_ambiguous_fibers_path():
 
 
 def _find_witness_by_sorted_scan(fib_a, fib_b):
-    """The first qualifying coset of every coset in sorted order."""
+    """The least coset, in a scan of every coset in sorted order, with zero
+    states on one side and exactly one on the other, and whether alpha's is
+    the one; (None, None) when no coset qualifies. Detection's witness is
+    the least candidate coset, so this is the coset it picks."""
     for coset in sorted(set(fib_a) | set(fib_b)):
         sa = fib_a.get(coset, 0)
         sb = fib_b.get(coset, 0)
@@ -276,31 +278,6 @@ def _find_witness_by_sorted_scan(fib_a, fib_b):
         if sb == 0 and sa == 1:
             return coset, True
     return None, None
-
-
-def test_find_witness_matches_sorted_scan():
-    rng = random.Random(12)
-    cosets = list(product(range(3), range(-1, 2), range(2)))
-    outcomes = {"alpha": 0, "beta": 0, "both": 0, "none": 0}
-    for _ in range(3000):
-        fib_a, fib_b = (
-            {
-                coset: rng.choice((0, 1, 1, 2, 3))
-                for coset in rng.sample(cosets, rng.randrange(len(cosets) // 2))
-            }
-            for _ in range(2)
-        )
-        expected = _find_witness_by_sorted_scan(fib_a, fib_b)
-        assert _find_witness(fib_a, fib_b) == expected
-        sides = {
-            swapped
-            for coset in cosets
-            for swapped, (one, other) in ((True, (fib_a, fib_b)), (False, (fib_b, fib_a)))
-            if one.get(coset, 0) == 1 and other.get(coset, 0) == 0
-        }
-        outcomes[{0: "none", 2: "both"}.get(len(sides), "alpha" if True in sides else "beta")] += 1
-    # witnesses on one side each, on both sides at once, and none at all
-    assert min(outcomes.values()) > 50, outcomes
 
 
 SWEEP_MATRICES = ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]])
@@ -776,6 +753,38 @@ def test_the_recount_imports_nothing_of_skeinlab_but_intlinalg():
     ]
 
 
+# what only `curves.WalkSupport` reads of a walk-DP support: its table and
+# the table's slot layout
+SLOT_FORMAT = ("table", "slot_bits", "heavy_weight")
+
+
+def _slot_format_reads(source):
+    """The names of SLOT_FORMAT that Python source reads as attributes,
+    after a dot or through getattr with a constant name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return sorted(names.intersection(SLOT_FORMAT))
+
+
+def test_detection_reads_no_walk_dp_slot_layout():
+    # `WalkSupport` is the one reader of a walk-DP table, so detection reads
+    # its state entries and never the table, its slots or k_h's offset
+    source = (Path(__file__).parents[1] / "src" / "skeinlab" / "detect.py").read_text()
+    assert _slot_format_reads(source) == []
+    probe = "def f(sup):\n    return sup.table, getattr(sup.layout, 'slot_bits')\n"
+    assert _slot_format_reads(probe) == ["slot_bits", "table"]
+
+
 def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
     """The canonical coset of each k-vector, one vector at a time: K-coordinates
     from the general SNF solver, then a row-by-row floor reduction."""
@@ -795,8 +804,7 @@ def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
 def _class_entries(support, N):
     """(class id, k-vector, states) of each state entry of a support, by
     the class step that detect runs."""
-    entries = detect._classes(support, N)
-    return list(zip(entries.ids, entries.kvectors(), entries.counts))
+    return list(zip(detect._classes(support, N), support.kvectors(), support.counts))
 
 
 def _assert_classes_match_cosets(N, supports, projection, coords_of):
@@ -957,7 +965,7 @@ def _false_witness_supports(alpha, beta, projection):
                 candidates.append(("bump", {k: n for k, n in bumped.items() if n}))
         for kind, fibers in candidates:
             fib = projected({**true, curve: fibers})
-            coset, _ = _find_witness(*fib)
+            coset, _ = _find_witness_by_sorted_scan(*fib)
             if coset is not None and states(fib, coset) != states(true_fib, coset):
                 yield kind, curve, fibers
 
@@ -1022,7 +1030,7 @@ def _false_witness_projections(alpha, beta, projection):
                 candidates += [("drop", {k: target}) for k in members]
             for kind, moved in candidates:
                 fib = [_states(sup.fibers, {**coset_of, **moved}) for sup in supports]
-                coset, _ = _find_witness(*fib)
+                coset, _ = _find_witness_by_sorted_scan(*fib)
                 if coset is not None and states(fib, coset) != states(true_fib, coset):
                     yield kind, moved
 
@@ -1044,10 +1052,8 @@ def _moving(monkeypatch, alpha, beta, N, cell, moved):
     classes = detect._classes
 
     def moved_classes(support, N):
-        entries = classes(support, N)
-        kvecs = entries.kvectors()
-        entries.ids = [label[moved[k]] if k in moved else i for i, k in zip(entries.ids, kvecs)]
-        return entries
+        ids = classes(support, N)
+        return [label[moved[k]] if k in moved else i for i, k in zip(ids, support.kvectors())]
 
     def project(basis, kernel, kvecs, pad):
         cosets = lattice_cosets_many(basis, kernel, kvecs, pad)
