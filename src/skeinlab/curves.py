@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
-from operator import and_, itemgetter, rshift
+from operator import and_, rshift
 
 from .surface import Triangulation, build_sigma_g_star, check_int
 
@@ -388,14 +388,20 @@ def _component_states(curve, walk, layout):
     Both states of the first point share one pass. On a closed walk the
     runs that began with - sit `half` bits up in every value, above the
     w_h + 1 slots of those that began with +, until the close tells them
-    apart; an open walk has no close, so its half is 0."""
+    apart; an open walk has no close, so its half is 0.
+
+    The close is the last merge of the two tables into one, a pass over
+    each that drops the zeros: + keeps its low half, and - adds its two
+    halves. An open walk's values are all in the low half, so the same
+    pass keeps them whole."""
     points, steps = walk
     n = len(points)
     closed = len(steps) == n
     units, point_edge = layout.units, curve.point_edge
     unit = [units[point_edge[p]] for p in points]
     slot_bits = layout.slot_bits
-    half = slot_bits * (layout.heavy_weight + 1) if closed else 0
+    upper = slot_bits * (layout.heavy_weight + 1)
+    half = upper if closed else 0
     a_first = [curve.pieces[q][0] == p for p, q in zip(points, steps)]
     plus, minus = {0: 1 if unit[0] else 1 << slot_bits}, {0: 1 << half}
     off_plus, off_minus = unit[0], -unit[0]
@@ -414,20 +420,22 @@ def _component_states(curve, walk, layout):
             plus = {k: c << slot_bits for k, c in plus.items()}
         off_plus += unit[t]
         off_minus -= unit[t]
-    if closed:
-        # a closed walk closes from its lowest piece's a-point
-        # (`NormalCurve.walks`), which forbids + at the last point after -
-        # at the first: + keeps the runs that began with +, - takes both
-        low = (1 << half) - 1
-        plus = {k: c & low for k, c in plus.items()}
-        minus = {k: (c & low) + (c >> half) for k, c in minus.items()}
+    # a closed walk closes from its lowest piece's a-point
+    # (`NormalCurve.walks`), which forbids + at the last point after - at
+    # the first: + keeps the runs that began with +, - takes both
+    low = (1 << upper) - 1
     results = {}
     get = results.get
-    for states, off in ((plus, off_plus), (minus, off_minus)):
-        for k, c in states.items():
-            if c:
-                k += off
-                results[k] = get(k, 0) + c
+    for k, c in plus.items():
+        c &= low
+        if c:
+            k += off_plus
+            results[k] = get(k, 0) + c
+    for k, c in minus.items():
+        c = (c & low) + (c >> upper)
+        if c:
+            k += off_minus
+            results[k] = get(k, 0) + c
     return results
 
 
@@ -448,13 +456,17 @@ def enumerate_admissible_states_bruteforce(
     return TraceSupport(fibers)
 
 
-def support_bounds_check(support: TraceSupport, curve: NormalCurve) -> bool:
+def support_bounds_check(support: WalkSupport, curve: NormalCurve) -> bool:
     """The three support constraints: |k(e)| <= |γ∩e|, matching parity,
     and k = 0 on the boundary arc. Each edge is checked over its distinct
-    values, read off the k-vectors with no transposed copy of them."""
+    values, read off the support's entry columns: `k_heavy` on the heavy
+    edge and the keys' `fields` on the others. These are the values of
+    the k-vectors, which `kvectors` zips from the same columns, as every
+    key has an entry (the walk DP keeps no zero value)."""
     bd = curve.tri.boundary_edges
+    heavy = support.layout.heavy
     for e, w in enumerate(curve.coords):
-        for k in set(map(itemgetter(e), support.fibers)):
+        for k in set(support.k_heavy if e == heavy else support.fields[e]):
             if abs(k) > w or (k - w) % 2 or (k and e in bd):
                 return False
     return True

@@ -1219,18 +1219,21 @@ assert loaded == [], loaded
 
 def test_genus_one_cap_refusal_stays_small():
     # a 999998-point curve is refused from its coordinates: no point, piece
-    # or walk of it is built, so the process stays small
+    # or walk of it is built, so the process stays small. The child reports
+    # its own high-water mark, VmHWM: on Linux, ru_maxrss carries the
+    # parent's across fork and exec, so a large test process would show.
     script = """
-import resource, sys
+import sys
 from skeinlab import cli
 cli.main(["detect", "--curve", "200000,199999", "--phi", '{"matrix": [[1, 1], [0, 1]]}'])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
 """
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert '"cap-exceeded"' in proc.stdout
-    maxrss_kb = int(proc.stderr.splitlines()[-1])
-    assert maxrss_kb < 100 * 1024, maxrss_kb
+    hwm_kb = int(proc.stderr.splitlines()[-1])
+    assert hwm_kb < 100 * 1024, hwm_kb
 
 
 def test_selftest_runs_without_sympy_or_numpy():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import random
 import threading
@@ -13,7 +14,6 @@ from skeinlab.curves import (
     CLASS_BASIS,
     NormalCurve,
     StateCapExceeded,
-    TraceSupport,
     enumerate_admissible_states,
     enumerate_admissible_states_bruteforce,
     support_bounds_check,
@@ -479,21 +479,53 @@ def test_triangle_inequality_sanity():
 
 def test_support_bounds():
     table = torus_table()
+    arc = table.tri.boundary_arc
     for pq in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)]:
         c = table.curve(*pq)
         sup = enumerate_admissible_states(c)
         assert support_bounds_check(sup, c)
-        # one hand-corrupted k-vector among good ones fails each constraint:
-        # |k_e| > w_e, the wrong parity on an edge of weight w_e >= 1, and
-        # k != 0 on the boundary arc
-        w = max(c.coords)
-        e = c.coords.index(w)
-        good = next(iter(sup.fibers))
-        for edge, k in ((e, w + 2), (e, w - 1), (table.tri.boundary_arc, 2)):
-            corrupt = list(good)
-            corrupt[edge] = k
-            bad = TraceSupport({**sup.fibers, tuple(corrupt): 1})
+        # one hand-corrupted entry column of a real support fails each
+        # constraint: |k_e| > w_e and the wrong parity on the heavy edge's
+        # k_h, |k_e| > w_e on another edge's field, and k != 0 on the
+        # boundary arc's field
+        h = sup.layout.heavy
+        e = next(e for e in range(table.tri.n_edges) if e not in (h, arc))
+        w_h, w_e = c.coords[h], c.coords[e]
+        for edge, k in ((h, w_h + 2), (h, w_h - 1), (e, w_e + 2), (arc, 2)):
+            bad = enumerate_admissible_states(c)
+            column = bad.k_heavy if edge == h else bad.fields[edge]
+            column[0] = k
             assert not support_bounds_check(bad, c), (pq, edge, k)
+
+
+def test_bounds_columns_are_the_kvector_values():
+    """`support_bounds_check` reads each edge's values off the support's
+    entry columns, not its k-vectors: on the entry-test curves (arcs,
+    multicurves, the empty curve and genus 2) and the qtrace-large classes
+    with m <= 48, each column holds exactly the edge's k-vector values,
+    and the check's verdict is that of its rules on the k-vectors (False
+    on an arc, whose boundary arc has k != 0)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    qtrace = module.QtraceLarge()
+    qtrace.prepare()
+    thick = [qtrace.table.curve(*pq) for m, pqs in qtrace.by_m.items() if m <= 48 for pq in pqs]
+    assert len(thick) == 18
+    for c in _entry_test_curves() + thick:
+        sup = enumerate_admissible_states(c, cap=96)
+        h = sup.layout.heavy
+        for e in range(c.tri.n_edges):
+            column = sup.k_heavy if e == h else sup.fields[e]
+            assert set(column) == {k[e] for k in sup.fibers}, (c.coords, e)
+        bd = c.tri.boundary_edges
+        on_kvectors = all(
+            abs(k[e]) <= w and (k[e] - w) % 2 == 0 and not (k[e] and e in bd)
+            for k in sup.fibers
+            for e, w in enumerate(c.coords)
+        )
+        assert support_bounds_check(sup, c) == on_kvectors, c.coords
 
 
 def test_supports_are_balanced():
