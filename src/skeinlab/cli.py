@@ -332,10 +332,10 @@ def cmd_leaf(args):
     from .repvar import classify_double_leaf, classify_sts_leaf
 
     matrices = [_parse_json(args.mat, f"--mat {args.mat!r} is not valid JSON")]
-    if args.double:
+    if args.double is not None:
         matrices.append(_parse_json(args.double, f"--double {args.double!r} is not valid JSON"))
     ms = _parse_sl2s(matrices, args.field_order)
-    if args.double:
+    if args.double is not None:
         i, j = classify_double_leaf(*ms)
         _emit({"double": True, "leaf": [i, j]})
     else:
@@ -417,7 +417,7 @@ def _run_batch_item(obj):
 
 def cmd_detect(args):
     t0 = time.perf_counter()
-    if args.batch:
+    if args.batch is not None:
         results = [_run_batch_item(r) for r in _load_json_list(args.batch, "--batch")]
         _emit({"certificates": results})
         _log(f"detect: {len(results)} requests in {time.perf_counter() - t0:.3f}s")
@@ -566,7 +566,7 @@ def build_parser(config=None, chosen=None):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.config:
+        if args.config is not None:
             # parse again with the config's values as the chosen command's
             # defaults, so that argparse alone decides what the user gave
             config = _read_json_file(args.config, "--config")

@@ -9,8 +9,8 @@ The points and pieces of a curve are walked once per component, in one
 loop: a walk is its points in order and the piece from each point to the
 next, and a step's orientation is whether it leaves through its piece's
 a-point. Component counts and the walk DP read these walks. Only
-`WalkSupport` decodes a walk-DP table, once, into state entries: detection
-counts them per class, and `fibers` is decoded from them.
+`WalkSupport`, the one support type, reads a walk-DP table: once, into
+state entries, from which it names classes mod N and decodes `fibers`.
 
 Two enumeration routes are kept deliberately independent: the walk DP
 (default) and the 2^m brute-force kernel in _kernels (the reference route
@@ -202,28 +202,14 @@ class NormalCurve:
 # Admissible state enumeration
 
 
-class TraceSupport:
+class WalkSupport:
     """Support of the quantum trace: balanced maps with state fiber sizes.
-    The walk DP's support (`WalkSupport`) decodes its fibers from its state
-    entries on first read; the brute-force route builds them directly."""
-
-    def __init__(self, fibers: dict):
-        self.fibers = fibers  # k-vector tuple -> number of admissible states
-
-    @property
-    def state_count(self):
-        return sum(self.fibers.values())
-
-    def __eq__(self, other):
-        return isinstance(other, TraceSupport) and self.fibers == other.fibers
-
-
-class WalkSupport(TraceSupport):
-    """The walk DP's support, read once from its table of packed keys and
-    slotted counts (`_Layout`) into state entries, each key with each of
-    its nonzero slots: `rows`, `k_heavy` and `counts` give an entry's key,
-    k_h and states, and `fields` the keys' other edges, one column per
-    edge (`_Layout.fields`). `fibers` is decoded from them on first read.
+    The walk DP's table of packed keys and slotted counts (`_Layout`) is
+    read once into state entries, each key with each of its nonzero
+    slots: `rows`, `k_heavy` and `counts` give an entry's key, k_h and
+    states, and `fields` the keys' other edges, one column per edge
+    (`_Layout.fields`). `fibers` is decoded from them on first read, and
+    `classes` names their classes mod N.
 
     The keys are read in ascending order, the lexicographic order of their
     vectors without k_h (`_Layout`), and the values slot by slot, so slot
@@ -274,10 +260,29 @@ class WalkSupport(TraceSupport):
     def fibers(self):
         return dict(zip(self.kvectors(), self.counts))
 
+    @property
+    def state_count(self):
+        """The number of admissible states, with no fiber decoded."""
+        return sum(self.counts)
+
+    def classes(self, N):
+        """The class of each state entry, in the order of `counts`: the id
+        of an entry is the residues k_e mod N of its k-vector, read as a
+        mixed-radix number in edge order. A key's fields give every digit
+        but the heavy edge h's, and the entry's k_h gives h's; no k-vector
+        is decoded."""
+        fields, n, h = self.fields, self.layout.n_edges, self.layout.heavy
+        # every edge but h is a field of every key; h's digit is 0 so far
+        ids = [0] * len(next(iter(fields.values())))
+        for e in range(n):
+            ids = [x * N + k % N for x, k in zip(ids, fields.get(e, repeat(0)))]
+        place = N ** (n - 1 - h)
+        return [ids[row] + k % N * place for row, k in zip(self.rows, self.k_heavy)]
+
 
 def enumerate_admissible_states(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
-) -> TraceSupport:
+) -> WalkSupport:
     """Default route: per-face corner pieces, then a walk DP per component.
 
     A table maps the packed partial k-vector of every edge but the heavy
@@ -441,19 +446,17 @@ def _component_states(curve, walk, layout):
 
 def enumerate_admissible_states_bruteforce(
     curve: NormalCurve, cap: int = DEFAULT_STATE_CAP
-) -> TraceSupport:
-    """Reference route: filter all 2^m full states with the bitset kernel."""
+) -> dict:
+    """Reference route: filter all 2^m full states with the bitset kernel,
+    into {k-vector: number of admissible states}."""
     from . import _kernels
 
     check_state_cap(cap)
     check_point_cap(curve, min(cap, BRUTE_FORCE_MAX_POINTS))
-    if curve.n_points == 0:
-        return TraceSupport({tuple([0] * curve.tri.n_edges): 1})
     pa = [q[0] for q in curve.pieces]
     pb = [q[1] for q in curve.pieces]
     masks = _kernels.admissible_masks(curve.n_points, pa, pb)
-    fibers = _kernels.support_from_masks(masks, curve.point_edge, curve.tri.n_edges)
-    return TraceSupport(fibers)
+    return _kernels.support_from_masks(masks, curve.point_edge, curve.tri.n_edges)
 
 
 def support_bounds_check(support: WalkSupport, curve: NormalCurve) -> bool:

@@ -11,9 +11,9 @@ Because the state-sum coefficients of the quantum trace are not pinned
 down, only fibers of size one are treated as provably nonzero and empty
 fibers as zero; anything else is inconclusive, never "trivial". So the
 states of each walk-DP support are counted per coset class, straight from
-its state entries (`WalkSupport`) with no k-vector decoded: a curve's
+its state entries (`WalkSupport.classes`) with no k-vector decoded: a curve's
 k-vectors are in one coset exactly when they are equal mod N on every
-edge (`_classes`). Only the k-vectors of the witness candidates, classes
+edge (`_candidates`). Only the k-vectors of the witness candidates, classes
 with one state on one side and none on the other, are decoded and put in
 canonical form, and the least candidate coset is the witness.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import add
 from types import SimpleNamespace
 
@@ -160,12 +160,13 @@ def _detection_context(tri, N, cell):
     return base.basis, kernel, recount.ResidueRecount(base.basis, kernel, cell, N)
 
 
-def _classes(support, N):
-    """The class of each state entry of a walk-DP support (`WalkSupport`),
-    in the order of its `counts`: the id of an entry is the residues k_e
-    mod N of its k-vector, read as a mixed-radix number in edge order. A
-    key's fields give every digit but the heavy edge h's, and the entry's
-    k_h gives h's; no k-vector is decoded.
+def _candidates(supports, N):
+    """The k-vectors of the classes that hold one state of one of the two
+    supports (alpha's, beta's) and none of the other, as {k-vector: True}
+    for alpha's and {k-vector: False} for beta's. A class is the residues
+    mod N of an entry's k-vector (`WalkSupport.classes`). Such a class is
+    named by one state entry of the two supports, whose count is 1: an
+    entry whose count and number of names sum to 2.
 
     Equal ids are equal cosets of L, the lattice that the witness coset is
     taken modulo: L = N*K + Z*k_boundary on the reduced cell and N*K on the
@@ -183,22 +184,7 @@ def _classes(support, N):
     their images under a matrix class are too). The boundary condition is
     needed: k_boundary and 0 are in one coset of the reduced cell, with
     other residues."""
-    fields, n, h = support.fields, support.layout.n_edges, support.layout.heavy
-    # every edge but h is a field of every key; h's digit is 0 so far
-    ids = [0] * len(next(iter(fields.values())))
-    for e in range(n):
-        ids = [x * N + k % N for x, k in zip(ids, fields.get(e, repeat(0)))]
-    place = N ** (n - 1 - h)
-    return [ids[row] + k % N * place for row, k in zip(support.rows, support.k_heavy)]
-
-
-def _candidates(supports, N):
-    """The k-vectors of the classes that hold one state of one of the two
-    supports (alpha's, beta's) and none of the other, as {k-vector: True}
-    for alpha's and {k-vector: False} for beta's. Such a class is named by one state entry of the two
-    supports, whose count is 1: an entry whose count and number of names
-    sum to 2."""
-    ids = [_classes(sup, N) for sup in supports]
+    ids = [sup.classes(N) for sup in supports]
     named = Counter(chain(*ids))
     found = {}
     for swapped, sup, side in zip((True, False), supports, ids):
@@ -252,7 +238,7 @@ def _certify(req, alpha, beta, method):
     if not cosets:
         base.reasons.append("fibers-ambiguous")
         return base
-    # distinct classes are distinct cosets (`_classes`), so the least
+    # distinct classes are distinct cosets (`_candidates`), so the least
     # candidate coset holds the one state of its class
     coset, kvec = min(zip(cosets, kvecs))
     swapped = found[kvec]

@@ -16,14 +16,20 @@ from . import intlinalg
 from .curves import NormalCurve, torus_table
 from .surface import check_fields, check_genus, check_int
 
-_TOKEN = re.compile(r"([a-zA-Z])(\d*)")
+_TOKEN = re.compile(r"([a-zA-Z])([0-9]*)")
+_WORD = re.compile(r"(?:[a-zA-Z][0-9]*)*")
 
 
 def parse_word(text, genus):
     """Word as a tuple of signed generator ids: +i for a_i, -i for inverse;
-    alphas occupy ids 1..g, betas g+1..2g."""
+    alphas occupy ids 1..g, betas g+1..2g. The text is tokens, a letter
+    and an optional ASCII decimal index, and spaces; anything else is
+    refused, not skipped."""
+    tokens = text.replace(" ", "")
+    if not _WORD.fullmatch(tokens):
+        raise ValueError(f'word {text!r} is not generator tokens such as "a1 B2" or "abA"')
     out = []
-    for m in _TOKEN.finditer(text.replace(" ", "")):
+    for m in _TOKEN.finditer(tokens):
         letter, idx = m.group(1), int(m.group(2) or 1)
         kind = letter.lower()
         if kind not in ("a", "b") or not (1 <= idx <= genus):

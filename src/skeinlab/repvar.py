@@ -203,14 +203,14 @@ def _same_moment(rep, mu):
     return rep
 
 
-def orbit_closure(seeds, mapping_classes, cap=4096) -> OrbitData:
+def orbit_closure(seeds, generators, cap=4096) -> OrbitData:
     """BFS closure of seed representations under mapping classes given by
     words (validated when they were built) of the seeds' genus. Verifies
     that every image has the moment of the first seed."""
     genus = seeds[0].genus
     mu = moment_map(seeds[0])
     steps = []
-    for mc in mapping_classes:
+    for mc in generators:
         if mc.endo is None:
             raise ValueError(
                 'orbit generators act through their free-group words: give {"words": ...}, '

@@ -20,8 +20,7 @@ from .curves import (
     support_bounds_check,
     torus_table,
 )
-from .detect import DetectionRequest, _classes
-from .detect import detect_support, detect_theorem2
+from .detect import DetectionRequest, detect_support, detect_theorem2
 from .mcg import MappingClass, TWIST_ALPHA, TWIST_BETA
 from .poisson import PoissonAlgebra, bracket_tables_from_r_matrix, verify_r_matrix_expansion
 from .qtorus import QuantumTorus, build_irrep, chebyshev_apply, frobenius
@@ -152,7 +151,7 @@ def check_injectivity_lemma():
         # the class step that detect runs, so that this check covers it:
         # each state entry is one k-vector, and equal ids are equal cosets
         seen = {}
-        for red, kvec in zip(_classes(support, N), support.kvectors()):
+        for red, kvec in zip(support.classes(N), support.kvectors()):
             if red in seen:
                 bad.append((pq, kvec, seen[red]))
             seen[red] = kvec
@@ -179,9 +178,7 @@ def check_oracle_equivalence():
         except ValueError:
             continue
         tested += 1
-        if enumerate_admissible_states(c).fibers != (
-            enumerate_admissible_states_bruteforce(c).fibers
-        ):
+        if enumerate_admissible_states(c).fibers != enumerate_admissible_states_bruteforce(c):
             bad.append(vec)
     return _result(
         "DP enumeration equals 2^m brute force for all curves with m <= 12",

@@ -57,8 +57,8 @@ class Triangulation:
         self.edge_slots = slots
         self.boundary_edges = [e for e in range(n_edges) if len(slots[e]) == 1]
         self.inner_edges = [e for e in range(n_edges) if len(slots[e]) == 2]
-        self._vertex_classes = self._glue_corners()
-        self.n_vertices = len(set(self._vertex_classes.values()))
+        self._corner_vertex = self._glue_corners()
+        self.n_vertices = len(set(self._corner_vertex.values()))
         self.boundary_circles = self._boundary_walk()
         self.genus = self._genus()
         if genus is not None and genus != self.genus:
@@ -75,7 +75,7 @@ class Triangulation:
 
     def corner(self, face, k):
         """Corner of `face` between slot k and slot k+1 (vertex id)."""
-        return self._vertex_classes[(face, k % 3)]
+        return self._corner_vertex[(face, k % 3)]
 
     def _glue_corners(self):
         # corner (f, k) sits between slots k and k+1; gluing slot (f, k) to

@@ -214,17 +214,17 @@ def ordered_pair_commutation_holds(irrep) -> bool:
     return True
 
 
-def coset_states(support, basis, kernel, cell):
-    """The reference projection of a support: the canonical coset of each
-    k-vector, in fiber order (K-coordinates from the echelon basis of K,
-    with khat = 0 appended on the big cell, reduced modulo the kernel), and
-    {coset: number of states}."""
+def coset_states(fibers, basis, kernel, cell):
+    """The reference projection of a support's fibers ({k-vector: states}):
+    the canonical coset of each k-vector, in fiber order (K-coordinates
+    from the echelon basis of K, with khat = 0 appended on the big cell,
+    reduced modulo the kernel), and {coset: number of states}."""
     pad = 1 if cell == "big" else 0
-    cosets = intlinalg.lattice_cosets_many(basis, kernel, list(support.fibers), pad)
+    cosets = intlinalg.lattice_cosets_many(basis, kernel, list(fibers), pad)
     if cosets is None:
         raise ValueError("vector is not balanced")
     states = {}
-    for coset, n in zip(cosets, support.fibers.values()):
+    for coset, n in zip(cosets, fibers.values()):
         states[coset] = states.get(coset, 0) + n
     return cosets, states
 

@@ -922,6 +922,38 @@ MALFORMED = [
          "unknown \"words\" field 'c9': the fields are a1, b1, a, b",
          batch={"curve": "0,1", "beta": "1,1", "N": 3,
                 "phi": {"words": {"a1": "a", "b1": "ba", "c9": "a"}}}),
+    # a word is generator tokens and spaces, with ASCII decimal indices:
+    # any other character is refused, not skipped
+    _row("detect-word-stray-character",
+         ("detect", "--curve", "0,1", "--beta", "1,1",
+          "--phi", '{"words": {"a1": "a#", "b1": "ba"}}'),
+         'word \'a#\' is not generator tokens such as "a1 B2" or "abA"',
+         batch={"curve": "0,1", "beta": "1,1", "phi": {"words": {"a1": "a#", "b1": "ba"}}}),
+    _row("detect-word-operator",
+         ("detect", "--curve", "0,1", "--beta", "1,1",
+          "--phi", '{"words": {"a1": "a1", "b1": "b1 * a1"}}'),
+         'word \'b1 * a1\' is not generator tokens such as "a1 B2" or "abA"',
+         batch={"curve": "0,1", "beta": "1,1", "phi": {"words": {"a1": "a1", "b1": "b1 * a1"}}}),
+    _row("detect-word-tab-before-index",
+         ("detect", "--curve", "0,1", "--beta", "1,1",
+          "--phi", '{"words": {"a1": "a", "b1": "b\\t1a"}}'),
+         'word \'b\\t1a\' is not generator tokens such as "a1 B2" or "abA"',
+         batch={"curve": "0,1", "beta": "1,1", "phi": {"words": {"a1": "a", "b1": "b\t1a"}}}),
+    _row("detect-word-non-ascii-index",
+         ("detect", "--curve", "0,1", "--beta", "1,1",
+          "--phi", '{"words": {"a1": "a\u0661", "b1": "ba"}}'),
+         'word \'a\u0661\' is not generator tokens such as "a1 B2" or "abA"',
+         batch={"curve": "0,1", "beta": "1,1", "phi": {"words": {"a1": "a\u0661", "b1": "ba"}}}),
+    _row("orbit-gens-word-stray-character",
+         ("orbit", "--rep", REP, "--gens", '[{"words": {"a1": "a", "b1": "b?a"}}]'),
+         'word \'b?a\' is not generator tokens such as "a1 B2" or "abA"'),
+    # an empty flag value is given, not absent: the flag's own reader refuses it
+    _row("leaf-empty-double", ("leaf", "classify", "--mat", "[0,1,-1,0]", "--double="),
+         f"--double '' is not valid JSON: {NOT_JSON}"),
+    _row("detect-empty-batch", ("detect", "--batch="),
+         f"--batch '' is neither an existing file nor valid JSON: {NOT_JSON}"),
+    _row("surface-empty-config", ("--config=", "surface", "info"),
+         "[Errno 2] No such file or directory: ''"),
     _row("orbit-rep-unknown-field",
          ("orbit", "--rep", json.dumps({**json.loads(REP), "order": 4}), "--gens", "[]"),
          "unknown representation field 'order': the fields are genus, images, field"),

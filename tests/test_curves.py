@@ -72,10 +72,7 @@ def test_dp_equals_bruteforce_small():
             continue
         if c.n_points > 12:
             continue
-        assert (
-            enumerate_admissible_states(c).fibers
-            == enumerate_admissible_states_bruteforce(c).fibers
-        )
+        assert enumerate_admissible_states(c).fibers == enumerate_admissible_states_bruteforce(c)
         tested += 1
     assert tested > 10
 
@@ -90,10 +87,7 @@ def test_dp_equals_bruteforce_genus_two():
         walks = c.walks
         is_open = any(len(steps) < len(points) for points, steps in walks)
         kinds.add((len(walks) > 1, is_open))
-        assert (
-            enumerate_admissible_states(c).fibers
-            == enumerate_admissible_states_bruteforce(c).fibers
-        ), vec
+        assert enumerate_admissible_states(c).fibers == enumerate_admissible_states_bruteforce(c), vec
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -249,7 +243,7 @@ def test_walk_support_entries_are_the_fibers():
         sup = enumerate_admissible_states(c)
         kvecs = sup.kvectors()
         assert len(kvecs) == len(sup.counts) == len(sup.rows) == len(sup.k_heavy)
-        assert dict(zip(kvecs, sup.counts)) == enumerate_admissible_states_bruteforce(c).fibers
+        assert dict(zip(kvecs, sup.counts)) == enumerate_admissible_states_bruteforce(c)
         assert sum(sup.counts) == sup.state_count
         h = sup.layout.heavy
         assert [k[h] for k in kvecs] == sup.k_heavy
@@ -268,6 +262,24 @@ def test_walk_support_entries_are_the_fibers():
     assert widest > 8
 
 
+def test_state_count_decodes_no_fibers():
+    """`state_count` sums the state entries' counts and leaves the fibers
+    undecoded; it is their total all the same. The brute force gives its
+    fibers as a dict, the empty curve's at genus 1 and 2 too, where the
+    kernel enumerates the one empty state."""
+    for c in _entry_test_curves():
+        sup = enumerate_admissible_states(c)
+        count = sup.state_count
+        assert "fibers" not in sup.__dict__, c.coords
+        assert count == sum(sup.fibers.values()), c.coords
+    for genus in (1, 2):
+        tri = build_sigma_g_star(genus)
+        empty = NormalCurve(tri, [0] * tri.n_edges)
+        brute = enumerate_admissible_states_bruteforce(empty)
+        assert type(brute) is dict
+        assert brute == enumerate_admissible_states(empty).fibers == {(0,) * tri.n_edges: 1}
+
+
 def test_slot_width_holds_on_eight_component_curves():
     """Two genus-2 curves of 8 components and 16 points, each with exactly
     the product bound F(4)^8 = 6561 states: more than F(m + 2) = F(18), so
@@ -278,7 +290,7 @@ def test_slot_width_holds_on_eight_component_curves():
         walks = c.walks
         assert c.component_count() == 8 and c.n_points == 16
         sup = enumerate_admissible_states(c)
-        assert sup == enumerate_admissible_states_bruteforce(c)
+        assert sup.fibers == enumerate_admissible_states_bruteforce(c)
         assert sup.state_count == 3**8 == 6561
         layout = curves._Layout(c.coords, [len(points) for points, _ in walks])
         assert 1 << layout.slot_bits > sup.state_count > _fibonacci_upto(18)[18]
@@ -342,8 +354,8 @@ def test_bruteforce_cap_above_kernel_limit():
     c = torus_table().curve(1, -12)
     assert c.n_points == curves.BRUTE_FORCE_MAX_POINTS
     brute = enumerate_admissible_states_bruteforce(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
-    assert brute == enumerate_admissible_states(c, cap=curves.BRUTE_FORCE_MAX_POINTS)
-    assert brute.state_count == 114628
+    assert brute == enumerate_admissible_states(c, cap=curves.BRUTE_FORCE_MAX_POINTS).fibers
+    assert sum(brute.values()) == 114628
 
 
 def test_negative_cap_is_bad_input():
@@ -352,7 +364,8 @@ def test_negative_cap_is_bad_input():
     for enumerate_states in (enumerate_admissible_states, enumerate_admissible_states_bruteforce):
         with pytest.raises(ValueError, match=r"^cap must be >= 0, not -1$"):
             enumerate_states(c, cap=-1)
-        assert enumerate_states(c, cap=2).state_count == 3
+    assert enumerate_admissible_states(c, cap=2).state_count == 3
+    assert sum(enumerate_admissible_states_bruteforce(c, cap=2).values()) == 3
 
 
 def test_closed_walks_close_from_an_a_point():

@@ -15,7 +15,7 @@ import pytest
 from skeinlab import detect, intlinalg, recount
 from skeinlab.curves import (
     NormalCurve,
-    TraceSupport,
+    WalkSupport,
     class_curve,
     enumerate_admissible_states,
     enumerate_admissible_states_bruteforce,
@@ -53,7 +53,7 @@ IDENTITY = [[1, 0], [0, 1]]
 
 
 def _projection(tri, N, cell):
-    """What the reference `coset_states` takes after the support: the basis
+    """What the reference `coset_states` takes after the fibers: the basis
     of K and the mod-N kernel of the detection context of (tri, N, cell),
     and the cell."""
     basis, kernel, _ = detect._detection_context(tri, N, cell)
@@ -538,9 +538,8 @@ def _assert_recount_matches_bruteforce(curve, N, cell):
     few cosets next to them that no state reaches; the number of those
     cosets."""
     basis, kernel, recount = detect._detection_context(curve.tri, N, cell)
-    support = enumerate_admissible_states_bruteforce(curve)
-    fibers = support.fibers
-    _, by_coset = coset_states(support, basis, kernel, cell)
+    fibers = enumerate_admissible_states_bruteforce(curve)
+    _, by_coset = coset_states(fibers, basis, kernel, cell)
     targets = {coset: recount.target(coset) for coset in by_coset}
     assert len(set(targets.values())) == len(by_coset)
     for coset, n in by_coset.items():
@@ -614,8 +613,8 @@ def test_the_recount_walks_once_each_way(monkeypatch, cell):
     checked = 0
     for curve in curves:
         basis, kernel, counter = detect._detection_context(curve.tri, 3, cell)
-        support = enumerate_admissible_states_bruteforce(curve)
-        for coset, n in coset_states(support, basis, kernel, cell)[1].items():
+        fibers = enumerate_admissible_states_bruteforce(curve)
+        for coset, n in coset_states(fibers, basis, kernel, cell)[1].items():
             calls.clear()
             assert counter.count(curve, counter.target(coset)) == n, (curve, coset)
             assert calls == [False, True]
@@ -753,9 +752,9 @@ def test_the_recount_imports_nothing_of_skeinlab_but_intlinalg():
     ]
 
 
-# what only `curves.WalkSupport` reads of a walk-DP support: its table and
-# the table's slot layout
-SLOT_FORMAT = ("table", "slot_bits", "heavy_weight")
+# what only `curves.WalkSupport` reads of a walk-DP support: its table, the
+# table's slot layout, and the entry columns read from them
+SLOT_FORMAT = ("table", "slot_bits", "heavy_weight", "rows", "k_heavy", "fields", "layout")
 
 
 def _slot_format_reads(source):
@@ -777,12 +776,21 @@ def _slot_format_reads(source):
 
 
 def test_detection_reads_no_walk_dp_slot_layout():
-    # `WalkSupport` is the one reader of a walk-DP table, so detection reads
-    # its state entries and never the table, its slots or k_h's offset
-    source = (Path(__file__).parents[1] / "src" / "skeinlab" / "detect.py").read_text()
-    assert _slot_format_reads(source) == []
-    probe = "def f(sup):\n    return sup.table, getattr(sup.layout, 'slot_bits')\n"
-    assert _slot_format_reads(probe) == ["slot_bits", "table"]
+    # `WalkSupport` is the one reader of a walk-DP table and of the entry
+    # columns read from it, so detection and the selftest take class ids,
+    # counts and k-vectors from its methods, and never the table, its
+    # slots, k_h's offset, the columns or the layout
+    for module in ("detect.py", "selftest.py"):
+        source = (Path(__file__).parents[1] / "src" / "skeinlab" / module).read_text()
+        assert _slot_format_reads(source) == [], module
+    # a class step that reads the columns itself, as detection once did
+    probe = (
+        "def f(support, N):\n"
+        "    fields, n, h = support.fields, support.layout.n_edges, support.layout.heavy\n"
+        "    k = zip(support.rows, support.k_heavy)\n"
+        "    return support.table, getattr(support.layout, 'slot_bits'), support.layout.heavy_weight\n"
+    )
+    assert _slot_format_reads(probe) == sorted(SLOT_FORMAT)
 
 
 def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
@@ -804,7 +812,7 @@ def _project_one_at_a_time(kvecs, basis, kernel, cell, coords_of):
 def _class_entries(support, N):
     """(class id, k-vector, states) of each state entry of a support, by
     the class step that detect runs."""
-    return list(zip(detect._classes(support, N), support.kvectors(), support.counts))
+    return list(zip(support.classes(N), support.kvectors(), support.counts))
 
 
 def _assert_classes_match_cosets(N, supports, projection, coords_of):
@@ -822,7 +830,7 @@ def _assert_classes_match_cosets(N, supports, projection, coords_of):
             assert coset_of_class.setdefault(i, coset) == coset
             assert class_of_coset.setdefault(coset, i) == i
             states[coset] = states.get(coset, 0) + n
-        assert states == coset_states(sup, *projection)[1]
+        assert states == coset_states(sup.fibers, *projection)[1]
 
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
@@ -871,7 +879,7 @@ def _balanced_off_the_boundary_arc(rng, basis, arc, count):
 
 @pytest.mark.parametrize("cell", ["reduced", "big"])
 def test_cosets_of_vectors_off_the_boundary_arc_are_their_residues_mod_n(cell):
-    # the lemma of `detect._classes`: for vectors of K that are 0 on the
+    # the lemma of `detect._candidates`: for vectors of K that are 0 on the
     # boundary arc, equal canonical cosets are equal residues mod N
     rng = random.Random(20221)
     for genus in (1, 2, 3):
@@ -945,7 +953,7 @@ def _false_witness_supports(alpha, beta, projection):
     true = {c: enumerate_admissible_states(c).fibers for c in (alpha, beta)}
 
     def projected(fibers_of):
-        return [coset_states(TraceSupport(fibers_of[c]), *projection)[1] for c in (alpha, beta)]
+        return [coset_states(fibers_of[c], *projection)[1] for c in (alpha, beta)]
 
     def states(fib, coset):
         return [side.get(coset, 0) for side in fib]
@@ -1009,7 +1017,7 @@ def _false_witness_projections(alpha, beta, projection):
     support criterion finds a witness whose true fibers differ from the
     claimed ones."""
     supports = [enumerate_admissible_states(c) for c in (alpha, beta)]
-    true_fib = [coset_states(sup, *projection)[1] for sup in supports]
+    true_fib = [coset_states(sup.fibers, *projection)[1] for sup in supports]
     kvecs = sorted(set().union(*(sup.fibers for sup in supports)))
     coset_of = dict(zip(kvecs, _project(kvecs, *projection)))
     # the cosets hit, and their neighbours k + 2 e_i (2 e_i is balanced)
@@ -1049,7 +1057,7 @@ def _moving(monkeypatch, alpha, beta, N, cell, moved):
             label[coset] = i
     for coset in sorted(set(moved.values()) - set(label)):
         label[coset] = -1 - len(label)
-    classes = detect._classes
+    classes = WalkSupport.classes
 
     def moved_classes(support, N):
         ids = classes(support, N)
@@ -1059,7 +1067,7 @@ def _moving(monkeypatch, alpha, beta, N, cell, moved):
         cosets = lattice_cosets_many(basis, kernel, kvecs, pad)
         return [moved.get(k, c) for k, c in zip(kvecs, cosets)]
 
-    monkeypatch.setattr(detect, "_classes", moved_classes)
+    monkeypatch.setattr(WalkSupport, "classes", moved_classes)
     monkeypatch.setattr(detect, "lattice_cosets_many", project)
 
 

@@ -25,6 +25,12 @@ def test_word_parsing():
         parse_word("c", 1)
     with pytest.raises(ValueError):
         parse_word("a2", 1)
+    # anything but tokens and spaces is refused, not skipped: a stray
+    # character, an operator, a tab before an index, non-ASCII digits
+    for text, genus in (("a#", 1), ("b?a", 1), ("a1 * b1", 1), ("b\t2", 2), ("a\u0663", 3)):
+        with pytest.raises(ValueError, match="is not generator tokens"):
+            parse_word(text, genus)
+    assert parse_word(" a3 b1 ", 3) == (3, 4)
 
 
 def test_boundary_word():

@@ -3,11 +3,12 @@ MALFORMED row is changed one field at a time: to a bool, a float, numeric
 text, null or a nested list; an object gets an unknown key, a repeated key
 or a second spelling of one of its fields (pq with coords, matrix with
 words, a with a1); edge labels, cell and method names get label variants;
-an integer flag gets "1_1" or non-ASCII digits. Each mutant is refused
-with exactly one error and no traceback, in skeinlab's own words (no
-Python exception text), unless it spells the same request another way
-("0, 1" for [0, 1], a coords list for a coords object, "+5" for 5), and
-then it must give the same bytes.
+an integer flag gets "1_1" or non-ASCII digits; word text gets a stray
+"#", a tab before an index or an index in non-ASCII digits. Each mutant
+is refused with exactly one error and no traceback, in skeinlab's own
+words (no Python exception text), unless it spells the same request
+another way ("0, 1" for [0, 1], a coords list for a coords object, "+5"
+for 5), and then it must give the same bytes.
 
 Batch mutants share one `detect --batch` run. A repeated key refuses the
 whole JSON text, so those and the flag mutants run one `cli.main` call
@@ -75,6 +76,19 @@ def _int_texts(n):
     ]
 
 
+def _word_texts(word):
+    """(kind, text) of word text that is no word: a stray "#" appended, a
+    tab before the first index, the first index in non-ASCII digits. A word
+    with no index gets index 1 there, after its first letter."""
+    i = next((i for i, ch in enumerate(word) if ch in "0123456789"), None)
+    head, index, tail = (word[:1], "1", word[1:]) if i is None else (word[:i], word[i], word[i + 1:])
+    return [
+        ("stray character", word + "#"),
+        ("tab before an index", head + "\t" + index + tail),
+        ("non-ASCII index", head + index.translate(ARABIC) + tail),
+    ]
+
+
 def _wrong(value, path):
     """(kind, replacement) for the field value at path: never the same
     request."""
@@ -85,6 +99,8 @@ def _wrong(value, path):
         out += [("label variant", value.capitalize()), ("label variant", f" {value}")]
     if isinstance(value, list) and len(value) == 2 and all(type(t) is int for t in value):
         out += [(kind, f"{text},{value[1]}") for kind, text in _int_texts(value[0])]
+    if len(path) > 1 and path[-2] == "words" and isinstance(value, str) and value:
+        out += _word_texts(value)
     if path == ("phi",) and isinstance(value, list):
         out.append(("second spelling", {"matrix": value, "words": TWIST}))
     if isinstance(value, dict):
