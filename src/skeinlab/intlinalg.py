@@ -5,11 +5,14 @@ routine, `lattice_cosets_many`, gives both), and the skew normal form
 used to split quantum tori into Weyl pairs.
 Sublattice indices and inverses of unimodular matrices are read off an
 HNF; a rank over Q (`int_rank`) comes from an elimination of sparse rows.
-A lattice that contains m*Z^n is eliminated with its entries mod m:
-`hnf_mod` for its HNF, `diagonalize_mod` for kernels of forms mod N
-(`kernel_mod`) and the residue group of the witness recount in `recount`.
-The Smith normal form over Z serves only the reference solver
-`solve_integer`.
+A form's kernels mod N (`kernel_mod`) are read off one diagonalization
+of the form over Z (`diagonalize`, memoized, as it does not depend on N).
+Every lattice that contains m*Z^n is eliminated with its entries mod m:
+`hnf_mod` for its HNF (which reads each kernel off), and
+`diagonalize_mod` where one modulus serves: the face-parity kernel mod 2
+in `surface` and the residue group of the witness recount mod 2N in
+`recount`. The Smith normal form over Z serves only the reference
+solver `solve_integer`.
 
 Matrices are lists of lists of Python ints; all arithmetic is exact. The
 products (`mat_mul`, `gram`) and the row steps touch only nonzero entries
@@ -19,6 +22,7 @@ transform."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, count, product
 from math import gcd, isqrt, prod
 
@@ -108,7 +112,8 @@ def _eliminator(p, x):
     """The unimodular (a, b, c, d) with (a*p + b*x, c*p + d*x) == (g, 0):
     a swap when p == 0, a shear when p divides x, else the extended-gcd
     step. It is the one elimination step of `hnf`, `hnf_mod`,
-    `diagonalize_mod`, `smith_normal_form` and `skew_normal_form`."""
+    `diagonalize`, `diagonalize_mod`, `smith_normal_form` and
+    `skew_normal_form`."""
     if p == 0:
         return 0, 1, 1, 0
     if x % p == 0:
@@ -388,14 +393,75 @@ def hnf_mod(rows, m, n):
     return H
 
 
-def kernel_mod(M, N):
-    """HNF basis (rows) of {a in Z^c : M a == 0 mod N}: N*Z^c and the
-    columns (N / gcd(d_j, N)) * V_j of `diagonalize_mod(M, N)` span it."""
-    if N < 1:
-        raise ValueError("modulus must be >= 1")
-    d, columns = diagonalize_mod(M, N)
+def diagonal_kernel(d, columns, N):
+    """HNF basis (rows) of {a in Z^c : M a == 0 mod N} from a
+    diagonalization U*M*V == diag(d) of M over Z or mod N, with V given by
+    its columns: N*Z^c and the columns (N / gcd(d_j, N)) * V_j span it."""
     scales = [(N // gcd(x, N), V_j) for x, V_j in zip(d, columns) if gcd(x, N) > 1]
     return hnf_mod([[s * v % N for v in V_j] for s, V_j in scales], N, len(columns))
+
+
+def diagonalize(A):
+    """(d, columns) with U*A*V == diag(d) over Z for some unimodular U and
+    V: `diagonalize_mod`'s row and column steps with no modulus, each
+    pivot made positive by U. columns[j] is column j of V. The d[j] form
+    no divisibility chain, so this is no Smith form. On the WP forms of K
+    and Kbar (genus 1..35, 60 and 100) every d[j] is 0, 2 or 4 and every
+    entry of V is at most 2 in absolute value."""
+    rows = [list(row) for row in A]
+    columns = identity(len(A[0]) if A else 0)
+    d = [0] * len(columns)
+    for t, P in enumerate(rows):
+        if not any(P):
+            continue  # zero from the start, or cleared by the pivots before it
+        rest = rows[t + 1 :]
+        c = next(compress(count(), P))
+        while True:
+            for R in [R for R in rest if R[c]]:
+                a, b, e, f = _eliminator(P[c], R[c])
+                if b:
+                    P, R[:] = [a * u + b * v for u, v in zip(P, R)], [
+                        e * u + f * v for u, v in zip(P, R)
+                    ]
+                else:
+                    for j in compress(count(), P):
+                        R[j] += e * P[j]
+            # column steps clear row P; one other than a shear refills column c
+            bad = [j for j in compress(count(), P) if P[j] % P[c]]
+            if not bad:
+                break
+            for j in bad:
+                step = _eliminator(P[c], P[j])
+                _mix_cols((P, *rest), c, j, *step)
+                _mix_rows((columns,), c, j, *step)
+        # the shears that clear row P change no other row
+        Vc = columns[c]
+        for j in compress(count(), P):
+            if j != c:
+                q, Vj = P[j] // P[c], columns[j]
+                for k in compress(count(), Vc):
+                    Vj[k] -= q * Vc[k]
+        d[c] = abs(P[c])
+    return d, columns
+
+
+# K's and Kbar's forms at every genus up to 35 are 70 entries
+@lru_cache(maxsize=128)
+def _diagonalized(rows):
+    """`diagonalize` of the matrix with these rows (a tuple of tuples), for
+    `kernel_mod`: it does not depend on N, so each form is diagonalized
+    once. Kept as tuples, since every caller shares one result."""
+    d, columns = diagonalize(rows)
+    return tuple(d), tuple(map(tuple, columns))
+
+
+def kernel_mod(M, N):
+    """HNF basis (rows) of {a in Z^c : M a == 0 mod N}, read off the
+    diagonalization of M over Z (`diagonal_kernel`). That is memoized by
+    M's rows, so a further N costs one `hnf_mod`."""
+    if N < 1:
+        raise ValueError("modulus must be >= 1")
+    return diagonal_kernel(*_diagonalized(tuple(map(tuple, M))), N)
 
 
 # ---------------------------------------------------------------------------

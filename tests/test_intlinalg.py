@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from skeinlab import intlinalg
 from skeinlab.intlinalg import (
     bilinear,
+    diagonal_kernel,
+    diagonalize,
     diagonalize_mod,
     gram,
     hnf,
@@ -29,6 +32,7 @@ from skeinlab.intlinalg import (
     unimodular_inverse,
 )
 from skeinlab.lattice import SkewLattice
+from skeinlab.surface import BalancedLattice, build_sigma_g_star
 
 from oracles import dense_gram, dense_rank, lattice_contains, smith_kernel_mod, sparse_rows
 
@@ -122,6 +126,45 @@ def test_diagonalize_mod_diagonalizes_with_an_invertible_transform():
         assert hnf_mod(V, m, nc) == identity(nc)
         diagonal = [[x if i == j else 0 for j in range(nc)] for i, x in enumerate(d)]
         assert hnf_mod(mat_mul(M, V), m, nc) == hnf_mod(diagonal, m, nc), (M, m)
+
+
+def test_diagonalize_diagonalizes_over_z_with_a_unimodular_transform():
+    rng = random.Random(27)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        M = _sparse_matrix(rng, nr, nc)
+        d, columns = diagonalize(M)
+        V = transpose(columns)
+        assert is_unimodular(V) and all(x >= 0 for x in d)
+        # M V spans what diag(d) spans over Z, and is zero where d_j is 0
+        MV = mat_mul(M, V)
+        assert all(row[j] == 0 for row in MV for j, x in enumerate(d) if x == 0)
+        diagonal = [[x if i == j else 0 for j in range(nc)] for i, x in enumerate(d)]
+        assert hnf(MV) == hnf(diagonal), M
+        for m in COMPOSITE_MODULI:
+            assert diagonal_kernel(d, columns, m) == smith_kernel_mod(M, m), (M, m)
+
+
+def test_kernel_mod_diagonalizes_each_form_once_and_hands_out_copies(monkeypatch):
+    form = BalancedLattice(build_sigma_g_star(2)).form
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return diagonalize(A)
+
+    monkeypatch.setattr(intlinalg, "diagonalize", counting)
+    intlinalg._diagonalized.cache_clear()
+    smith = smith_normal_form(form)
+    for N in (3, 5, 7, 9, 15, 45):
+        assert kernel_mod(form, N) == smith_kernel_mod(form, N, smith), N
+    assert len(calls) == 1
+    # a caller that changes its kernel changes no later one
+    first = kernel_mod(form, 3)
+    first[0][0] += 1
+    first.append(first.pop(0))
+    assert kernel_mod(form, 3) == smith_kernel_mod(form, 3, smith)
+    assert len(calls) == 1
 
 
 def test_hnf_mod_is_the_hnf_of_the_rows_stacked_on_m_times_identity():

@@ -220,6 +220,10 @@ def test_the_kernels_match_the_smith_oracle_at_every_genus(g):
     # kernel behind K; one Smith form per matrix serves every N
     B = BalancedLattice(build_sigma_g_star(g))
     for form in (B.form, RefinedLattice(B).form):
+        # the speed of a kernel over Z rests on these staying small
+        d, columns = intlinalg.diagonalize(form)
+        assert set(d) <= {0, 2, 4}
+        assert all(abs(x) <= 2 for V_j in columns for x in V_j)
         smith = intlinalg.smith_normal_form(form)
         for N in (3, 5, 9, 15, 45) if g <= 6 else (3, 45):
             assert intlinalg.kernel_mod(form, N) == smith_kernel_mod(form, N, smith), N
@@ -301,14 +305,21 @@ def test_one_delta_g_per_genus_and_the_refusals_come_before_it():
         assert str(err.value) == text
 
 
-def test_lattices_on_one_triangulation_share_its_data_and_keep_their_kernels():
+def test_lattices_on_one_triangulation_share_its_data_and_keep_their_kernels(monkeypatch):
     tri = build_sigma_g_star(2)
     first, second = BalancedLattice(tri), BalancedLattice(tri)
     assert first.basis is second.basis and first.form is second.form
     assert RefinedLattice(first).form is RefinedLattice(second).form
-    # per-N kernels belong to the lattice object
+    # one diagonalization of the form serves both lattices and their skew
+    # lattices; per-N kernels belong to the lattice object
+    diagonalize, calls = intlinalg.diagonalize, []
+    monkeypatch.setattr(intlinalg, "diagonalize", lambda A: calls.append(A) or diagonalize(A))
+    intlinalg._diagonalized.cache_clear()
     assert first.kernel_mod(3) == second.kernel_mod(3)
     assert first.kernel_mod(3) is not second.kernel_mod(3)
+    assert first.skew_lattice().kernel_mod(3) == second.skew_lattice().kernel_mod(3)
+    assert first.skew_lattice().kernel_mod(5) == second.kernel_mod(5)
+    assert len(calls) == 1
     # an equal but separate triangulation derives its own
     other = BalancedLattice(Triangulation(tri.faces))
     assert other.basis == first.basis and other.basis is not first.basis
