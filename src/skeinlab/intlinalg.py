@@ -5,20 +5,21 @@ routine, `lattice_cosets_many`, gives both), and the skew normal form
 used to split quantum tori into Weyl pairs.
 Sublattice indices and inverses of unimodular matrices are read off an
 HNF; a rank over Q (`int_rank`) comes from an elimination of sparse rows.
-A form's kernels mod N (`kernel_mod`) are read off one diagonalization
-of the form over Z (`diagonalize`, memoized, as it does not depend on N).
-Every lattice that contains m*Z^n is eliminated with its entries mod m:
-`hnf_mod` for its HNF (which reads each kernel off), and
-`diagonalize_mod` where one modulus serves: the face-parity kernel mod 2
-in `surface` and the residue group of the witness recount mod 2N in
-`recount`. The Smith normal form over Z serves only the reference
-solver `solve_integer`.
+One routine, `diagonalize`, diagonalizes over Z or mod m. A form's
+kernels mod N (`kernel_mod`) are read off one diagonalization of the
+form over Z (memoized, as it does not depend on N); where one modulus
+serves, the elimination is mod m: the face-parity kernel mod 2 in
+`surface` and the residue group of the witness recount mod 2N in
+`recount`. Every lattice that contains m*Z^n gets its HNF with its
+entries mod m (`hnf_mod`, which reads each kernel off). The Smith
+normal form over Z serves only the reference solver `solve_integer`.
 
 Matrices are lists of lists of Python ints; all arithmetic is exact. The
 products (`mat_mul`, `gram`) and the row steps touch only nonzero entries
 where they can. Every elimination over Z or mod m shares one step,
 `_eliminator`: an extended-gcd (Blankinship) two-row/two-column unimodular
-transform."""
+transform; `hnf_mod` and `diagonalize` clear a column with one row loop,
+`_clear_column`, in either regime."""
 
 from __future__ import annotations
 
@@ -111,9 +112,9 @@ def _egcd(a, b):
 def _eliminator(p, x):
     """The unimodular (a, b, c, d) with (a*p + b*x, c*p + d*x) == (g, 0):
     a swap when p == 0, a shear when p divides x, else the extended-gcd
-    step. It is the one elimination step of `hnf`, `hnf_mod`,
-    `diagonalize`, `diagonalize_mod`, `smith_normal_form` and
-    `skew_normal_form`."""
+    step. It is the one elimination step of `hnf`, `smith_normal_form`,
+    `skew_normal_form`, `_clear_column` (the row step of `hnf_mod` and
+    `diagonalize`) and `diagonalize`'s column step."""
     if p == 0:
         return 0, 1, 1, 0
     if x % p == 0:
@@ -122,23 +123,60 @@ def _eliminator(p, x):
     return s, t, -(x // g), p // g
 
 
-def _mix_rows(mats, i, j, a, b, c, d):
+def _mix_rows(mats, i, j, a, b, c, d, m=None):
     """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j) in each
-    matrix; a swap exchanges the row lists."""
+    matrix, mod m unless m is None; a swap exchanges the row lists."""
     for M in mats:
         Mi, Mj = M[i], M[j]
         if (a, b, c, d) == (0, 1, 1, 0):
             M[i], M[j] = Mj, Mi
-            continue
-        M[i] = [a * u + b * v for u, v in zip(Mi, Mj)]
-        M[j] = [c * u + d * v for u, v in zip(Mi, Mj)]
+        elif m is None:
+            M[i] = [a * u + b * v for u, v in zip(Mi, Mj)]
+            M[j] = [c * u + d * v for u, v in zip(Mi, Mj)]
+        else:
+            M[i] = [(a * u + b * v) % m for u, v in zip(Mi, Mj)]
+            M[j] = [(c * u + d * v) % m for u, v in zip(Mi, Mj)]
 
 
-def _mix_cols(rows, i, j, a, b, c, d):
-    """(col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j) in each row."""
+def _mix_cols(rows, i, j, a, b, c, d, m=None):
+    """(col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j) in each
+    row, mod m unless m is None."""
     for row in rows:
         u, v = row[i], row[j]
-        row[i], row[j] = a * u + b * v, c * u + d * v
+        if m is None:
+            row[i], row[j] = a * u + b * v, c * u + d * v
+        else:
+            row[i], row[j] = (a * u + b * v) % m, (c * u + d * v) % m
+
+
+def _shear(R, P, e, m=None):
+    """R <- R + e*P, mod m unless m is None, at P's nonzero entries alone."""
+    if m is None:
+        for j in compress(count(), P):
+            R[j] += e * P[j]
+    else:
+        for j in compress(count(), P):
+            R[j] = (R[j] + e * P[j]) % m
+
+
+def _clear_column(P, rows, c, m=None):
+    """Row steps over Z, or mod m with each entry reduced as it is
+    computed, that clear column c of rows into the pivot row P, which it
+    returns. Only the rows nonzero in column c change, in place, and some
+    may become zero; a shear changes R only where P is nonzero."""
+    for R in [R for R in rows if R[c]]:
+        a, b, e, f = _eliminator(P[c], R[c])
+        if not b:
+            _shear(R, P, e, m)
+        elif m is None:
+            P, R[:] = [a * u + b * v for u, v in zip(P, R)], [
+                e * u + f * v for u, v in zip(P, R)
+            ]
+        else:
+            P, R[:] = [(a * u + b * v) % m for u, v in zip(P, R)], [
+                (e * u + f * v) % m for u, v in zip(P, R)
+            ]
+    return P
 
 
 def _smallest_entry(A, t):
@@ -299,7 +337,8 @@ def solve_integer(M, b):
 
 
 # ---------------------------------------------------------------------------
-# Lattices containing m*Z^n: elimination with every entry kept mod m
+# Kernels mod N: HNF with every entry kept mod m, and diagonalization
+# over Z or mod m
 
 
 def _mod_rows(rows, m):
@@ -309,65 +348,6 @@ def _mod_rows(rows, m):
         for j in compress(count(), row):
             row[j] %= m
     return out
-
-
-def _clear_column(P, rows, c, m):
-    """Row steps mod m that clear column c of rows into the pivot row P,
-    which it returns. Only the rows nonzero in column c change, in place,
-    and some may become zero; a shear changes R only where P is nonzero."""
-    for R in [R for R in rows if R[c]]:
-        a, b, e, f = _eliminator(P[c], R[c])
-        if b:
-            P, R[:] = [(a * u + b * v) % m for u, v in zip(P, R)], [
-                (e * u + f * v) % m for u, v in zip(P, R)
-            ]
-        else:
-            for j in compress(count(), P):
-                R[j] = (R[j] + e * P[j]) % m
-    return P
-
-
-def diagonalize_mod(A, m):
-    """(d, columns) with U*A*V == diag(d) mod m for some U, V invertible
-    mod m: d[j] is the diagonal entry in column j (0 when no pivot lies
-    there) and columns[j] is column j of the column transform V, every
-    entry in [0, m). V is kept as its columns, so that a column step is a
-    step on two lists. Each pivot is the first nonzero entry of the first
-    row left, made 1 when it is a unit; the d[j] form no divisibility
-    chain."""
-    rows = _mod_rows(A, m)
-    columns = identity(len(A[0]) if A else 0)
-    d = [0] * len(columns)
-    for t, P in enumerate(rows):
-        if not any(P):
-            continue  # zero from the start, or cleared by the pivots before it
-        rest = rows[t + 1 :]
-        c = next(compress(count(), P))
-        while True:
-            if P[c] != 1 and gcd(P[c], m) == 1:
-                inv = pow(P[c], -1, m)
-                P = [x * inv % m for x in P]
-            P = _clear_column(P, rest, c, m)
-            # column steps clear row P; one other than a shear refills column c
-            bad = [j for j in compress(count(), P) if P[j] % P[c]]
-            if not bad:
-                break
-            for j in bad:
-                a, b, e, f = _eliminator(P[c], P[j])
-                for R in (P, *rest):
-                    R[c], R[j] = (a * R[c] + b * R[j]) % m, (e * R[c] + f * R[j]) % m
-                Vc, Vj = columns[c], columns[j]
-                columns[c] = [(a * u + b * v) % m for u, v in zip(Vc, Vj)]
-                columns[j] = [(e * u + f * v) % m for u, v in zip(Vc, Vj)]
-        # the shears that clear row P change no other row
-        Vc = columns[c]
-        for j in compress(count(), P):
-            if j != c:
-                q, Vj = P[j] // P[c], columns[j]
-                for k in compress(count(), Vc):
-                    Vj[k] = (Vj[k] - q * Vc[k]) % m
-        d[c] = P[c]
-    return d, columns
 
 
 def hnf_mod(rows, m, n):
@@ -395,20 +375,25 @@ def hnf_mod(rows, m, n):
 
 def diagonal_kernel(d, columns, N):
     """HNF basis (rows) of {a in Z^c : M a == 0 mod N} from a
-    diagonalization U*M*V == diag(d) of M over Z or mod N, with V given by
-    its columns: N*Z^c and the columns (N / gcd(d_j, N)) * V_j span it."""
+    diagonalization U*M*V == diag(d) of M over Z or mod m for some m that
+    N divides, with V given by its columns: N*Z^c and the columns
+    (N / gcd(d_j, N)) * V_j span it."""
     scales = [(N // gcd(x, N), V_j) for x, V_j in zip(d, columns) if gcd(x, N) > 1]
     return hnf_mod([[s * v % N for v in V_j] for s, V_j in scales], N, len(columns))
 
 
-def diagonalize(A):
-    """(d, columns) with U*A*V == diag(d) over Z for some unimodular U and
-    V: `diagonalize_mod`'s row and column steps with no modulus, each
-    pivot made positive by U. columns[j] is column j of V. The d[j] form
-    no divisibility chain, so this is no Smith form. On the WP forms of K
-    and Kbar (genus 1..35, 60 and 100) every d[j] is 0, 2 or 4 and every
-    entry of V is at most 2 in absolute value."""
-    rows = [list(row) for row in A]
+def diagonalize(A, m=None):
+    """(d, columns) with U*A*V == diag(d) for some U, V invertible over Z
+    (m None) or mod m: d[j] is the diagonal entry in column j (0 when no
+    pivot lies there) and columns[j] is column j of V. V is kept as its
+    columns, so that a column step is a step on two lists. Each pivot is
+    the first nonzero entry of the first row left. Mod m every entry lies
+    in [0, m) and a unit pivot is made 1; over Z, d[j] is the pivot's
+    absolute value. The d[j] form no divisibility chain, so this is no
+    Smith form. On the WP forms of K and Kbar (genus 1..35, 60 and 100)
+    every d[j] over Z is 0, 2 or 4 and every entry of V is at most 2 in
+    absolute value."""
+    rows = [list(row) for row in A] if m is None else _mod_rows(A, m)
     columns = identity(len(A[0]) if A else 0)
     d = [0] * len(columns)
     for t, P in enumerate(rows):
@@ -417,30 +402,22 @@ def diagonalize(A):
         rest = rows[t + 1 :]
         c = next(compress(count(), P))
         while True:
-            for R in [R for R in rest if R[c]]:
-                a, b, e, f = _eliminator(P[c], R[c])
-                if b:
-                    P, R[:] = [a * u + b * v for u, v in zip(P, R)], [
-                        e * u + f * v for u, v in zip(P, R)
-                    ]
-                else:
-                    for j in compress(count(), P):
-                        R[j] += e * P[j]
+            if m is not None and P[c] != 1 and gcd(P[c], m) == 1:
+                inv = pow(P[c], -1, m)
+                P = [x * inv % m for x in P]
+            P = _clear_column(P, rest, c, m)
             # column steps clear row P; one other than a shear refills column c
             bad = [j for j in compress(count(), P) if P[j] % P[c]]
             if not bad:
                 break
             for j in bad:
                 step = _eliminator(P[c], P[j])
-                _mix_cols((P, *rest), c, j, *step)
-                _mix_rows((columns,), c, j, *step)
+                _mix_cols((P, *rest), c, j, *step, m)
+                _mix_rows((columns,), c, j, *step, m)
         # the shears that clear row P change no other row
-        Vc = columns[c]
         for j in compress(count(), P):
             if j != c:
-                q, Vj = P[j] // P[c], columns[j]
-                for k in compress(count(), Vc):
-                    Vj[k] -= q * Vc[k]
+                _shear(columns[j], columns[c], -(P[j] // P[c]), m)
         d[c] = abs(P[c])
     return d, columns
 

@@ -72,7 +72,7 @@ class ResidueRecount:
         # below 2M <= 2**width with no carry between fields; `_reduce` then
         # takes M off the fields that reached it by adding 2**(width-1) - M
         # and reading their top bits.
-        d, columns = intlinalg.diagonalize_mod(intlinalg.mat_mul(rows, basis), 2 * N)
+        d, columns = intlinalg.diagonalize(intlinalg.mat_mul(rows, basis), 2 * N)
         self.modulus = m = 2 * N
         self.width = w = m.bit_length() + 1
         scaled = [

@@ -159,9 +159,10 @@ class Triangulation:
         for fi, f in enumerate(self.faces):
             for e in f:
                 parity[fi][e] += 1
-        # mod 2, not over Z as `kernel_mod` would: one modulus serves, once
-        # per triangulation, and at genus 100 this is about 5x faster
-        basis = intlinalg.diagonal_kernel(*intlinalg.diagonalize_mod(parity, 2), 2)
+        # `diagonalize` mod 2, not over Z as `kernel_mod` would: one modulus
+        # serves, once per triangulation, and at genus 100 this is about 5x
+        # faster
+        basis = intlinalg.diagonal_kernel(*intlinalg.diagonalize(parity, 2), 2)
         assert len(basis) == self.n_edges, "balanced lattice must be full rank"
         gram = intlinalg.gram(basis, wp_form(self))
         return basis, gram, intlinalg.lattice_coordinates(basis, k_boundary(self))

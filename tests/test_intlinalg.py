@@ -11,7 +11,6 @@ from skeinlab.intlinalg import (
     bilinear,
     diagonal_kernel,
     diagonalize,
-    diagonalize_mod,
     gram,
     hnf,
     hnf_mod,
@@ -119,13 +118,21 @@ def test_diagonalize_mod_diagonalizes_with_an_invertible_transform():
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         M = _sparse_matrix(rng, nr, nc)
         m = rng.choice(COMPOSITE_MODULI[1:])
-        d, columns = diagonalize_mod(M, m)
+        d, columns = diagonalize(M, m)
         V = transpose(columns)
         assert all(0 <= x < m for row in V for x in row) and all(0 <= x < m for x in d)
         # V is invertible mod m, and M V spans what diag(d) spans mod m
         assert hnf_mod(V, m, nc) == identity(nc)
         diagonal = [[x if i == j else 0 for j in range(nc)] for i, x in enumerate(d)]
         assert hnf_mod(mat_mul(M, V), m, nc) == hnf_mod(diagonal, m, nc), (M, m)
+        # each kernel mod N is read off a diagonalization mod a multiple of N
+        smith = smith_normal_form(M)
+        for modulus in COMPOSITE_MODULI[1:]:
+            d, columns = diagonalize(M, modulus)
+            for N in COMPOSITE_MODULI:
+                if modulus % N == 0:
+                    kernel = smith_kernel_mod(M, N, smith)
+                    assert diagonal_kernel(d, columns, N) == kernel, (M, modulus, N)
 
 
 def test_diagonalize_diagonalizes_over_z_with_a_unimodular_transform():
@@ -149,9 +156,10 @@ def test_kernel_mod_diagonalizes_each_form_once_and_hands_out_copies(monkeypatch
     form = BalancedLattice(build_sigma_g_star(2)).form
     calls = []
 
-    def counting(A):
-        calls.append(A)
-        return diagonalize(A)
+    def counting(A, m=None):
+        if m is None:
+            calls.append(A)
+        return diagonalize(A, m)
 
     monkeypatch.setattr(intlinalg, "diagonalize", counting)
     intlinalg._diagonalized.cache_clear()

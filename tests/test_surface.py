@@ -313,7 +313,13 @@ def test_lattices_on_one_triangulation_share_its_data_and_keep_their_kernels(mon
     # one diagonalization of the form serves both lattices and their skew
     # lattices; per-N kernels belong to the lattice object
     diagonalize, calls = intlinalg.diagonalize, []
-    monkeypatch.setattr(intlinalg, "diagonalize", lambda A: calls.append(A) or diagonalize(A))
+
+    def counting(A, m=None):
+        if m is None:
+            calls.append(A)
+        return diagonalize(A, m)
+
+    monkeypatch.setattr(intlinalg, "diagonalize", counting)
     intlinalg._diagonalized.cache_clear()
     assert first.kernel_mod(3) == second.kernel_mod(3)
     assert first.kernel_mod(3) is not second.kernel_mod(3)
